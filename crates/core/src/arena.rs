@@ -2,12 +2,12 @@
 //!
 //! [`CheckArena`] names every recyclable buffer a single query check can
 //! need — token stream, symbol skeleton, collapse scratch, folded bytes,
-//! critical-token lists, NTI input-folding scratch. The engine keeps one
-//! arena per OS worker thread ([`with_arena`]): checks on a thread are
-//! strictly sequential (the slots are `!Sync` by construction), so each
-//! check sees the previous check's capacity and, at steady state, the
-//! model fast path performs **zero** heap allocations — asserted by the
-//! `alloc_free` integration test with a counting allocator.
+//! critical-token lists, NTI input-folding and q-gram scratch. The engine
+//! keeps one arena per OS worker thread ([`with_arena`]): checks on a
+//! thread are strictly sequential (the slots are `!Sync` by construction),
+//! so each check sees the previous check's capacity and, at steady state,
+//! the model fast path performs **zero** heap allocations — asserted by
+//! the `alloc_free` integration test with a counting allocator.
 //!
 //! Ownership is per-thread rather than per-session deliberately: every
 //! entry point (sessions, direct `check_query*` calls, batches) funnels
@@ -16,7 +16,7 @@
 //! per-session buffers would recycle no better — they would only
 //! multiply the retained capacity by the number of live sessions.
 
-use joza_arena::{BufSlot, Lease};
+use joza_arena::BufSlot;
 use joza_sqlparse::symbol::SymId;
 use joza_sqlparse::token::Token;
 
@@ -36,6 +36,9 @@ pub struct CheckArena {
     pub criticals: BufSlot<Token>,
     /// NTI per-input case-folding scratch.
     pub input_fold: BufSlot<u8>,
+    /// NTI's packed q-gram profile of the query (built only when some
+    /// input reaches the q-gram prefilter) and the current input's grams.
+    pub query_grams: BufSlot<u64>,
 }
 
 impl CheckArena {
@@ -48,12 +51,8 @@ impl CheckArena {
             folded: BufSlot::new(),
             criticals: BufSlot::new(),
             input_fold: BufSlot::new(),
+            query_grams: BufSlot::new(),
         }
-    }
-
-    /// Leases the NTI input-folding scratch buffer.
-    pub fn lease_input_fold(&self) -> Lease<'_, u8> {
-        self.input_fold.lease()
     }
 }
 

@@ -26,7 +26,6 @@
 use crate::artifacts::QueryArtifacts;
 use crate::{Joza, RouteModel};
 use joza_pti::daemon::{DaemonMode, PreparedSql};
-use joza_strmatch::qgram::QgramProfile;
 use std::time::Instant;
 
 /// Number of pipeline stages (the length of every per-stage array).
@@ -288,12 +287,9 @@ impl CheckStage for NtiStage {
             criticals: artifacts.criticals(&nti_cfg.critical),
             normalized: artifacts.normalized(nti_cfg.normalize_case),
         };
-        // The profile borrows the artifact bytes, so it lives on this
-        // stage frame rather than in the cache — still built at most once
-        // per checked query, because this stage runs at most once.
-        let profile = nti_cfg.qgram_prefilter.then(|| QgramProfile::new(view.normalized, 3));
-        let mut fold = cx.arena.lease_input_fold();
-        let report = joza.nti.analyze_view_with(cx.inputs, view, profile.as_ref(), &mut fold);
+        let mut fold = cx.arena.input_fold.lease();
+        let mut grams = cx.arena.query_grams.lease();
+        let report = joza.nti.analyze_view_with(cx.inputs, view, &mut fold, &mut grams);
         let attack = report.is_attack();
         cx.nti_attack = Some(attack);
         cx.trace.set(StageId::Nti, if attack { StageStatus::Fired } else { StageStatus::Passed });

@@ -21,7 +21,26 @@
 //!
 //! Optimizations (§VI-B): a q-gram lower-bound prefilter and a length
 //! plausibility check skip implausible input/query pairs before the
-//! quadratic alignment runs.
+//! quadratic alignment runs. The query's q-gram profile is built lazily,
+//! only once some input reaches that check, as sorted packed grams in a
+//! recycled buffer (no hashing).
+//!
+//! Under [`MatchKernel::BitParallel`], each input that passes the length
+//! check is first searched for *verbatim* in the normalized query with
+//! `str::find` (std's Two-Way search, linear in the worst case). A hit is
+//! taken as the comparison's result directly — the leftmost occurrence
+//! at distance 0 — and is exactly what the q-gram prefilter plus kernel
+//! would report: the prefilter cannot skip a distance-0 pair (all the
+//! input's q-grams occur in the query), so the pair counts as one
+//! comparison run; the Myers scan stops at its first zero-scoring
+//! column, whose span is the leftmost occurrence; and Sellers' tie-break
+//! (minimal distance, then minimal ratio — 0 for every exact span — then
+//! leftmost) picks the same one. An input the application embeds
+//! unchanged, such as a quote-free comment body, thus costs one linear
+//! scan instead of a q-gram profile and an `O(|p|·|q|/64)` alignment; an
+//! input it alters (an escaped quote, trimmed whitespace) misses the scan
+//! and takes the full path. [`MatchKernel::Classic`] skips the shortcut
+//! and stays the differential oracle.
 //!
 //! # Examples
 //!
@@ -46,7 +65,7 @@ use joza_strmatch::myers::bounded_myers_substring_distance;
 pub use joza_strmatch::myers::MatchKernel;
 use joza_strmatch::normalize::to_lower;
 use joza_strmatch::qgram::{self, QgramProfile};
-use joza_strmatch::sellers::substring_distance;
+use joza_strmatch::sellers::{substring_distance, SubstringMatch};
 use joza_strmatch::swar;
 use std::borrow::Cow;
 
@@ -167,53 +186,46 @@ impl NtiAnalyzer {
         } else {
             Cow::Borrowed(query.as_bytes())
         };
-        // The query's gram profile is input-independent: build it once per
-        // analyze call and reuse it for every input's prefilter check.
-        let query_profile = self.config.qgram_prefilter.then(|| QgramProfile::new(&query_bytes, 3));
-        self.analyze_view(
+        self.analyze_view_with(
             inputs,
             QueryView { query, criticals: &criticals, normalized: &query_bytes },
-            query_profile.as_ref(),
+            &mut Vec::new(),
+            &mut Vec::new(),
         )
     }
 
     /// [`NtiAnalyzer::analyze`] over precomputed query artifacts — the
     /// parse-once entry point. The caller supplies the critical tokens and
-    /// normalized bytes (see [`QueryView`]) plus, when
-    /// [`NtiConfig::qgram_prefilter`] is enabled, the q-gram profile of
-    /// `view.normalized`; passing `None` there simply skips the q-gram
-    /// bound (the length-plausibility prefilter still applies).
+    /// normalized bytes (see [`QueryView`]) plus two scratch buffers whose
+    /// capacity is reused: `fold_scratch` holds an input's case-folded
+    /// copy when [`NtiConfig::normalize_case`] is set and the input
+    /// actually contains uppercase ASCII, and `gram_scratch` holds the
+    /// query's q-gram profile, built only if some input reaches the
+    /// q-gram check. The engine passes buffers leased from its per-thread
+    /// check arena, making the per-input loop allocation-free at steady
+    /// state.
     ///
     /// Verdicts, markings, and counters are bit-identical to
     /// [`NtiAnalyzer::analyze`] when the view matches what that method
     /// would compute itself.
-    pub fn analyze_view(
-        &self,
-        inputs: &[&str],
-        view: QueryView<'_>,
-        query_profile: Option<&QgramProfile<'_>>,
-    ) -> NtiReport {
-        self.analyze_view_with(inputs, view, query_profile, &mut Vec::new())
-    }
-
-    /// [`NtiAnalyzer::analyze_view`] with a caller-owned case-folding
-    /// scratch buffer: when [`NtiConfig::normalize_case`] is set and an
-    /// input actually contains uppercase ASCII, its folded copy is built
-    /// in `fold_scratch` instead of a fresh allocation. The engine
-    /// passes a buffer leased from its per-thread check arena, making
-    /// the per-input loop allocation-free at steady state. Verdicts are
-    /// bit-identical to [`NtiAnalyzer::analyze_view`].
     pub fn analyze_view_with(
         &self,
         inputs: &[&str],
         view: QueryView<'_>,
-        query_profile: Option<&QgramProfile<'_>>,
         fold_scratch: &mut Vec<u8>,
+        gram_scratch: &mut Vec<u64>,
     ) -> NtiReport {
         let mut report = NtiReport::default();
         let criticals = view.criticals;
         let query_bytes = view.normalized;
-        let query_profile = if self.config.qgram_prefilter { query_profile } else { None };
+        let mut query_profile = QgramProfile::new(query_bytes, 3, gram_scratch);
+        // The verbatim search (bit-parallel only; Classic stays the oracle)
+        // runs on `str`s. Case folding changes ASCII bytes only, so a view
+        // built from a query is UTF-8; any other view skips the shortcut.
+        let query_str = match self.config.kernel {
+            MatchKernel::Classic => None,
+            MatchKernel::BitParallel => std::str::from_utf8(query_bytes).ok(),
+        };
 
         for (idx, input) in inputs.iter().enumerate() {
             if input.len() < self.config.min_input_len {
@@ -241,16 +253,25 @@ impl NtiAnalyzer {
                 report.comparisons_skipped += 1;
                 continue;
             }
-            if let Some(profile) = &query_profile {
-                if profile.lower_bound(input_bytes) > cutoff {
-                    report.comparisons_skipped += 1;
-                    continue;
-                }
+            // A verbatim occurrence passes the q-gram check and is the
+            // kernel's own answer — distance 0, leftmost span. Both
+            // operands are UTF-8, so the leftmost byte match is what
+            // `str::find` (Two-Way, linear in the worst case) returns.
+            let verbatim = query_str.and_then(|q| q.find(std::str::from_utf8(input_bytes).ok()?));
+            if verbatim.is_none()
+                && self.config.qgram_prefilter
+                && query_profile.lower_bound(input_bytes) > cutoff
+            {
+                report.comparisons_skipped += 1;
+                continue;
             }
             report.comparisons_run += 1;
-            let m = match self.config.kernel {
-                MatchKernel::Classic => Some(substring_distance(input_bytes, query_bytes)),
-                MatchKernel::BitParallel => {
+            let m = match (verbatim, self.config.kernel) {
+                (Some(start), _) => {
+                    Some(SubstringMatch { start, end: start + input_bytes.len(), distance: 0 })
+                }
+                (None, MatchKernel::Classic) => Some(substring_distance(input_bytes, query_bytes)),
+                (None, MatchKernel::BitParallel) => {
                     // Any span that survives the ratio filter below has
                     // distance d < t·|p|/(1−t) ≤ cutoff, so a `None` here
                     // and a filtered-out Classic match are the same
@@ -447,6 +468,52 @@ mod tests {
         assert!(!r.is_attack());
         let r = nti().analyze(&["payload"], "");
         assert!(!r.is_attack());
+    }
+
+    /// Classic and bit-parallel reports agree, with no input too short
+    /// to compare.
+    fn assert_kernels_agree(inputs: &[&str], query: &str) {
+        let with =
+            |kernel| NtiAnalyzer::new(NtiConfig { kernel, min_input_len: 0, ..Default::default() });
+        assert_eq!(
+            with(MatchKernel::Classic).analyze(inputs, query),
+            with(MatchKernel::BitParallel).analyze(inputs, query),
+            "inputs {inputs:?} in query {query:?}"
+        );
+    }
+
+    #[test]
+    fn verbatim_search_on_periodic_inputs() {
+        // `a^n`, `a^n b` and `b a^n` against `a^m` and `a^m b a^m`: the
+        // empty needle, periodic needles, needles equal to and longer than
+        // the query, planted needles, and misses that fall through to the
+        // kernel.
+        for m in 0..20 {
+            let plain = "a".repeat(m);
+            let planted = format!("{plain}b{plain}");
+            for n in 0..12 {
+                let run = "a".repeat(n);
+                for input in [run.clone(), format!("{run}b"), format!("b{run}")] {
+                    assert_kernels_agree(&[&input], &plain);
+                    assert_kernels_agree(&[&input], &planted);
+                }
+            }
+        }
+        assert_kernels_agree(&["abababc"], "abababababc");
+        assert_kernels_agree(&["abaab"], "abaabaabaab");
+        assert_kernels_agree(&["or 1=1"], "x or 1=1 or 1=1");
+    }
+
+    #[test]
+    fn verbatim_search_is_linear_on_a_64k_periodic_pair() {
+        // `a^32767 b` at the end of a 64 KB `a…ab`: a quadratic search
+        // compares ~10^9 bytes here; a linear one answers at once.
+        let input = format!("{}b", "a".repeat(32 * 1024 - 1));
+        let query = format!("{}b", "a".repeat(64 * 1024 - 1));
+        let r = nti().analyze(&[&input], &query);
+        let m = &r.markings[0];
+        assert_eq!((m.start, m.end, m.distance), (query.len() - input.len(), query.len(), 0));
+        assert_eq!(r.comparisons_run, 1);
     }
 
     #[test]

@@ -153,6 +153,57 @@ proptest! {
             fast.analyze(&[&payload], &query)
         );
     }
+
+    /// Report identity where the bit-parallel path answers from its
+    /// verbatim search: the input is planted 1-3 times (overlapping when
+    /// it is periodic and a copy carries extra periods), in mixed ASCII
+    /// case so input folding runs, up to ~2 KB long (multi-word), with
+    /// non-ASCII UTF-8. A second input differs from its copy in the query
+    /// by one escaped quote, and a third is not planted at all, so the
+    /// prefilter and kernel paths run in the same report.
+    #[test]
+    fn kernels_identical_on_verbatim_inputs(
+        unit in "[a-zA-Z0-9 ,.=()_éü€—]{1,40}",
+        reps in 1usize..50,
+        copies in 1usize..4,
+        extra in 0usize..3,
+        filler in "[a-z0-9 ,=]{0,30}",
+        other in "[a-zA-Z ]{3,40}",
+        case in 0usize..3,
+        t_idx in 0usize..4,
+    ) {
+        let threshold = [0.05, 0.20, 0.35, 0.60][t_idx];
+        let input = unit.repeat(reps);
+        // Each copy carries `extra` more periods of the input, so with
+        // `extra > 0` the occurrences inside one copy overlap.
+        let copy = unit.repeat(reps + extra);
+        let copy = match case {
+            0 => copy,
+            1 => copy.to_ascii_lowercase(),
+            _ => copy.to_ascii_uppercase(),
+        };
+        let planted = vec![copy; copies].join(filler.as_str());
+        let altered = format!("{other}'s {input}");
+        let altered_in_query = format!("{other}\\'s {input}");
+        let query = format!(
+            "SELECT * FROM t WHERE a='{filler}' AND body='{planted}' OR c='{altered_in_query}' LIMIT 3"
+        );
+        let refs = [input.as_str(), altered.as_str(), "no such input anywhere"];
+        let classic = NtiAnalyzer::new(NtiConfig {
+            threshold, kernel: MatchKernel::Classic, ..NtiConfig::default()
+        });
+        let fast = NtiAnalyzer::new(NtiConfig {
+            threshold, kernel: MatchKernel::BitParallel, ..NtiConfig::default()
+        });
+        let report = fast.analyze(&refs, &query);
+        prop_assert_eq!(&classic.analyze(&refs, &query), &report);
+        if input.len() >= NtiConfig::default().min_input_len {
+            prop_assert!(
+                report.markings.iter().any(|m| m.input_index == 0 && m.distance == 0),
+                "the planted input must be marked at distance 0: {report:?}"
+            );
+        }
+    }
 }
 
 /// Regression: the paper's Figure 2 walkthrough.

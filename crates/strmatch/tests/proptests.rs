@@ -5,16 +5,48 @@ use joza_strmatch::levenshtein::{bounded_distance, distance};
 use joza_strmatch::mru::{MruScanner, NaiveScanner};
 use joza_strmatch::myers::{bounded_myers_substring_distance, myers_substring_distance};
 use joza_strmatch::normalize::{to_lower, to_lower_into};
-use joza_strmatch::qgram;
-use joza_strmatch::sellers::{naive_substring_distance, substring_distance};
+use joza_strmatch::qgram::{self, QgramProfile};
+use joza_strmatch::sellers::{
+    bounded_substring_distance, naive_substring_distance, substring_distance,
+};
 use joza_strmatch::swar;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Arbitrary byte strings, explicitly including non-ASCII and interior
 /// NULs — the SWAR kernels must be differentially exact on *all* bytes,
 /// not just the printable SQL subset.
 fn any_bytes() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..96)
+}
+
+/// Byte strings over a four-letter alphabet that includes NUL and 0xFF:
+/// short enough grams repeat, so multiplicities and partial overlaps
+/// between pattern and text are common.
+fn dense_bytes() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(0u8..4, 0..80).prop_map(|v| v.into_iter().map(|b| b * 85).collect())
+}
+
+/// The q-gram bound computed the straightforward way, with `HashMap`
+/// gram counts on both sides — the reference for the packed, sorted
+/// profile.
+fn hashmap_lower_bound(pattern: &[u8], text: &[u8], q: usize) -> usize {
+    fn counts(s: &[u8], q: usize) -> HashMap<&[u8], usize> {
+        let mut map = HashMap::new();
+        for w in s.windows(q) {
+            *map.entry(w).or_default() += 1;
+        }
+        map
+    }
+    if q == 0 || pattern.len() < q {
+        return 0;
+    }
+    let text_counts = counts(text, q);
+    let common: usize = counts(pattern, q)
+        .iter()
+        .map(|(gram, &n)| n.min(text_counts.get(gram).copied().unwrap_or(0)))
+        .sum();
+    (pattern.len() - q + 1 - common).div_ceil(q)
 }
 
 proptest! {
@@ -149,6 +181,52 @@ proptest! {
         let lb = qgram::lower_bound(p.as_bytes(), t.as_bytes(), q);
         let real = substring_distance(p.as_bytes(), t.as_bytes()).distance;
         prop_assert!(lb <= real, "lb {} > real {}", lb, real);
+    }
+
+    /// The packed, sorted profile returns exactly the `HashMap` reference's
+    /// bound, through the free function, through one profile reused for
+    /// several patterns, and for q past the 4-byte mark.
+    #[test]
+    fn qgram_packed_profile_matches_hashmap_reference(
+        text in dense_bytes(),
+        patterns in proptest::collection::vec(dense_bytes(), 1..4),
+        q in 1usize..6,
+    ) {
+        let mut buf = Vec::new();
+        let mut profile = QgramProfile::new(&text, q, &mut buf);
+        for p in &patterns {
+            let expect = hashmap_lower_bound(p, &text, q);
+            prop_assert_eq!(qgram::lower_bound(p, &text, q), expect, "q {} p {:?}", q, p);
+            prop_assert_eq!(profile.lower_bound(p), expect, "reused profile, q {}", q);
+        }
+    }
+
+    /// Same on arbitrary bytes, where most grams are unique.
+    #[test]
+    fn qgram_packed_profile_matches_hashmap_reference_on_any_bytes(
+        p in any_bytes(),
+        t in any_bytes(),
+        q in 1usize..6,
+    ) {
+        prop_assert_eq!(qgram::lower_bound(&p, &t, q), hashmap_lower_bound(&p, &t, q));
+    }
+
+    /// `sellers::bounded_substring_distance`, the free `lower_bound`'s
+    /// other caller, skips exactly when the reference bound exceeds the
+    /// cutoff.
+    #[test]
+    fn qgram_bounded_sellers_agrees_with_reference(
+        p in dense_bytes(),
+        t in dense_bytes(),
+        cutoff in 0usize..12,
+    ) {
+        let expect = if hashmap_lower_bound(&p, &t, 3) > cutoff {
+            None
+        } else {
+            let m = substring_distance(&p, &t);
+            (m.distance <= cutoff).then_some(m)
+        };
+        prop_assert_eq!(bounded_substring_distance(&p, &t, cutoff), expect);
     }
 
     #[test]

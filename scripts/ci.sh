@@ -23,12 +23,15 @@ cargo test -q --test concurrency -- --test-threads=4
 
 # Differential kernel suite, explicitly: the bit-parallel NTI kernel must
 # be bit-identical to Sellers-classic on distances, spans, and reports,
-# and the SWAR byte-folding/classifier kernels must agree byte-for-byte
-# with their scalar references (debug build, so debug assertions are
-# live inside the kernels).
-echo "==> differential kernel tests (strmatch myers + swar, nti kernel, lexer equivalence)"
+# the SWAR byte-folding/classifier kernels must agree byte-for-byte
+# with their scalar references, and the packed q-gram profile must
+# return the HashMap reference's bound (debug build, so debug assertions
+# are live inside the kernels). The nti `kernels` filter includes the
+# verbatim-first report-identity test.
+echo "==> differential kernel tests (strmatch myers + swar + qgram, nti kernel, lexer equivalence)"
 cargo test -q -p joza-strmatch myers
 cargo test -q -p joza-strmatch --test proptests myers
+cargo test -q -p joza-strmatch --test proptests qgram
 cargo test -q -p joza-strmatch swar
 cargo test -q -p joza-strmatch --test proptests swar
 cargo test -q -p joza-strmatch --test proptests to_lower
