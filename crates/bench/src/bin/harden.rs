@@ -171,11 +171,9 @@ fn throughput(original: &Lab, report: &HardenReport, args: &Args) -> Vec<Cell> {
     for &t in &args.threads {
         let dynamic = Joza::install(&original.server.app, scaled_config(args.pipe_latency));
         let (dynamic_qps, _) = measure(&dynamic, t, false);
-        let model = Joza::install_with_models(
-            &original.server.app,
-            scaled_config(args.pipe_latency),
-            app_query_models(&original.server.app),
-        );
+        let model = Joza::installer(&original.server.app, scaled_config(args.pipe_latency))
+            .query_models(app_query_models(&original.server.app))
+            .build();
         let (model_qps, _) = measure(&model, t, false);
         let gate = hardened_gate(&hardened, report, scaled_config(args.pipe_latency));
         let (hardened_qps, hardened_static_rate) = measure(&gate, t, true);

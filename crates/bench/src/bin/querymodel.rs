@@ -166,7 +166,8 @@ impl Parity {
 fn parity(lab: &mut Lab) -> Parity {
     let models = app_query_models(&lab.server.app);
     let baseline = Joza::install(&lab.server.app, JozaConfig::optimized());
-    let modeled = Joza::install_with_models(&lab.server.app, JozaConfig::optimized(), models);
+    let modeled =
+        Joza::installer(&lab.server.app, JozaConfig::optimized()).query_models(models).build();
     let mut out = Parity::default();
 
     let run = |req: &HttpRequest, lab: &mut Lab| -> (bool, bool) {
@@ -239,11 +240,9 @@ fn throughput(lab: &Lab, args: &Args) -> Vec<Cell> {
     for &t in &args.threads {
         let off_engine = Joza::install(&lab.server.app, scaled_config(args.pipe_latency));
         let (off_qps, _) = measure(&off_engine, t);
-        let on_engine = Joza::install_with_models(
-            &lab.server.app,
-            scaled_config(args.pipe_latency),
-            app_query_models(&lab.server.app),
-        );
+        let on_engine = Joza::installer(&lab.server.app, scaled_config(args.pipe_latency))
+            .query_models(app_query_models(&lab.server.app))
+            .build();
         let (on_qps, fast_rate) = measure(&on_engine, t);
         cells.push(Cell { threads: t, off_qps, on_qps, fast_rate });
     }

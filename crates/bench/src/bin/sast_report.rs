@@ -4,9 +4,10 @@
 //! the 50 vulnerable plugins of Table IV, the 3 CMS case studies), scores
 //! the verdicts against the testbed's ground-truth labels (TP/FP/FN/TN),
 //! prints the deterministic source→sink findings, and finishes with a
-//! throughput ablation: the plain Joza gate vs. `StaticFastPath<JozaGate>`
-//! on benign core-route traffic, where statically-proven taint-free routes
-//! skip NTI/PTI entirely.
+//! throughput ablation: the plain Joza gate vs. the same engine built with
+//! the statically-proven taint-free routes, on benign core-route traffic,
+//! where those routes' queries take the static fast-path stage and skip
+//! NTI/PTI entirely.
 
 use joza_bench::report::{pct, render_table};
 use joza_bench::workload::{crawl_requests, Setup};

@@ -34,9 +34,7 @@
 //! * [`Joza::deploy`] — hot-swap the static query models and taint-free
 //!   whitelist under live traffic, without rebuilding the engine;
 //! * [`Joza::install`] / [`Joza::installer`] — the installer: extract
-//!   string fragments from every source file of a [`WebApp`];
-//! * [`shim`] — the deprecated legacy single-worker gate adapter, kept
-//!   only for old integrations and equivalence testing.
+//!   string fragments from every source file of a [`WebApp`].
 //!
 //! # Concurrency
 //!
@@ -77,7 +75,6 @@
 pub mod arena;
 pub mod artifacts;
 pub mod pipeline;
-pub mod shim;
 mod stats;
 
 pub use artifacts::QueryArtifacts;
@@ -278,10 +275,12 @@ pub struct JozaStats {
     pub nti_detections: u64,
     /// Queries PTI flagged.
     pub pti_detections: u64,
-    /// Wall-clock time spent in the NTI stage.
+    /// Wall-clock time spent in the NTI stage: the
+    /// `stage_ns[StageId::Nti]` entry as a [`Duration`].
     pub nti_time: Duration,
     /// Wall-clock time spent in the PTI stage (daemon round-trips and
-    /// shard-lock acquisition included).
+    /// shard-lock acquisition included): the `stage_ns[StageId::Pti]`
+    /// entry as a [`Duration`].
     pub pti_time: Duration,
     /// Queries answered by the static-model fast path (NTI/PTI skipped).
     pub model_fast_hits: u64,
@@ -558,14 +557,6 @@ impl Joza {
         Joza::installer(app, config).build()
     }
 
-    /// The installer plus static query models: like [`Joza::install`],
-    /// but also compiles a per-route [`QueryModelIndex`] (from
-    /// `joza_sast::app_query_models`) into the gate, enabling the
-    /// skeleton fast path and the structural-anomaly signal.
-    pub fn install_with_models(app: &WebApp, config: JozaConfig, models: QueryModelIndex) -> Joza {
-        Joza::installer(app, config).query_models(models).build()
-    }
-
     /// The engine configuration.
     pub fn config(&self) -> &JozaConfig {
         &self.config
@@ -755,8 +746,8 @@ impl Joza {
         verdict
     }
 
-    /// The one check core: every session, gate, batch and legacy-shim
-    /// check funnels here and drives the deployment's assembled pipeline.
+    /// The one check core: every session, gate and batch check funnels
+    /// here and drives the deployment's assembled pipeline.
     /// Statistics are accumulated into `stats` (a plain local delta) so
     /// batch callers can merge many checks and flush once.
     pub(crate) fn check_in(
@@ -885,12 +876,6 @@ impl Joza {
         if !verdict.safe {
             stats.attacks += 1;
         }
-        stats.nti_time += Duration::from_nanos(cx.stage_ns[StageId::Nti.index()]);
-        stats.pti_time += Duration::from_nanos(cx.stage_ns[StageId::Pti.index()]);
-    }
-
-    pub(crate) fn begin_request_inner(&self) {
-        self.shard().lock().begin_request();
     }
 
     pub(crate) fn decide(&self, verdict: &Verdict) -> GateDecision {
@@ -1258,11 +1243,6 @@ impl GateSession for JozaSession<'_> {
         self.joza.decide(&verdict)
     }
 
-    fn check_batch(&mut self, sqls: &[String]) -> Vec<GateDecision> {
-        let checks: Vec<QueryCheck> = sqls.iter().map(QueryCheck::new).collect();
-        JozaSession::check_batch(self, &checks).iter().map(|v| self.joza.decide(v)).collect()
-    }
-
     fn dirty_cell(&self, table: &str, column: &str) -> bool {
         self.is_dirty_cell(table, column)
     }
@@ -1276,7 +1256,7 @@ impl GateFactory for Joza {
     fn session<'a>(&'a self, route: &str, inputs: &[RawInput]) -> Box<dyn GateSession + 'a> {
         // Per-request PTI lifecycle (daemon spawn in PerRequest mode) on
         // the calling worker's shard.
-        self.begin_request_inner();
+        self.shard().lock().begin_request();
         let mut session = self.session_for(route);
         for input in inputs {
             session.capture_input(&input.name, &input.value);

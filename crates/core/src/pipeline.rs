@@ -1,7 +1,7 @@
 //! The staged check pipeline (DESIGN.md §9).
 //!
 //! Every query checked by the engine runs through one fixed sequence of
-//! `CheckStage`s assembled at build time from the [`JozaConfig`]:
+//! stages, the [`StageId`]s enabled at build time by the [`JozaConfig`]:
 //!
 //! 1. **Static fast path** — the route was proven taint-free by the static
 //!    analyzer: allow without further work.
@@ -129,7 +129,7 @@ impl StageTrace {
     }
 }
 
-/// Flow control returned by a stage.
+/// Flow control returned by a stage function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StageOutcome {
     /// Continue with the next stage.
@@ -158,27 +158,15 @@ pub(crate) struct CheckCx<'a, 'q> {
     pub stage_ns: [u64; STAGE_COUNT],
 }
 
-/// One stage of the check pipeline.
-pub(crate) trait CheckStage: Send + Sync {
-    fn id(&self) -> StageId;
-    fn run(&self, joza: &Joza, cx: &mut CheckCx<'_, '_>) -> StageOutcome;
-}
-
 /// The fixed stage sequence one engine drives for every checked query.
 ///
 /// Assembled once by the builder: stages whose subsystem is disabled or
 /// absent (no taint-free set, no models, `disable_nti`/`disable_pti`) are
 /// left out entirely, so their trace slots stay [`StageStatus::Skipped`]
 /// at zero runtime cost.
+#[derive(Debug)]
 pub(crate) struct CheckPipeline {
-    stages: Vec<Box<dyn CheckStage>>,
-}
-
-impl std::fmt::Debug for CheckPipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<_> = self.stages.iter().map(|s| s.id().name()).collect();
-        f.debug_struct("CheckPipeline").field("stages", &names).finish()
-    }
+    stages: Vec<StageId>,
 }
 
 impl CheckPipeline {
@@ -189,31 +177,27 @@ impl CheckPipeline {
         disable_nti: bool,
         disable_pti: bool,
     ) -> Self {
-        let mut stages: Vec<Box<dyn CheckStage>> = Vec::with_capacity(STAGE_COUNT);
-        if has_taint_free {
-            stages.push(Box::new(StaticFastPathStage));
-        }
-        if has_models {
-            stages.push(Box::new(ModelFastPathStage));
-        }
-        if !disable_nti {
-            stages.push(Box::new(NtiStage));
-        }
-        if !disable_pti {
-            stages.push(Box::new(PtiStage));
-        }
-        if has_models {
-            stages.push(Box::new(StructuralStage));
-        }
-        CheckPipeline { stages }
+        let enabled = |id| match id {
+            StageId::StaticFastPath => has_taint_free,
+            StageId::ModelFastPath | StageId::Structural => has_models,
+            StageId::Nti => !disable_nti,
+            StageId::Pti => !disable_pti,
+        };
+        CheckPipeline { stages: StageId::ALL.into_iter().filter(|&id| enabled(id)).collect() }
     }
 
     /// Runs every stage in order, timing each, until one short-circuits.
     pub(crate) fn run(&self, joza: &Joza, cx: &mut CheckCx<'_, '_>) {
-        for stage in &self.stages {
+        for &id in &self.stages {
             let t0 = Instant::now();
-            let outcome = stage.run(joza, cx);
-            cx.stage_ns[stage.id().index()] += t0.elapsed().as_nanos() as u64;
+            let outcome = match id {
+                StageId::StaticFastPath => static_fast_path(cx),
+                StageId::ModelFastPath => model_fast_path(cx),
+                StageId::Nti => nti(joza, cx),
+                StageId::Pti => pti(joza, cx),
+                StageId::Structural => structural(cx),
+            };
+            cx.stage_ns[id.index()] += t0.elapsed().as_nanos() as u64;
             if outcome == StageOutcome::ShortCircuitSafe {
                 break;
             }
@@ -222,24 +206,16 @@ impl CheckPipeline {
 }
 
 /// Stage 1: allow routes the static taint analyzer proved taint-free.
-struct StaticFastPathStage;
-
-impl CheckStage for StaticFastPathStage {
-    fn id(&self) -> StageId {
-        StageId::StaticFastPath
-    }
-
-    fn run(&self, _joza: &Joza, cx: &mut CheckCx<'_, '_>) -> StageOutcome {
-        let Some(set) = cx.taint_free else {
-            return StageOutcome::Continue;
-        };
-        if cx.route.is_some_and(|r| set.contains(r)) {
-            cx.trace.set(StageId::StaticFastPath, StageStatus::ShortCircuited);
-            StageOutcome::ShortCircuitSafe
-        } else {
-            cx.trace.set(StageId::StaticFastPath, StageStatus::Passed);
-            StageOutcome::Continue
-        }
+fn static_fast_path(cx: &mut CheckCx<'_, '_>) -> StageOutcome {
+    let Some(set) = cx.taint_free else {
+        return StageOutcome::Continue;
+    };
+    if cx.route.is_some_and(|r| set.contains(r)) {
+        cx.trace.set(StageId::StaticFastPath, StageStatus::ShortCircuited);
+        StageOutcome::ShortCircuitSafe
+    } else {
+        cx.trace.set(StageId::StaticFastPath, StageStatus::Passed);
+        StageOutcome::Continue
     }
 }
 
@@ -249,97 +225,65 @@ impl CheckStage for StaticFastPathStage {
 /// single data literal, so no token-level injection can be present — the
 /// dynamic detectors are skipped entirely (see DESIGN.md §8 for the
 /// soundness argument).
-struct ModelFastPathStage;
-
-impl CheckStage for ModelFastPathStage {
-    fn id(&self) -> StageId {
-        StageId::ModelFastPath
-    }
-
-    fn run(&self, _joza: &Joza, cx: &mut CheckCx<'_, '_>) -> StageOutcome {
-        let Some(m) = cx.model else {
-            return StageOutcome::Continue;
-        };
-        if m.accepts_syms(cx.artifacts.skeleton()) {
-            cx.trace.set(StageId::ModelFastPath, StageStatus::ShortCircuited);
-            StageOutcome::ShortCircuitSafe
-        } else {
-            cx.trace.set(StageId::ModelFastPath, StageStatus::Passed);
-            StageOutcome::Continue
-        }
+fn model_fast_path(cx: &mut CheckCx<'_, '_>) -> StageOutcome {
+    let Some(m) = cx.model else {
+        return StageOutcome::Continue;
+    };
+    if m.accepts_syms(cx.artifacts.skeleton()) {
+        cx.trace.set(StageId::ModelFastPath, StageStatus::ShortCircuited);
+        StageOutcome::ShortCircuitSafe
+    } else {
+        cx.trace.set(StageId::ModelFastPath, StageStatus::Passed);
+        StageOutcome::Continue
     }
 }
 
 /// Stage 3: negative taint inference. Pure over shared engine state — no
 /// lock is taken, so N workers run their edit-distance passes in parallel.
-struct NtiStage;
-
-impl CheckStage for NtiStage {
-    fn id(&self) -> StageId {
-        StageId::Nti
-    }
-
-    fn run(&self, joza: &Joza, cx: &mut CheckCx<'_, '_>) -> StageOutcome {
-        let artifacts = cx.artifacts;
-        let nti_cfg = &joza.config.nti;
-        let view = joza_nti::QueryView {
-            query: artifacts.query(),
-            criticals: artifacts.criticals(&nti_cfg.critical),
-            normalized: artifacts.normalized(nti_cfg.normalize_case),
-        };
-        let mut fold = cx.arena.input_fold.lease();
-        let mut grams = cx.arena.query_grams.lease();
-        let report = joza.nti.analyze_view_with(cx.inputs, view, &mut fold, &mut grams);
-        let attack = report.is_attack();
-        cx.nti_attack = Some(attack);
-        cx.trace.set(StageId::Nti, if attack { StageStatus::Fired } else { StageStatus::Passed });
-        StageOutcome::Continue
-    }
+fn nti(joza: &Joza, cx: &mut CheckCx<'_, '_>) -> StageOutcome {
+    let artifacts = cx.artifacts;
+    let nti_cfg = &joza.config.nti;
+    let view = joza_nti::QueryView {
+        query: artifacts.query(),
+        criticals: artifacts.criticals(&nti_cfg.critical),
+        normalized: artifacts.normalized(nti_cfg.normalize_case),
+    };
+    let mut fold = cx.arena.input_fold.lease();
+    let mut grams = cx.arena.query_grams.lease();
+    let report = joza.nti.analyze_view_with(cx.inputs, view, &mut fold, &mut grams);
+    let attack = report.is_attack();
+    cx.nti_attack = Some(attack);
+    cx.trace.set(StageId::Nti, if attack { StageStatus::Fired } else { StageStatus::Passed });
+    StageOutcome::Continue
 }
 
 /// Stage 4: positive taint inference on the calling worker's shard. The
 /// shard lock is held only for the PTI call itself.
-struct PtiStage;
-
-impl CheckStage for PtiStage {
-    fn id(&self) -> StageId {
-        StageId::Pti
-    }
-
-    fn run(&self, joza: &Joza, cx: &mut CheckCx<'_, '_>) -> StageOutcome {
-        let artifacts = cx.artifacts;
-        // Only the in-process deployment can reuse the artifacts: the
-        // daemon modes ship the raw query over the pipe protocol and
-        // re-lex daemon-side, exactly like the paper's deployment. The
-        // fingerprint is only derived when the structure cache will
-        // consult it.
-        let prep = (joza.config.pti.mode == DaemonMode::InProcess).then(|| PreparedSql {
-            tokens: artifacts.tokens(),
-            fingerprint: joza.config.pti.structure_cache.then(|| artifacts.fingerprint()),
-        });
-        let decision = joza.shard().lock().check_prepared(artifacts.query(), prep);
-        let attack = !decision.safe;
-        cx.pti_attack = Some(attack);
-        cx.trace.set(StageId::Pti, if attack { StageStatus::Fired } else { StageStatus::Passed });
-        StageOutcome::Continue
-    }
+fn pti(joza: &Joza, cx: &mut CheckCx<'_, '_>) -> StageOutcome {
+    let artifacts = cx.artifacts;
+    // Only the in-process deployment can reuse the artifacts: the
+    // daemon modes ship the raw query over the pipe protocol and
+    // re-lex daemon-side, exactly like the paper's deployment. The
+    // fingerprint is only derived when the structure cache will
+    // consult it.
+    let prep = (joza.config.pti.mode == DaemonMode::InProcess).then(|| PreparedSql {
+        tokens: artifacts.tokens(),
+        fingerprint: joza.config.pti.structure_cache.then(|| artifacts.fingerprint()),
+    });
+    let decision = joza.shard().lock().check_prepared(artifacts.query(), prep);
+    let attack = !decision.safe;
+    cx.pti_attack = Some(attack);
+    cx.trace.set(StageId::Pti, if attack { StageStatus::Fired } else { StageStatus::Passed });
+    StageOutcome::Continue
 }
 
 /// Stage 5: the structural-anomaly signal. Reached only when the model
 /// fast path did not short-circuit, so a *complete* model reaching this
 /// stage has by construction rejected the skeleton.
-struct StructuralStage;
-
-impl CheckStage for StructuralStage {
-    fn id(&self) -> StageId {
-        StageId::Structural
+fn structural(cx: &mut CheckCx<'_, '_>) -> StageOutcome {
+    if cx.model.is_some_and(|m| m.complete) {
+        cx.structural_anomaly = true;
+        cx.trace.set(StageId::Structural, StageStatus::Fired);
     }
-
-    fn run(&self, _joza: &Joza, cx: &mut CheckCx<'_, '_>) -> StageOutcome {
-        if cx.model.is_some_and(|m| m.complete) {
-            cx.structural_anomaly = true;
-            cx.trace.set(StageId::Structural, StageStatus::Fired);
-        }
-        StageOutcome::Continue
-    }
+    StageOutcome::Continue
 }

@@ -26,12 +26,13 @@
 //!
 //! [`JozaStats`]: crate::JozaStats
 
-use crate::{JozaStats, STAGE_COUNT};
+use crate::{JozaStats, StageId, STAGE_COUNT};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// One worker's statistics slot: every [`JozaStats`] counter as a relaxed
-/// atomic, aligned to its own cache lines so neighbouring workers never
+/// atomic (the stage times `nti_time`/`pti_time` are read off `stage_ns`),
+/// aligned to its own cache lines so neighbouring workers never
 /// false-share.
 #[repr(align(128))]
 #[derive(Debug, Default)]
@@ -40,8 +41,6 @@ pub(crate) struct StatsCell {
     attacks: AtomicU64,
     nti_detections: AtomicU64,
     pti_detections: AtomicU64,
-    nti_time_ns: AtomicU64,
-    pti_time_ns: AtomicU64,
     model_fast_hits: AtomicU64,
     static_hits: AtomicU64,
     full_checks: AtomicU64,
@@ -82,14 +81,6 @@ impl StatsCell {
             route_misses_unknown,
             route_misses_incomplete,
         );
-        let nti_ns = delta.nti_time.as_nanos() as u64;
-        if nti_ns != 0 {
-            self.nti_time_ns.fetch_add(nti_ns, Ordering::Relaxed);
-        }
-        let pti_ns = delta.pti_time.as_nanos() as u64;
-        if pti_ns != 0 {
-            self.pti_time_ns.fetch_add(pti_ns, Ordering::Relaxed);
-        }
         for i in 0..STAGE_COUNT {
             if delta.stage_runs[i] != 0 {
                 self.stage_runs[i].fetch_add(delta.stage_runs[i], Ordering::Relaxed);
@@ -103,15 +94,14 @@ impl StatsCell {
         }
     }
 
-    /// Reads the cell into a plain [`JozaStats`].
+    /// Reads the cell into a plain [`JozaStats`], deriving `nti_time` and
+    /// `pti_time` from the `Nti` and `Pti` entries of `stage_ns`.
     pub(crate) fn snapshot(&self) -> JozaStats {
         let mut out = JozaStats {
             queries: self.queries.load(Ordering::Relaxed),
             attacks: self.attacks.load(Ordering::Relaxed),
             nti_detections: self.nti_detections.load(Ordering::Relaxed),
             pti_detections: self.pti_detections.load(Ordering::Relaxed),
-            nti_time: Duration::from_nanos(self.nti_time_ns.load(Ordering::Relaxed)),
-            pti_time: Duration::from_nanos(self.pti_time_ns.load(Ordering::Relaxed)),
             model_fast_hits: self.model_fast_hits.load(Ordering::Relaxed),
             static_hits: self.static_hits.load(Ordering::Relaxed),
             full_checks: self.full_checks.load(Ordering::Relaxed),
@@ -125,6 +115,8 @@ impl StatsCell {
             out.stage_hits[i] = self.stage_hits[i].load(Ordering::Relaxed);
             out.stage_ns[i] = self.stage_ns[i].load(Ordering::Relaxed);
         }
+        out.nti_time = Duration::from_nanos(out.stage_ns[StageId::Nti.index()]);
+        out.pti_time = Duration::from_nanos(out.stage_ns[StageId::Pti.index()]);
         out
     }
 }
@@ -132,7 +124,6 @@ impl StatsCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StageId;
 
     #[test]
     fn add_then_snapshot_round_trips() {
@@ -140,7 +131,7 @@ mod tests {
         let mut delta = JozaStats { queries: 3, attacks: 1, ..JozaStats::default() };
         delta.full_checks = 2;
         delta.model_fast_hits = 1;
-        delta.nti_time = Duration::from_nanos(250);
+        delta.stage_ns[StageId::Nti.index()] = 250;
         delta.stage_runs[StageId::Nti.index()] = 2;
         delta.stage_ns[StageId::Pti.index()] = 99;
         cell.add(&delta);

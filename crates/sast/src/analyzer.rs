@@ -72,8 +72,8 @@ pub struct TaintSummary {
     pub endpoint: String,
     /// True iff every DB sink in the endpoint receives only `Untainted`
     /// data (and the source parsed). Endpoints with no sinks are
-    /// taint-free. This is the *only* condition under which
-    /// `StaticFastPath` may skip the dynamic gate.
+    /// taint-free. This is the *only* condition under which the engine's
+    /// static fast-path stage may skip the dynamic detectors.
     pub taint_free: bool,
     /// Number of distinct sink call sites seen.
     pub sink_count: usize,

@@ -12,8 +12,9 @@
 //! Outputs:
 //!
 //! * a [`TaintSummary`] per endpoint — `taint_free` endpoints can be
-//!   served through `joza_webapp::gate::StaticFastPath` without invoking
-//!   the dynamic gate at all;
+//!   allowed by the engine's static fast-path stage
+//!   (`joza_core::StageId::StaticFastPath`) without running the dynamic
+//!   detectors at all;
 //! * deterministic [`Finding`]s (source→sink traces with AST spans) that
 //!   the `sast_report` binary compares against the lab corpus's known
 //!   ground truth.
@@ -86,8 +87,8 @@ pub fn analyze_app(app: &WebApp) -> Vec<TaintSummary> {
 }
 
 /// Route names provably safe to skip dynamic checking for — the feed for
-/// `joza_webapp::gate::StaticFastPath::new` and
-/// `joza_core::JozaBuilder::taint_free_routes`.
+/// `joza_core::JozaBuilder::taint_free_routes` and, for live deploys,
+/// `joza_core::ModelUpdate::taint_free_routes`.
 ///
 /// This is the *persistence-aware* criterion: the route's sinks must
 /// receive no attacker data even when every cell the cross-route

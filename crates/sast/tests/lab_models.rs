@@ -56,7 +56,8 @@ fn benign_traffic_fast_paths_with_identical_responses() {
     let mut lab = build_lab();
     let models = app_query_models(&lab.server.app);
     let baseline = Joza::install(&lab.server.app, JozaConfig::optimized());
-    let modeled = Joza::install_with_models(&lab.server.app, JozaConfig::optimized(), models);
+    let modeled =
+        Joza::installer(&lab.server.app, JozaConfig::optimized()).query_models(models).build();
 
     let mut reqs = benign_core_requests();
     for p in lab.plugins.clone() {
@@ -91,7 +92,8 @@ fn exploits_never_take_the_fast_path_and_verdicts_match_baseline() {
     let mut lab = build_lab();
     let models = app_query_models(&lab.server.app);
     let baseline = Joza::install(&lab.server.app, JozaConfig::optimized());
-    let modeled = Joza::install_with_models(&lab.server.app, JozaConfig::optimized(), models);
+    let modeled =
+        Joza::installer(&lab.server.app, JozaConfig::optimized()).query_models(models).build();
 
     for p in lab.plugins.clone().iter().chain(lab.cms_cases.clone().iter()) {
         let req = request_for(p, p.exploit.primary_payload());

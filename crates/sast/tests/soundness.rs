@@ -9,7 +9,7 @@
 
 use joza_core::{Joza, JozaConfig};
 use joza_lab::{build_lab, verify::request_for, Lab, CLEAN_CORE_ROUTES};
-use joza_sast::taint_free_routes;
+use joza_sast::{analyze_source, taint_free_routes, AnalyzerConfig};
 use joza_webapp::request::HttpRequest;
 
 fn benign_core_requests() -> Vec<HttpRequest> {
@@ -126,4 +126,41 @@ fn attacks_always_fall_through_to_the_dynamic_gate() {
         assert_eq!(fast_resp.blocked, dynamic.blocked, "{}", p.slug);
         assert_eq!(fast_resp.body, dynamic.body, "{}", p.slug);
     }
+}
+
+#[test]
+fn break_mid_loop_state_escapes() {
+    let s = analyze_source(
+        "t",
+        r#"
+        $x = '';
+        while ($c) {
+            $x = $_GET['x'];
+            break;
+            $x = '';
+        }
+        mysql_query("SELECT * FROM t WHERE a='$x'");
+    "#,
+        &AnalyzerConfig::default(),
+    );
+    // Concretely $x can be tainted at the sink (break exits mid-body).
+    assert!(!s.taint_free, "UNSOUND: break mid-body state not joined");
+}
+
+#[test]
+fn indexed_write_key_taint() {
+    let s = analyze_source(
+        "t",
+        r#"
+        $m = array();
+        $m[$_GET['k']] = 1;
+        $frag = '';
+        foreach ($m as $k => $v) {
+            $frag .= $k;
+        }
+        mysql_query("SELECT * FROM t WHERE id IN ($frag)");
+    "#,
+        &AnalyzerConfig::default(),
+    );
+    assert!(!s.taint_free, "UNSOUND: tainted array key dropped on indexed write");
 }

@@ -13,9 +13,10 @@
 //! * a plugin architecture ([`app`]): each plugin is a PHP-subset source
 //!   file routed by slug, executed by `joza-phpsim` against the shared
 //!   in-memory database;
-//! * a [`QueryGate`] seam where a protection system (Joza)
-//!   intercepts every query before it reaches the DBMS, mirroring the
-//!   paper's wrapper-based interception (§IV-A).
+//! * a [`gate`] seam where a protection system (Joza) intercepts every
+//!   query before it reaches the DBMS, mirroring the paper's
+//!   wrapper-based interception (§IV-A): a shared [`GateFactory`] opens
+//!   one [`GateSession`] per request.
 //!
 //! # Examples
 //!
@@ -51,10 +52,7 @@ pub mod server;
 pub mod transform;
 
 pub use app::{Plugin, WebApp};
-pub use gate::{
-    AllowAll, FastPathStats, GateDecision, GateFactory, GateSession, LegacyGateSession, QueryGate,
-    RawInput, StaticFastPath,
-};
+pub use gate::{AllowAll, GateDecision, GateFactory, GateSession, RawInput};
 pub use joza_phpsim::cost;
 pub use request::{HttpRequest, InputSource};
 pub use server::{Engine, Response, Server};

@@ -74,9 +74,10 @@ echo "==> querymodel smoke"
 cargo run --quiet --release -p joza-bench --bin querymodel -- \
     --requests 24 --repeat 1 --threads 1,2 --out /tmp/joza_querymodel_smoke.json
 
-# Pipeline equivalence, explicitly: the deprecated QueryGate shim and the
-# staged CheckPipeline must produce bit-identical verdicts, traces, and
-# responses over the full lab corpus.
+# Pipeline equivalence, explicitly: a route session's check, the same
+# session's check_batch, and Joza::check_query_on_route must produce
+# bit-identical verdicts and traces over every lab-corpus query, and
+# Server::handle_with must block exactly the requests with a flagged query.
 echo "==> cargo test -q --test pipeline_equivalence"
 cargo test -q --test pipeline_equivalence
 
@@ -145,27 +146,5 @@ cargo run --quiet --release -p joza-bench --bin vm -- \
 echo "==> serve_live soak smoke"
 cargo run --quiet --release -p joza-bench --bin serve_live -- \
     --requests 48 --threads 4 --soak 400
-
-# Deprecation containment: the legacy single-worker gate API (QueryGate /
-# handle_gated / Joza::gate) may only appear in the files that define it
-# (webapp's gate seam and server) and the two files allowed to keep using
-# it: the core shim and the equivalence test. (clippy -D warnings already
-# rejects in-tree deprecated calls; this also catches new
-# allow(deprecated) escapes and fresh trait impls.)
-echo "==> deprecated-API containment check"
-violations=$(grep -rln --include='*.rs' \
-    -e '\.gate()' -e 'allow(deprecated)' -e 'QueryGate' -e 'handle_gated' \
-    crates src tests examples 2>/dev/null \
-    | grep -v \
-        -e '^crates/webapp/src/gate\.rs$' \
-        -e '^crates/webapp/src/server\.rs$' \
-        -e '^crates/webapp/src/lib\.rs$' \
-        -e '^crates/core/src/shim\.rs$' \
-        -e '^tests/pipeline_equivalence\.rs$' || true)
-if [ -n "$violations" ]; then
-    echo "legacy QueryGate API used outside its definition, the shim, and the equivalence test:" >&2
-    echo "$violations" >&2
-    exit 1
-fi
 
 echo "==> CI green"

@@ -1,20 +1,16 @@
-//! Pipeline equivalence: the deprecated [`QueryGate`] adapter (the
-//! pre-refactor entry point, kept as a shim) and the staged
-//! [`CheckPipeline`] behind the unified session API must be
-//! observationally identical — same verdicts, same detector attribution,
-//! same anomaly flags, same stage traces — over the entire WP-SQLI-LAB
-//! corpus, benign and exploit traffic alike.
-//!
-//! This file and the shim module itself are the only places allowed to
-//! touch the deprecated adapter (enforced by `scripts/ci.sh`).
+//! Pipeline equivalence: the three engine entry points that drive the
+//! staged `CheckPipeline` — a route session's `check`, the same session's
+//! `check_batch`, and the engine-level `Joza::check_query_on_route` — must
+//! be observationally identical over the entire WP-SQLI-LAB corpus, benign
+//! and exploit traffic alike: same verdicts, same detector attribution,
+//! same anomaly flags, same stage traces. The server seam on top of them,
+//! `Server::handle_with`, must block exactly the requests that issue a
+//! flagged query.
 
-#![allow(deprecated)]
-
-use joza::core::{Joza, JozaConfig};
+use joza::core::{Joza, JozaConfig, JozaSession, QueryCheck, Verdict};
 use joza::lab::verify::request_for;
 use joza::lab::{build_lab, Lab};
 use joza::sast::{app_query_models, taint_free_routes};
-use joza::webapp::gate::{QueryGate, RawInput};
 use joza::webapp::request::HttpRequest;
 
 /// Every kind of corpus traffic: benign core crawl, benign plugin
@@ -38,13 +34,6 @@ fn corpus_requests(lab: &Lab) -> Vec<HttpRequest> {
     reqs
 }
 
-fn raw_inputs(req: &HttpRequest) -> Vec<RawInput> {
-    req.all_inputs()
-        .into_iter()
-        .map(|(source, name, value)| RawInput { source, name, value })
-        .collect()
-}
-
 /// Fully-loaded engine: query models for the model fast path plus the
 /// statically-proven taint-free routes, so every pipeline stage is live.
 fn full_engine(lab: &Lab) -> Joza {
@@ -54,11 +43,21 @@ fn full_engine(lab: &Lab) -> Joza {
         .build()
 }
 
+/// A route session for `req` with the request's raw inputs captured —
+/// what `Server::handle_with` opens through the engine's `GateFactory`.
+fn route_session<'a>(joza: &'a Joza, req: &HttpRequest) -> JozaSession<'a> {
+    let mut session = joza.session_for(&req.path);
+    for (_, name, value) in req.all_inputs() {
+        session.capture_input(&name, &value);
+    }
+    session
+}
+
 /// Per-query equivalence: replay every SQL statement the unprotected
-/// application issues for the full corpus through both entry points and
-/// require bit-identical verdicts.
+/// application issues for the full corpus through all three entry points
+/// and require bit-identical verdicts.
 #[test]
-fn legacy_gate_and_pipeline_agree_on_every_corpus_query() {
+fn session_batch_and_route_checks_agree_on_every_corpus_query() {
     let mut lab = build_lab();
     let joza = full_engine(&lab);
 
@@ -66,64 +65,73 @@ fn legacy_gate_and_pipeline_agree_on_every_corpus_query() {
     for req in &corpus_requests(&lab) {
         lab.reset_database();
         let plain = lab.server.handle(req);
-        let inputs = raw_inputs(req);
+        let inputs: Vec<String> = req.all_inputs().into_iter().map(|(_, _, v)| v).collect();
+        let input_refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
 
-        for sql in &plain.queries {
-            let mut gate = joza.gate();
-            gate.begin_route(&req.path);
-            gate.begin_request(&inputs);
-            let legacy = gate.check_verdict(sql);
+        let session = route_session(&joza, req);
+        let single: Vec<Verdict> = plain.queries.iter().map(|sql| session.check(sql)).collect();
+        let batch: Vec<QueryCheck> = plain.queries.iter().map(QueryCheck::new).collect();
+        let batched = session.check_batch(&batch);
+        assert_eq!(batched.len(), single.len());
 
-            let mut session = joza.session_for(&req.path);
-            for i in &inputs {
-                session.capture_input(&i.name, &i.value);
+        for ((sql, one), batched) in plain.queries.iter().zip(&single).zip(&batched) {
+            let routed = joza.check_query_on_route(&req.path, &input_refs, sql);
+            for other in [batched, &routed] {
+                assert_eq!(
+                    one.is_safe(),
+                    other.is_safe(),
+                    "verdict drift on route {} for query {sql}",
+                    req.path
+                );
+                assert_eq!(one.detector(), other.detector(), "{}: {sql}", req.path);
+                assert_eq!(
+                    one.structural_anomaly(),
+                    other.structural_anomaly(),
+                    "{}: {sql}",
+                    req.path
+                );
+                assert_eq!(one.trace(), other.trace(), "{}: {sql}", req.path);
+                assert_eq!(one, other, "{}: {sql}", req.path);
             }
-            let unified = session.check(sql);
-
-            assert_eq!(
-                legacy.is_safe(),
-                unified.is_safe(),
-                "verdict drift on route {} for query {sql}",
-                req.path
-            );
-            assert_eq!(legacy.detector(), unified.detector(), "{}: {sql}", req.path);
-            assert_eq!(
-                legacy.structural_anomaly(),
-                unified.structural_anomaly(),
-                "{}: {sql}",
-                req.path
-            );
-            assert_eq!(legacy.trace(), unified.trace(), "{}: {sql}", req.path);
-            assert_eq!(legacy, unified, "{}: {sql}", req.path);
             checked += 1;
         }
     }
     assert!(checked > 150, "corpus too small to be meaningful: {checked} queries");
 
-    // Both entry points feed the same accounting, which must partition.
+    // All three entry points feed the same accounting, which must
+    // partition.
     let stats = joza.stats();
-    assert_eq!(stats.queries, 2 * checked as u64);
+    assert_eq!(stats.queries, 3 * checked as u64);
     assert_eq!(stats.model_fast_hits + stats.static_hits + stats.full_checks, stats.queries);
 }
 
-/// Response-level equivalence: a server driven through the legacy gate
-/// must serve byte-identical responses (and identical blocking decisions)
-/// to one driven through the unified session factory.
+/// Response-level equivalence: a server gated through the engine's
+/// session factory blocks exactly the requests whose query stream
+/// contains a query the session flags, and serves every other request
+/// byte-identically to the unprotected server.
 #[test]
-fn legacy_gate_and_pipeline_serve_identical_responses() {
+fn handle_with_blocks_exactly_the_flagged_requests() {
     let mut lab = build_lab();
     let joza = full_engine(&lab);
 
+    let (mut blocked, mut served) = (0usize, 0usize);
     for req in &corpus_requests(&lab) {
         lab.reset_database();
-        let mut gate = joza.gate();
-        let legacy = lab.server.handle_gated(req, &mut gate);
+        let plain = lab.server.handle(req);
+        let session = route_session(&joza, req);
+        let flagged = plain.queries.iter().any(|sql| !session.check(sql).is_safe());
 
         lab.reset_database();
-        let unified = lab.server.handle_with(req, &joza);
+        let gated = lab.server.handle_with(req, &joza);
 
-        assert_eq!(legacy.blocked, unified.blocked, "blocking drift on {}", req.path);
-        assert_eq!(legacy.executed, unified.executed, "execution drift on {}", req.path);
-        assert_eq!(legacy.body, unified.body, "response drift on {}", req.path);
+        assert_eq!(gated.blocked, flagged, "blocking drift on {}", req.path);
+        if flagged {
+            blocked += 1;
+        } else {
+            assert_eq!(gated.executed, plain.executed, "execution drift on {}", req.path);
+            assert_eq!(gated.body, plain.body, "response drift on {}", req.path);
+            served += 1;
+        }
     }
+    assert!(blocked > 0 && served > 0, "corpus must exercise both outcomes");
 }
