@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the allocation-free hot-path kernels:
-//! the SWAR byte-folding/classifier primitives against their scalar
+//! the lowercase fold, the SWAR classifier scans against their scalar
 //! references, the arena-backed lexer, and the interned-symbol skeleton
 //! render + fingerprint — each at the query lengths the serving
 //! workloads actually see.
@@ -9,6 +9,7 @@ use joza_sqlparse::fingerprint::{fingerprint_syms_with, render_skeleton_syms_int
 use joza_sqlparse::lexer::{lex, lex_into};
 use joza_sqlparse::symbol::SymId;
 use joza_sqlparse::token::Token;
+use joza_strmatch::normalize::to_lower_into;
 use joza_strmatch::swar;
 
 fn query(len: usize) -> String {
@@ -29,21 +30,14 @@ fn mixed_case(len: usize) -> Vec<u8> {
 }
 
 fn bench_fold(c: &mut Criterion) {
-    let mut g = c.benchmark_group("swar_fold_lower");
+    let mut g = c.benchmark_group("fold_lower");
     for n in [32usize, 256, 2048] {
         let src = mixed_case(n);
         let mut out = Vec::with_capacity(n);
-        g.bench_with_input(BenchmarkId::new("swar", n), &n, |bench, _| {
+        g.bench_with_input(BenchmarkId::new("to_lower_into", n), &n, |bench, _| {
             bench.iter(|| {
                 out.clear();
-                swar::fold_lower_into(black_box(&src), &mut out);
-                black_box(out.len())
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("scalar", n), &n, |bench, _| {
-            bench.iter(|| {
-                out.clear();
-                swar::fold_lower_into_scalar(black_box(&src), &mut out);
+                to_lower_into(black_box(&src), &mut out);
                 black_box(out.len())
             })
         });

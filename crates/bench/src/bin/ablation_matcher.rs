@@ -213,7 +213,7 @@ fn main() {
     println!("a window of about 4x|input| columns. On short queries that window is the");
     println!("whole query, so the two kernels cost about the same; the gap widens with query");
     println!("length. Verdicts and spans are identical by construction (asserted above, and");
-    println!("by the differential property tests and the nti_kernel corpus identity check).");
+    println!("by the differential property tests and tests/nti_kernel_identity.rs).");
 
     println!("\nABLATION: NTI requests whose inputs miss the verbatim search\n");
     let mut miss_rows = Vec::new();

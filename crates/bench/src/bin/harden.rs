@@ -26,11 +26,13 @@
 //!
 //! ```text
 //! harden [--requests N] [--repeat R] [--threads 1,4]
-//!        [--pipe-latency-us US] [--out results/BENCH_harden.json]
+//!        [--out results/BENCH_harden.json]
 //! ```
 
-use joza_bench::report::{pct, provenance_json, render_table};
-use joza_core::{Joza, JozaConfig, MatchKernel};
+use joza_bench::report::{
+    json_escape, pct, provenance_json, render_table, serving_config, write_json,
+};
+use joza_core::{Joza, JozaConfig};
 use joza_lab::harden::{benign_corpus, differential, harden_lab, Differential};
 use joza_lab::serve::serve_parallel;
 use joza_lab::verify::exploit_effect_observed;
@@ -39,16 +41,11 @@ use joza_sast::{app_query_models, taint_free_routes, unparameterized_sink_lint, 
 use joza_webapp::request::HttpRequest;
 use std::time::Duration;
 
-/// Engine shard count for the throughput cells (above the largest thread
-/// count so workers never share a shard).
-const SHARDS: usize = 16;
-
 #[derive(Debug)]
 struct Args {
     requests: usize,
     repeat: usize,
     threads: Vec<usize>,
-    pipe_latency: Duration,
     out: String,
 }
 
@@ -57,7 +54,6 @@ fn parse_args() -> Args {
         requests: 96,
         repeat: 2,
         threads: vec![1, 4],
-        pipe_latency: Duration::from_micros(400),
         out: "results/BENCH_harden.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
@@ -69,22 +65,11 @@ fn parse_args() -> Args {
             "--threads" => {
                 args.threads = value().split(',').map(|t| t.parse().expect("--threads")).collect();
             }
-            "--pipe-latency-us" => {
-                args.pipe_latency =
-                    Duration::from_micros(value().parse().expect("--pipe-latency-us"));
-            }
             "--out" => args.out = value(),
             other => panic!("unknown flag {other}"),
         }
     }
     args
-}
-
-fn scaled_config(pipe_latency: Duration) -> JozaConfig {
-    let mut cfg = JozaConfig::optimized();
-    cfg.shards = SHARDS;
-    cfg.pti.pipe_latency = pipe_latency;
-    cfg
 }
 
 /// Builds the gate for the hardened application: the static fast path
@@ -169,21 +154,17 @@ fn throughput(original: &Lab, report: &HardenReport, args: &Args) -> Vec<Cell> {
     let hardened = build_hardened();
     let mut cells = Vec::new();
     for &t in &args.threads {
-        let dynamic = Joza::install(&original.server.app, scaled_config(args.pipe_latency));
+        let dynamic = Joza::install(&original.server.app, serving_config());
         let (dynamic_qps, _) = measure(&dynamic, t, false);
-        let model = Joza::installer(&original.server.app, scaled_config(args.pipe_latency))
+        let model = Joza::installer(&original.server.app, serving_config())
             .query_models(app_query_models(&original.server.app))
             .build();
         let (model_qps, _) = measure(&model, t, false);
-        let gate = hardened_gate(&hardened, report, scaled_config(args.pipe_latency));
+        let gate = hardened_gate(&hardened, report, serving_config());
         let (hardened_qps, hardened_static_rate) = measure(&gate, t, true);
         cells.push(Cell { threads: t, dynamic_qps, model_qps, hardened_qps, hardened_static_rate });
     }
     cells
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {
@@ -191,7 +172,10 @@ fn main() {
     let mut original = build_lab();
     println!(
         "harden: {} requests x {} passes, threads {:?}, pipe latency {:?}",
-        args.requests, args.repeat, args.threads, args.pipe_latency
+        args.requests,
+        args.repeat,
+        args.threads,
+        serving_config().pti.pipe_latency
     );
 
     // -- coverage --------------------------------------------------------
@@ -378,7 +362,7 @@ fn main() {
          \"gated\": {{\"attacks\": {}, \"still_effective\": {}}},\n  \
          \"throughput\": {{\"workload\": \"benign corpus\", \"requests_per_pass\": {}, \
          \"passes\": {}, \"pipe_latency_us\": {}, \"cells\": [\n{}\n    ]}}\n}}\n",
-        provenance_json(&MatchKernel::default().to_string()),
+        provenance_json(),
         total,
         rewritten,
         total - rewritten,
@@ -396,12 +380,8 @@ fn main() {
         gated.effective.len(),
         args.requests,
         args.repeat,
-        args.pipe_latency.as_micros(),
+        serving_config().pti.pipe_latency.as_micros(),
         json_cells
     );
-    if let Some(dir) = std::path::Path::new(&args.out).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(&args.out, &json).expect("write harden results");
-    println!("wrote {}", args.out);
+    write_json(&args.out, &json);
 }

@@ -2,9 +2,7 @@
 //!
 //! 1. **End-to-end serving** — checked-queries/sec with the full
 //!    `CheckPipeline` live behind the PHP-simulator web server, against a
-//!    dynamic-only baseline. This number includes the interpreter's
-//!    tree-walk cost and is comparable with
-//!    `results/BENCH_querymodel.json`'s `model_on_qps`.
+//!    dynamic-only baseline. This number includes the interpreter's cost.
 //! 2. **Gate-direct replay** — the same workload's SQL stream captured
 //!    once from an unprotected run and replayed straight into
 //!    `JozaSession::check_batch`, so the cell measures the *gate itself*
@@ -22,8 +20,7 @@
 //! Usage:
 //!
 //! ```text
-//! pipeline [--requests N] [--repeat R] [--threads 1,4]
-//!          [--pipe-latency-us US] [--min-qps F]
+//! pipeline [--requests N] [--repeat R] [--threads 1,4] [--min-qps F]
 //!          [--out results/BENCH_pipeline.json]
 //! ```
 //!
@@ -32,25 +29,21 @@
 //! CI smoke floor against hot-path regressions.
 
 use joza_bench::report::{
-    pct, provenance_json, render_table, stage_breakdown_json, stage_breakdown_rows,
+    pct, provenance_json, render_table, serving_config, stage_breakdown_json, stage_breakdown_rows,
+    write_json,
 };
-use joza_core::{Joza, JozaConfig, JozaStats, MatchKernel, QueryCheck, STAGE_COUNT};
+use joza_core::{Joza, JozaStats, QueryCheck, STAGE_COUNT};
 use joza_lab::serve::serve_parallel;
 use joza_lab::{build_lab, Lab};
 use joza_sast::{app_query_models, taint_free_routes};
 use joza_webapp::request::HttpRequest;
 use std::time::{Duration, Instant};
 
-/// Engine shard count for the throughput cells (above the largest thread
-/// count so workers never share a shard).
-const SHARDS: usize = 16;
-
 #[derive(Debug)]
 struct Args {
     requests: usize,
     repeat: usize,
     threads: Vec<usize>,
-    pipe_latency: Duration,
     min_qps: f64,
     out: String,
 }
@@ -60,7 +53,6 @@ fn parse_args() -> Args {
         requests: 96,
         repeat: 2,
         threads: vec![1, 4],
-        pipe_latency: Duration::from_micros(400),
         min_qps: 0.0,
         out: "results/BENCH_pipeline.json".to_string(),
     };
@@ -73,10 +65,6 @@ fn parse_args() -> Args {
             "--threads" => {
                 args.threads = value().split(',').map(|t| t.parse().expect("--threads")).collect();
             }
-            "--pipe-latency-us" => {
-                args.pipe_latency =
-                    Duration::from_micros(value().parse().expect("--pipe-latency-us"));
-            }
             "--min-qps" => args.min_qps = value().parse().expect("--min-qps"),
             "--out" => args.out = value(),
             other => panic!("unknown flag {other}"),
@@ -85,17 +73,10 @@ fn parse_args() -> Args {
     args
 }
 
-fn scaled_config(pipe_latency: Duration) -> JozaConfig {
-    let mut cfg = JozaConfig::optimized();
-    cfg.shards = SHARDS;
-    cfg.pti.pipe_latency = pipe_latency;
-    cfg
-}
-
 /// The fully-loaded engine: every pipeline stage assembled (query models
 /// for the model fast path, statically-proven routes for the static one).
-fn full_engine(lab: &Lab, pipe_latency: Duration) -> Joza {
-    Joza::installer(&lab.server.app, scaled_config(pipe_latency))
+fn full_engine(lab: &Lab) -> Joza {
+    Joza::installer(&lab.server.app, serving_config())
         .query_models(app_query_models(&lab.server.app))
         .taint_free_routes(taint_free_routes(&lab.server.app))
         .build()
@@ -234,7 +215,10 @@ fn main() {
     let lab = build_lab();
     println!(
         "pipeline: {} requests x {} passes, threads {:?}, pipe latency {:?}",
-        args.requests, args.repeat, args.threads, args.pipe_latency
+        args.requests,
+        args.repeat,
+        args.threads,
+        serving_config().pti.pipe_latency
     );
 
     let corpus = replay_corpus(&joza_bench::workload::write_requests_pass(args.requests, 0));
@@ -245,9 +229,9 @@ fn main() {
     let mut direct_cells = Vec::new();
     let mut direct_single: Option<(f64, JozaStats)> = None;
     for &t in &args.threads {
-        let dynamic_only = Joza::install(&lab.server.app, scaled_config(args.pipe_latency));
+        let dynamic_only = Joza::install(&lab.server.app, serving_config());
         let (dynamic_qps, _) = measure(&dynamic_only, t, &args);
-        let pipeline = full_engine(&lab, args.pipe_latency);
+        let pipeline = full_engine(&lab);
         let (pipeline_qps, _) = measure(&pipeline, t, &args);
 
         let (direct_dynamic_qps, _) = measure_replay(&dynamic_only, &corpus, t, args.repeat);
@@ -328,20 +312,16 @@ fn main() {
          \"gate_direct\": {{\"workload\": \"captured SQL stream, check_batch replay\", \
          \"corpus_queries\": {}, \"cells\": [\n{}\n    ]}},\n  \
          \"stages\": {}\n}}\n",
-        provenance_json(&MatchKernel::default().to_string()),
+        provenance_json(),
         args.requests,
         args.repeat,
-        args.pipe_latency.as_micros(),
+        serving_config().pti.pipe_latency.as_micros(),
         json_cells(&cells),
         corpus_queries,
         json_cells(&direct_cells),
         stage_breakdown_json(&stage_stats)
     );
-    if let Some(dir) = std::path::Path::new(&args.out).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(&args.out, &json).expect("write pipeline results");
-    println!("wrote {}", args.out);
+    write_json(&args.out, &json);
 
     if args.min_qps > 0.0 && direct_qps_1t < args.min_qps {
         eprintln!(

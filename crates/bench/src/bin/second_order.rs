@@ -24,9 +24,9 @@
 //!              [--out results/BENCH_secondorder.json]
 //! ```
 
-use joza_bench::report::{pct, provenance_json, render_table};
+use joza_bench::report::{json_escape, pct, provenance_json, render_table, write_json};
 use joza_bench::workload::crawl_requests;
-use joza_core::{Joza, JozaConfig, MatchKernel};
+use joza_core::{Joza, JozaConfig};
 use joza_lab::harden::benign_corpus;
 use joza_lab::second_order::{
     build_second_order_lab, run_two_phase_gated, verify_benign_round_trip,
@@ -144,10 +144,6 @@ fn gate_time(so: &mut SecondOrderLab, gate: &Joza, repeat: usize) -> Duration {
         }
     }
     total / repeat.max(1) as u32
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {
@@ -329,7 +325,7 @@ fn main() {
          \"throughput\": {{\"corpus_requests\": {}, \"passes\": {}, \
          \"gate_time_no_capture_us\": {:.1}, \"gate_time_capture_us\": {:.1}, \
          \"capture_overhead\": {:.4}}}\n}}\n",
-        provenance_json(&MatchKernel::default().to_string()),
+        provenance_json(),
         report.routes.len(),
         cells_json,
         second_order_routes.len(),
@@ -354,9 +350,5 @@ fn main() {
         t_capture.as_secs_f64() * 1e6,
         overhead,
     );
-    if let Some(dir) = std::path::Path::new(&args.out).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(&args.out, &json).expect("write second-order results");
-    println!("wrote {}", args.out);
+    write_json(&args.out, &json);
 }

@@ -37,7 +37,7 @@
 //! Vm/TreeWalk throughput ratio lands below `F` — the CI floor that
 //! keeps the bytecode engine from regressing to tree-walk speed.
 
-use joza_bench::report::{git_rev, provenance_json, render_table};
+use joza_bench::report::{git_rev, percentile, provenance_json, render_table, write_json};
 use joza_lab::harden::benign_corpus;
 use joza_lab::verify::request_for;
 use joza_lab::{build_lab, Lab};
@@ -205,14 +205,6 @@ fn measure(lab: &mut Lab, corpus: &[HttpRequest], repeat: usize) -> (f64, f64, V
     )
 }
 
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn main() {
     let args = parse_args();
     let mut vm_lab = build_lab();
@@ -339,7 +331,7 @@ fn main() {
          \"responses_identical\": true}},\n  \
          \"soak\": {{\"requests\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \
          \"max_us\": {}, \"queries\": {}, \"blocked\": 0, \"sql_errors\": 0}}\n}}\n",
-        provenance_json(&joza_core::MatchKernel::default().to_string()),
+        provenance_json(),
         corpus.len(),
         args.repeat,
         unique.len(),
@@ -362,11 +354,7 @@ fn main() {
         max.as_micros(),
         soak_queries,
     );
-    if let Some(dir) = std::path::Path::new(&args.out).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(&args.out, &json).expect("write vm results");
-    println!("wrote {}", args.out);
+    write_json(&args.out, &json);
 
     if args.min_speedup > 0.0 && render_speedup < args.min_speedup {
         eprintln!(

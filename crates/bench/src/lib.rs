@@ -14,7 +14,9 @@
 //!   protected under each cache/deployment configuration (Table V,
 //!   Table VI, Figures 7 & 8);
 //! * [`wpcom`] — the Wordpress.com workload statistics of Table VII;
-//! * [`report`] — plain-text table rendering.
+//! * [`report`] — plain-text table rendering and the helpers every
+//!   `results/BENCH_*.json` writer shares (provenance, engine config,
+//!   percentiles, JSON escaping and output).
 
 pub mod report;
 pub mod security;

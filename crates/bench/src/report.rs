@@ -1,5 +1,9 @@
 //! Minimal aligned-column table rendering for experiment binaries, plus
-//! the provenance stamp shared by every `results/BENCH_*.json` writer.
+//! the provenance stamp, engine configuration and output helpers shared
+//! by every `results/BENCH_*.json` writer.
+
+use joza_core::JozaConfig;
+use std::time::Duration;
 
 /// The git revision of the working tree (`git rev-parse --short=12
 /// HEAD`), or `"unknown"` when git is unavailable — e.g. running from an
@@ -23,29 +27,73 @@ pub fn host_threads() -> usize {
 
 /// Provenance stamp for `results/BENCH_*.json` files, as a single-line
 /// JSON object: the git revision the numbers were produced from, the
-/// host thread count, the NTI matching-kernel configuration, and the
-/// phpsim serving engine the web-application simulator defaults to
-/// (`vm` since the bytecode compiler landed; `tree-walk` numbers are not
-/// comparable with `vm` numbers on interpreter-bound workloads). Every
-/// benchmark writer embeds this under a `"provenance"` key so results
-/// files stay comparable across PRs.
+/// host thread count, the default NTI matching kernel, and the phpsim
+/// serving engine the web-application simulator defaults to (`vm` since
+/// the bytecode compiler landed; `tree-walk` numbers are not comparable
+/// with `vm` numbers on interpreter-bound workloads). Every benchmark
+/// writer embeds this under a `"provenance"` key so results files stay
+/// comparable across PRs.
 ///
 /// # Examples
 ///
 /// ```
-/// let p = joza_bench::report::provenance_json("bitparallel");
+/// let p = joza_bench::report::provenance_json();
 /// assert!(p.starts_with("{\"git_rev\": "));
-/// assert!(p.contains("\"nti_kernel\": \"bitparallel\""));
+/// assert!(p.contains("\"nti_kernel\": \"bit-parallel\""));
 /// assert!(p.contains("\"engine\": \"vm\""));
 /// ```
-pub fn provenance_json(nti_kernel: &str) -> String {
+pub fn provenance_json() -> String {
     format!(
         "{{\"git_rev\": \"{}\", \"host_threads\": {}, \"nti_kernel\": \"{}\", \"engine\": \"{}\"}}",
         git_rev(),
         host_threads(),
-        nti_kernel,
+        joza_core::MatchKernel::default(),
         joza_webapp::Engine::default()
     )
+}
+
+/// Engine shard count of the serving benches (above the largest thread
+/// count they sweep, so concurrent workers never share a PTI shard or
+/// stats cell).
+pub const SHARDS: usize = 16;
+
+/// The engine configuration the serving benches (`scaling`, `pipeline`,
+/// `harden`) measure: the paper's optimized deployment, [`SHARDS`]
+/// shards, and a modeled 400 µs off-CPU PHP↔daemon pipe wait per PTI
+/// round trip.
+pub fn serving_config() -> JozaConfig {
+    let mut cfg = JozaConfig::optimized();
+    cfg.shards = SHARDS;
+    cfg.pti.pipe_latency = Duration::from_micros(400);
+    cfg
+}
+
+/// The `p`-th percentile (0.0–1.0, nearest rank) of an ascending slice;
+/// zero when empty.
+pub fn percentile(sorted: &[Duration], p: f64) -> Duration {
+    if sorted.is_empty() {
+        return Duration::ZERO;
+    }
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+}
+
+/// Escapes `\` and `"` for embedding `s` in a JSON string literal.
+pub fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// Writes a `BENCH_*.json` document to `path` (creating its directory)
+/// and reports the path on stdout.
+///
+/// # Panics
+///
+/// Panics if the directory or file cannot be written.
+pub fn write_json(path: &str, json: &str) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).expect("create output directory");
+    }
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
 }
 
 /// Renders rows as an aligned text table with a header row and separator.
@@ -166,6 +214,15 @@ mod tests {
         // All lines same width.
         assert!(lines.iter().all(|l| l.len() == lines[0].len()));
         assert!(lines[1].starts_with("|-"));
+    }
+
+    #[test]
+    fn percentile_and_json_escape() {
+        let sorted: Vec<Duration> = (1..=5).map(Duration::from_micros).collect();
+        assert_eq!(percentile(&sorted, 0.5), Duration::from_micros(3));
+        assert_eq!(percentile(&sorted, 1.0), Duration::from_micros(5));
+        assert_eq!(percentile(&[], 0.99), Duration::ZERO);
+        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
     }
 
     #[test]

@@ -413,18 +413,6 @@ pub fn run_workload_in(lab: &mut Lab, requests: &[HttpRequest], setup: Option<Se
     stats
 }
 
-/// Runs `reps` repetitions of a workload (fresh lab each time) and returns
-/// the repetition with the median total time — robust to scheduler noise.
-pub fn run_workload_median(
-    requests: &[HttpRequest],
-    setup: Option<Setup>,
-    reps: usize,
-) -> RunStats {
-    let mut runs: Vec<RunStats> = (0..reps.max(1)).map(|_| run_workload(requests, setup)).collect();
-    runs.sort_by_key(|r| r.total);
-    runs[runs.len() / 2]
-}
-
 /// Relative overhead of `protected` over `plain`.
 pub fn overhead(plain: Duration, protected: Duration) -> f64 {
     if plain.is_zero() {

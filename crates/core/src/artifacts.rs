@@ -130,7 +130,7 @@ impl<'q> QueryArtifacts<'q> {
                 Some(first) if normalize => {
                     let mut buf = self.arena.map_or_else(Lease::detached, |a| a.folded.lease());
                     buf.extend_from_slice(&bytes[..first]);
-                    swar::fold_lower_into(&bytes[first..], &mut buf);
+                    joza_strmatch::normalize::to_lower_into(&bytes[first..], &mut buf);
                     Folded::Owned(buf)
                 }
                 _ => Folded::Borrowed(bytes),

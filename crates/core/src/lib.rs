@@ -1030,18 +1030,6 @@ impl JozaBuilder {
         self
     }
 
-    /// Selects the NTI approximate-matching kernel (§III-A hot path).
-    ///
-    /// Both kernels produce bit-identical verdicts and taint spans;
-    /// [`MatchKernel::BitParallel`] (the default) is roughly an order of
-    /// magnitude cheaper on long queries, while [`MatchKernel::Classic`]
-    /// is kept for the Fig. 7-style kernel ablation.
-    #[must_use]
-    pub fn nti_kernel(mut self, kernel: MatchKernel) -> Self {
-        self.config.nti.kernel = kernel;
-        self
-    }
-
     /// Builds the engine, validating the configuration first.
     ///
     /// Rejects configurations that cannot protect anything

@@ -441,6 +441,31 @@ mod tests {
     }
 
     #[test]
+    fn soak_passes_keep_the_verdict_split_and_count_every_query() {
+        // Repeated passes over one corpus warm every cache; neither the
+        // verdicts nor the query counter may drift under that load.
+        let testbed = live_testbed(4);
+        let joza = engine(&testbed, false);
+        let corpus = live_corpus(&testbed, &LiveWorkload { requests: 32, ..Default::default() });
+        let corpus_queries: usize = corpus.iter().map(|r| r.checks.len()).sum();
+        let mut first_split = None;
+        for pass in 0..6 {
+            let before = joza.stats().queries;
+            let report = serve_live(&joza, &testbed, &corpus, 3);
+            let advanced = (joza.stats().queries - before) as usize;
+            assert_eq!(advanced, corpus_queries, "pass {pass}: query counter drifted");
+            let flagged = report.verdicts.iter().flatten().filter(|v| !v.is_safe()).count();
+            let split = (report.queries() - flagged, flagged);
+            assert_eq!(
+                *first_split.get_or_insert(split),
+                split,
+                "pass {pass}: verdict split drifted"
+            );
+        }
+        assert!(first_split.is_some_and(|(_, flagged)| flagged > 0), "corpus carries attacks");
+    }
+
+    #[test]
     fn mid_run_deploy_lands_and_new_sessions_ride_the_model_fast_path() {
         let testbed = live_testbed(3);
         let joza = engine(&testbed, false);

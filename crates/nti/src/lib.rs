@@ -63,7 +63,7 @@ use joza_sqlparse::lexer::lex;
 use joza_sqlparse::token::Token;
 use joza_strmatch::myers::bounded_myers_substring_distance;
 pub use joza_strmatch::myers::MatchKernel;
-use joza_strmatch::normalize::to_lower;
+use joza_strmatch::normalize::{to_lower, to_lower_into};
 use joza_strmatch::qgram::{self, QgramProfile};
 use joza_strmatch::sellers::{substring_distance, SubstringMatch};
 use joza_strmatch::swar;
@@ -240,7 +240,7 @@ impl NtiAnalyzer {
                 Some(first) => {
                     fold_scratch.clear();
                     fold_scratch.extend_from_slice(&bytes[..first]);
-                    swar::fold_lower_into(&bytes[first..], fold_scratch);
+                    to_lower_into(&bytes[first..], fold_scratch);
                     fold_scratch
                 }
                 None => bytes,

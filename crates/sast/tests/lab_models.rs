@@ -60,8 +60,8 @@ fn benign_traffic_fast_paths_with_identical_responses() {
         Joza::installer(&lab.server.app, JozaConfig::optimized()).query_models(models).build();
 
     let mut reqs = benign_core_requests();
-    for p in lab.plugins.clone() {
-        reqs.push(request_for(&p, &p.benign_value));
+    for p in lab.plugins.iter().chain(&lab.cms_cases) {
+        reqs.push(request_for(p, &p.benign_value));
     }
 
     for req in &reqs {

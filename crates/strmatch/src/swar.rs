@@ -2,10 +2,11 @@
 //!
 //! The gate's per-query constant costs are dominated by byte-at-a-time
 //! scanning: the lexer classifies every byte of every query, and NTI
-//! case-folds the query and each captured input before matching. These
-//! kernels process **eight bytes per `u64` word** with pure integer
-//! arithmetic — no `unsafe`, no platform intrinsics — and fall back to a
-//! scalar tail for the last `len % 8` bytes.
+//! looks for an uppercase byte in the query and each captured input
+//! before deciding whether to case-fold them. These kernels process
+//! **eight bytes per `u64` word** with pure integer arithmetic — no
+//! `unsafe`, no platform intrinsics — and fall back to a scalar tail for
+//! the last `len % 8` bytes.
 //!
 //! # Lane-mask construction
 //!
@@ -22,9 +23,8 @@
 //!   they are nonzero; OR in the original bit 7 and complement.
 //!
 //! Unlike the classic `haszero` subtraction trick, neither primitive
-//! borrows across lanes, so the masks are **exact per lane** — safe both
-//! for "find the first matching byte" scans and for whole-word
-//! transformations like case folding.
+//! borrows across lanes, so the masks are **exact per lane**, which
+//! "find the first matching byte" scans rely on.
 //!
 //! Every kernel has a scalar reference (`*_scalar`) that is the semantic
 //! ground truth; `tests/proptests.rs` checks them byte-for-byte equal on
@@ -188,30 +188,6 @@ pub fn first_ascii_upper(s: &[u8]) -> Option<usize> {
     (i < s.len()).then_some(i)
 }
 
-/// Appends the ASCII-lowercased copy of `src` to `out`, eight bytes per
-/// word: lanes holding `A..=Z` get bit 5 ORed in (`0x80` mask shifted
-/// right twice is exactly `0x20`), every other byte — including
-/// multi-byte UTF-8 — passes through untouched.
-pub fn fold_lower_into(src: &[u8], out: &mut Vec<u8>) {
-    // One bulk copy, then fold in place: the word loop touches memory the
-    // copy already paid for, with no per-word capacity checks.
-    let start = out.len();
-    out.extend_from_slice(src);
-    let mut chunks = out[start..].chunks_exact_mut(8);
-    for chunk in &mut chunks {
-        let w = load(chunk);
-        chunk.copy_from_slice(&(w | (upper_lanes(w) >> 2)).to_le_bytes());
-    }
-    for b in chunks.into_remainder() {
-        *b = b.to_ascii_lowercase();
-    }
-}
-
-/// Scalar reference for [`fold_lower_into`].
-pub fn fold_lower_into_scalar(src: &[u8], out: &mut Vec<u8>) {
-    out.extend(src.iter().map(u8::to_ascii_lowercase));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,24 +253,6 @@ mod tests {
     fn scan_from_past_end_is_len() {
         assert_eq!(scan_ident(b"ab", 5), 2);
         assert_eq!(find_byte(b"", 0, b'x'), 0);
-    }
-
-    #[test]
-    fn fold_lower_matches_scalar() {
-        let cases: &[&[u8]] = &[
-            b"",
-            b"SELECT * FROM T WHERE ID=42",
-            b"already lower",
-            "Ärger im WHERE".as_bytes(),
-            &[0x80, 0xff, b'A', b'Z', b'@', b'[', b'a', b'z', 0x00],
-        ];
-        for src in cases {
-            let mut fast = Vec::new();
-            let mut slow = Vec::new();
-            fold_lower_into(src, &mut fast);
-            fold_lower_into_scalar(src, &mut slow);
-            assert_eq!(fast, slow, "{src:?}");
-        }
     }
 
     #[test]

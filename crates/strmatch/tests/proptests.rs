@@ -248,21 +248,7 @@ proptest! {
         prop_assert_eq!(&a, &m);
     }
 
-    /// SWAR lowercase folding is byte-for-byte identical to the scalar
-    /// reference on arbitrary byte strings (including non-ASCII).
-    #[test]
-    fn swar_fold_matches_scalar(bytes in any_bytes()) {
-        let mut fast = Vec::new();
-        let mut slow = Vec::new();
-        swar::fold_lower_into(&bytes, &mut fast);
-        swar::fold_lower_into_scalar(&bytes, &mut slow);
-        prop_assert_eq!(&fast, &slow);
-        // And both agree with the plain std byte map.
-        let std_ref: Vec<u8> = bytes.iter().map(|b| b.to_ascii_lowercase()).collect();
-        prop_assert_eq!(&fast, &std_ref);
-    }
-
-    /// `to_lower` (the Cow front-end over the SWAR kernel) agrees with the
+    /// `to_lower` (the Cow front-end over the SWAR uppercase scan) agrees with the
     /// std byte map, borrows exactly when no byte changes, and
     /// `to_lower_into` produces the same bytes.
     #[test]

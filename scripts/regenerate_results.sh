@@ -21,12 +21,6 @@ echo "== scaling (timed) =="
 cargo run --quiet --release -p joza-bench --bin scaling -- \
     --requests 64 --batch 4 --repeat 3 --threads 1,2,4,8 --min-speedup 6 \
     --out results/BENCH_scaling.json > results/scaling.txt
-echo "== nti_kernel (timed) =="
-cargo run --quiet --release -p joza-bench --bin nti_kernel -- \
-    --out results/BENCH_nti_kernel.json > results/nti_kernel.txt
-echo "== querymodel (timed) =="
-cargo run --quiet --release -p joza-bench --bin querymodel -- \
-    --out results/BENCH_querymodel.json > results/querymodel.txt
 echo "== harden (timed) =="
 cargo run --quiet --release -p joza-bench --bin harden -- \
     --out results/BENCH_harden.json > results/harden.txt
@@ -46,8 +40,8 @@ cargo run --quiet --release -p joza-bench --bin vm -- \
 # for must actually have been (re)written by this run — a silently
 # skipped writer (renamed bin, edited flag, early exit swallowed by a
 # pipe) must fail the regeneration, not leave a stale or missing file.
-expected_bench_json="BENCH_scaling.json BENCH_nti_kernel.json BENCH_querymodel.json \
-BENCH_harden.json BENCH_pipeline.json BENCH_secondorder.json BENCH_vm.json"
+expected_bench_json="BENCH_scaling.json BENCH_harden.json BENCH_pipeline.json \
+BENCH_secondorder.json BENCH_vm.json"
 missing=0
 for f in $expected_bench_json; do
     if [ ! -s "results/$f" ]; then
