@@ -144,9 +144,8 @@ fn throughput(original: &Lab, report: &HardenReport, args: &Args) -> Vec<Cell> {
                 queries += resp.queries.len();
             }
         }
-        let delta = factory.stats();
-        let static_rate = (delta.static_hits - base.static_hits) as f64
-            / (delta.queries - base.queries).max(1) as f64;
+        let delta = factory.stats().since(&base);
+        let static_rate = delta.static_hits as f64 / delta.queries.max(1) as f64;
         let secs = wall.as_secs_f64();
         (if secs > 0.0 { queries as f64 / secs } else { 0.0 }, static_rate)
     };

@@ -126,8 +126,8 @@ fn fast_path_rate(
         let resp = so.lab.server.handle_with(req, gate);
         assert!(!resp.blocked, "benign crawl request blocked: {req:?}");
     }
-    let stats = gate.stats();
-    (stats.static_hits - base.static_hits) as f64 / (stats.queries - base.queries).max(1) as f64
+    let d = gate.stats().since(&base);
+    d.static_hits as f64 / d.queries.max(1) as f64
 }
 
 /// Mean gate time over the benign corpus for one gate (capture-overhead

@@ -57,8 +57,8 @@ pub fn provenance_json() -> String {
 /// stats cell).
 pub const SHARDS: usize = 16;
 
-/// The engine configuration the serving benches (`scaling`, `pipeline`,
-/// `harden`) measure: the paper's optimized deployment, [`SHARDS`]
+/// The engine configuration the serving benches (`pipeline`, `harden`)
+/// measure: the paper's optimized deployment, [`SHARDS`]
 /// shards, and a modeled 400 µs off-CPU PHP↔daemon pipe wait per PTI
 /// round trip.
 pub fn serving_config() -> JozaConfig {

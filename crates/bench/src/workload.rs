@@ -275,11 +275,6 @@ impl RunStats {
     }
 }
 
-/// Runs a request list against a fresh perf lab, optionally protected.
-pub fn run_workload(requests: &[HttpRequest], setup: Option<Setup>) -> RunStats {
-    run_workload_in(&mut perf_lab(), requests, setup)
-}
-
 /// A reusable measurement fixture: one lab and (optionally) one installed
 /// Joza engine, so caches reach steady state across passes — the regime
 /// the paper's live-site measurements reflect.
@@ -318,9 +313,9 @@ impl MeasureBench {
             stats.gate_time += resp.gate_time;
         }
         if let Some(j) = &self.joza {
-            let after = j.stats();
-            stats.nti_time = after.nti_time - before.nti_time;
-            stats.pti_time = after.pti_time - before.pti_time;
+            let d = j.stats().since(&before);
+            stats.nti_time = d.nti_time;
+            stats.pti_time = d.pti_time;
         }
         stats
     }
@@ -432,24 +427,6 @@ pub struct MixResult {
     pub protected: Duration,
     /// Relative overhead.
     pub overhead: f64,
-}
-
-/// Builds the request list for a read/write mix: `writes_pct` percent
-/// writes interleaved evenly through the reads.
-pub fn mix_requests(writes_pct: usize, total_requests: usize) -> Vec<HttpRequest> {
-    let mut rng = StdRng::seed_from_u64(42);
-    let writes = total_requests * writes_pct / 100;
-    let reads = total_requests - writes;
-    let mut requests = crawl_requests(reads);
-    let w = write_requests(writes, &mut rng);
-    if !w.is_empty() {
-        let stride = (requests.len() / w.len()).max(1);
-        for (i, wr) in w.into_iter().enumerate() {
-            let at = (i * stride + i).min(requests.len());
-            requests.insert(at, wr);
-        }
-    }
-    requests
 }
 
 /// Measures a read/write mix (Table VI): `writes_pct` percent writes.
@@ -622,7 +599,7 @@ mod tests {
 
     #[test]
     fn mix_request_counts() {
-        let reqs = mix_requests(10, 100);
+        let reqs = mix_requests_pass(10, 100, 1);
         assert_eq!(reqs.len(), 100);
         let writes = reqs.iter().filter(|r| !r.post.is_empty()).count();
         assert_eq!(writes, 10);

@@ -133,13 +133,6 @@ pub struct JozaConfig {
     /// shards than concurrent workers is harmless — unused shards are
     /// never initialized; fewer means workers share shards and contend.
     pub shards: usize,
-    /// Treat a query that falls outside a *complete* static query model
-    /// as an attack on its own, even when NTI and PTI both pass. Off by
-    /// default: the anomaly is recorded as a fused signal
-    /// ([`Verdict::structural_anomaly`]) without changing the verdict,
-    /// because model completeness is an analysis judgement rather than a
-    /// ground truth.
-    pub block_on_structural_anomaly: bool,
 }
 
 impl JozaConfig {
@@ -169,10 +162,6 @@ pub enum Detector {
     Pti,
     /// Both flagged it.
     Both,
-    /// Neither dynamic detector flagged it, but the query fell outside
-    /// the route's complete static query model and
-    /// [`JozaConfig::block_on_structural_anomaly`] is enabled.
-    Structural,
 }
 
 /// How a query's verdict was reached — a summary view derived from the
@@ -248,8 +237,9 @@ impl Verdict {
 
     /// True when the route has a *complete* static query model and this
     /// query's skeleton matched none of its templates — a structural
-    /// signal fused with the dynamic verdict (it blocks only under
-    /// [`JozaConfig::block_on_structural_anomaly`]).
+    /// signal reported next to the dynamic verdict. It never blocks on
+    /// its own: model completeness is an analysis judgement, not a
+    /// ground truth.
     pub fn structural_anomaly(&self) -> bool {
         self.structural_anomaly
     }
@@ -337,6 +327,34 @@ impl JozaStats {
             self.stage_runs[i] += other.stage_runs[i];
             self.stage_hits[i] += other.stage_hits[i];
             self.stage_ns[i] += other.stage_ns[i];
+        }
+    }
+
+    /// The counters accumulated since `before`, an earlier snapshot of
+    /// the same engine: every field, the three stage arrays included,
+    /// minus its value in `before`.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `before` is not an earlier snapshot (a counter would
+    /// go negative).
+    pub fn since(&self, before: &JozaStats) -> JozaStats {
+        JozaStats {
+            queries: self.queries - before.queries,
+            attacks: self.attacks - before.attacks,
+            nti_detections: self.nti_detections - before.nti_detections,
+            pti_detections: self.pti_detections - before.pti_detections,
+            nti_time: self.nti_time - before.nti_time,
+            pti_time: self.pti_time - before.pti_time,
+            model_fast_hits: self.model_fast_hits - before.model_fast_hits,
+            static_hits: self.static_hits - before.static_hits,
+            full_checks: self.full_checks - before.full_checks,
+            model_anomalies: self.model_anomalies - before.model_anomalies,
+            route_misses_unknown: self.route_misses_unknown - before.route_misses_unknown,
+            route_misses_incomplete: self.route_misses_incomplete - before.route_misses_incomplete,
+            stage_runs: std::array::from_fn(|i| self.stage_runs[i] - before.stage_runs[i]),
+            stage_hits: std::array::from_fn(|i| self.stage_hits[i] - before.stage_hits[i]),
+            stage_ns: std::array::from_fn(|i| self.stage_ns[i] - before.stage_ns[i]),
         }
     }
 }
@@ -800,18 +818,12 @@ impl Joza {
             };
             dep.checks.run(self, &mut cx);
 
-            let mut detected_by = match (cx.nti_attack, cx.pti_attack) {
+            let detected_by = match (cx.nti_attack, cx.pti_attack) {
                 (Some(true), Some(true)) => Some(Detector::Both),
                 (Some(true), _) => Some(Detector::Nti),
                 (_, Some(true)) => Some(Detector::Pti),
                 _ => None,
             };
-            if detected_by.is_none()
-                && cx.structural_anomaly
-                && self.config.block_on_structural_anomaly
-            {
-                detected_by = Some(Detector::Structural);
-            }
             let verdict = Verdict {
                 safe: detected_by.is_none(),
                 detected_by,
@@ -1515,19 +1527,6 @@ mod tests {
         assert!(v.is_safe(), "anomaly alone must not block by default: {v:?}");
         assert!(v.structural_anomaly());
         assert_eq!(j.stats().model_anomalies, 1);
-    }
-
-    #[test]
-    fn structural_anomaly_blocks_when_configured() {
-        let j = joza_with_models(JozaConfig {
-            block_on_structural_anomaly: true,
-            ..JozaConfig::optimized()
-        });
-        let s = j.session_for("records");
-        let v = s.check("SELECT * FROM records WHERE ID=1");
-        assert!(!v.is_safe());
-        assert_eq!(v.detector(), Some(Detector::Structural));
-        assert_eq!(j.stats().attacks, 1);
     }
 
     #[test]

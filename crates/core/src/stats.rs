@@ -146,6 +146,34 @@ mod tests {
     }
 
     #[test]
+    fn since_subtracts_every_field() {
+        // Every field distinct and nonzero, listed without `..default()`
+        // so a new counter must be added here too.
+        let counters = |k: u64| JozaStats {
+            queries: 100 * k,
+            attacks: 2 * k,
+            nti_detections: 3 * k,
+            pti_detections: 4 * k,
+            nti_time: Duration::from_nanos(5 * k),
+            pti_time: Duration::from_nanos(6 * k),
+            model_fast_hits: 7 * k,
+            static_hits: 8 * k,
+            full_checks: 9 * k,
+            model_anomalies: 10 * k,
+            route_misses_unknown: 11 * k,
+            route_misses_incomplete: 12 * k,
+            stage_runs: std::array::from_fn(|i| (13 + i as u64) * k),
+            stage_hits: std::array::from_fn(|i| (23 + i as u64) * k),
+            stage_ns: std::array::from_fn(|i| (33 + i as u64) * k),
+        };
+        let (before, delta) = (counters(1), counters(2));
+        let mut after = before;
+        after.merge(&delta);
+        assert_eq!(after.since(&before), delta);
+        assert_eq!(after.since(&after), JozaStats::default());
+    }
+
+    #[test]
     fn concurrent_adds_sum_exactly() {
         let cell = StatsCell::default();
         std::thread::scope(|s| {

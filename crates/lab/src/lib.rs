@@ -42,7 +42,6 @@ pub mod harden;
 pub mod nti_evasion;
 pub mod second_order;
 pub mod serve;
-pub mod serve_live;
 pub mod sqlmap;
 pub mod taintless;
 pub mod verify;

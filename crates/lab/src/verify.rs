@@ -89,18 +89,6 @@ pub fn exploit_effect_observed(
     }
 }
 
-/// Whether a gate *detects* the plugin's primary exploit payload: the gate
-/// reports at least one non-allowed decision during the attack request.
-pub fn attack_detected(
-    server: &mut Server,
-    plugin: &VulnPlugin,
-    payload: &str,
-    factory: &dyn GateFactory,
-) -> bool {
-    let resp = run_gated(server, plugin, payload, factory);
-    resp.blocked || resp.executed < resp.queries.len()
-}
-
 /// Sanity check: the benign request renders without SQL errors and without
 /// leaking anything (used by the false-positive sweep).
 pub fn benign_request_clean(server: &mut Server, plugin: &VulnPlugin) -> bool {

@@ -43,18 +43,6 @@ cargo test -q -p joza-sqlparse --test proptests sym_skeleton
 cargo test -q --test nti_kernel_identity
 cargo test -q --test alloc_free
 
-# Thread-scaling smoke over the batch-first serving API: verdicts must be
-# bit-identical to single-threaded at every thread count (with and
-# without the modeled pipe wait), the deploy-under-load pass must check
-# every verdict against ground truth and conserve every counter across
-# the mid-run swaps, and 8 workers must reach >= 6x the single-thread
-# checked-query rate on the overlapped-wait rows (the pipe waits
-# overlap; the binary dies if the sharded core serializes them).
-echo "==> scaling smoke (8 threads, >= 6x gate on overlapped-wait rows)"
-cargo run --quiet --release -p joza-bench --bin scaling -- \
-    --requests 24 --repeat 1 --threads 1,8 --min-speedup 6 \
-    --out /tmp/joza_scaling_smoke.json
-
 # Pipeline equivalence, explicitly: a route session's check, the same
 # session's check_batch, and Joza::check_query_on_route must produce
 # bit-identical verdicts and traces over every lab-corpus query, and
@@ -83,14 +71,22 @@ cargo test -q -p joza-phpsim --test vm_differential
 echo "==> cargo test -q -p joza-phpsim --test engine_edges"
 cargo test -q -p joza-phpsim --test engine_edges
 
-# Pipeline-bench smoke: asserts the path counters partition the checked
-# queries before timing, exercises the per-stage breakdown writers, and
-# enforces the single-thread gate-direct throughput floor (the ROADMAP
-# 50k-checked-q/s target; the allocation-free hot path clears it with
-# an order of magnitude of headroom, so a trip means a real regression).
-echo "==> pipeline smoke (--min-qps 50000 single-thread gate-direct floor)"
+# Pipeline-bench smoke (default 96 requests x 2 passes): asserts the path
+# counters partition the checked queries, exercises the per-stage
+# breakdown writers, and enforces two floors in one run.
+# * Single-thread gate-direct throughput >= 50k checked-q/s (--min-qps;
+#   the allocation-free hot path clears it with an order of magnitude of
+#   headroom, so a trip means a real regression).
+# * Thread scaling on captured lab traffic (fresh comment posts plus every
+#   exploit, dynamic-only engine): verdicts must be bit-identical to a
+#   single-thread reference at every thread count of both sweeps (with and
+#   without the modeled pipe wait), that reference must match the ground
+#   truth, and 8 workers must reach >= 6x the single-thread checked-query
+#   rate on the overlapped-wait rows (--min-speedup; the pipe waits
+#   overlap, so the run dies if the sharded core serializes them).
+echo "==> pipeline smoke (>= 50k q/s single-thread gate-direct, >= 6x at 8 threads overlapped)"
 cargo run --quiet --release -p joza-bench --bin pipeline -- \
-    --requests 24 --repeat 1 --threads 1 --min-qps 50000 \
+    --threads 1,8 --min-qps 50000 --min-speedup 6 \
     --out /tmp/joza_pipeline_smoke.json
 
 # Hardening smoke: the binary asserts >= 50/57 routes statically

@@ -17,10 +17,6 @@ for bin in table5 table6 fig7 fig8 ablation_matcher; do
     echo "== $bin (timed) =="
     cargo run --quiet --release -p joza-bench --bin "$bin" > "results/$bin.txt"
 done
-echo "== scaling (timed) =="
-cargo run --quiet --release -p joza-bench --bin scaling -- \
-    --requests 64 --batch 4 --repeat 3 --threads 1,2,4,8 --min-speedup 6 \
-    --out results/BENCH_scaling.json > results/scaling.txt
 echo "== harden (timed) =="
 cargo run --quiet --release -p joza-bench --bin harden -- \
     --out results/BENCH_harden.json > results/harden.txt
@@ -29,7 +25,7 @@ cargo run --quiet --release -p joza-bench --bin second_order -- \
     --out results/BENCH_secondorder.json > results/second_order.txt
 echo "== pipeline (timed) =="
 cargo run --quiet --release -p joza-bench --bin pipeline -- \
-    --requests 96 --repeat 3 --threads 1,4 \
+    --requests 96 --repeat 3 --threads 1,2,4,8 --min-speedup 6 \
     --out results/BENCH_pipeline.json > results/pipeline.txt
 echo "== vm (timed) =="
 cargo run --quiet --release -p joza-bench --bin vm -- \
@@ -40,8 +36,8 @@ cargo run --quiet --release -p joza-bench --bin vm -- \
 # for must actually have been (re)written by this run — a silently
 # skipped writer (renamed bin, edited flag, early exit swallowed by a
 # pipe) must fail the regeneration, not leave a stale or missing file.
-expected_bench_json="BENCH_scaling.json BENCH_harden.json BENCH_pipeline.json \
-BENCH_secondorder.json BENCH_vm.json"
+expected_bench_json="BENCH_harden.json BENCH_pipeline.json BENCH_secondorder.json \
+BENCH_vm.json"
 missing=0
 for f in $expected_bench_json; do
     if [ ! -s "results/$f" ]; then
