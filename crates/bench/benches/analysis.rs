@@ -9,7 +9,7 @@ use joza_lab::wordpress;
 use joza_nti::{NtiAnalyzer, NtiConfig};
 use joza_phpsim::fragments::FragmentSet;
 use joza_pti::analyzer::{PtiAnalyzer, PtiConfig};
-use joza_pti::cache::{QueryCache, StructureCache};
+use joza_pti::cache::VerdictCache;
 use joza_pti::daemon::{PtiComponent, PtiComponentConfig};
 use joza_sqlparse::fingerprint::{fingerprint, skeleton};
 use joza_sqlparse::parser::parse;
@@ -78,17 +78,17 @@ fn bench_pti(c: &mut Criterion) {
 
 fn bench_caches(c: &mut Criterion) {
     let mut g = c.benchmark_group("pti_caches");
-    let mut qc = QueryCache::new();
+    let qc = VerdictCache::new();
     qc.insert_safe(BENIGN);
     g.bench_function("query_cache_hit", |b| b.iter(|| qc.lookup(black_box(BENIGN))));
     g.bench_function("query_cache_miss", |b| b.iter(|| qc.lookup(black_box(ATTACK))));
-    let mut sc = StructureCache::new();
-    sc.insert_safe(BENIGN);
+    let sc = VerdictCache::new();
+    sc.insert_safe(&fingerprint(BENIGN));
     g.bench_function("structure_cache_hit_same_shape", |b| {
         b.iter(|| {
-            sc.lookup(black_box(
+            sc.lookup(&fingerprint(black_box(
                 "SELECT option_value FROM wp_options WHERE option_name = 'blogname' LIMIT 1",
-            ))
+            )))
         })
     });
     g.finish();

@@ -47,7 +47,8 @@
 //! sessions pin the release current when they were opened, so a request
 //! is served end-to-end by one consistent model generation. PTI daemon
 //! clients live in per-worker shards selected by a thread-local worker
-//! id, with a [`SharedQueryCache`] read layer spanning all shards.
+//! id; one lock-free, bounded [`VerdictCache`] serves as the PTI query
+//! cache of every shard.
 //! Statistics are **contention-free**: each check accumulates a plain
 //! delta and flushes it into the calling worker's own cache-line-aligned
 //! atomic cell; [`Joza::stats`] merges the cells on the read side. The
@@ -85,7 +86,7 @@ use joza_nti::{NtiAnalyzer, NtiConfig};
 use joza_phpsim::fragments::FragmentSet;
 use joza_pti::cache::CacheStats;
 use joza_pti::daemon::{PtiComponent, PtiComponentConfig};
-use joza_pti::{FragmentStore, SharedQueryCache};
+use joza_pti::{FragmentStore, VerdictCache};
 pub use joza_sqlparse::template::{QueryModelIndex, RouteModel};
 use joza_webapp::app::WebApp;
 use joza_webapp::gate::{GateDecision, GateFactory, GateSession, RawInput};
@@ -509,12 +510,12 @@ fn worker_index(shards: usize) -> usize {
 /// The fragment store, NTI analyzer, configuration, query models and the
 /// assembled [`pipeline`] form the read-only side (no lock); PTI daemon
 /// clients and statistics are sharded per-worker (see the crate docs),
-/// with safe-query knowledge shared through a [`SharedQueryCache`].
+/// with safe-query knowledge shared through one PTI query cache.
 pub struct Joza {
     pub(crate) config: JozaConfig,
     pub(crate) nti: NtiAnalyzer,
     store: Arc<FragmentStore>,
-    shared_query_cache: Option<Arc<SharedQueryCache>>,
+    query_cache: Option<Arc<VerdictCache>>,
     shards: Box<[OnceLock<Mutex<PtiComponent>>]>,
     /// Per-worker statistics cells, one per shard slot; checks flush
     /// locally-accumulated deltas here, [`Joza::stats`] merges on read.
@@ -601,23 +602,21 @@ impl Joza {
         total
     }
 
-    /// PTI query-cache statistics: the shared cache's counters when the
-    /// engine runs one (the default for cache-enabled configs), otherwise
-    /// the sum over per-shard local caches.
+    /// PTI query-cache statistics (all zero when the cache is off).
     pub fn query_cache_stats(&self) -> CacheStats {
-        if let Some(shared) = &self.shared_query_cache {
-            return shared.stats();
-        }
-        let mut total = CacheStats::default();
-        for cell in self.shards.iter() {
-            if let Some(shard) = cell.get() {
-                let s = shard.lock().query_cache_stats();
-                total.hits += s.hits;
-                total.misses += s.misses;
-                total.inserts += s.inserts;
-            }
-        }
-        total
+        self.query_cache.as_ref().map(|c| c.stats()).unwrap_or_default()
+    }
+
+    /// The PTI query cache, when the configuration enables it.
+    pub fn query_cache(&self) -> Option<&VerdictCache> {
+        self.query_cache.as_deref()
+    }
+
+    /// PTI daemon checks that found their daemon dead, summed over the
+    /// shards. Each one blocked its query under the recovery policy, and
+    /// the daemon was respawned.
+    pub fn pti_daemon_failures(&self) -> u64 {
+        self.shards.iter().filter_map(OnceLock::get).map(|s| s.lock().daemon_failures()).sum()
     }
 
     /// Starts an analysis session (captures inputs for NTI, then checks
@@ -652,7 +651,7 @@ impl Joza {
             Mutex::new(PtiComponent::with_store(
                 Arc::clone(&self.store),
                 self.config.pti.clone(),
-                self.shared_query_cache.clone(),
+                self.query_cache.clone(),
             ))
         })
     }
@@ -1061,8 +1060,7 @@ impl JozaBuilder {
         let nti = NtiAnalyzer::new(self.config.nti.clone());
         let fragment_count = self.fragments.len();
         let store = Arc::new(FragmentStore::new(&self.fragments, self.config.pti.pti.matcher));
-        let shared_query_cache =
-            self.config.pti.query_cache.then(|| Arc::new(SharedQueryCache::new()));
+        let query_cache = self.config.pti.query_cache.then(|| Arc::new(VerdictCache::new()));
         let shard_count = if self.config.shards == 0 {
             std::thread::available_parallelism().map_or(8, |p| (p.get() * 2).clamp(8, 64))
         } else {
@@ -1085,7 +1083,7 @@ impl JozaBuilder {
             config: self.config,
             nti,
             store,
-            shared_query_cache,
+            query_cache,
             shards: (0..shard_count).map(|_| OnceLock::new()).collect(),
             stats_cells: (0..shard_count).map(|_| StatsCell::default()).collect(),
             fragment_count,
@@ -1447,6 +1445,23 @@ mod tests {
         let cs = j.query_cache_stats();
         assert_eq!(cs.hits, 1);
         assert_eq!(cs.inserts, 1);
+    }
+
+    #[test]
+    fn pti_daemon_death_blocks_then_respawns() {
+        let j = joza();
+        let q = |id: u32| format!("SELECT * FROM records WHERE ID={id} LIMIT 5");
+        assert!(j.check_query(&["1"], &q(1)).is_safe());
+        j.shard().lock().kill_daemon();
+        // NTI passes the query, PTI cannot vouch for it: blocked, no panic.
+        let blocked = j.check_query(&["2"], &q(2));
+        assert_eq!(blocked.detector(), Some(Detector::Pti));
+        assert_eq!(j.decide(&blocked), GateDecision::Terminate);
+        assert_eq!(j.pti_daemon_failures(), 1);
+        // The respawned daemon answers the next check.
+        assert!(j.check_query(&["3"], &q(3)).is_safe());
+        assert_eq!(j.shard().lock().daemon_spawns(), 2);
+        assert_eq!(j.pti_daemon_failures(), 1);
     }
 
     #[test]

@@ -18,12 +18,13 @@
 //! * [`DaemonMode::InProcess`] — no daemon at all: direct calls, modelling
 //!   the "PTI as PHP extension" overhead estimate.
 
-use crate::analyzer::{PtiAnalyzer, PtiConfig};
-use crate::cache::{CacheStats, QueryCache, SharedQueryCache, StructureCache};
+use crate::analyzer::{PtiAnalyzer, PtiConfig, PtiReport};
+use crate::cache::{CacheStats, VerdictCache};
 use crate::store::FragmentStore;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use joza_phpsim::cost::simulate;
+use joza_sqlparse::fingerprint::fingerprint;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -59,6 +60,38 @@ pub struct DaemonVerdict {
     pub structure_cache_hit: bool,
     /// Number of uncovered critical tokens (0 when safe).
     pub uncovered: u32,
+    /// Whether the daemon was unreachable or answered garbage. The verdict
+    /// is then unsafe: a dead daemon fails closed.
+    pub daemon_down: bool,
+}
+
+impl DaemonVerdict {
+    const DOWN: DaemonVerdict =
+        DaemonVerdict { safe: false, structure_cache_hit: false, uncovered: 0, daemon_down: true };
+
+    fn answer(safe: bool, structure_cache_hit: bool, uncovered: u32) -> Self {
+        DaemonVerdict { safe, structure_cache_hit, uncovered, daemon_down: false }
+    }
+}
+
+/// PTI behind the structure cache, keyed by the query's fingerprint: what
+/// the daemon runs per query, and what [`DaemonMode::InProcess`] runs in
+/// place of a daemon.
+fn analyze_behind(
+    cache: Option<&VerdictCache>,
+    fingerprint: impl FnOnce() -> u64,
+    analyze: impl FnOnce() -> PtiReport,
+) -> DaemonVerdict {
+    let shape = cache.map(|c| (c, fingerprint()));
+    if shape.is_some_and(|(c, fp)| c.lookup(&fp)) {
+        return DaemonVerdict::answer(true, true, 0);
+    }
+    let report = analyze();
+    let safe = !report.is_attack();
+    if let Some((c, fp)) = shape.filter(|_| safe) {
+        c.insert_safe(&fp);
+    }
+    DaemonVerdict::answer(safe, false, report.uncovered_critical.len() as u32)
 }
 
 /// Handle to a running PTI daemon.
@@ -70,50 +103,49 @@ pub struct PtiClient {
 }
 
 impl PtiClient {
-    /// Sends one query for analysis and waits for the verdict.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the daemon thread died (a bug, not an input condition).
+    /// Sends one query for analysis and waits for the verdict. If the
+    /// daemon thread has died, the verdict is [`DaemonVerdict::daemon_down`]
+    /// and unsafe.
     pub fn check(&self, query: &str) -> DaemonVerdict {
         let mut frame = BytesMut::with_capacity(5 + query.len());
         frame.put_u8(TAG_CHECK);
         frame.put_u32(query.len() as u32);
         frame.put_slice(query.as_bytes());
-        self.tx.send(frame.freeze()).expect("PTI daemon died");
-        let resp = self.rx.recv().expect("PTI daemon died");
-        decode_verdict(resp)
+        if self.tx.send(frame.freeze()).is_err() {
+            return DaemonVerdict::DOWN;
+        }
+        self.rx.recv().map_or(DaemonVerdict::DOWN, decode_verdict)
     }
 
-    /// Shuts the daemon down and joins its thread.
-    pub fn shutdown(mut self) {
+    /// Shuts the daemon down and joins its thread (what dropping the
+    /// client does).
+    pub fn shutdown(self) {
+        drop(self);
+    }
+
+    /// Asks the daemon thread to exit without joining it.
+    fn stop(&self) {
         let mut frame = BytesMut::with_capacity(1);
         frame.put_u8(TAG_SHUTDOWN);
         let _ = self.tx.send(frame.freeze());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 
 impl Drop for PtiClient {
     fn drop(&mut self) {
+        self.stop();
         if let Some(h) = self.handle.take() {
-            let mut frame = BytesMut::with_capacity(1);
-            frame.put_u8(TAG_SHUTDOWN);
-            let _ = self.tx.send(frame.freeze());
             let _ = h.join();
         }
     }
 }
 
 fn decode_verdict(mut frame: Bytes) -> DaemonVerdict {
-    assert!(frame.len() >= 6, "short verdict frame");
-    let tag = frame.get_u8();
-    assert_eq!(tag, TAG_VERDICT, "unexpected frame tag {tag}");
+    if frame.len() < 6 || frame.get_u8() != TAG_VERDICT {
+        return DaemonVerdict::DOWN;
+    }
     let flags = frame.get_u8();
-    let uncovered = frame.get_u32();
-    DaemonVerdict { safe: flags & 1 != 0, structure_cache_hit: flags & 2 != 0, uncovered }
+    DaemonVerdict::answer(flags & 1 != 0, flags & 2 != 0, frame.get_u32())
 }
 
 /// The daemon factory.
@@ -132,7 +164,7 @@ impl PtiDaemon {
             .name("joza-pti-daemon".to_string())
             .spawn(move || {
                 let analyzer = PtiAnalyzer::new(store, config);
-                let mut cache = structure_cache.then(StructureCache::new);
+                let cache = structure_cache.then(VerdictCache::new);
                 while let Ok(mut frame) = rx_req.recv() {
                     if frame.is_empty() {
                         continue;
@@ -145,24 +177,16 @@ impl PtiDaemon {
                     let query =
                         String::from_utf8_lossy(&frame[..len.min(frame.len())]).into_owned();
 
-                    let cache_hit = cache.as_mut().is_some_and(|c| c.lookup(&query));
-                    let (safe, from_cache, uncovered) = if cache_hit {
-                        (true, true, 0)
-                    } else {
-                        let report = analyzer.analyze(&query);
-                        let safe = !report.is_attack();
-                        if safe {
-                            if let Some(c) = cache.as_mut() {
-                                c.insert_safe(&query);
-                            }
-                        }
-                        (safe, false, report.uncovered_critical.len() as u32)
-                    };
+                    let v = analyze_behind(
+                        cache.as_ref(),
+                        || fingerprint(&query),
+                        || analyzer.analyze(&query),
+                    );
 
                     let mut resp = BytesMut::with_capacity(7);
                     resp.put_u8(TAG_VERDICT);
-                    resp.put_u8(u8::from(safe) | (u8::from(from_cache) << 1));
-                    resp.put_u32(uncovered);
+                    resp.put_u8(u8::from(v.safe) | (u8::from(v.structure_cache_hit) << 1));
+                    resp.put_u32(v.uncovered);
                     if tx_resp.send(resp.freeze()).is_err() {
                         break;
                     }
@@ -271,63 +295,67 @@ pub enum PtiVia {
     StructureCache,
     /// Full fragment analysis.
     Analysis,
+    /// The daemon was down, so the query is blocked unanalyzed.
+    DaemonDown,
 }
 
-/// The application-side PTI analysis component: owns the query cache and
-/// talks to (or embeds) the daemon.
+/// The application-side PTI analysis component: consults the query cache
+/// and talks to (or embeds) the daemon.
 #[derive(Debug)]
 pub struct PtiComponent {
     config: PtiComponentConfig,
     store: Arc<FragmentStore>,
     analyzer: PtiAnalyzer,
-    long_lived: Option<PtiClient>,
-    per_request: Option<PtiClient>,
-    query_cache: QueryCache,
-    shared_query_cache: Option<Arc<SharedQueryCache>>,
-    in_process_structure_cache: StructureCache,
+    /// The long-lived or per-request daemon, when one is running.
+    daemon: Option<PtiClient>,
+    query_cache: Option<Arc<VerdictCache>>,
+    /// The structure cache of [`DaemonMode::InProcess`]; the daemon modes
+    /// keep theirs daemon-side.
+    structure_cache: Option<VerdictCache>,
     daemon_spawns: u64,
+    daemon_failures: u64,
 }
 
 impl PtiComponent {
-    /// Builds the component over a fragment vocabulary.
+    /// Builds the component over a fragment vocabulary, with a query
+    /// cache of its own when `config.query_cache` is set.
     pub fn new<I, S>(fragments: I, config: PtiComponentConfig) -> Self
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
         let store = Arc::new(FragmentStore::new(fragments, config.pti.matcher));
-        Self::with_store(store, config, None)
+        let query_cache = config.query_cache.then(|| Arc::new(VerdictCache::new()));
+        Self::with_store(store, config, query_cache)
     }
 
     /// Builds the component over an already-compiled (shared) fragment
-    /// store, optionally wiring it to a [`SharedQueryCache`].
+    /// store, consulting `query_cache` when it is `Some`.
     ///
     /// This is the constructor a lock-sharded engine uses: N per-worker
     /// components share one `Arc<FragmentStore>` (the read-mostly side) and
-    /// one `Arc<SharedQueryCache>` (the shared read layer of the query
-    /// cache), so a safe query analyzed by one worker is a cache hit for
-    /// every other. When `shared_query_cache` is `Some`, it replaces the
-    /// component-local [`QueryCache`] entirely (still gated by
-    /// `config.query_cache`).
+    /// one query cache, so a safe query analyzed by one worker is a cache
+    /// hit for every other.
     pub fn with_store(
         store: Arc<FragmentStore>,
         config: PtiComponentConfig,
-        shared_query_cache: Option<Arc<SharedQueryCache>>,
+        query_cache: Option<Arc<VerdictCache>>,
     ) -> Self {
         let analyzer = PtiAnalyzer::new(Arc::clone(&store), config.pti.clone());
+        let structure_cache = (config.structure_cache && config.mode == DaemonMode::InProcess)
+            .then(VerdictCache::new);
         let mut component = PtiComponent {
             config,
             store,
             analyzer,
-            long_lived: None,
-            per_request: None,
-            query_cache: QueryCache::new(),
-            shared_query_cache,
-            in_process_structure_cache: StructureCache::new(),
+            daemon: None,
+            query_cache,
+            structure_cache,
             daemon_spawns: 0,
+            daemon_failures: 0,
         };
         if component.config.mode == DaemonMode::LongLived {
-            component.long_lived = Some(component.spawn_daemon());
+            component.daemon = Some(component.spawn_daemon());
         }
         component
     }
@@ -347,19 +375,9 @@ impl PtiComponent {
         &self.store
     }
 
-    /// Query-cache statistics (from the shared cache when one is wired).
+    /// Query-cache statistics (all zero when the cache is off).
     pub fn query_cache_stats(&self) -> CacheStats {
-        match &self.shared_query_cache {
-            Some(shared) => shared.stats(),
-            None => self.query_cache.stats(),
-        }
-    }
-
-    /// Blocks for the modeled off-CPU pipe round-trip latency.
-    fn pipe_wait(&self) {
-        if !self.config.pipe_latency.is_zero() {
-            std::thread::sleep(self.config.pipe_latency);
-        }
+        self.query_cache.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 
     /// Number of daemon processes spawned so far.
@@ -367,25 +385,55 @@ impl PtiComponent {
         self.daemon_spawns
     }
 
+    /// Number of daemon checks that found the daemon dead. Each blocked
+    /// its query, and the daemon was respawned for the next check.
+    pub fn daemon_failures(&self) -> u64 {
+        self.daemon_failures
+    }
+
+    /// Stops the running daemon's thread behind the component's back, as a
+    /// crash or an external kill would. For fault-injection tests: the next
+    /// daemon check fails closed and respawns the daemon.
+    pub fn kill_daemon(&self) {
+        if let Some(client) = &self.daemon {
+            client.stop();
+        }
+    }
+
     /// Called at request start: in [`DaemonMode::PerRequest`] this is the
     /// on-demand daemon launch.
     pub fn begin_request(&mut self) {
         if self.config.mode == DaemonMode::PerRequest {
-            self.per_request = Some(self.spawn_daemon());
+            self.daemon = Some(self.spawn_daemon());
         }
     }
 
     /// Called at request end: a per-request daemon terminates alongside
     /// the application.
     pub fn end_request(&mut self) {
-        if let Some(client) = self.per_request.take() {
-            client.shutdown();
+        if self.config.mode == DaemonMode::PerRequest {
+            if let Some(client) = self.daemon.take() {
+                client.shutdown();
+            }
         }
     }
 
     /// Checks one query.
     pub fn check(&mut self, query: &str) -> PtiDecision {
         self.check_prepared(query, None)
+    }
+
+    /// One daemon round trip with its modeled PHP-side costs.
+    fn ask(&self, client: &PtiClient, query: &str) -> DaemonVerdict {
+        simulate(self.config.pipe_cost);
+        if !self.config.pipe_latency.is_zero() {
+            std::thread::sleep(self.config.pipe_latency);
+        }
+        let v = client.check(query);
+        if !v.structure_cache_hit && !v.daemon_down {
+            simulate(self.config.response_parse_cost);
+        }
+        v
     }
 
     /// [`PtiComponent::check`] with optional parse-once artifacts.
@@ -397,80 +445,44 @@ impl PtiComponent {
     /// the daemon side, exactly as the paper's deployment does. Verdicts
     /// and cache behavior are bit-identical to [`PtiComponent::check`]
     /// under the [`PreparedSql`] contract.
+    ///
+    /// A daemon found dead yields an unsafe verdict ([`PtiVia::DaemonDown`])
+    /// and is respawned on the next check: PTI fails closed.
     pub fn check_prepared(&mut self, query: &str, prep: Option<PreparedSql<'_>>) -> PtiDecision {
-        if self.config.query_cache {
-            let hit = match &self.shared_query_cache {
-                Some(shared) => shared.lookup(query),
-                None => self.query_cache.lookup(query),
-            };
-            if hit {
-                return PtiDecision { safe: true, via: PtiVia::QueryCache };
-            }
+        if self.query_cache.as_ref().is_some_and(|c| c.lookup(query)) {
+            return PtiDecision { safe: true, via: PtiVia::QueryCache };
         }
         let verdict = match self.config.mode {
             DaemonMode::PerQuery => {
                 let client = self.spawn_daemon();
-                simulate(self.config.pipe_cost);
-                self.pipe_wait();
-                let v = client.check(query);
-                if !v.structure_cache_hit {
-                    simulate(self.config.response_parse_cost);
-                }
+                let v = self.ask(&client, query);
                 client.shutdown();
                 v
             }
-            DaemonMode::InProcess => {
-                let fp = self.config.structure_cache.then(|| {
-                    prep.as_ref()
-                        .and_then(|p| p.fingerprint)
-                        .unwrap_or_else(|| joza_sqlparse::fingerprint::fingerprint(query))
-                });
-                if fp.is_some_and(|fp| self.in_process_structure_cache.lookup_fp(fp)) {
-                    DaemonVerdict { safe: true, structure_cache_hit: true, uncovered: 0 }
-                } else {
-                    let report = match &prep {
-                        Some(p) => self.analyzer.analyze_tokens(query, p.tokens),
-                        None => self.analyzer.analyze(query),
-                    };
-                    let safe = !report.is_attack();
-                    if safe {
-                        if let Some(fp) = fp {
-                            self.in_process_structure_cache.insert_safe_fp(fp);
-                        }
-                    }
-                    DaemonVerdict {
-                        safe,
-                        structure_cache_hit: false,
-                        uncovered: report.uncovered_critical.len() as u32,
-                    }
-                }
-            }
-            DaemonMode::PerRequest => {
-                if self.per_request.is_none() {
-                    self.begin_request();
-                }
-                simulate(self.config.pipe_cost);
-                self.pipe_wait();
-                let v = self.per_request.as_ref().expect("spawned above").check(query);
-                if !v.structure_cache_hit {
-                    simulate(self.config.response_parse_cost);
-                }
-                v
-            }
-            DaemonMode::LongLived => {
-                simulate(self.config.pipe_cost);
-                self.pipe_wait();
-                let v = self.long_lived.as_ref().expect("spawned in new").check(query);
-                if !v.structure_cache_hit {
-                    simulate(self.config.response_parse_cost);
+            DaemonMode::InProcess => analyze_behind(
+                self.structure_cache.as_ref(),
+                || prep.and_then(|p| p.fingerprint).unwrap_or_else(|| fingerprint(query)),
+                || match prep {
+                    Some(p) => self.analyzer.analyze_tokens(query, p.tokens),
+                    None => self.analyzer.analyze(query),
+                },
+            ),
+            DaemonMode::PerRequest | DaemonMode::LongLived => {
+                let client = self.daemon.take().unwrap_or_else(|| self.spawn_daemon());
+                let v = self.ask(&client, query);
+                if !v.daemon_down {
+                    self.daemon = Some(client);
                 }
                 v
             }
         };
-        if verdict.safe && self.config.query_cache {
-            match &self.shared_query_cache {
-                Some(shared) => shared.insert_safe(query),
-                None => self.query_cache.insert_safe(query),
+        if verdict.daemon_down {
+            self.daemon_failures += 1;
+            return PtiDecision { safe: false, via: PtiVia::DaemonDown };
+        }
+        if verdict.safe {
+            if let Some(c) = &self.query_cache {
+                c.insert_safe(query);
             }
         }
         PtiDecision {
@@ -577,7 +589,7 @@ mod tests {
     #[test]
     fn shared_query_cache_spans_components() {
         let store = Arc::new(FragmentStore::new(FRAGS, PtiConfig::optimized().matcher));
-        let shared = Arc::new(SharedQueryCache::new());
+        let shared = Arc::new(VerdictCache::new());
         let mut a = PtiComponent::with_store(
             Arc::clone(&store),
             PtiComponentConfig::optimized(),
@@ -617,6 +629,41 @@ mod tests {
             assert_eq!(plain.check(q), prepped.check_prepared(q, Some(prep)), "{q}");
         }
         assert_eq!(plain.query_cache_stats(), prepped.query_cache_stats());
+    }
+
+    #[test]
+    fn dead_daemon_fails_closed_then_respawns() {
+        for mode in [DaemonMode::LongLived, DaemonMode::PerRequest] {
+            let mut c = PtiComponent::new(FRAGS, PtiComponentConfig { mode, ..Default::default() });
+            c.begin_request();
+            assert!(c.check(SAFE_Q).safe);
+            c.kill_daemon();
+            let blocked = c.check(SAFE_Q);
+            assert_eq!(blocked, PtiDecision { safe: false, via: PtiVia::DaemonDown }, "{mode:?}");
+            assert_eq!((c.daemon_failures(), c.daemon_spawns()), (1, 1), "{mode:?}");
+            assert_eq!(c.check(SAFE_Q), PtiDecision { safe: true, via: PtiVia::Analysis });
+            assert_eq!(c.daemon_spawns(), 2, "{mode:?}: respawned");
+        }
+    }
+
+    #[test]
+    fn dead_or_garbled_daemon_verdicts_are_unsafe() {
+        let store = Arc::new(FragmentStore::new(FRAGS, Default::default()));
+        let client = PtiDaemon::spawn(store, PtiConfig::default(), false);
+        client.stop();
+        let mut short = BytesMut::new();
+        short.put_u8(TAG_VERDICT);
+        let mut wrong_tag = BytesMut::new();
+        wrong_tag.put_u8(TAG_CHECK);
+        wrong_tag.put_u8(1);
+        wrong_tag.put_u32(0);
+        for v in [
+            client.check(SAFE_Q),
+            decode_verdict(short.freeze()),
+            decode_verdict(wrong_tag.freeze()),
+        ] {
+            assert!(!v.safe && v.daemon_down, "{v:?}");
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * [`analyzer`] — the containment algorithm, generic over three matcher
 //!   strategies (naive scan, the paper's MRU-reordered scan, and an
 //!   Aho–Corasick automaton) so the Figure 7 ablation can compare them;
-//! * [`cache`] — the **PTI query cache** (exact query → safe) and the
-//!   **query structure cache** (AST skeleton hash → safe, "without storing
+//! * [`cache`] — one bounded, secret-keyed verdict cache that serves as
+//!   both the **PTI query cache** (exact query → safe) and the **query
+//!   structure cache** (AST skeleton hash → safe, "without storing
 //!   contents of data nodes");
 //! * [`daemon`] — the PTI daemon: a separate worker speaking a
 //!   length-prefixed binary protocol over channels (standing in for the
@@ -45,6 +46,6 @@ pub mod daemon;
 pub mod store;
 
 pub use analyzer::{PtiAnalyzer, PtiConfig, PtiReport};
-pub use cache::{CacheStats, QueryCache, SharedQueryCache, StructureCache};
+pub use cache::{CacheStats, VerdictCache};
 pub use daemon::{DaemonMode, PreparedSql, PtiClient, PtiComponent, PtiDaemon};
 pub use store::{FragmentStore, MatcherKind};

@@ -35,8 +35,9 @@ use crate::symbol::{
     SYM_VALUES,
 };
 use crate::token::TokenKind;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::Hasher;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 /// The placeholder a literal token renders to in a skeleton.
 pub const HOLE: &str = "?";
@@ -260,9 +261,12 @@ pub fn collapse_syms_into(raw: &[SymId], out: &mut Vec<SymId>) {
 /// is the single fingerprint definition in the process: the string entry
 /// points ([`fingerprint`], [`fingerprint_of`]) intern and collapse into
 /// this same hash, so all caches agree. Fingerprints are meaningful only
-/// within one process (symbol ids depend on first-seen order).
+/// within one process: symbol ids depend on first-seen order, and the
+/// SipHash key is a per-process secret, so a shape whose fingerprint
+/// collides with another's cannot be searched for offline.
 pub fn fingerprint_collapsed_syms(collapsed: &[SymId]) -> u64 {
-    let mut h = DefaultHasher::new();
+    static KEY: OnceLock<RandomState> = OnceLock::new();
+    let mut h = KEY.get_or_init(RandomState::new).build_hasher();
     for id in collapsed {
         h.write_u32(id.index());
     }
@@ -411,6 +415,19 @@ mod tests {
     fn fingerprint_is_deterministic() {
         let q = "SELECT a, b FROM t WHERE x IN (1,2,3) ORDER BY a DESC LIMIT 5";
         assert_eq!(fingerprint(q), fingerprint(q));
+    }
+
+    #[test]
+    fn fingerprint_key_is_secret() {
+        use std::collections::hash_map::DefaultHasher;
+        let mut collapsed = Vec::new();
+        collapse_syms_into(&raw_skeleton_syms("SELECT * FROM t WHERE id=1"), &mut collapsed);
+        let mut public = DefaultHasher::new();
+        for id in &collapsed {
+            public.write_u32(id.index());
+        }
+        public.write_usize(collapsed.len());
+        assert_ne!(fingerprint_collapsed_syms(&collapsed), public.finish());
     }
 
     #[test]

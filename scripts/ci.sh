@@ -50,6 +50,20 @@ cargo test -q --test alloc_free
 echo "==> cargo test -q --test pipeline_equivalence"
 cargo test -q --test pipeline_equivalence
 
+# Robustness, explicitly: one million unique safe queries keep the PTI
+# query cache within its constant capacity with every overflow counted as
+# an eviction; a killed PTI daemon (or a garbled verdict frame) blocks
+# the next query (fail closed, recovery policy applied) instead of
+# panicking the worker, and the respawned daemon answers the one after;
+# and both PTI caches filled far past capacity leave every lab-corpus
+# verdict identical to a cache-less engine's.
+echo "==> robustness (bounded caches, daemon kill, eviction soundness)"
+cargo test -q --test bounded_cache
+cargo test -q -p joza-pti --lib stays_within_capacity_and_counts_evictions
+cargo test -q -p joza-pti --lib daemon::tests::dead_
+cargo test -q -p joza-core --lib pti_daemon_death_blocks_then_respawns
+cargo test -q --test pipeline_equivalence evicting_caches_never_change_a_verdict
+
 # Engine equivalence, explicitly: the bytecode VM and the tree-walking
 # interpreter must produce bit-identical responses (body, queries,
 # sql_error, blocked) and database state over the full lab corpus —

@@ -5,11 +5,14 @@
 //! and exploit traffic alike: same verdicts, same detector attribution,
 //! same anomaly flags, same stage traces. The server seam on top of them,
 //! `Server::handle_with`, must block exactly the requests that issue a
-//! flagged query.
+//! flagged query. And PTI caches filled far past their capacity must not
+//! change any verdict: an eviction only costs a repeat analysis.
 
 use joza::core::{Joza, JozaConfig, JozaSession, QueryCheck, Verdict};
 use joza::lab::verify::request_for;
 use joza::lab::{build_lab, Lab};
+use joza::pti::cache::CAPACITY;
+use joza::pti::daemon::PtiComponentConfig;
 use joza::sast::{app_query_models, taint_free_routes};
 use joza::webapp::request::HttpRequest;
 
@@ -134,4 +137,62 @@ fn handle_with_blocks_exactly_the_flagged_requests() {
         }
     }
     assert!(blocked > 0 && served > 0, "corpus must exercise both outcomes");
+}
+
+/// Eviction soundness: overflow both PTI caches of one engine (the shared
+/// query cache and its daemon's structure cache) with distinct safe
+/// queries, then replay every corpus query twice. Each verdict must equal
+/// that of an engine with both caches off.
+#[test]
+fn evicting_caches_never_change_a_verdict() {
+    let mut lab = build_lab();
+    let cached = Joza::install(&lab.server.app, JozaConfig::optimized());
+    let uncached = Joza::install(
+        &lab.server.app,
+        JozaConfig {
+            pti: PtiComponentConfig {
+                query_cache: false,
+                structure_cache: false,
+                ..PtiComponentConfig::optimized()
+            },
+            ..JozaConfig::optimized()
+        },
+    );
+    let requests = corpus_requests(&lab);
+    let mut replay = Vec::new();
+    for req in &requests {
+        lab.reset_database();
+        let inputs: Vec<String> = req.all_inputs().into_iter().map(|(_, _, v)| v).collect();
+        for sql in lab.server.handle(req).queries {
+            replay.push((req.path.clone(), inputs.clone(), sql));
+        }
+    }
+
+    // A trailing fresh identifier is no critical token, so each filler is
+    // safe, cached, and of a shape of its own.
+    let base = &replay
+        .iter()
+        .find(|(_, _, sql)| uncached.check_query(&[], sql).is_safe())
+        .expect("a query PTI accepts")
+        .2;
+    let fillers = 4 * CAPACITY;
+    for i in 0..fillers {
+        let filler = format!("{base} c{i}");
+        assert!(cached.check_query(&[], &filler).is_safe(), "{filler}");
+    }
+    let query_cache = cached.query_cache().expect("query cache enabled");
+    assert!(query_cache.evictions() >= (fillers - CAPACITY) as u64);
+
+    let mut blocked = 0;
+    for pass in 0..2 {
+        for (route, inputs, sql) in &replay {
+            let inputs: Vec<&str> = inputs.iter().map(String::as_str).collect();
+            let expected = uncached.check_query_on_route(route, &inputs, sql);
+            let got = cached.check_query_on_route(route, &inputs, sql);
+            assert_eq!(got, expected, "pass {pass}, {route}: {sql}");
+            blocked += usize::from(!got.is_safe());
+        }
+    }
+    assert!(blocked > 0, "the corpus must exercise blocked verdicts");
+    assert!(query_cache.stats().hits > 0, "the second pass must hit the cache");
 }
