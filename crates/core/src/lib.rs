@@ -560,12 +560,8 @@ impl Joza {
     /// models, a taint-free whitelist, or kernel overrides before
     /// building.
     pub fn installer(app: &WebApp, config: JozaConfig) -> JozaBuilder {
-        let mut set = FragmentSet::new();
-        for src in app.all_sources() {
-            set.add_source(src);
-        }
         Joza::builder()
-            .fragment_set(&set)
+            .fragment_set(FragmentSet::from_sources(&app.all_sources()))
             .known_routes(app.plugins().map(|p| p.name.as_str()))
             .config(config)
     }
@@ -965,10 +961,10 @@ impl JozaBuilder {
         self
     }
 
-    /// Adds fragments from an extracted [`FragmentSet`].
+    /// Adds fragments from an extracted [`FragmentSet`], moving them in.
     #[must_use]
-    pub fn fragment_set(mut self, set: &FragmentSet) -> Self {
-        self.fragments.extend(set.iter().map(str::to_string));
+    pub fn fragment_set(mut self, set: FragmentSet) -> Self {
+        self.fragments.extend(set);
         self
     }
 
@@ -1059,7 +1055,7 @@ impl JozaBuilder {
         validate_model_routes(self.models.as_ref(), self.known_routes.as_ref())?;
         let nti = NtiAnalyzer::new(self.config.nti.clone());
         let fragment_count = self.fragments.len();
-        let store = Arc::new(FragmentStore::new(&self.fragments, self.config.pti.pti.matcher));
+        let store = Arc::new(FragmentStore::from_vec(self.fragments, self.config.pti.pti.matcher));
         let query_cache = self.config.pti.query_cache.then(|| Arc::new(VerdictCache::new()));
         let shard_count = if self.config.shards == 0 {
             std::thread::available_parallelism().map_or(8, |p| (p.get() * 2).clamp(8, 64))

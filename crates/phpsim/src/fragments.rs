@@ -14,10 +14,15 @@
 //! * `%s`/`%d`/`%f` format specifiers split fragments further (covers
 //!   `sprintf`/`$wpdb->prepare`-style queries);
 //! * fragments that lex to zero SQL tokens are dropped.
+//!
+//! Extraction reads the PHP lexer's token stream directly: literal text
+//! and the pieces split from it stay slices of the source until a fragment
+//! is kept, and the retain test stops at the first SQL token.
 
-use crate::lexer::{lex_php, PTok, StrPart};
-use joza_sqlparse::lexer::lex as sql_lex;
-use std::collections::BTreeSet;
+use crate::lexer::{append_run, Lexeme, PhpLexer, RawPart};
+use joza_sqlparse::lexer::has_known_token;
+use std::borrow::Cow;
+use std::collections::{btree_set, BTreeSet};
 
 /// A de-duplicated, ordered set of program string fragments.
 ///
@@ -34,6 +39,28 @@ impl FragmentSet {
         Self::default()
     }
 
+    /// Extracts the fragments of every source file (the installer).
+    /// Sources that fail to lex contribute nothing (real Joza skips
+    /// unparseable files).
+    ///
+    /// The pieces of all files are sorted and de-duplicated before the
+    /// retain test, so it runs once per distinct piece, and only the kept
+    /// fragments are copied out of the sources.
+    pub fn from_sources(sources: &[&str]) -> Self {
+        let mut pieces = Vec::new();
+        for src in sources {
+            source_pieces(src, &mut pieces);
+        }
+        pieces.sort_unstable();
+        pieces.dedup();
+        let fragments = pieces
+            .into_iter()
+            .filter(|piece| has_known_token(piece))
+            .map(Cow::into_owned)
+            .collect();
+        FragmentSet { fragments }
+    }
+
     /// Adds one fragment verbatim (used for framework-provided vocabulary).
     pub fn insert(&mut self, fragment: impl Into<String>) {
         let f = fragment.into();
@@ -42,14 +69,10 @@ impl FragmentSet {
         }
     }
 
-    /// Extends with fragments extracted from a PHP source file.
-    ///
-    /// Sources that fail to lex contribute nothing (real Joza skips
-    /// unparseable files).
+    /// Extends with fragments extracted from one PHP source file, as
+    /// [`FragmentSet::from_sources`] does.
     pub fn add_source(&mut self, php_source: &str) {
-        for frag in extract_fragments(php_source) {
-            self.fragments.insert(frag);
-        }
+        self.fragments.extend(Self::from_sources(&[php_source]).fragments);
     }
 
     /// Number of fragments.
@@ -70,6 +93,16 @@ impl FragmentSet {
     /// Iterates fragments in lexicographic order.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
         self.fragments.iter().map(String::as_str)
+    }
+}
+
+/// Moves the fragments out, in lexicographic order.
+impl IntoIterator for FragmentSet {
+    type Item = String;
+    type IntoIter = btree_set::IntoIter<String>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.fragments.into_iter()
     }
 }
 
@@ -105,24 +138,40 @@ impl<'a> FromIterator<&'a str> for FragmentSet {
 /// assert!(frags.contains(&"id".to_string()));
 /// ```
 pub fn extract_fragments(php_source: &str) -> Vec<String> {
-    let Ok(tokens) = lex_php(php_source) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for tok in tokens {
-        if let PTok::Str(parts) = tok {
-            for part in parts {
-                if let StrPart::Lit(lit) = part {
-                    for piece in split_placeholders(&lit) {
-                        if retain(&piece) {
-                            out.push(piece);
+    let mut pieces = Vec::new();
+    source_pieces(php_source, &mut pieces);
+    pieces.into_iter().filter(|piece| has_known_token(piece)).map(Cow::into_owned).collect()
+}
+
+/// Appends the placeholder-split pieces of every string literal in
+/// `php_source` to `out`, in source order and before the retain test. A
+/// source that fails to lex appends nothing.
+fn source_pieces<'s>(php_source: &'s str, out: &mut Vec<Cow<'s, str>>) {
+    let mark = out.len();
+    let mut lx = PhpLexer::new(php_source);
+    loop {
+        match lx.next_token() {
+            Ok(Some((Lexeme::Str, _))) => {
+                for part in lx.parts.drain(..) {
+                    match part {
+                        RawPart::Lit(Cow::Borrowed(lit)) => {
+                            split_placeholders(lit, |p| out.push(p))
                         }
+                        RawPart::Lit(Cow::Owned(lit)) => {
+                            split_placeholders(&lit, |p| out.push(Cow::Owned(p.into_owned())))
+                        }
+                        RawPart::Interp(_) => {}
                     }
                 }
             }
+            Ok(Some(_)) => {}
+            Ok(None) => return,
+            Err(_) => {
+                out.truncate(mark);
+                return;
+            }
         }
     }
-    out
 }
 
 /// Splits a literal at `%s`/`%d`/`%f`/`%05d`-style printf placeholders and
@@ -132,66 +181,215 @@ pub fn extract_fragments(php_source: &str) -> Vec<String> {
 /// time — by `sprintf` arguments or by parameter expansion — so the text
 /// around them, not the placeholder itself, is what the program
 /// contributes to queries.
-fn split_placeholders(lit: &str) -> Vec<String> {
-    let mut pieces = Vec::new();
-    let mut cur = String::new();
-    let mut chars = lit.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c == ':' && chars.peek().is_some_and(|n| n.is_ascii_alphabetic() || *n == '_') {
-            // `:name` prepared-statement placeholder: split and swallow
-            // the identifier.
-            if !cur.is_empty() {
-                pieces.push(std::mem::take(&mut cur));
-            }
-            while chars.peek().is_some_and(|n| n.is_ascii_alphanumeric() || *n == '_') {
-                chars.next();
-            }
-        } else if c == '%' {
-            // %% is a literal percent.
-            if chars.peek() == Some(&'%') {
-                chars.next();
-                cur.push('%');
-                continue;
-            }
-            // Look ahead over digits to a conversion char.
-            let mut lookahead = String::new();
-            while chars.peek().is_some_and(|c| c.is_ascii_digit() || *c == '.') {
-                lookahead.push(chars.next().unwrap());
-            }
-            match chars.peek() {
-                Some('s') | Some('d') | Some('f') => {
-                    chars.next();
-                    if !cur.is_empty() {
-                        pieces.push(std::mem::take(&mut cur));
-                    }
+///
+/// Pieces go to `emit` in order, non-empty, and as slices of `lit` except
+/// where a `%%` (a literal percent) joins two runs.
+fn split_placeholders<'a>(lit: &'a str, mut emit: impl FnMut(Cow<'a, str>)) {
+    let b = lit.as_bytes();
+    let mut piece = Cow::Borrowed("");
+    // Start of the run of `lit` not yet appended to `piece`.
+    let mut run = 0;
+    let mut i = 0;
+    let mut end_piece = |piece: &mut Cow<'a, str>, last_run: &'a str| {
+        append_run(piece, last_run);
+        if !piece.is_empty() {
+            emit(std::mem::take(piece));
+        }
+    };
+    while i < b.len() {
+        match b[i] {
+            b':' if b.get(i + 1).is_some_and(|n| n.is_ascii_alphabetic() || *n == b'_') => {
+                // `:name` prepared-statement placeholder: split and
+                // swallow the identifier.
+                end_piece(&mut piece, &lit[run..i]);
+                i += 1;
+                while b.get(i).is_some_and(|n| n.is_ascii_alphanumeric() || *n == b'_') {
+                    i += 1;
                 }
-                _ => {
-                    cur.push('%');
-                    cur.push_str(&lookahead);
+                run = i;
+            }
+            b'%' if b.get(i + 1) == Some(&b'%') => {
+                // `%%` is a literal percent: keep the first, drop the
+                // second.
+                append_run(&mut piece, &lit[run..=i]);
+                i += 2;
+                run = i;
+            }
+            b'%' => {
+                // Look ahead over digits and dots to a conversion char;
+                // anything else leaves the `%` and the lookahead as text.
+                let mut j = i + 1;
+                while b.get(j).is_some_and(|c| c.is_ascii_digit() || *c == b'.') {
+                    j += 1;
+                }
+                if matches!(b.get(j), Some(b's' | b'd' | b'f')) {
+                    end_piece(&mut piece, &lit[run..i]);
+                    i = j + 1;
+                    run = i;
+                } else {
+                    i = j;
                 }
             }
-        } else {
-            cur.push(c);
+            _ => i += 1,
         }
     }
-    if !cur.is_empty() {
-        pieces.push(cur);
-    }
-    pieces
-}
-
-/// Retains fragments that contain at least one SQL token (§IV-A). A
-/// fragment that lexes to nothing (whitespace-only) or only unknown bytes
-/// is dropped.
-fn retain(fragment: &str) -> bool {
-    use joza_sqlparse::token::TokenKind;
-    let toks = sql_lex(fragment);
-    toks.iter().any(|t| t.kind != TokenKind::Unknown)
+    end_piece(&mut piece, &lit[run..]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The char-by-char placeholder splitter the byte splitter replaced,
+    /// kept as the differential reference.
+    fn reference_split(lit: &str) -> Vec<String> {
+        let mut pieces = Vec::new();
+        let mut cur = String::new();
+        let mut chars = lit.chars().peekable();
+        while let Some(c) = chars.next() {
+            if c == ':' && chars.peek().is_some_and(|n| n.is_ascii_alphabetic() || *n == '_') {
+                if !cur.is_empty() {
+                    pieces.push(std::mem::take(&mut cur));
+                }
+                while chars.peek().is_some_and(|n| n.is_ascii_alphanumeric() || *n == '_') {
+                    chars.next();
+                }
+            } else if c == '%' {
+                if chars.peek() == Some(&'%') {
+                    chars.next();
+                    cur.push('%');
+                    continue;
+                }
+                let mut lookahead = String::new();
+                while chars.peek().is_some_and(|c| c.is_ascii_digit() || *c == '.') {
+                    lookahead.push(chars.next().unwrap());
+                }
+                match chars.peek() {
+                    Some('s') | Some('d') | Some('f') => {
+                        chars.next();
+                        if !cur.is_empty() {
+                            pieces.push(std::mem::take(&mut cur));
+                        }
+                    }
+                    _ => {
+                        cur.push('%');
+                        cur.push_str(&lookahead);
+                    }
+                }
+            } else {
+                cur.push(c);
+            }
+        }
+        if !cur.is_empty() {
+            pieces.push(cur);
+        }
+        pieces
+    }
+
+    /// The full-lex retain test the early-exit one replaced.
+    fn reference_retain(fragment: &str) -> bool {
+        use joza_sqlparse::token::TokenKind;
+        joza_sqlparse::lexer::lex(fragment).iter().any(|t| t.kind != TokenKind::Unknown)
+    }
+
+    fn split(lit: &str) -> Vec<String> {
+        let mut pieces = Vec::new();
+        split_placeholders(lit, |p| pieces.push(p.into_owned()));
+        pieces
+    }
+
+    /// Literal text dense in what the splitter and the retain test branch
+    /// on: `%`, `:`, digits, `.`, `_`, conversion letters, quotes, and
+    /// multi-byte characters.
+    const DENSE: &str = "[%%%%::::...__0-9sdfxaZ é€𝄞'#=-]{0,40}";
+
+    proptest! {
+        #[test]
+        fn reference_split_agrees(lits in proptest::collection::vec(DENSE, 16..32)) {
+            for lit in &lits {
+                prop_assert_eq!(split(lit), reference_split(lit), "{:?}", lit);
+            }
+        }
+
+        #[test]
+        fn reference_retain_agrees(lits in proptest::collection::vec(DENSE, 16..32)) {
+            for lit in &lits {
+                prop_assert_eq!(has_known_token(lit), reference_retain(lit), "{:?}", lit);
+                for piece in split(lit) {
+                    prop_assert_eq!(
+                        has_known_token(&piece),
+                        reference_retain(&piece),
+                        "{:?}",
+                        piece
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reference_split_agrees_on_edge_cases() {
+        for lit in [
+            "",
+            "%",
+            "%%",
+            "%%%",
+            "%%s",
+            "%5",
+            "%5.",
+            "%5.2f",
+            "%.s",
+            "%5%s",
+            "a%",
+            ":",
+            ":a",
+            "::a",
+            ":_1b c",
+            "a:1",
+            "é:é",
+            "%é",
+            "x%%y%%z",
+            "%s%d%f",
+            "WHERE a=%s AND b=:b",
+        ] {
+            assert_eq!(split(lit), reference_split(lit), "{lit:?}");
+        }
+    }
+
+    #[test]
+    fn pieces_borrow_unless_a_percent_escape_joins_runs() {
+        let mut pieces = Vec::new();
+        split_placeholders("a %s b %%c :d e", |p| pieces.push(p));
+        let borrowed: Vec<bool> = pieces.iter().map(|p| matches!(p, Cow::Borrowed(_))).collect();
+        assert_eq!(pieces, ["a ", " b %c ", " e"]);
+        assert_eq!(borrowed, [true, false, true]);
+    }
+
+    #[test]
+    fn utf8_fragments_survive_extraction() {
+        let frags =
+            extract_fragments("$q = 'SELECT * FROM t WHERE name = \"café\"'; $e = \"ünï $x\";");
+        assert_eq!(frags, ["SELECT * FROM t WHERE name = \"café\"", "ünï "]);
+    }
+
+    #[test]
+    fn bulk_extraction_equals_file_by_file() {
+        let sources = [
+            r#"$a = "SELECT * FROM t WHERE id=%d"; $b = 'x';"#,
+            r#"$c = "SELECT * FROM t WHERE id=%d"; $d = " AND :name OR ";"#,
+            r#"$bad = 'unterminated"#,
+            r#"$e = "   "; $f = "ORDER BY $col DESC";"#,
+        ];
+        let mut incremental = FragmentSet::new();
+        for src in sources {
+            incremental.add_source(src);
+        }
+        assert_eq!(FragmentSet::from_sources(&sources), incremental);
+        let all: Vec<&str> = incremental.iter().collect();
+        assert_eq!(all, [" AND ", " DESC", " OR ", "ORDER BY ", "SELECT * FROM t WHERE id=", "x"]);
+        assert!(FragmentSet::from_sources(&[]).is_empty());
+    }
 
     #[test]
     fn paper_example_fragments() {
@@ -244,6 +442,14 @@ mod tests {
     fn unlexable_source_contributes_nothing() {
         let frags = extract_fragments(r#"$x = 'unterminated"#);
         assert!(frags.is_empty());
+        // Not even the literals lexed before the error.
+        let bad = r#"$q = "SELECT id FROM t"; $x = 'unterminated"#;
+        assert!(extract_fragments(bad).is_empty());
+        let mut set = FragmentSet::new();
+        set.add_source(bad);
+        assert!(set.is_empty());
+        let set = FragmentSet::from_sources(&[r#"$a = "AND";"#, bad, r#"$b = "OR";"#]);
+        assert_eq!(set.iter().collect::<Vec<_>>(), ["AND", "OR"]);
     }
 
     #[test]

@@ -5,8 +5,15 @@
 //! *parts* — literal runs and `$variable` interpolations — because both the
 //! interpreter (concatenation semantics) and the fragment extractor
 //! (placeholder splitting, §IV-A) need the split.
+//!
+//! One lexer serves both consumers. Its token stream borrows from the
+//! source: names are slices, and a literal stays a slice until an escape
+//! sequence forces a copy. [`lex_php_spanned`] turns that
+//! stream into owned [`PTok`]s for the parser; the fragment extractor reads
+//! the stream directly and never materializes a token vector.
 
 use crate::span::Span;
+use std::borrow::Cow;
 use std::fmt;
 
 /// One component of a double-quoted string literal.
@@ -28,7 +35,7 @@ pub enum PTok {
     Ident(String),
     /// Integer literal.
     Int(i64),
-    /// Float literal.
+    /// Float literal (also an integer literal past `i64::MAX`, as in PHP).
     Float(f64),
     /// A string literal, already split into parts. Single-quoted strings
     /// always produce a single `Lit` part.
@@ -67,13 +74,6 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Operators, longest first so that maximal munch works.
-static OPS: &[&str] = &[
-    "===", "!==", "<=>", "<<=", ">>=", "**=", "&&", "||", "==", "!=", "<>", "<=", ">=", "=>", "->",
-    "++", "--", "+=", "-=", "*=", "/=", ".=", "%=", "??", "<<", ">>", "(", ")", "[", "]", "{", "}",
-    ",", ";", ".", "+", "-", "*", "/", "%", "=", "<", ">", "!", "?", ":", "&", "|", "^", "~", "@",
-];
-
 /// Lexes PHP source into tokens.
 ///
 /// # Errors
@@ -92,28 +92,120 @@ pub fn lex_php(src: &str) -> Result<Vec<PTok>, LexError> {
 ///
 /// Same failure modes as [`lex_php`].
 pub fn lex_php_spanned(src: &str) -> Result<(Vec<PTok>, Vec<Span>), LexError> {
-    let mut lx = PhpLexer { src: src.as_bytes(), pos: 0, out: Vec::new(), spans: Vec::new() };
-    lx.skip_open_tag();
-    lx.run(src)?;
-    debug_assert_eq!(lx.out.len(), lx.spans.len());
-    Ok((lx.out, lx.spans))
+    let mut lx = PhpLexer::new(src);
+    let (mut toks, mut spans) = (Vec::new(), Vec::new());
+    while let Some((lexeme, span)) = lx.next_token()? {
+        toks.push(match lexeme {
+            Lexeme::Var(name) => PTok::Var(name.to_string()),
+            Lexeme::Ident(name) => PTok::Ident(name.to_string()),
+            Lexeme::Int(i) => PTok::Int(i),
+            Lexeme::Float(x) => PTok::Float(x),
+            Lexeme::Op(op) => PTok::Op(op),
+            Lexeme::Str => PTok::Str(
+                lx.parts
+                    .drain(..)
+                    .map(|part| match part {
+                        RawPart::Lit(lit) => StrPart::Lit(lit.into_owned()),
+                        RawPart::Interp(name) => StrPart::Interp(name.to_string()),
+                    })
+                    .collect(),
+            ),
+        });
+        spans.push(span);
+    }
+    Ok((toks, spans))
 }
 
-struct PhpLexer<'a> {
-    src: &'a [u8],
+/// A token borrowed from the source it was lexed from.
+#[derive(Debug)]
+pub(crate) enum Lexeme<'s> {
+    Var(&'s str),
+    Ident(&'s str),
+    Int(i64),
+    Float(f64),
+    /// A string literal; its parts are in [`PhpLexer::parts`] until the
+    /// next token is lexed.
+    Str,
+    Op(&'static str),
+}
+
+/// One part of a string literal, borrowed from the source where possible.
+#[derive(Debug)]
+pub(crate) enum RawPart<'s> {
+    /// Literal text: a source slice unless an escape sequence forced a
+    /// copy.
+    Lit(Cow<'s, str>),
+    /// An interpolated variable name.
+    Interp(&'s str),
+}
+
+/// A streaming PHP lexer: [`PhpLexer::next_token`] yields one token at a
+/// time.
+pub(crate) struct PhpLexer<'s> {
+    src: &'s str,
     pos: usize,
-    out: Vec<PTok>,
-    spans: Vec<Span>,
+    /// The parts of the string literal last returned as [`Lexeme::Str`].
+    pub(crate) parts: Vec<RawPart<'s>>,
 }
 
-impl<'a> PhpLexer<'a> {
-    fn skip_open_tag(&mut self) {
-        let rest = &self.src[self.pos..];
-        if rest.starts_with(b"<?php") {
-            self.pos += 5;
-        } else if rest.starts_with(b"<?") {
-            self.pos += 2;
+impl<'s> PhpLexer<'s> {
+    /// A lexer at the start of `src`, past any `<?php` or `<?` opener.
+    pub(crate) fn new(src: &'s str) -> Self {
+        let pos = if src.starts_with("<?php") {
+            5
+        } else if src.starts_with("<?") {
+            2
+        } else {
+            0
+        };
+        PhpLexer { src, pos, parts: Vec::new() }
+    }
+
+    /// The next token and its byte span, or `None` at end of input.
+    ///
+    /// # Errors
+    ///
+    /// The failure modes of [`lex_php`]; the lexer is not meant to be
+    /// driven further after one.
+    pub(crate) fn next_token(&mut self) -> Result<Option<(Lexeme<'s>, Span)>, LexError> {
+        self.parts.clear();
+        let bytes = self.src.as_bytes();
+        while self.pos < bytes.len() {
+            let b = bytes[self.pos];
+            let start = self.pos;
+            let lexeme = match b {
+                _ if b.is_ascii_whitespace() => {
+                    self.pos += 1;
+                    continue;
+                }
+                b'?' if self.peek(1) == Some(b'>') => {
+                    // Closing tag: ignore the rest (no HTML mode).
+                    self.pos = bytes.len();
+                    continue;
+                }
+                b'/' if self.peek(1) == Some(b'/') => {
+                    self.line_comment();
+                    continue;
+                }
+                b'#' => {
+                    self.line_comment();
+                    continue;
+                }
+                b'/' if self.peek(1) == Some(b'*') => {
+                    self.block_comment()?;
+                    continue;
+                }
+                b'$' => self.variable()?,
+                b'\'' => self.single_quoted()?,
+                b'"' => self.double_quoted()?,
+                b'0'..=b'9' => self.number(),
+                b'.' if self.peek(1).is_some_and(|c| c.is_ascii_digit()) => self.number(),
+                _ if is_ident_start_byte(b) => Lexeme::Ident(self.ident_run()),
+                _ => self.operator()?,
+            };
+            return Ok(Some((lexeme, Span::new(start, self.pos))));
         }
+        Ok(None)
     }
 
     fn err(&self, message: impl Into<String>) -> LexError {
@@ -121,182 +213,149 @@ impl<'a> PhpLexer<'a> {
     }
 
     fn peek(&self, ahead: usize) -> Option<u8> {
-        self.src.get(self.pos + ahead).copied()
+        self.src.as_bytes().get(self.pos + ahead).copied()
     }
 
-    fn run(&mut self, src_str: &str) -> Result<(), LexError> {
-        while self.pos < self.src.len() {
-            let b = self.src[self.pos];
-            let tok_start = self.pos;
-            let toks_before = self.out.len();
-            match b {
-                _ if b.is_ascii_whitespace() => self.pos += 1,
-                b'?' if self.peek(1) == Some(b'>') => {
-                    // Closing tag: ignore the rest (no HTML mode).
-                    self.pos = self.src.len();
-                }
-                b'/' if self.peek(1) == Some(b'/') => self.line_comment(),
-                b'#' => self.line_comment(),
-                b'/' if self.peek(1) == Some(b'*') => self.block_comment()?,
-                b'$' => self.variable()?,
-                b'\'' => self.single_quoted()?,
-                b'"' => self.double_quoted()?,
-                b'0'..=b'9' => self.number(),
-                b'.' if self.peek(1).is_some_and(|c| c.is_ascii_digit()) => self.number(),
-                _ if b.is_ascii_alphabetic() || b == b'_' => self.ident(src_str),
-                _ => self.operator()?,
-            }
-            // Every arm pushes at most one token; give it the byte range
-            // just consumed.
-            if self.out.len() > toks_before {
-                self.spans.push(Span::new(tok_start, self.pos));
-            }
+    /// Advances past identifier bytes and returns them.
+    fn ident_run(&mut self) -> &'s str {
+        let start = self.pos;
+        let bytes = self.src.as_bytes();
+        while self.pos < bytes.len() && is_ident_byte(bytes[self.pos]) {
+            self.pos += 1;
         }
-        Ok(())
+        &self.src[start..self.pos]
     }
 
     fn line_comment(&mut self) {
-        while self.pos < self.src.len() && self.src[self.pos] != b'\n' {
-            self.pos += 1;
-        }
+        let rest = &self.src.as_bytes()[self.pos..];
+        self.pos += rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
     }
 
     fn block_comment(&mut self) -> Result<(), LexError> {
-        let start = self.pos;
-        self.pos += 2;
-        while self.pos < self.src.len() {
-            if self.src[self.pos] == b'*' && self.peek(1) == Some(b'/') {
-                self.pos += 2;
-                return Ok(());
+        match self.src[self.pos + 2..].find("*/") {
+            Some(end) => {
+                self.pos += 2 + end + 2;
+                Ok(())
             }
-            self.pos += 1;
+            None => Err(self.err("unterminated block comment")),
         }
-        self.pos = start;
-        Err(self.err("unterminated block comment"))
     }
 
-    fn variable(&mut self) -> Result<(), LexError> {
+    fn variable(&mut self) -> Result<Lexeme<'s>, LexError> {
         self.pos += 1; // `$`
-        let start = self.pos;
-        while self.pos < self.src.len() && is_ident_byte(self.src[self.pos]) {
-            self.pos += 1;
-        }
-        if self.pos == start {
+        let name = self.ident_run();
+        if name.is_empty() {
             return Err(self.err("expected variable name after $"));
         }
-        let name = std::str::from_utf8(&self.src[start..self.pos])
-            .map_err(|_| self.err("non-UTF8 variable name"))?
-            .to_string();
-        self.out.push(PTok::Var(name));
-        Ok(())
+        Ok(Lexeme::Var(name))
     }
 
-    fn single_quoted(&mut self) -> Result<(), LexError> {
+    fn single_quoted(&mut self) -> Result<Lexeme<'s>, LexError> {
         self.pos += 1;
-        let mut lit = String::new();
-        while self.pos < self.src.len() {
-            let b = self.src[self.pos];
-            if b == b'\\' {
-                match self.peek(1) {
-                    Some(b'\'') => {
-                        lit.push('\'');
-                        self.pos += 2;
-                    }
-                    Some(b'\\') => {
-                        lit.push('\\');
-                        self.pos += 2;
-                    }
-                    _ => {
-                        lit.push('\\');
-                        self.pos += 1;
-                    }
+        let bytes = self.src.as_bytes();
+        let mut lit = Cow::Borrowed("");
+        let mut run = self.pos;
+        while self.pos < bytes.len() {
+            match bytes[self.pos] {
+                b'\\' if matches!(self.peek(1), Some(b'\'' | b'\\')) => {
+                    // `\'` and `\\` keep only the escaped byte, which
+                    // starts the next run.
+                    append_run(&mut lit, &self.src[run..self.pos]);
+                    run = self.pos + 1;
+                    self.pos += 2;
                 }
-            } else if b == b'\'' {
-                self.pos += 1;
-                self.out.push(PTok::Str(vec![StrPart::Lit(lit)]));
-                return Ok(());
-            } else {
-                lit.push(b as char);
-                self.pos += 1;
+                b'\'' => {
+                    append_run(&mut lit, &self.src[run..self.pos]);
+                    self.pos += 1;
+                    self.parts.push(RawPart::Lit(lit));
+                    return Ok(Lexeme::Str);
+                }
+                // Any other backslash is literal.
+                _ => self.pos += 1,
             }
         }
         Err(self.err("unterminated single-quoted string"))
     }
 
-    fn double_quoted(&mut self) -> Result<(), LexError> {
+    fn double_quoted(&mut self) -> Result<Lexeme<'s>, LexError> {
         self.pos += 1;
-        let mut parts: Vec<StrPart> = Vec::new();
-        let mut lit = String::new();
-        let flush = |parts: &mut Vec<StrPart>, lit: &mut String| {
-            if !lit.is_empty() {
-                parts.push(StrPart::Lit(std::mem::take(lit)));
-            }
-        };
-        while self.pos < self.src.len() {
-            let b = self.src[self.pos];
-            match b {
+        let bytes = self.src.as_bytes();
+        let mut lit = Cow::Borrowed("");
+        let mut run = self.pos;
+        while self.pos < bytes.len() {
+            match bytes[self.pos] {
                 b'\\' => {
-                    let esc = self.peek(1);
-                    self.pos += 2;
-                    match esc {
-                        Some(b'n') => lit.push('\n'),
-                        Some(b't') => lit.push('\t'),
-                        Some(b'r') => lit.push('\r'),
-                        Some(b'"') => lit.push('"'),
-                        Some(b'\\') => lit.push('\\'),
-                        Some(b'$') => lit.push('$'),
-                        Some(other) => {
-                            lit.push('\\');
-                            lit.push(other as char);
+                    let decoded = match self.peek(1) {
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'r') => '\r',
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'$') => '$',
+                        // An unknown escape stays literal, backslash
+                        // included. Before a multi-byte character only the
+                        // backslash is consumed here; the character is
+                        // copied whole with the rest of the run.
+                        Some(next) => {
+                            self.pos += if next.is_ascii() { 2 } else { 1 };
+                            continue;
                         }
-                        None => return Err(self.err("unterminated string escape")),
-                    }
+                        None => {
+                            self.pos = bytes.len();
+                            return Err(self.err("unterminated string escape"));
+                        }
+                    };
+                    append_run(&mut lit, &self.src[run..self.pos]);
+                    lit.to_mut().push(decoded);
+                    self.pos += 2;
+                    run = self.pos;
                 }
                 b'$' if self.peek(1).is_some_and(is_ident_start_byte) => {
+                    append_run(&mut lit, &self.src[run..self.pos]);
                     self.pos += 1;
-                    let start = self.pos;
-                    while self.pos < self.src.len() && is_ident_byte(self.src[self.pos]) {
-                        self.pos += 1;
-                    }
-                    let name = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-                    flush(&mut parts, &mut lit);
-                    parts.push(StrPart::Interp(name));
+                    let name = self.ident_run();
+                    self.flush_lit(&mut lit);
+                    self.parts.push(RawPart::Interp(name));
+                    run = self.pos;
                 }
                 b'{' if self.peek(1) == Some(b'$') => {
                     // `{$name}` form.
+                    append_run(&mut lit, &self.src[run..self.pos]);
                     self.pos += 2;
-                    let start = self.pos;
-                    while self.pos < self.src.len() && is_ident_byte(self.src[self.pos]) {
-                        self.pos += 1;
-                    }
-                    let name = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
+                    let name = self.ident_run();
                     if self.peek(0) != Some(b'}') {
                         return Err(self.err("expected } after {$var"));
                     }
                     self.pos += 1;
-                    flush(&mut parts, &mut lit);
-                    parts.push(StrPart::Interp(name));
+                    self.flush_lit(&mut lit);
+                    self.parts.push(RawPart::Interp(name));
+                    run = self.pos;
                 }
                 b'"' => {
+                    append_run(&mut lit, &self.src[run..self.pos]);
                     self.pos += 1;
-                    flush(&mut parts, &mut lit);
-                    self.out.push(PTok::Str(parts));
-                    return Ok(());
+                    self.flush_lit(&mut lit);
+                    return Ok(Lexeme::Str);
                 }
-                _ => {
-                    lit.push(b as char);
-                    self.pos += 1;
-                }
+                _ => self.pos += 1,
             }
         }
         Err(self.err("unterminated double-quoted string"))
     }
 
-    fn number(&mut self) {
+    /// Ends the current literal part, if it has any text.
+    fn flush_lit(&mut self, lit: &mut Cow<'s, str>) {
+        if !lit.is_empty() {
+            self.parts.push(RawPart::Lit(std::mem::take(lit)));
+        }
+    }
+
+    fn number(&mut self) -> Lexeme<'s> {
         let start = self.pos;
+        let bytes = self.src.as_bytes();
         let mut is_float = false;
-        while self.pos < self.src.len() {
-            let b = self.src[self.pos];
+        while self.pos < bytes.len() {
+            let b = bytes[self.pos];
             if b.is_ascii_digit() {
                 self.pos += 1;
             } else if b == b'.' && !is_float && self.peek(1).is_some_and(|c| c.is_ascii_digit()) {
@@ -306,32 +365,68 @@ impl<'a> PhpLexer<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap_or("0");
-        if is_float {
-            self.out.push(PTok::Float(text.parse().unwrap_or(0.0)));
-        } else {
-            self.out.push(PTok::Int(text.parse().unwrap_or(0)));
+        let text = &self.src[start..self.pos];
+        // Digits alone fail to parse as i64 only past `i64::MAX`, where
+        // PHP reads the literal as a float.
+        match text.parse() {
+            Ok(i) if !is_float => Lexeme::Int(i),
+            _ => Lexeme::Float(text.parse().unwrap_or(0.0)),
         }
     }
 
-    fn ident(&mut self, src_str: &str) {
-        let start = self.pos;
-        while self.pos < self.src.len() && is_ident_byte(self.src[self.pos]) {
-            self.pos += 1;
-        }
-        self.out.push(PTok::Ident(src_str[start..self.pos].to_string()));
-    }
-
-    fn operator(&mut self) -> Result<(), LexError> {
-        let rest = &self.src[self.pos..];
-        for op in OPS {
-            if rest.starts_with(op.as_bytes()) {
+    /// Maximal munch over the operators that start with the current byte.
+    fn operator(&mut self) -> Result<Lexeme<'s>, LexError> {
+        let rest = &self.src.as_bytes()[self.pos..];
+        let ops = ops_starting_with(rest[0]);
+        match ops.iter().find(|op| rest.starts_with(op.as_bytes())) {
+            Some(op) => {
                 self.pos += op.len();
-                self.out.push(PTok::Op(op));
-                return Ok(());
+                Ok(Lexeme::Op(op))
             }
+            None => Err(self.err(format!("unexpected byte {:?}", rest[0] as char))),
         }
-        Err(self.err(format!("unexpected byte {:?}", rest[0] as char)))
+    }
+}
+
+/// Appends a run of text to a literal being assembled, borrowing the run
+/// while the literal is still empty.
+pub(crate) fn append_run<'s>(lit: &mut Cow<'s, str>, run: &'s str) {
+    if lit.is_empty() {
+        *lit = Cow::Borrowed(run);
+    } else if !run.is_empty() {
+        lit.to_mut().push_str(run);
+    }
+}
+
+/// The operators beginning with `first`, longest first.
+fn ops_starting_with(first: u8) -> &'static [&'static str] {
+    match first {
+        b'=' => &["===", "==", "=>", "="],
+        b'!' => &["!==", "!=", "!"],
+        b'<' => &["<=>", "<<=", "<>", "<=", "<<", "<"],
+        b'>' => &[">>=", ">=", ">>", ">"],
+        b'*' => &["**=", "*=", "*"],
+        b'&' => &["&&", "&"],
+        b'|' => &["||", "|"],
+        b'-' => &["->", "--", "-=", "-"],
+        b'+' => &["++", "+=", "+"],
+        b'/' => &["/=", "/"],
+        b'.' => &[".=", "."],
+        b'%' => &["%=", "%"],
+        b'?' => &["??", "?"],
+        b'(' => &["("],
+        b')' => &[")"],
+        b'[' => &["["],
+        b']' => &["]"],
+        b'{' => &["{"],
+        b'}' => &["}"],
+        b',' => &[","],
+        b';' => &[";"],
+        b':' => &[":"],
+        b'^' => &["^"],
+        b'~' => &["~"],
+        b'@' => &["@"],
+        _ => &[],
     }
 }
 
@@ -452,6 +547,64 @@ mod tests {
         // Spans are monotonically non-overlapping.
         for w in spans.windows(2) {
             assert!(w[0].hi <= w[1].lo);
+        }
+    }
+
+    #[test]
+    fn utf8_literals_are_copied_whole() {
+        let toks = lex_php("$q = 'café';").unwrap();
+        assert_eq!(toks[2], PTok::Str(vec![StrPart::Lit("café".into())]));
+        // An unknown escape before a multi-byte character keeps both.
+        let toks = lex_php("$q = \"a\\é $x ünï\\n\";").unwrap();
+        assert_eq!(
+            toks[2],
+            PTok::Str(vec![
+                StrPart::Lit("a\\é ".into()),
+                StrPart::Interp("x".into()),
+                StrPart::Lit(" ünï\n".into()),
+            ])
+        );
+        let toks = lex_php("$q = 'ü\\'ö\\é';").unwrap();
+        assert_eq!(toks[2], PTok::Str(vec![StrPart::Lit("ü'ö\\é".into())]));
+    }
+
+    #[test]
+    fn integers_past_i64_max_are_floats() {
+        let toks = lex_php("$a = 9223372036854775807; $b = 99999999999999999999;").unwrap();
+        assert_eq!(toks[2], PTok::Int(i64::MAX));
+        assert_eq!(toks[6], PTok::Float(1e20));
+    }
+
+    #[test]
+    fn empty_literals_keep_their_shape() {
+        let toks = lex_php(r#"$a = ''; $b = "";"#).unwrap();
+        assert_eq!(toks[2], PTok::Str(vec![StrPart::Lit(String::new())]));
+        assert_eq!(toks[6], PTok::Str(Vec::new()));
+    }
+
+    #[test]
+    fn operator_dispatch_matches_maximal_munch_over_all_operators() {
+        const OPS: &[&str] = &[
+            "===", "!==", "<=>", "<<=", ">>=", "**=", "&&", "||", "==", "!=", "<>", "<=", ">=",
+            "=>", "->", "++", "--", "+=", "-=", "*=", "/=", ".=", "%=", "??", "<<", ">>", "(", ")",
+            "[", "]", "{", "}", ",", ";", ".", "+", "-", "*", "/", "%", "=", "<", ">", "!", "?",
+            ":", "&", "|", "^", "~", "@",
+        ];
+        // Reference: scan the whole table, longest first.
+        let reference = |rest: &str| OPS.iter().copied().find(|op| rest.starts_with(op));
+        let alphabet: std::collections::BTreeSet<char> = OPS.concat().chars().collect();
+        for &a in &alphabet {
+            for &b in &alphabet {
+                for &c in &alphabet {
+                    let rest: String = [a, b, c].iter().collect();
+                    let mut lx = PhpLexer { src: &rest, pos: 0, parts: Vec::new() };
+                    let got = lx.operator().ok().map(|l| match l {
+                        Lexeme::Op(op) => op,
+                        other => panic!("operator() returned {other:?}"),
+                    });
+                    assert_eq!(got, reference(&rest), "{rest:?}");
+                }
+            }
         }
     }
 

@@ -299,3 +299,25 @@ fn exit_with_non_string_argument_appends_nothing() {
     let run2 = run_both_plain(r#"echo "x"; die("bye"); echo "y";"#);
     assert_eq!(run2.output, "xbye");
 }
+
+#[test]
+fn utf8_literals_render_unmangled() {
+    let run = run_both_plain(r#"echo 'café'; echo "|ünï\é|"; echo strlen('é');"#);
+    // Literals keep their UTF-8 bytes; an unknown escape keeps its
+    // backslash; strlen counts bytes.
+    assert_eq!(run.output, "café|ünï\\é|2");
+}
+
+#[test]
+fn integer_literals_past_i64_max_are_floats() {
+    let run = run_both_plain(
+        r#"
+        $big = 99999999999999999999;
+        echo $big > 9223372036854775807 ? "float" : "wrapped";
+        echo "|" . $big;
+        echo "|" . 9223372036854775807;
+        "#,
+    );
+    // PHP reads an integer literal that overflows i64 as a float.
+    assert_eq!(run.output, "float|100000000000000000000|9223372036854775807");
+}

@@ -134,6 +134,60 @@ proptest! {
     }
 }
 
+/// Source text dense in the bytes the PHP lexer and the fragment
+/// extractor branch on — quotes, backslashes, `$`, braces, `%`, `:` — plus
+/// multi-byte characters, so unterminated literals, interpolations and a
+/// backslash before a multi-byte character come up in most cases.
+const FUZZ_SOURCE: &str = r#"[''""\\\\$${}%%::sa_0 é€𝄞;=/*#?>.]{0,160}"#;
+/// String-literal bodies in the same spirit, for sources that mostly lex.
+const FUZZ_LITERAL: &str = r#"[\\$${}%%::sdf_0-9a é€𝄞 ]{0,30}"#;
+
+/// One assignment per body, alternating double- and single-quoted.
+fn literal_program(bodies: &[String]) -> String {
+    bodies
+        .iter()
+        .enumerate()
+        .map(
+            |(i, b)| {
+                if i % 2 == 0 {
+                    format!("$v{i} = \"{b}\";\n")
+                } else {
+                    format!("$v{i} = '{b}';\n")
+                }
+            },
+        )
+        .collect()
+}
+
+proptest! {
+    /// The PHP front end never panics, whatever the input.
+    #[test]
+    fn fuzz_frontend_never_panics(srcs in proptest::collection::vec(FUZZ_SOURCE, 16..32)) {
+        for src in &srcs {
+            let _ = lex_php(src);
+            let _ = parse_program(src);
+        }
+    }
+
+    /// Fragment extraction never panics, keeps only non-empty fragments,
+    /// and the installer's bulk path agrees with file-by-file extraction.
+    #[test]
+    fn fuzz_fragment_extraction_never_panics(
+        raw in proptest::collection::vec(FUZZ_SOURCE, 8..16),
+        bodies in proptest::collection::vec(proptest::collection::vec(FUZZ_LITERAL, 1..6), 8..16),
+    ) {
+        let srcs: Vec<String> =
+            raw.into_iter().chain(bodies.iter().map(|b| literal_program(b))).collect();
+        let mut set = FragmentSet::new();
+        for src in &srcs {
+            set.add_source(src);
+        }
+        prop_assert!(set.iter().all(|f| !f.is_empty()));
+        let sources: Vec<&str> = srcs.iter().map(String::as_str).collect();
+        prop_assert_eq!(FragmentSet::from_sources(&sources), set);
+    }
+}
+
 /// Fragment extraction splits interpolated strings at placeholders into
 /// multiple fragments (§IV-A's format-string rule).
 #[test]

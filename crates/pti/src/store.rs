@@ -67,8 +67,12 @@ impl FragmentStore {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let fragments: Vec<String> =
-            fragments.into_iter().map(|s| s.as_ref().to_string()).collect();
+        Self::from_vec(fragments.into_iter().map(|s| s.as_ref().to_string()).collect(), kind)
+    }
+
+    /// Compiles a store over a vocabulary it takes ownership of, in index
+    /// order (the installer's path: no fragment is copied).
+    pub fn from_vec(fragments: Vec<String>, kind: MatcherKind) -> Self {
         let mut store = FragmentStore { fragments, kind, ac: None, naive: None, mru: None };
         match kind {
             MatcherKind::Naive => store.naive = Some(NaiveScanner::new(&store.fragments)),

@@ -45,7 +45,7 @@ pub fn lex(source: &str) -> Vec<Token> {
 /// runs on the word-parallel [`swar`] kernels.
 pub fn lex_into(source: &str, tokens: &mut Vec<Token>) {
     tokens.clear();
-    Lexer { src: source.as_bytes(), pos: 0 }.run(tokens);
+    tokens.extend(Lexer { src: source.as_bytes(), pos: 0 });
     // Words lex as Identifier; promote reserved words to Keyword.
     for t in tokens {
         if t.kind == TokenKind::Identifier && is_keyword(t.text(source)) {
@@ -54,14 +54,38 @@ pub fn lex_into(source: &str, tokens: &mut Vec<Token>) {
     }
 }
 
+/// Whether `source` lexes to at least one token that is not
+/// [`TokenKind::Unknown`] — the fragment extractor's retain rule (§IV-A).
+/// Drives the same lexer as [`lex`] but stops at the first such token and
+/// skips keyword promotion, which cannot turn a token into `Unknown`.
+///
+/// # Examples
+///
+/// ```
+/// use joza_sqlparse::lexer::has_known_token;
+///
+/// assert!(has_known_token("  AND "));
+/// assert!(!has_known_token("   "));
+/// ```
+pub fn has_known_token(source: &str) -> bool {
+    Lexer { src: source.as_bytes(), pos: 0 }.any(|t| t.kind != TokenKind::Unknown)
+}
+
 struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Lexer<'a> {
-    fn run(mut self, out: &mut Vec<Token>) {
-        while self.pos < self.src.len() {
+/// Yields tokens without whitespace and before keyword promotion.
+impl Iterator for Lexer<'_> {
+    type Item = Token;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Token> {
+        loop {
+            if self.pos >= self.src.len() {
+                return None;
+            }
             let start = self.pos;
             let b = self.src[self.pos];
             let kind = match b {
@@ -125,10 +149,12 @@ impl<'a> Lexer<'a> {
                     TokenKind::Unknown
                 }
             };
-            out.push(Token { kind, start, end: self.pos });
+            return Some(Token { kind, start, end: self.pos });
         }
     }
+}
 
+impl<'a> Lexer<'a> {
     fn peek(&self, ahead: usize) -> Option<u8> {
         self.src.get(self.pos + ahead).copied()
     }

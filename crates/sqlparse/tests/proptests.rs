@@ -5,7 +5,7 @@ use joza_sqlparse::fingerprint::{
     fingerprint, fingerprint_of, fingerprint_syms_with, raw_skeleton_syms, raw_skeleton_tokens,
     skeleton, skeleton_tokens,
 };
-use joza_sqlparse::lexer::{lex, lex_into};
+use joza_sqlparse::lexer::{has_known_token, lex, lex_into};
 use joza_sqlparse::parser::parse;
 use joza_sqlparse::symbol::resolve_all;
 use joza_sqlparse::token::TokenKind;
@@ -113,6 +113,20 @@ proptest! {
         for input in &inputs {
             lex_into(input, &mut reused);
             prop_assert_eq!(&reused, &lex(input), "input {:?}", input);
+        }
+    }
+
+    /// The early-exit retain test answers exactly what a full lex would:
+    /// whether any token is not `Unknown`.
+    #[test]
+    fn has_known_token_matches_full_lex(
+        inputs in proptest::collection::vec(lexer_edge_input(), 1..8),
+        // Mostly bytes that lex as `Unknown`, so both answers are common.
+        unknowns in proptest::collection::vec(r"[{}\[\]\\ ]{0,8}[a{]{0,1}", 1..8),
+    ) {
+        for input in inputs.iter().chain(&unknowns) {
+            let full = lex(input).iter().any(|t| t.kind != TokenKind::Unknown);
+            prop_assert_eq!(has_known_token(input), full, "input {:?}", input);
         }
     }
 

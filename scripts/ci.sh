@@ -29,8 +29,12 @@ cargo test -q --test concurrency -- --test-threads=4
 # match the std byte map, and the packed q-gram profile must return the
 # HashMap reference's bound (debug build, so debug assertions are live
 # inside the kernels). The nti `kernels` filter includes the
-# verbatim-first report-identity test.
-echo "==> differential kernel tests (strmatch myers + swar + qgram, nti kernel, lexer equivalence)"
+# verbatim-first report-identity test. The installer's extractor must
+# match its references too: the byte-level placeholder splitter and the
+# early-exit SQL retain test against the char-by-char splitter and a full
+# lex, and the installed lab-plus-WordPress vocabulary against its golden
+# count and order-sensitive digest.
+echo "==> differential kernel tests (strmatch myers + swar + qgram, nti kernel, lexer equivalence, installer vocabulary)"
 cargo test -q -p joza-strmatch myers
 cargo test -q -p joza-strmatch --test proptests myers
 cargo test -q -p joza-strmatch --test proptests qgram
@@ -39,6 +43,9 @@ cargo test -q -p joza-strmatch --test proptests swar
 cargo test -q -p joza-strmatch --test proptests to_lower
 cargo test -q -p joza-nti --test proptests kernels
 cargo test -q -p joza-sqlparse --test proptests lex_into
+cargo test -q -p joza-sqlparse --test proptests has_known_token
+cargo test -q -p joza-phpsim --lib fragments::tests::reference_
+cargo test -q --test installer_vocabulary
 cargo test -q -p joza-sqlparse --test proptests sym_skeleton
 cargo test -q --test nti_kernel_identity
 cargo test -q --test alloc_free
@@ -56,13 +63,16 @@ cargo test -q --test pipeline_equivalence
 # the next query (fail closed, recovery policy applied) instead of
 # panicking the worker, and the respawned daemon answers the one after;
 # and both PTI caches filled far past capacity leave every lab-corpus
-# verdict identical to a cache-less engine's.
-echo "==> robustness (bounded caches, daemon kill, eviction soundness)"
+# verdict identical to a cache-less engine's. The PHP front end and the
+# fragment extractor never panic on source dense in quotes, backslashes,
+# `$`, braces, `%`, `:` and multi-byte characters.
+echo "==> robustness (bounded caches, daemon kill, eviction soundness, phpsim fuzz)"
 cargo test -q --test bounded_cache
 cargo test -q -p joza-pti --lib stays_within_capacity_and_counts_evictions
 cargo test -q -p joza-pti --lib daemon::tests::dead_
 cargo test -q -p joza-core --lib pti_daemon_death_blocks_then_respawns
 cargo test -q --test pipeline_equivalence evicting_caches_never_change_a_verdict
+cargo test -q -p joza-phpsim --test proptests fuzz_
 
 # Engine equivalence, explicitly: the bytecode VM and the tree-walking
 # interpreter must produce bit-identical responses (body, queries,

@@ -67,12 +67,13 @@ fn cmd_extract(args: &[String]) -> Result<ExitCode, String> {
     if files.is_empty() {
         return Err("extract: no source files found".into());
     }
-    let mut set = FragmentSet::new();
-    for file in &files {
-        let src = std::fs::read_to_string(file)
-            .map_err(|e| format!("extract: {}: {e}", file.display()))?;
-        set.add_source(&src);
-    }
+    let sources = files
+        .iter()
+        .map(|file| {
+            std::fs::read_to_string(file).map_err(|e| format!("extract: {}: {e}", file.display()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let set = FragmentSet::from_sources(&sources.iter().map(String::as_str).collect::<Vec<_>>());
     eprintln!("joza: {} fragments from {} files", set.len(), files.len());
     let mut frags: Vec<&str> = set.iter().collect();
     frags.sort_unstable();
