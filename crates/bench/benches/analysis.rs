@@ -4,10 +4,9 @@
 //! request-level numbers.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use joza_bench::workload::wordpress_fragments;
 use joza_core::{Joza, JozaConfig};
-use joza_lab::wordpress;
 use joza_nti::{NtiAnalyzer, NtiConfig};
-use joza_phpsim::fragments::FragmentSet;
 use joza_pti::analyzer::{PtiAnalyzer, PtiConfig};
 use joza_pti::cache::VerdictCache;
 use joza_pti::daemon::{PtiComponent, PtiComponentConfig};
@@ -16,17 +15,6 @@ use joza_sqlparse::parser::parse;
 
 const BENIGN: &str = "SELECT option_value FROM wp_options WHERE option_name = 'siteurl' LIMIT 1";
 const ATTACK: &str = "SELECT * FROM wp_posts WHERE ID=-1 UNION SELECT user_pass FROM wp_users";
-
-fn fragments() -> Vec<String> {
-    let mut set = FragmentSet::new();
-    for src in wordpress::core_sources() {
-        set.add_source(&src);
-    }
-    for src in wordpress::synthetic_core_sources(60) {
-        set.add_source(&src);
-    }
-    set.iter().map(str::to_string).collect()
-}
 
 fn bench_parse_fingerprint(c: &mut Criterion) {
     let mut g = c.benchmark_group("sqlparse");
@@ -57,7 +45,7 @@ fn bench_nti(c: &mut Criterion) {
 }
 
 fn bench_pti(c: &mut Criterion) {
-    let frags = fragments();
+    let frags = wordpress_fragments(60);
     let mut g = c.benchmark_group("pti_analyze");
     for (name, cfg) in [
         ("optimized_mru_parse_first", PtiConfig::optimized()),
@@ -95,7 +83,7 @@ fn bench_caches(c: &mut Criterion) {
 }
 
 fn bench_hybrid_gate(c: &mut Criterion) {
-    let frags = fragments();
+    let frags = wordpress_fragments(60);
     let mut g = c.benchmark_group("hybrid_check_query");
     let joza = Joza::builder().fragments(&frags).config(JozaConfig::optimized()).build();
     let _ = joza.check_query(&["siteurl"], BENIGN); // warm caches
@@ -128,7 +116,7 @@ fn bench_hybrid_gate(c: &mut Criterion) {
 }
 
 fn bench_daemon_roundtrip(c: &mut Criterion) {
-    let frags = fragments();
+    let frags = wordpress_fragments(60);
     let mut g = c.benchmark_group("daemon");
     let mut component = PtiComponent::new(
         &frags,

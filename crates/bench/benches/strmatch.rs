@@ -4,8 +4,7 @@
 //! length, and the three multi-pattern fragment-matching strategies.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use joza_lab::wordpress;
-use joza_phpsim::fragments::FragmentSet;
+use joza_bench::workload::wordpress_fragments;
 use joza_strmatch::ahocorasick::AhoCorasick;
 use joza_strmatch::levenshtein::{bounded_distance, distance};
 use joza_strmatch::mru::{MruScanner, NaiveScanner};
@@ -90,19 +89,8 @@ fn bench_sellers(c: &mut Criterion) {
     g.finish();
 }
 
-fn wordpress_fragments() -> Vec<String> {
-    let mut set = FragmentSet::new();
-    for src in wordpress::core_sources() {
-        set.add_source(&src);
-    }
-    for src in wordpress::synthetic_core_sources(60) {
-        set.add_source(&src);
-    }
-    set.iter().map(str::to_string).collect()
-}
-
 fn bench_fragment_matchers(c: &mut Criterion) {
-    let fragments = wordpress_fragments();
+    let fragments = wordpress_fragments(60);
     let q = "SELECT option_value FROM wp_options WHERE option_name = 'siteurl' LIMIT 1";
     let mut g = c.benchmark_group("fragment_matching");
     g.bench_function(format!("naive_scan_{}_fragments", fragments.len()), |b| {

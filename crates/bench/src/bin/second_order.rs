@@ -74,11 +74,7 @@ fn benign_two_phase_allowed(so: &mut SecondOrderLab, case: &SecondOrderCase, gat
     so.reset_database();
     let plant = so.lab.server.handle_with(&case.benign_plant_request(), gate);
     let trigger = so.lab.server.handle_with(&case.trigger_request(), gate);
-    !plant.blocked
-        && plant.executed == plant.queries.len()
-        && !trigger.blocked
-        && trigger.executed == trigger.queries.len()
-        && trigger.body.contains(&case.benign_echo)
+    !plant.denied() && !trigger.denied() && trigger.body.contains(&case.benign_echo)
 }
 
 fn detections(so: &mut SecondOrderLab, baseline: &Joza, defended: &Joza) -> Vec<Detection> {

@@ -2,9 +2,12 @@
 //! Experiment harness regenerating every table and figure of the Joza
 //! paper's evaluation (§V, §VI).
 //!
-//! Each table/figure has a dedicated binary (`table1` … `table7`, `fig7`,
-//! `fig8`; `all` runs everything). The shared machinery lives here:
+//! One binary, `paper`, renders every table, figure and ablation and
+//! checks the paper's claims (`paper table4 fig7`; no section runs them
+//! all). The machinery lives here:
 //!
+//! * [`paper`] — the sections and their [`paper::Claim`] rows, gated or
+//!   informational, and the claims table;
 //! * [`security`] — the §V security evaluation: NTI / PTI / Joza against
 //!   original, NTI-mutated and Taintless-mutated exploits across the
 //!   50-plugin corpus and the three CMS cases (Tables II & IV), the
@@ -18,6 +21,7 @@
 //!   `results/BENCH_*.json` writer shares (provenance, engine config,
 //!   percentiles, JSON escaping and output).
 
+pub mod paper;
 pub mod report;
 pub mod security;
 pub mod workload;

@@ -6,6 +6,7 @@ use joza_lab::nti_evasion::mutate_for_nti;
 use joza_lab::taintless::evade_pti;
 use joza_lab::verify::{exploit_effect_observed, request_for, verify_exploit};
 use joza_lab::{build_lab, Lab};
+use joza_phpsim::fragments::FragmentSet;
 use joza_pti::analyzer::{PtiAnalyzer, PtiConfig};
 use joza_webapp::request::HttpRequest;
 
@@ -41,21 +42,16 @@ pub struct SecurityEvaluation {
     pub cms: Vec<PluginOutcome>,
 }
 
-/// Did the gate stop the attack request? Detection means at least one
-/// query was not allowed through.
-fn detected(lab: &mut Lab, joza: &Joza, plugin: &VulnPlugin, exploit: &Exploit) -> bool {
-    let payload = exploit.primary_payload();
-    let resp = lab.server.handle_with(&request_for(plugin, payload), joza);
-    resp.blocked || resp.executed < resp.queries.len()
+/// Did the gate stop `plugin`'s request carrying `payload`? Detection
+/// means at least one query was not allowed through.
+pub fn detected(lab: &mut Lab, joza: &Joza, plugin: &VulnPlugin, payload: &str) -> bool {
+    lab.server.handle_with(&request_for(plugin, payload), joza).denied()
 }
 
 /// Builds the PTI analyzer over the lab's full fragment vocabulary (used
 /// by Taintless to search for evading mutants).
 pub fn lab_pti_analyzer(lab: &Lab) -> PtiAnalyzer {
-    let mut set = joza_phpsim::fragments::FragmentSet::new();
-    for src in lab.server.app.all_sources() {
-        set.add_source(src);
-    }
+    let set = FragmentSet::from_sources(&lab.server.app.all_sources());
     PtiAnalyzer::from_fragments(set.iter(), PtiConfig::default())
 }
 
@@ -80,13 +76,13 @@ pub fn evaluate() -> SecurityEvaluation {
                 let taintless_adapted = taintless.is_some();
                 let pti_mut = taintless.map(|e| e.mutated).unwrap_or_else(|| original.clone());
 
-                let nti_original = detected(&mut lab, &nti_only, p, &original);
-                let nti_mutated = detected(&mut lab, &nti_only, p, &nti_mut);
-                let pti_original = detected(&mut lab, &pti_only, p, &original);
-                let pti_mutated = detected(&mut lab, &pti_only, p, &pti_mut);
-                let joza_all = detected(&mut lab, &hybrid, p, &original)
-                    && detected(&mut lab, &hybrid, p, &nti_mut)
-                    && detected(&mut lab, &hybrid, p, &pti_mut);
+                let nti_original = detected(&mut lab, &nti_only, p, original.primary_payload());
+                let nti_mutated = detected(&mut lab, &nti_only, p, nti_mut.primary_payload());
+                let pti_original = detected(&mut lab, &pti_only, p, original.primary_payload());
+                let pti_mutated = detected(&mut lab, &pti_only, p, pti_mut.primary_payload());
+                let joza_all = detected(&mut lab, &hybrid, p, original.primary_payload())
+                    && detected(&mut lab, &hybrid, p, nti_mut.primary_payload())
+                    && detected(&mut lab, &hybrid, p, pti_mut.primary_payload());
                 PluginOutcome {
                     plugin: p.clone(),
                     exploit_works,
@@ -144,10 +140,10 @@ pub fn sqlmap_sweep(per_plugin: usize) -> Vec<SqlmapSweep> {
         let mut nti_detected = 0;
         let mut pti_detected = 0;
         for v in &variants {
-            if detected(&mut lab, &nti_only, &plugin, v) {
+            if detected(&mut lab, &nti_only, &plugin, v.primary_payload()) {
                 nti_detected += 1;
             }
-            if detected(&mut lab, &pti_only, &plugin, v) {
+            if detected(&mut lab, &pti_only, &plugin, v.primary_payload()) {
                 pti_detected += 1;
             }
         }
@@ -173,7 +169,7 @@ pub fn false_positive_sweep() -> (usize, usize) {
     let mut run = |req: HttpRequest| {
         let resp = lab.server.handle_with(&req, &joza);
         total += 1;
-        if resp.blocked || resp.executed < resp.queries.len() {
+        if resp.denied() {
             blocked += 1;
         }
     };

@@ -2,8 +2,8 @@
 //!
 //! Workloads mirror the paper's: a full site crawl (reads — §VI-A's 1001
 //! unique URLs yielding ~20 queries per page), random comment posting
-//! (writes), and random searches. Each workload runs twice — plain and
-//! behind a Joza gate — and the overhead is the relative wall-clock
+//! (writes), and random searches. [`measure`] runs a workload plain and
+//! behind each Joza setup, and the overhead is the relative wall-clock
 //! difference. Joza's per-component time (NTI vs PTI) comes from the
 //! engine's internal accounting.
 //!
@@ -30,6 +30,7 @@
 
 use joza_core::{Joza, JozaConfig};
 use joza_lab::{build_lab, wordpress, Lab};
+use joza_phpsim::fragments::FragmentSet;
 use joza_pti::daemon::{DaemonMode, PtiComponentConfig};
 use joza_pti::{MatcherKind, PtiConfig};
 use joza_webapp::request::HttpRequest;
@@ -86,67 +87,32 @@ impl Setup {
     /// The Joza configuration for this setup, with the harness's
     /// calibrated PHP-boundary costs applied.
     pub fn joza_config(self) -> JozaConfig {
-        let boundary = |mode| match mode {
+        let (mode, query_cache, structure_cache, pti) = match self {
+            Setup::Unoptimized => (
+                DaemonMode::PerQuery,
+                false,
+                false,
+                PtiConfig { matcher: MatcherKind::Naive, parse_first: false, ..Default::default() },
+            ),
+            Setup::DaemonNoCache => (DaemonMode::LongLived, false, false, PtiConfig::optimized()),
+            Setup::DaemonQueryCache => (DaemonMode::LongLived, true, false, PtiConfig::optimized()),
+            Setup::DaemonFullCache => (DaemonMode::LongLived, true, true, PtiConfig::optimized()),
+            Setup::ExtensionEstimate => (DaemonMode::InProcess, true, true, PtiConfig::optimized()),
+        };
+        // An in-process analyzer has no PHP boundary to pay for.
+        let (pipe_cost, response_parse_cost, spawn_cost) = match mode {
             DaemonMode::InProcess => (Duration::ZERO, Duration::ZERO, Duration::ZERO),
             _ => (PIPE_COST, RESPONSE_PARSE_COST, SPAWN_COST),
         };
-        let pti = match self {
-            Setup::Unoptimized => {
-                let (pipe_cost, response_parse_cost, spawn_cost) = boundary(DaemonMode::PerQuery);
-                PtiComponentConfig {
-                    mode: DaemonMode::PerQuery,
-                    query_cache: false,
-                    structure_cache: false,
-                    pti: PtiConfig {
-                        matcher: MatcherKind::Naive,
-                        parse_first: false,
-                        ..Default::default()
-                    },
-                    pipe_cost,
-                    response_parse_cost,
-                    spawn_cost,
-                    ..Default::default()
-                }
-            }
-            Setup::DaemonNoCache => {
-                let (pipe_cost, response_parse_cost, spawn_cost) = boundary(DaemonMode::LongLived);
-                PtiComponentConfig {
-                    mode: DaemonMode::LongLived,
-                    query_cache: false,
-                    structure_cache: false,
-                    pti: PtiConfig::optimized(),
-                    pipe_cost,
-                    response_parse_cost,
-                    spawn_cost,
-                    ..Default::default()
-                }
-            }
-            Setup::DaemonQueryCache => {
-                let (pipe_cost, response_parse_cost, spawn_cost) = boundary(DaemonMode::LongLived);
-                PtiComponentConfig {
-                    mode: DaemonMode::LongLived,
-                    query_cache: true,
-                    structure_cache: false,
-                    pti: PtiConfig::optimized(),
-                    pipe_cost,
-                    response_parse_cost,
-                    spawn_cost,
-                    ..Default::default()
-                }
-            }
-            Setup::DaemonFullCache => {
-                let (pipe_cost, response_parse_cost, spawn_cost) = boundary(DaemonMode::LongLived);
-                PtiComponentConfig {
-                    pipe_cost,
-                    response_parse_cost,
-                    spawn_cost,
-                    ..PtiComponentConfig::optimized()
-                }
-            }
-            Setup::ExtensionEstimate => PtiComponentConfig {
-                mode: DaemonMode::InProcess,
-                ..PtiComponentConfig::optimized()
-            },
+        let pti = PtiComponentConfig {
+            mode,
+            query_cache,
+            structure_cache,
+            pti,
+            pipe_cost,
+            response_parse_cost,
+            spawn_cost,
+            ..Default::default()
         };
         JozaConfig { pti, wrapper_cost: WRAPPER_COST, ..JozaConfig::optimized() }
     }
@@ -161,6 +127,17 @@ impl Setup {
             Setup::ExtensionEstimate => "PHP-extension estimate (in-process)",
         }
     }
+}
+
+/// The extracted fragment vocabulary of WordPress core plus
+/// `synthetic_files` synthetic core source files.
+pub fn wordpress_fragments(synthetic_files: usize) -> Vec<String> {
+    let sources: Vec<String> = wordpress::core_sources()
+        .into_iter()
+        .chain(wordpress::synthetic_core_sources(synthetic_files))
+        .collect();
+    let sources: Vec<&str> = sources.iter().map(String::as_str).collect();
+    FragmentSet::from_sources(&sources).iter().map(str::to_string).collect()
 }
 
 /// Builds the performance lab: the full WP-SQLI-LAB application with
@@ -203,14 +180,16 @@ pub fn crawl_requests(unique_urls: usize) -> Vec<HttpRequest> {
     out
 }
 
-/// The write workload: random comments (every body unique — the
-/// query-cache-hostile, structure-cache-friendly case).
-pub fn write_requests(n: usize, rng: &mut StdRng) -> Vec<HttpRequest> {
+/// The write workload, pass `pass`: `n` random comments, every body
+/// unique across passes as production writes are (the query-cache-hostile,
+/// structure-cache-friendly case).
+pub fn write_requests_pass(n: usize, pass: usize) -> Vec<HttpRequest> {
+    let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ pass as u64);
     let words = ["great", "post", "really", "liked", "the", "part", "about", "joza", "thanks"];
     (0..n)
         .map(|i| {
             let len = rng.random_range(4..12);
-            let mut text = format!("comment #{i}:");
+            let mut text = format!("[pass {pass} #{i}] comment #{i}:");
             for _ in 0..len {
                 text.push(' ');
                 text.push_str(words[rng.random_range(0..words.len())]);
@@ -221,19 +200,6 @@ pub fn write_requests(n: usize, rng: &mut StdRng) -> Vec<HttpRequest> {
                 .param("comment", &text)
         })
         .collect()
-}
-
-/// A write pass for steady-state measurement: pass `pass` of `n` fresh
-/// comments (unique across passes, as production writes are).
-pub fn write_requests_pass(n: usize, pass: usize) -> Vec<HttpRequest> {
-    let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ pass as u64);
-    let mut reqs = write_requests(n, &mut rng);
-    for (i, r) in reqs.iter_mut().enumerate() {
-        if let Some(v) = r.post.iter_mut().find(|(k, _)| k == "comment") {
-            v.1 = format!("[pass {pass} #{i}] {}", v.1);
-        }
-    }
-    reqs
 }
 
 /// The search workload: random search terms.
@@ -247,58 +213,76 @@ pub fn search_requests(n: usize, rng: &mut StdRng) -> Vec<HttpRequest> {
         .collect()
 }
 
-/// Measured outcome of one workload run.
+/// Timed passes per setup in [`measure`], after one untimed warmup pass;
+/// each setup reports its median pass.
+const REPS: usize = 3;
+
+/// Measured outcome of one timed pass.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunStats {
     /// Wall-clock total across requests.
     pub total: Duration,
     /// Requests served.
     pub requests: usize,
-    /// Queries issued by the application.
-    pub queries: usize,
     /// Time inside NTI (protected runs only).
     pub nti_time: Duration,
     /// Time inside PTI (protected runs only).
     pub pti_time: Duration,
-    /// Time inside the gate as measured at the interception point.
-    pub gate_time: Duration,
 }
 
 impl RunStats {
-    /// Mean time per request.
+    /// Mean wall-clock time per request.
     pub fn per_request(&self) -> Duration {
-        if self.requests == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.requests as u32
-        }
+        self.total / self.requests.max(1) as u32
+    }
+
+    /// Mean NTI time per request.
+    pub fn nti_per_request(&self) -> Duration {
+        self.nti_time / self.requests.max(1) as u32
+    }
+
+    /// Mean PTI time per request.
+    pub fn pti_per_request(&self) -> Duration {
+        self.pti_time / self.requests.max(1) as u32
     }
 }
 
-/// A reusable measurement fixture: one lab and (optionally) one installed
-/// Joza engine, so caches reach steady state across passes — the regime
-/// the paper's live-site measurements reflect.
-pub struct MeasureBench {
+/// One workload measured unprotected and behind each of several setups.
+#[derive(Debug, Clone)]
+pub struct Measurement {
+    /// The unprotected baseline: the one denominator of every setup's
+    /// overhead.
+    pub plain: RunStats,
+    /// The protected runs, in the order the setups were given.
+    pub protected: Vec<RunStats>,
+}
+
+impl Measurement {
+    /// Relative overhead of the `i`-th setup over the plain baseline.
+    pub fn overhead(&self, i: usize) -> f64 {
+        overhead(self.plain.total, self.protected[i].total)
+    }
+}
+
+/// One lab and (optionally) one installed Joza engine, kept across passes
+/// so caches reach the steady state the paper's live-site measurements
+/// reflect.
+struct Bench {
     lab: Lab,
     joza: Option<Joza>,
 }
 
-impl MeasureBench {
-    /// Builds the fixture over a fresh perf lab.
-    pub fn new(setup: Option<Setup>) -> Self {
+impl Bench {
+    fn new(setup: Option<Setup>) -> Self {
         let lab = perf_lab();
         let joza = setup.map(|s| Joza::install(&lab.server.app, s.joza_config()));
-        MeasureBench { lab, joza }
+        Bench { lab, joza }
     }
 
     /// One timed pass over `requests`, reporting only this pass's times.
     /// The database is re-seeded first so write accumulation from earlier
     /// passes cannot skew this one; Joza's caches are left warm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a benign request is blocked (a false positive).
-    pub fn pass(&mut self, requests: &[HttpRequest]) -> RunStats {
+    fn pass(&mut self, requests: &[HttpRequest]) -> RunStats {
         self.lab.reset_database();
         let before = self.joza.as_ref().map(|j| j.stats()).unwrap_or_default();
         let mut stats = RunStats { requests: requests.len(), ..Default::default() };
@@ -307,10 +291,8 @@ impl MeasureBench {
                 Some(j) => self.lab.server.handle_with(req, j),
                 None => self.lab.server.handle(req),
             };
-            assert!(!resp.blocked, "benign workload request blocked: {req:?}");
+            assert!(!resp.denied(), "benign workload request denied: {req:?}");
             stats.total += resp.total_time;
-            stats.queries += resp.queries.len();
-            stats.gate_time += resp.gate_time;
         }
         if let Some(j) = &self.joza {
             let d = j.stats().since(&before);
@@ -319,93 +301,47 @@ impl MeasureBench {
         }
         stats
     }
-
-    /// Warm pass: runs the workload untimed so caches (query cache,
-    /// structure cache, MRU fragment order) reach steady state.
-    pub fn warmup(&mut self, requests: &[HttpRequest]) {
-        let _ = self.pass(requests);
-    }
 }
 
-/// Steady-state measurement: warm the caches with one untimed pass, then
-/// return the median-total of `reps` timed passes.
+/// Measures one workload plain and behind each of `setups`, each in its
+/// own perf lab.
 ///
-/// Suitable for read/search workloads, where re-serving the same URLs is
-/// exactly what a steady-state site does. For write workloads use
-/// [`measure_steady_gen`] — real writes carry fresh content every time,
-/// and replaying identical writes would let the query cache absorb work
-/// it never could in production.
-pub fn measure_steady(requests: &[HttpRequest], setup: Option<Setup>, reps: usize) -> RunStats {
-    measure_steady_gen(setup, reps, |_| requests.to_vec())
-}
-
-/// Steady-state measurement with a per-pass request generator.
-///
-/// `gen(0)` produces the untimed warmup pass; `gen(1..=reps)` produce the
-/// timed passes. Every pass should draw from the same distribution; write
-/// generators should vary content across passes (unique comments) so the
-/// caches see the production hit pattern rather than a replay.
-pub fn measure_steady_gen<F>(setup: Option<Setup>, reps: usize, gen: F) -> RunStats
-where
-    F: Fn(usize) -> Vec<HttpRequest>,
-{
-    let mut bench = MeasureBench::new(setup);
-    bench.warmup(&gen(0));
-    let mut runs: Vec<RunStats> = (1..=reps.max(1)).map(|i| bench.pass(&gen(i))).collect();
-    runs.sort_by_key(|r| r.total);
-    runs[runs.len() / 2]
-}
-
-/// Plain and protected steady-state measurements with their passes
-/// *interleaved* (plain pass 1, protected pass 1, plain pass 2, …) so
-/// slow clock-speed drift affects both sides equally. Returns
-/// `(plain, protected)` medians.
-pub fn measure_pair_gen<F>(setup: Setup, reps: usize, gen: F) -> (RunStats, RunStats)
-where
-    F: Fn(usize) -> Vec<HttpRequest>,
-{
-    let mut plain = MeasureBench::new(None);
-    let mut protected = MeasureBench::new(Some(setup));
-    let warm = gen(0);
-    plain.warmup(&warm);
-    protected.warmup(&warm);
-    let mut plain_runs = Vec::new();
-    let mut protected_runs = Vec::new();
-    for i in 1..=reps.max(1) {
-        let reqs = gen(i);
-        plain_runs.push(plain.pass(&reqs));
-        protected_runs.push(protected.pass(&reqs));
-    }
-    plain_runs.sort_by_key(|r| r.total);
-    protected_runs.sort_by_key(|r| r.total);
-    (plain_runs[plain_runs.len() / 2], protected_runs[protected_runs.len() / 2])
-}
-
-/// Runs a request list against the given lab, optionally protected.
+/// `gen(0)` is an untimed warmup pass that brings every setup's caches to
+/// steady state; `gen(1..=REPS)` are the timed passes, and each setup
+/// reports its median. Within a pass every setup serves the same requests,
+/// plain first, so slow clock drift hits all of them equally and every
+/// overhead shares one plain denominator. Write generators should vary
+/// content across passes (unique comments, as production writes are);
+/// replaying identical writes would let the query cache absorb work it
+/// never could in production.
 ///
 /// # Panics
 ///
-/// Panics if any (benign) request is blocked — that would be a false
-/// positive, which §V-B establishes Joza does not produce.
-pub fn run_workload_in(lab: &mut Lab, requests: &[HttpRequest], setup: Option<Setup>) -> RunStats {
-    let joza = setup.map(|s| Joza::install(&lab.server.app, s.joza_config()));
-    let mut stats = RunStats { requests: requests.len(), ..Default::default() };
-    for req in requests {
-        let resp = match &joza {
-            Some(j) => lab.server.handle_with(req, j),
-            None => lab.server.handle(req),
-        };
-        assert!(!resp.blocked, "benign workload request blocked: {req:?}");
-        stats.total += resp.total_time;
-        stats.queries += resp.queries.len();
-        stats.gate_time += resp.gate_time;
+/// Panics if a benign request is denied (a false positive, which §V-B
+/// establishes Joza does not produce).
+pub fn measure<F>(setups: &[Setup], gen: F) -> Measurement
+where
+    F: Fn(usize) -> Vec<HttpRequest>,
+{
+    let mut benches: Vec<Bench> =
+        std::iter::once(None).chain(setups.iter().copied().map(Some)).map(Bench::new).collect();
+    let warm = gen(0);
+    for bench in &mut benches {
+        bench.pass(&warm);
     }
-    if let Some(j) = &joza {
-        let js = j.stats();
-        stats.nti_time = js.nti_time;
-        stats.pti_time = js.pti_time;
+    let mut runs = vec![Vec::with_capacity(REPS); benches.len()];
+    for i in 1..=REPS {
+        let requests = gen(i);
+        for (bench, runs) in benches.iter_mut().zip(&mut runs) {
+            runs.push(bench.pass(&requests));
+        }
     }
-    stats
+    let mut medians = runs.into_iter().map(|mut r| {
+        r.sort_by_key(|s| s.total);
+        r[REPS / 2]
+    });
+    let plain = medians.next().expect("the plain baseline is always measured");
+    Measurement { plain, protected: medians.collect() }
 }
 
 /// Relative overhead of `protected` over `plain`.
@@ -414,37 +350,6 @@ pub fn overhead(plain: Duration, protected: Duration) -> f64 {
         return 0.0;
     }
     (protected.as_secs_f64() - plain.as_secs_f64()) / plain.as_secs_f64()
-}
-
-/// A mixed read/write workload measurement (one Table VI row).
-#[derive(Debug, Clone, Copy)]
-pub struct MixResult {
-    /// Write fraction in `[0, 1]`.
-    pub write_fraction: f64,
-    /// Plain mean time per request.
-    pub plain: Duration,
-    /// Protected mean time per request.
-    pub protected: Duration,
-    /// Relative overhead.
-    pub overhead: f64,
-}
-
-/// Measures a read/write mix (Table VI): `writes_pct` percent writes.
-/// Write content is fresh in every pass.
-pub fn measure_mix(
-    writes_pct: usize,
-    total_requests: usize,
-    setup: Setup,
-    reps: usize,
-) -> MixResult {
-    let gen = |pass: usize| mix_requests_pass(writes_pct, total_requests, pass);
-    let (plain, protected) = measure_pair_gen(setup, reps, gen);
-    MixResult {
-        write_fraction: writes_pct as f64 / 100.0,
-        plain: plain.per_request(),
-        protected: protected.per_request(),
-        overhead: overhead(plain.total, protected.total),
-    }
 }
 
 /// Builds one pass of a read/write mix with pass-unique write content.
@@ -467,63 +372,6 @@ pub fn mix_requests_pass(
     requests
 }
 
-/// Per-request-type measurement for Figure 8 / Table V.
-#[derive(Debug, Clone, Copy)]
-pub struct TypeResult {
-    /// Plain per-request time.
-    pub plain: Duration,
-    /// Protected per-request time.
-    pub protected: Duration,
-    /// NTI share of protected time.
-    pub nti: Duration,
-    /// PTI share of protected time.
-    pub pti: Duration,
-    /// Relative overhead.
-    pub overhead: f64,
-}
-
-/// Measures one request list plain vs protected (steady-state medians of
-/// `reps` passes).
-pub fn measure_type(requests: &[HttpRequest], setup: Setup, reps: usize) -> TypeResult {
-    let plain = measure_steady(requests, None, reps);
-    measure_type_against(requests, setup, reps, &plain)
-}
-
-/// Measures one request list against an already-measured plain baseline.
-pub fn measure_type_against(
-    requests: &[HttpRequest],
-    setup: Setup,
-    reps: usize,
-    plain: &RunStats,
-) -> TypeResult {
-    measure_type_gen(setup, reps, |_| requests.to_vec(), plain)
-}
-
-/// Generator-based variant of [`measure_type_against`] for workloads
-/// whose content must differ per pass (writes).
-pub fn measure_type_gen<F>(setup: Setup, reps: usize, gen: F, plain: &RunStats) -> TypeResult
-where
-    F: Fn(usize) -> Vec<HttpRequest>,
-{
-    let protected = measure_steady_gen(Some(setup), reps, &gen);
-    let n = protected.requests.max(1) as u32;
-    TypeResult {
-        plain: plain.per_request(),
-        protected: protected.per_request(),
-        nti: protected.nti_time / n,
-        pti: protected.pti_time / n,
-        overhead: overhead(plain.total, protected.total),
-    }
-}
-
-/// Ensures the crawl reaches the paper's scale: ~20 queries per page.
-pub fn queries_per_read_request() -> f64 {
-    let reqs = crawl_requests(50);
-    let mut lab = build_lab(); // plain lab: no render costs needed
-    let stats = run_workload_in(&mut lab, &reqs, None);
-    stats.queries as f64 / stats.requests as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,7 +388,10 @@ mod tests {
 
     #[test]
     fn reads_issue_many_queries() {
-        let qpr = queries_per_read_request();
+        let reqs = crawl_requests(50);
+        let mut lab = build_lab(); // plain lab: no render costs needed
+        let queries: usize = reqs.iter().map(|r| lab.server.handle(r).queries.len()).sum();
+        let qpr = queries as f64 / reqs.len() as f64;
         assert!(qpr >= 5.0, "WordPress-style reads should be query-heavy, got {qpr}");
     }
 
@@ -548,13 +399,12 @@ mod tests {
     fn protected_run_blocks_nothing_benign() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut reqs = crawl_requests(20);
-        reqs.extend(write_requests(5, &mut rng));
+        reqs.extend(write_requests_pass(5, 0));
         reqs.extend(search_requests(5, &mut rng));
-        // Plain (uncalibrated) lab: keeps the test fast.
-        let mut lab = build_lab();
-        let stats = run_workload_in(&mut lab, &reqs, Some(Setup::DaemonFullCache));
-        assert_eq!(stats.requests, 30);
-        assert!(stats.pti_time > Duration::ZERO);
+        let m = measure(&[Setup::DaemonFullCache], |_| reqs.clone());
+        assert_eq!((m.plain.requests, m.protected.len()), (30, 1));
+        assert_eq!(m.plain.pti_time, Duration::ZERO);
+        assert!(m.protected[0].pti_time > Duration::ZERO);
     }
 
     #[test]
@@ -592,9 +442,8 @@ mod tests {
 
     #[test]
     fn seeded_workloads_are_deterministic() {
-        let mut a = StdRng::seed_from_u64(1);
-        let mut b = StdRng::seed_from_u64(1);
-        assert_eq!(write_requests(5, &mut a), write_requests(5, &mut b));
+        assert_eq!(write_requests_pass(5, 1), write_requests_pass(5, 1));
+        assert_ne!(write_requests_pass(5, 1), write_requests_pass(5, 2));
     }
 
     #[test]

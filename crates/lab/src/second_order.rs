@@ -406,8 +406,8 @@ pub fn run_two_phase_gated(
     let plant = server.handle_with(&case.exploit_plant_request(), factory);
     let trigger = server.handle_with(&case.trigger_request(), factory);
     TwoPhaseOutcome {
-        plant_allowed: !plant.blocked && plant.executed == plant.queries.len(),
-        trigger_denied: trigger.blocked || trigger.executed < trigger.queries.len(),
+        plant_allowed: !plant.denied(),
+        trigger_denied: trigger.denied(),
         leaked: trigger.body.contains(&case.leak_marker),
     }
 }
@@ -510,7 +510,7 @@ mod proptests {
                 case.class
             );
             prop_assert!(
-                trigger.blocked || trigger.executed < trigger.queries.len(),
+                trigger.denied(),
                 "{} trigger fully accepted (mask {mask:#x})",
                 case.class
             );

@@ -16,8 +16,8 @@
 //!   (`joza_core::StageId::StaticFastPath`) without running the dynamic
 //!   detectors at all;
 //! * deterministic [`Finding`]s (source→sink traces with AST spans) that
-//!   the `sast_report` binary compares against the lab corpus's known
-//!   ground truth.
+//!   the `paper` binary's `sast` section compares against the lab
+//!   corpus's known ground truth.
 //!
 //! The fast-path contract is deliberately one-sided: `taint_free` must
 //! never be true for an endpoint whose queries can carry attacker bytes

@@ -1,5 +1,5 @@
 //! Deterministic text rendering of analysis results, shared by the
-//! `sast_report` benchmark binary and the snapshot tests.
+//! `paper` binary's `sast-findings` section and the snapshot tests.
 
 use crate::analyzer::{Finding, TaintSummary};
 

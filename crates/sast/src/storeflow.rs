@@ -42,7 +42,7 @@
 //! static fast path must not fire on second-order-reachable routes),
 //! `joza_core`'s deployment (the dirty-cell set the dynamic gate uses to
 //! capture DB-sourced inputs), and the remediation worklist rendered by
-//! the `sast_report`/`harden` bins.
+//! the `paper` binary's `sast` section and the `harden` bin.
 
 use crate::analyzer::{analyze_source, AnalyzerConfig, TaintSummary};
 use crate::lattice::Taint;

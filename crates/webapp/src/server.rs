@@ -59,6 +59,13 @@ impl Response {
     pub fn had_sql_error(&self) -> bool {
         self.sql_error.is_some()
     }
+
+    /// Whether the gate stopped this request: it terminated the request,
+    /// or it kept at least one attempted query from the DBMS (error
+    /// virtualization lets the request finish without that query).
+    pub fn denied(&self) -> bool {
+        self.blocked || self.executed < self.queries.len()
+    }
 }
 
 /// A web server: one application + one database (+ optional gate).
@@ -497,6 +504,18 @@ mod tests {
         let resp = s.handle_with(&HttpRequest::get("show-post").param("id", "1"), &virtualize);
         assert!(!resp.blocked);
         assert!(resp.body.contains("DB error"));
+    }
+
+    #[test]
+    fn denied_covers_termination_and_virtualization() {
+        let mut s = demo_server();
+        let req = HttpRequest::get("show-post").param("id", "1");
+        let blocked = s.handle_with(&req, &Fixed(GateDecision::Terminate));
+        assert!(blocked.blocked && blocked.denied());
+        let virtualized = s.handle_with(&req, &Fixed(GateDecision::ErrorVirtualize));
+        assert!(!virtualized.blocked && virtualized.denied());
+        let clean = s.handle_with(&req, &AllowAll);
+        assert!(!clean.denied());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use joza::pti::analyzer::{PtiAnalyzer, PtiConfig};
 
 fn detected(lab: &mut Lab, joza: &Joza, plugin: &joza::lab::VulnPlugin, payload: &str) -> bool {
     let resp = lab.server.handle_with(&request_for(plugin, payload), joza);
-    resp.blocked || resp.executed < resp.queries.len()
+    resp.denied()
 }
 
 fn main() {

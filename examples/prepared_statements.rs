@@ -44,7 +44,7 @@ fn main() {
     println!("== 3. Joza intercepts the expanded text ==");
     let joza = Joza::install(&lab.server.app, JozaConfig::optimized());
     let resp = lab.server.handle_with(&attack, &joza);
-    assert!(resp.blocked || resp.executed < resp.queries.len());
+    assert!(resp.denied());
     println!(
         "attack stopped (blocked={}, executed {}/{} queries)",
         resp.blocked,

@@ -140,4 +140,12 @@ cargo run --quiet --release -p joza-bench --bin vm -- \
     --requests 24 --repeat 1 --soak 200 --min-speedup 3 \
     --out /tmp/joza_vm_smoke.json
 
+# The paper's claims: `paper` renders the deterministic security
+# tables and ablations, the static report and Figure 7 (the timed
+# section with gated claims that fits a CI budget), prints the claims
+# table, and exits non-zero if any gated claim fails. It writes no files.
+echo "==> paper claims (Tables I-IV, threshold + policy ablations, SAST, Fig. 7)"
+cargo run --quiet --release -p joza-bench --bin paper -- \
+    table1 table2 table3 table4 ablation_threshold ablation_policy sast fig7
+
 echo "==> CI green"

@@ -129,7 +129,7 @@ fn gate_outcomes_identical_across_modes_on_real_exploits() {
             .map(|p| {
                 let resp =
                     lab.server.handle_with(&request_for(p, p.exploit.primary_payload()), &joza);
-                resp.blocked || resp.executed < resp.queries.len()
+                resp.denied()
             })
             .collect();
         outcomes.push(row);

@@ -23,11 +23,7 @@ fn every_testbed_exploit_works_and_is_blocked() {
         // (b) the same attack request is stopped behind Joza.
         let attack = request_for(plugin, plugin.exploit.primary_payload());
         let resp = lab.server.handle_with(&attack, &joza);
-        assert!(
-            resp.blocked || resp.executed < resp.queries.len(),
-            "{}: exploit not stopped by Joza",
-            plugin.name
-        );
+        assert!(resp.denied(), "{}: exploit not stopped by Joza", plugin.name);
         assert!(
             !resp.body.contains(wordpress::SECRET_PASSWORD),
             "{}: secret leaked through Joza",
@@ -60,11 +56,7 @@ fn cms_case_studies_are_protected() {
         assert!(verify_exploit(&mut lab.server, case), "{}: exploit inert", case.name);
         let resp =
             lab.server.handle_with(&request_for(case, case.exploit.primary_payload()), &joza);
-        assert!(
-            resp.blocked || resp.executed < resp.queries.len(),
-            "{}: attack not stopped",
-            case.name
-        );
+        assert!(resp.denied(), "{}: attack not stopped", case.name);
         let resp = lab.server.handle_with(&request_for(case, &case.benign_value), &joza);
         assert!(!resp.blocked, "{}: benign blocked", case.name);
     }
@@ -82,11 +74,8 @@ fn hybrid_detects_attacks_either_component_misses() {
 
     let attack = request_for(&adrotate, adrotate.exploit.primary_payload());
     let resp = lab.server.handle_with(&attack, &nti_only);
-    assert!(
-        !resp.blocked && resp.executed == resp.queries.len(),
-        "NTI alone should miss the base64-encoded exploit"
-    );
+    assert!(!resp.denied(), "NTI alone should miss the base64-encoded exploit");
 
     let resp = lab.server.handle_with(&attack, &hybrid);
-    assert!(resp.blocked || resp.executed < resp.queries.len(), "hybrid must stop it");
+    assert!(resp.denied(), "hybrid must stop it");
 }

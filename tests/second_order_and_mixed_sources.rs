@@ -71,10 +71,7 @@ fn second_order_attack_evades_nti_but_not_joza() {
 
     // Hybrid: PTI sees OR outside any fragment → stopped.
     let resp = server.handle_with(&replay, &hybrid);
-    assert!(
-        resp.blocked || resp.executed < resp.queries.len(),
-        "Joza must stop the second-order attack"
-    );
+    assert!(resp.denied(), "Joza must stop the second-order attack");
 }
 
 #[test]
@@ -120,7 +117,7 @@ fn payload_construction_across_inputs_evades_nti_but_not_joza() {
 
     // The hybrid stops it (OR/TRUE are not program fragments).
     let resp = server.handle_with(&attack, &hybrid);
-    assert!(resp.blocked || resp.executed < resp.queries.len());
+    assert!(resp.denied());
 }
 
 #[test]
