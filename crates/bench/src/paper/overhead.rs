@@ -338,6 +338,25 @@ fn padded(mut query: String, len: usize) -> String {
     query
 }
 
+/// A quote-free comment body of `len` bytes and the duplicate-comment
+/// check the post-comment route runs on it, the shape of a gate-dynamic
+/// post: the body reaches the query unchanged, and the author input does
+/// not reach this query at all.
+fn dup_check(len: usize) -> (String, String) {
+    const WORDS: [&str; 8] = ["great", "post", "really", "liked", "the", "part", "about", "joza"];
+    let mut body = String::new();
+    let mut i = 0usize;
+    while body.len() < len {
+        body.push_str(WORDS[i * 5 % WORDS.len()]);
+        body.push(' ');
+        i += 1;
+    }
+    let query = format!(
+        "SELECT COUNT(*) FROM wp_comments WHERE comment_post_ID = 7 AND comment_content = '{body}'"
+    );
+    (body, query)
+}
+
 /// A comment body of `len` bytes in which every eighth word carries an
 /// apostrophe, as an INSERT built by an application that escapes quotes
 /// (magic quotes): the body reaches the query altered, so NTI's verbatim
@@ -379,7 +398,8 @@ fn escaped_comment(len: usize) -> (String, String) {
 /// (the bit-parallel path answers from its exact search) and with one
 /// quote per input escaped (the Myers kernel runs). A last table times
 /// requests whose inputs miss the exact search: long comment bodies with
-/// escaped apostrophes, and many short inputs absent from a long query.
+/// escaped apostrophes, a verbatim body next to an author the query lacks
+/// (a gate-dynamic post), and many short inputs absent from a long query.
 pub(super) fn ablation_matcher(_: &mut Paper) -> Report {
     let mut r = Report::default();
     outln!(r, "ABLATION: fragment matcher vs vocabulary size (warm)\n");
@@ -498,6 +518,15 @@ pub(super) fn ablation_matcher(_: &mut Paper) -> Report {
         row.extend(time_nti_kernels(&["visitor12", &body], &query, reps / 4));
         miss_rows.push(row);
     }
+    for len in [1024usize, 4096] {
+        let (body, query) = dup_check(len);
+        let mut row = vec![
+            format!("{} B comment verbatim, author absent", body.len()),
+            query.len().to_string(),
+        ];
+        row.extend(time_nti_kernels(&["7", "visitor12", &body], &query, reps));
+        miss_rows.push(row);
+    }
     let query = padded("SELECT * FROM wp_posts WHERE ID=0".to_string(), 6400);
     // Letters the query does not use, so the q-gram check skips them all.
     let fields: Vec<String> = (0..40)
@@ -519,7 +548,10 @@ pub(super) fn ablation_matcher(_: &mut Paper) -> Report {
     outln!(r, "scan, then the q-gram check, then (if it passes) the kernel. A comment whose");
     outln!(r, "apostrophes are escaped passes the check; its Myers scan is cheap, but the");
     outln!(r, "span recovery window covers the whole query, so both kernels run a full");
-    outln!(r, "Sellers DP and cost the same. Short inputs absent from a long query each pay");
-    outln!(r, "one scan of the query and a galloping gram merge before the check skips them.");
+    outln!(r, "Sellers DP and cost the same. A gate-dynamic comment post finds its body at");
+    outln!(r, "once; its 9-byte author, absent from the duplicate check's query, is too short");
+    outln!(r, "for the q-gram bound to prune, so it skips the check and runs the single-word");
+    outln!(r, "Myers scan over the query. Short inputs absent from a long query each pay one");
+    outln!(r, "scan of the query and a galloping gram merge before the check skips them.");
     r
 }

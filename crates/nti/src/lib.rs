@@ -23,24 +23,33 @@
 //! plausibility check skip implausible input/query pairs before the
 //! quadratic alignment runs. The query's q-gram profile is built lazily,
 //! only once some input reaches that check, as sorted packed grams in a
-//! recycled buffer (no hashing).
+//! recycled buffer (no hashing). An input too short for its bound to
+//! exceed the distance cutoff (at most `⌈(|p| − 2)/3⌉` missing-gram edits;
+//! every input of up to 11 bytes at threshold 0.2) never consults the
+//! profile: the bound could not skip it anyway.
 //!
 //! Under [`MatchKernel::BitParallel`], each input that passes the length
 //! check is first searched for *verbatim* in the normalized query with
-//! `str::find` (std's Two-Way search, linear in the worst case). A hit is
-//! taken as the comparison's result directly — the leftmost occurrence
-//! at distance 0 — and is exactly what the q-gram prefilter plus kernel
-//! would report: the prefilter cannot skip a distance-0 pair (all the
-//! input's q-grams occur in the query), so the pair counts as one
-//! comparison run; the Myers scan stops at its first zero-scoring
+//! [`swar::find_str`], which returns exactly `str::find`'s answer. For an
+//! input of 32 bytes or more it anchors candidates on the input's first
+//! and last bytes, eight start positions per word, and verifies each a
+//! word at a time; past a verification budget of one query length it
+//! hands the rest to `str::find` (std's Two-Way search), so it stays
+//! linear in the worst case. Shorter inputs go to `str::find` directly. A
+//! hit is taken as the comparison's result directly — the leftmost
+//! occurrence at distance 0 — and is exactly what the q-gram prefilter
+//! plus kernel would report: the prefilter cannot skip a distance-0 pair
+//! (all the input's q-grams occur in the query), so the pair counts as
+//! one comparison run; the Myers scan stops at its first zero-scoring
 //! column, whose span is the leftmost occurrence; and Sellers' tie-break
 //! (minimal distance, then minimal ratio — 0 for every exact span — then
 //! leftmost) picks the same one. An input the application embeds
-//! unchanged, such as a quote-free comment body, thus costs one linear
-//! scan instead of a q-gram profile and an `O(|p|·|q|/64)` alignment; an
-//! input it alters (an escaped quote, trimmed whitespace) misses the scan
-//! and takes the full path. [`MatchKernel::Classic`] skips the shortcut
-//! and stays the differential oracle.
+//! unchanged, such as a quote-free comment body, thus costs one pass over
+//! the query up to it and one over itself, instead of a q-gram profile
+//! and an `O(|p|·|q|/64)` alignment; an input it alters (an escaped
+//! quote, trimmed whitespace) misses the search and takes the full path.
+//! [`MatchKernel::Classic`] skips the shortcut and stays the differential
+//! oracle.
 //!
 //! # Examples
 //!
@@ -232,7 +241,7 @@ impl NtiAnalyzer {
                 continue;
             }
             let bytes = input.as_bytes();
-            let input_bytes: &[u8] = match if self.config.normalize_case {
+            let folded = match if self.config.normalize_case {
                 swar::first_ascii_upper(bytes)
             } else {
                 None
@@ -241,10 +250,11 @@ impl NtiAnalyzer {
                     fold_scratch.clear();
                     fold_scratch.extend_from_slice(&bytes[..first]);
                     to_lower_into(&bytes[first..], fold_scratch);
-                    fold_scratch
+                    true
                 }
-                None => bytes,
+                None => false,
             };
+            let input_bytes: &[u8] = if folded { fold_scratch } else { bytes };
             // Allowed distance bound: ratio < t with matched_len <= |p| + d
             // implies d < t·|p| / (1 − t).
             let t = self.config.threshold;
@@ -254,13 +264,15 @@ impl NtiAnalyzer {
                 continue;
             }
             // A verbatim occurrence passes the q-gram check and is the
-            // kernel's own answer — distance 0, leftmost span. Both
-            // operands are UTF-8, so the leftmost byte match is what
-            // `str::find` (Two-Way, linear in the worst case) returns.
-            let verbatim = query_str.and_then(|q| q.find(std::str::from_utf8(input_bytes).ok()?));
+            // kernel's own answer — distance 0, leftmost span. Folding
+            // keeps UTF-8 valid, so only a folded copy needs checking.
+            let verbatim = query_str.and_then(|q| {
+                let input = if folded { std::str::from_utf8(input_bytes).ok()? } else { input };
+                swar::find_str(q, input)
+            });
             if verbatim.is_none()
                 && self.config.qgram_prefilter
-                && query_profile.lower_bound(input_bytes) > cutoff
+                && query_profile.exceeds(input_bytes, cutoff)
             {
                 report.comparisons_skipped += 1;
                 continue;
@@ -514,6 +526,43 @@ mod tests {
         let m = &r.markings[0];
         assert_eq!((m.start, m.end, m.distance), (query.len() - input.len(), query.len(), 0));
         assert_eq!(r.comparisons_run, 1);
+    }
+
+    #[test]
+    fn verbatim_search_stays_linear_once_its_budget_is_spent() {
+        // `a^32766 ca` at the end of `a^65536 ca`: every `a` of the query
+        // before the copy is a candidate whose first and last bytes match
+        // and whose verification runs ~32k bytes before the `c` fails it.
+        // Verifying them all compares ~10^9 bytes; the search stops after
+        // about one query length of failed verification and hands the rest
+        // to the linear Two-Way search.
+        let input = format!("{}ca", "a".repeat(32 * 1024 - 2));
+        let query = format!("{}ca", "a".repeat(64 * 1024));
+        let r = nti().analyze(&[&input], &query);
+        let m = &r.markings[0];
+        assert_eq!((m.start, m.end, m.distance), (query.len() - input.len(), query.len(), 0));
+        assert_eq!(r.comparisons_run, 1);
+    }
+
+    #[test]
+    fn thresholds_at_and_above_one_neither_overflow_nor_skip() {
+        // At t = 1.0 the distance cutoff is `usize::MAX`; the length check
+        // must saturate rather than overflow (or, in release, wrap and skip
+        // every input at least as long as the query). At t = 1.5 the cutoff
+        // formula goes negative and casts to 0.
+        let q = "SELECT * FROM t WHERE id=-1 OR 1=1";
+        let inputs = [q, "-1 OR 1=1", "zzzz", "a much longer input than the whole query is"];
+        for threshold in [1.0, 1.5] {
+            let with =
+                |kernel| NtiAnalyzer::new(NtiConfig { threshold, kernel, ..Default::default() });
+            let r = with(MatchKernel::BitParallel).analyze(&inputs, q);
+            assert_eq!(with(MatchKernel::Classic).analyze(&inputs, q), r, "t = {threshold}");
+            assert!(
+                r.markings.iter().any(|m| m.input_index == 0 && (m.start, m.end) == (0, q.len())),
+                "t = {threshold}: the whole-query input must be marked: {r:?}"
+            );
+            assert!(r.is_attack());
+        }
     }
 
     #[test]

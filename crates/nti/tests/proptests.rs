@@ -110,6 +110,28 @@ proptest! {
         );
     }
 
+    /// An input of at most 11 bytes has at most 9 q-grams, a bound of at
+    /// most 3, and a cutoff of at least 3 at t = 0.2: the prefilter can
+    /// never skip it. Reports, counters included, are the same with the
+    /// prefilter on and off, under both kernels.
+    #[test]
+    fn kernels_agree_with_and_without_a_prefilter_that_cannot_prune(
+        inputs in proptest::collection::vec("[a-z0-9 =']{3,11}", 1..5),
+        query in "[ -~]{0,160}",
+    ) {
+        let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
+        let report = |kernel, qgram_prefilter| {
+            NtiAnalyzer::new(NtiConfig { kernel, qgram_prefilter, ..NtiConfig::default() })
+                .analyze(&refs, &query)
+        };
+        let reference = report(MatchKernel::Classic, false);
+        for kernel in [MatchKernel::Classic, MatchKernel::BitParallel] {
+            for prefilter in [false, true] {
+                prop_assert_eq!(&report(kernel, prefilter), &reference, "{} {}", kernel, prefilter);
+            }
+        }
+    }
+
     /// The bit-parallel kernel is verdict- AND span-identical to Classic:
     /// the full reports (markings, tainted criticals, skip/run counters)
     /// must be equal on arbitrary inputs, queries, and thresholds.

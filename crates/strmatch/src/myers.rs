@@ -25,6 +25,13 @@
 //!   scan stops early (only taken while no candidate has been seen, so
 //!   the candidate set stays exact).
 //!
+//! A pattern of at most 64 bytes fits one block, and NTI's inputs mostly
+//! do. Its scan takes a **single-word path**: Peq is one 256-entry table
+//! on the stack, the block's bottom score is the last-row score, and
+//! there is no band to grow or shrink, so each text byte costs one table
+//! load and about fifteen word operations. It returns the same minimal
+//! distance and end positions as the general path.
+//!
 //! The scan yields the minimal distance and every end position achieving
 //! it; the classic Sellers traceback then runs **only on the winning
 //! window** to recover exact `start..end` spans, and the final span is
@@ -156,6 +163,9 @@ fn advance_block(pv: &mut u64, mv: &mut u64, mut eq: u64, hin: i32) -> (u64, u64
 /// `pattern` and `text` are non-empty and `k ≤ |pattern|`.
 fn scan(pattern: &[u8], text: &[u8], k: usize) -> Option<(usize, Vec<usize>)> {
     let n = pattern.len();
+    if n <= W {
+        return scan_word(pattern, text, k);
+    }
     let m = text.len();
     let blocks = n.div_ceil(W);
     let top = blocks - 1;
@@ -253,6 +263,52 @@ fn scan(pattern: &[u8], text: &[u8], k: usize) -> Option<(usize, Vec<usize>)> {
     } else {
         Some((best, ends))
     }
+}
+
+/// [`scan`] for a pattern of at most 64 bytes. One block covers every
+/// row, so Peq is a single table on the stack, the top row's carry-in is
+/// always 0, and there is no band to grow or shrink: the block's bottom
+/// score *is* the last-row score. Same answer as the general path,
+/// including the early return at the first zero and the tail abandon.
+fn scan_word(pattern: &[u8], text: &[u8], k: usize) -> Option<(usize, Vec<usize>)> {
+    let n = pattern.len();
+    let m = text.len();
+    let mut peq = [0u64; 256];
+    for (i, &pc) in pattern.iter().enumerate() {
+        peq[pc as usize] |= 1u64 << i;
+    }
+    let last_row = 1u64 << (n - 1);
+    let (mut pv, mut mv) = (!0u64, 0u64);
+    let mut score = n;
+    let mut best = usize::MAX;
+    let mut ends: Vec<usize> = Vec::new();
+    if n <= k {
+        best = n;
+        ends.push(0);
+    }
+    for (j, &tc) in text.iter().enumerate() {
+        let (ph, mh, _) = advance_block(&mut pv, &mut mv, peq[tc as usize], 0);
+        score = score + usize::from(ph & last_row != 0) - usize::from(mh & last_row != 0);
+        if score <= k {
+            match score.cmp(&best) {
+                std::cmp::Ordering::Less => {
+                    best = score;
+                    ends.clear();
+                    ends.push(j + 1);
+                    if score == 0 {
+                        return Some((0, ends));
+                    }
+                }
+                std::cmp::Ordering::Equal => ends.push(j + 1),
+                std::cmp::Ordering::Greater => {}
+            }
+        } else if ends.is_empty() && score > k + (m - j - 1) {
+            // Tail abandon, as in `scan`: the score moves by at most 1 per
+            // column.
+            return None;
+        }
+    }
+    (best != usize::MAX).then_some((best, ends))
 }
 
 /// Recovers the exact winning span: runs the classic Sellers traceback on

@@ -120,6 +120,21 @@ impl<'t, 'b> QgramProfile<'t, 'b> {
         let missing = p_grams - common.min(p_grams);
         missing.div_ceil(q)
     }
+
+    /// Whether [`lower_bound`](Self::lower_bound) of `pattern` exceeds
+    /// `cutoff`. The bound counts missing grams, and a pattern has only
+    /// `|p| − q + 1` of them, so it never exceeds `⌈(|p| − q + 1)/q⌉`.
+    /// When that ceiling is within `cutoff` the answer is `false` without
+    /// building the profile or merging any grams: at NTI's `q = 3` and
+    /// threshold 0.2, every input of up to 11 bytes.
+    pub fn exceeds(&mut self, pattern: &[u8], cutoff: usize) -> bool {
+        let q = self.q;
+        let ceiling = match pattern.len().checked_sub(q) {
+            Some(rest) if q > 0 => (rest + 1).div_ceil(q),
+            _ => 0,
+        };
+        ceiling > cutoff && self.lower_bound(pattern) > cutoff
+    }
 }
 
 /// Appends the packed q-grams of `s` (`1 ≤ q ≤ 8`) to `out`, sorting the
@@ -168,8 +183,10 @@ fn common_count(pattern: &[u64], text: &[u64]) -> usize {
 /// `pattern_len`?
 ///
 /// A pattern longer than the whole text by more than `cutoff` cannot match.
+/// The sum saturates: a cutoff of `usize::MAX` (NTI's at threshold 1.0)
+/// admits every pattern.
 pub fn length_plausible(pattern_len: usize, text_len: usize, cutoff: usize) -> bool {
-    pattern_len <= text_len + cutoff
+    pattern_len <= text_len.saturating_add(cutoff)
 }
 
 #[cfg(test)]
@@ -237,5 +254,19 @@ mod tests {
         assert!(length_plausible(5, 10, 0));
         assert!(length_plausible(12, 10, 2));
         assert!(!length_plausible(13, 10, 2));
+        assert!(length_plausible(13, 10, usize::MAX));
+    }
+
+    #[test]
+    fn exceeds_skips_bounds_that_cannot_prune() {
+        let mut buf = Vec::new();
+        let mut profile = QgramProfile::new(b"select 1", 3, &mut buf);
+        // 9 bytes: 7 grams, a bound of at most 3, never above a cutoff of 3.
+        assert!(!profile.exceeds(b"zzzzzzzzz", 3));
+        assert!(profile.text_grams.is_none(), "a bound that cannot prune needs no profile");
+        assert!(profile.exceeds(b"zzzzzzzzz", 2));
+        assert_eq!(profile.text_grams, Some(6));
+        assert!(!profile.exceeds(b"select", 0));
+        assert!(!profile.exceeds(b"", 0));
     }
 }

@@ -3,7 +3,8 @@
 //! The gate's per-query constant costs are dominated by byte-at-a-time
 //! scanning: the lexer classifies every byte of every query, and NTI
 //! looks for an uppercase byte in the query and each captured input
-//! before deciding whether to case-fold them. These kernels process
+//! before deciding whether to case-fold them, then searches each input
+//! verbatim in the query ([`find_str`]). These kernels process
 //! **eight bytes per `u64` word** with pure integer arithmetic — no
 //! `unsafe`, no platform intrinsics — and fall back to a scalar tail for
 //! the last `len % 8` bytes.
@@ -186,6 +187,103 @@ pub fn find_byte2(s: &[u8], from: usize, b1: u8, b2: u8) -> usize {
 pub fn first_ascii_upper(s: &[u8]) -> Option<usize> {
     let i = scan(s, 0, upper_lanes, |b| b.is_ascii_uppercase());
     (i < s.len()).then_some(i)
+}
+
+/// Needles shorter than this go straight to `str::find` in [`find_str`].
+const SHORT_NEEDLE: usize = 32;
+
+/// Leftmost occurrence of `needle` in `haystack`: the same answer as
+/// `haystack.find(needle)`, for NTI's verbatim search.
+///
+/// Candidates are anchored on the needle's first and last bytes: one word
+/// step tests eight start positions at once, keeping the lanes where
+/// `haystack[i]` equals the first byte and `haystack[i + |needle| − 1]`
+/// the last. Each candidate is then verified eight bytes per word
+/// compare. An input embedded unchanged is usually found at its first
+/// candidate, so it costs one pass over the bytes before it and one over
+/// itself, with no preprocessing of the needle. std's Two-Way search
+/// preprocesses the needle first; on a 4 KB needle that is most of its
+/// cost.
+///
+/// Verification is capped. Once failed candidates have compared as many
+/// bytes as the haystack holds, the rest of the haystack goes to
+/// `str::find` (Two-Way, linear in the worst case). A periodic pair that
+/// would make candidate verification quadratic thus stays linear.
+///
+/// Needles shorter than 32 bytes go to `str::find` directly. Their
+/// preprocessing is cheap, and Two-Way skips a whole needle length
+/// whenever the byte ending the window is not in the needle's byte set,
+/// which beats a word scan when the needle is absent.
+///
+/// # Examples
+///
+/// ```
+/// use joza_strmatch::swar::find_str;
+///
+/// let body = "a long comment body, long enough to take the anchored search";
+/// let query = format!("select * from t where name='{body}'");
+/// assert_eq!(find_str(&query, body), query.find(body));
+/// assert_eq!(find_str(&query, "absent"), None);
+/// assert_eq!(find_str(&query, ""), Some(0));
+/// ```
+pub fn find_str(haystack: &str, needle: &str) -> Option<usize> {
+    if needle.len() < SHORT_NEEDLE {
+        return haystack.find(needle);
+    }
+    let (h, n) = (haystack.as_bytes(), needle.as_bytes());
+    let (first, last) = (n[0], n[n.len() - 1]);
+    let last_start = h.len().checked_sub(n.len())?;
+    let tail = n.len() - 1;
+    let mut budget = h.len();
+    // Verifies the candidate at `i`: `Some(answer)` once the search is
+    // decided, `None` to go on. With the budget spent, the search from `i`
+    // on goes to `str::find`; `i` holds the needle's leading byte, so it is
+    // a char boundary.
+    let mut verify = |i: usize| {
+        if budget == 0 {
+            return Some(haystack[i..].find(needle).map(|j| i + j));
+        }
+        let matched = common_prefix(&h[i..i + n.len()], n);
+        if matched == n.len() {
+            return Some(Some(i));
+        }
+        budget = budget.saturating_sub(matched + 1);
+        None
+    };
+    // Whole words of start positions, then the rest one at a time.
+    let words = (last_start + 1) / 8 * 8;
+    let starts = h[..words].chunks_exact(8);
+    for (w, (a, b)) in starts.zip(h[tail..].chunks_exact(8)).enumerate() {
+        let mut hits = eq_lanes(load(a), first) & eq_lanes(load(b), last);
+        while hits != 0 {
+            if let Some(found) = verify(w * 8 + first_lane(hits)) {
+                return found;
+            }
+            hits &= hits - 1;
+        }
+    }
+    for i in words..=last_start {
+        if h[i] == first && h[i + tail] == last {
+            if let Some(found) = verify(i) {
+                return found;
+            }
+        }
+    }
+    None
+}
+
+/// Length of the common prefix of two equally long byte strings, compared
+/// eight bytes per word.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut i = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = load(x) ^ load(y);
+        if diff != 0 {
+            return i + first_lane(diff);
+        }
+        i += 8;
+    }
+    i + a[i..].iter().zip(&b[i..]).take_while(|(x, y)| x == y).count()
 }
 
 #[cfg(test)]

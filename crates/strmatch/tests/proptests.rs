@@ -49,6 +49,11 @@ fn hashmap_lower_bound(pattern: &[u8], text: &[u8], q: usize) -> usize {
     (pattern.len() - q + 1 - common).div_ceil(q)
 }
 
+/// Asserts the verbatim search returns `str::find`'s answer.
+fn assert_find_str_agrees(hay: &str, needle: &str) {
+    assert_eq!(swar::find_str(hay, needle), hay.find(needle), "needle {needle:?} in {hay:?}");
+}
+
 proptest! {
     #[test]
     fn distance_symmetric(a in ".{0,40}", b in ".{0,40}") {
@@ -160,6 +165,34 @@ proptest! {
         let classic = substring_distance(p.as_bytes(), &t);
         let fast = myers_substring_distance(p.as_bytes(), &t);
         prop_assert_eq!(fast, classic);
+    }
+
+    /// Patterns at the edges of the single-word path (1, 63 and 64 bytes)
+    /// and just past it (65 bytes, the multi-word path) agree with Sellers,
+    /// unbounded and bounded, on texts that carry a copy with up to three
+    /// substitutions.
+    #[test]
+    fn myers_matches_classic_at_the_word_edge(
+        pool in "[abc]{65}",
+        n_idx in 0usize..4,
+        prefix in "[abc]{0,40}",
+        suffix in "[abc]{0,40}",
+        flips in proptest::collection::vec(0usize..65, 0..4),
+        k in 0usize..70,
+    ) {
+        let n = [1, 63, 64, 65][n_idx];
+        let p = &pool.as_bytes()[..n];
+        let mut noisy = p.to_vec();
+        for f in flips {
+            noisy[f % n] = b'x';
+        }
+        let t = [prefix.as_bytes(), &noisy, suffix.as_bytes()].concat();
+        let classic = substring_distance(p, &t);
+        prop_assert_eq!(myers_substring_distance(p, &t), classic);
+        match bounded_myers_substring_distance(p, &t, k) {
+            Some(m) => prop_assert_eq!(m, classic),
+            None => prop_assert!(classic.distance > k, "classic {:?} within k {}", classic, k),
+        }
     }
 
     /// The threshold-aware kernel: `Some` iff the true distance is ≤ k,
@@ -307,6 +340,57 @@ proptest! {
         };
         prop_assert_eq!(swar::find_byte(&bytes, from, b1), linear(&|b| b == b1));
         prop_assert_eq!(swar::find_byte2(&bytes, from, b1, b2), linear(&|b| b == b1 || b == b2));
+    }
+
+    /// The verbatim search is `str::find`: on printable ASCII, on
+    /// `[ab]`-dense strings (candidates and partial matches everywhere)
+    /// and on multi-byte UTF-8, for needles cut from the haystack, cut and
+    /// extended by one character, longer than the haystack, and unrelated.
+    /// Needles are short (`str::find` directly) and long (the anchored
+    /// search) alike.
+    #[test]
+    fn find_str_matches_str_find(
+        text in ".{0,160}",
+        dense in "[ab]{0,160}",
+        wide in "[aé€b—]{0,100}",
+        from in 0usize..100,
+        len in 0usize..120,
+        other in "[ab]{0,48}",
+    ) {
+        for hay in [&text, &dense, &wide] {
+            let chars: Vec<char> = hay.chars().collect();
+            let from = from.min(chars.len());
+            let cut: String = chars[from..(from + len).min(chars.len())].iter().collect();
+            assert_find_str_agrees(hay, &cut);
+            assert_find_str_agrees(hay, &format!("{cut}b"));
+            assert_find_str_agrees(hay, &format!("é{cut}"));
+            assert_find_str_agrees(hay, &format!("{hay}a"));
+            assert_find_str_agrees(hay, &other);
+            assert_find_str_agrees(&other, hay);
+        }
+    }
+
+    /// Same, on periodic pairs `uⁱ m uʲ` with needles long enough for the
+    /// anchored search. When the needle's middle differs from the
+    /// haystack's, every period before it is a candidate that verifies a
+    /// long way before it fails, so the verification budget runs out and
+    /// `str::find` takes over mid-search; half the time the middles are
+    /// equal and the needle occurs.
+    #[test]
+    fn find_str_matches_str_find_on_periodic_strings(
+        unit in "[ab€]{1,4}",
+        reps in 0usize..300,
+        needle_reps in 16usize..80,
+        after in 16usize..40,
+        mid in "[abc]{0,3}",
+        needle_mid in "[abc]{0,3}",
+        same_mid in 0usize..2,
+    ) {
+        let needle_mid = if same_mid == 1 { &mid } else { &needle_mid };
+        let hay = format!("{}{mid}{}", unit.repeat(reps), unit.repeat(after));
+        let needle = format!("{}{needle_mid}{}", unit.repeat(needle_reps), unit.repeat(after));
+        assert_find_str_agrees(&hay, &needle);
+        assert_find_str_agrees(&hay, &format!("{}{needle_mid}", unit.repeat(needle_reps)));
     }
 
     /// `first_ascii_upper` finds the first `A..=Z` byte exactly; bytes

@@ -34,6 +34,13 @@ cargo test -q --test concurrency -- --test-threads=4
 # early-exit SQL retain test against the char-by-char splitter and a full
 # lex, and the installed lab-plus-WordPress vocabulary against its golden
 # count and order-sensitive digest.
+# NTI's verbatim search must return `str::find`'s answer, also once its
+# verification budget hands a periodic pair to `str::find` mid-search; the
+# q-gram check must skip the bound exactly when it cannot exceed the
+# cutoff; and thresholds of 1.0 and above must neither overflow nor skip
+# an input as long as the query. The `myers` and `kernels` filters also
+# pick up the single-word Myers edge cases (|p| = 1, 63, 64, 65) and the
+# prefilter-on/off report identity.
 echo "==> differential kernel tests (strmatch myers + swar + qgram, nti kernel, lexer equivalence, installer vocabulary)"
 cargo test -q -p joza-strmatch myers
 cargo test -q -p joza-strmatch --test proptests myers
@@ -48,6 +55,10 @@ cargo test -q -p joza-phpsim --lib fragments::tests::reference_
 cargo test -q --test installer_vocabulary
 cargo test -q -p joza-sqlparse --test proptests sym_skeleton
 cargo test -q --test nti_kernel_identity
+cargo test -q -p joza-strmatch --test proptests find_str
+cargo test -q -p joza-strmatch --lib qgram
+cargo test -q -p joza-nti --lib verbatim_search
+cargo test -q -p joza-nti --lib thresholds_at_and_above_one
 cargo test -q --test alloc_free
 
 # Pipeline equivalence, explicitly: a route session's check, the same

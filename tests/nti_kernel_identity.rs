@@ -7,7 +7,11 @@
 //!   its benign request — the (inputs, query) pairs the gate really sees;
 //! * synthetic multi-kilobyte queries (large `IN`-lists) embedding
 //!   payload-like inputs after an app transformation, including inputs
-//!   longer than one 64-bit Myers block.
+//!   longer than one 64-bit Myers block;
+//! * the comment posts of the benchmark's gate-dynamic workload: a
+//!   quote-free 1-4 KB body found verbatim in every query of the
+//!   post-comment route, and a 9-byte author that the duplicate check's
+//!   query lacks.
 
 use joza_lab::build_lab;
 use joza_lab::verify::request_for;
@@ -90,4 +94,70 @@ fn kernels_agree_on_multi_kilobyte_queries() {
     let pairs = long_pairs(48);
     assert!(pairs.iter().all(|(_, q)| q.len() > 2048));
     assert!(assert_kernels_agree(&pairs) > 0, "the numeric-context payloads must be attacks");
+}
+
+/// The post-comment route's first three queries for a comment on post 7:
+/// the duplicate check (body only), the flood check and the INSERT
+/// (author and body). Inputs are the raw post id, author and body.
+fn comment_post_pairs() -> Vec<Pair> {
+    const WORDS: [&str; 8] =
+        ["great", "post", "really", "liked", "taint", "inference", "and", "more"];
+    [1024usize, 2048, 4096]
+        .into_iter()
+        .enumerate()
+        .flat_map(|(i, len)| {
+            let mut body = format!("[1.{i:x}]");
+            for w in (i..).map(|w| w * 5 + 3) {
+                if body.len() >= len {
+                    break;
+                }
+                body.push(' ');
+                body.push_str(WORDS[w % WORDS.len()]);
+                if w % 11 == 0 {
+                    body.push('!');
+                }
+            }
+            body.truncate(len);
+            let author = format!("visitor{}", 40 + i);
+            let inputs = vec!["7".to_string(), author.clone(), body.clone()];
+            [
+                format!(
+                    "SELECT COUNT(*) FROM wp_comments WHERE comment_post_ID = 7 \
+                     AND comment_content = '{body}'"
+                ),
+                format!(
+                    "SELECT comment_ID FROM wp_comments WHERE comment_author = '{author}' \
+                     AND comment_content = '{body}' LIMIT 1"
+                ),
+                format!(
+                    "INSERT INTO wp_comments (comment_post_ID, comment_author, comment_content, \
+                     comment_approved) VALUES (7, '{author}', '{body}', '1')"
+                ),
+            ]
+            .map(|query| (inputs.clone(), query))
+        })
+        .collect()
+}
+
+#[test]
+fn kernels_agree_on_gate_dynamic_comment_posts() {
+    let pairs = comment_post_pairs();
+    assert_eq!(assert_kernels_agree(&pairs), 0, "comment posts are benign");
+    let nti = NtiAnalyzer::new(NtiConfig::default());
+    for (inputs, query) in &pairs {
+        let (author, body) = (inputs[1].as_str(), inputs[2].as_str());
+        assert_eq!(author.len(), 9);
+        let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
+        let r = nti.analyze(&refs, query);
+        let body_at = query.find(body).expect("the body is embedded verbatim");
+        assert!(
+            r.markings.iter().any(|m| (m.input_index, m.start, m.distance) == (2, body_at, 0)),
+            "the body must be marked where it sits: {:?}",
+            r.markings
+        );
+        assert_eq!(r.markings.iter().any(|m| m.input_index == 1), query.contains(author));
+        // The post id is too short to compare; the author's q-gram bound
+        // cannot prune it, so it is compared even where it is absent.
+        assert_eq!((r.comparisons_run, r.comparisons_skipped), (2, 0));
+    }
 }
