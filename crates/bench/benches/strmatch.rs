@@ -98,10 +98,10 @@ fn bench_fragment_matchers(c: &mut Criterion) {
         b.iter(|| scanner.find_all(black_box(q.as_bytes())))
     });
     g.bench_function(format!("mru_scan_{}_fragments", fragments.len()), |b| {
-        let mut scanner = MruScanner::new(&fragments);
+        let mut scanner = MruScanner::new(fragments.len());
         // Warm the MRU order the way the daemon's steady state would.
-        let _ = scanner.find_all(q.as_bytes());
-        b.iter(|| scanner.find_all(black_box(q.as_bytes())))
+        let _ = scanner.find_all(&fragments, q.as_bytes());
+        b.iter(|| scanner.find_all(&fragments, black_box(q.as_bytes())))
     });
     g.bench_function(format!("aho_corasick_{}_fragments", fragments.len()), |b| {
         let ac = AhoCorasick::new(&fragments);

@@ -327,24 +327,42 @@ fn arith(l: &Value, r: &Value, f: impl Fn(f64, f64) -> f64) -> Value {
     }
 }
 
-/// MySQL `LIKE` with `%` and `_`, case-insensitive.
+/// MySQL `LIKE` with `%` and `_`, case-insensitive (ASCII folding, one
+/// byte per `_`).
+///
+/// The iterative wildcard match: on a mismatch, retry from the last `%`
+/// with it swallowing one more byte of `s`. Only the last `%` ever needs
+/// retrying (whatever an earlier one would swallow, the later one can),
+/// so the match runs in `O(|s|·|pattern|)` time and constant space,
+/// folds case per byte and copies nothing. A backtracking matcher that
+/// retries every split after every `%` is exponential in the number of
+/// `%`s: eleven bytes of `_%` pairs from a search box cost seconds.
 pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
-    fn rec(s: &[u8], p: &[u8]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
+    let (s, p) = (s.as_bytes(), pattern.as_bytes());
+    let (mut i, mut j) = (0, 0);
+    // After the last `%` seen: (pattern index past it, bytes of `s` it has
+    // swallowed up to).
+    let mut retry: Option<(usize, usize)> = None;
+    while i < s.len() {
+        match p.get(j) {
             Some(b'%') => {
-                for skip in 0..=s.len() {
-                    if rec(&s[skip..], &p[1..]) {
-                        return true;
-                    }
-                }
-                false
+                j += 1;
+                retry = Some((j, i));
             }
-            Some(b'_') => !s.is_empty() && rec(&s[1..], &p[1..]),
-            Some(&c) => !s.is_empty() && s[0] == c && rec(&s[1..], &p[1..]),
+            Some(&c) if c == b'_' || c.eq_ignore_ascii_case(&s[i]) => {
+                i += 1;
+                j += 1;
+            }
+            _ => match retry {
+                Some((after, swallowed)) => {
+                    retry = Some((after, swallowed + 1));
+                    (i, j) = (swallowed + 1, after);
+                }
+                None => return false,
+            },
         }
     }
-    rec(s.to_ascii_lowercase().as_bytes(), pattern.to_ascii_lowercase().as_bytes())
+    p[j..].iter().all(|&c| c == b'%')
 }
 
 fn mysql_version() -> String {
@@ -642,6 +660,55 @@ fn pseudo_md5(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The backtracking matcher `like_match` replaced: it retries the rest
+    /// of the pattern at every split after a `%`. The reference for the
+    /// iterative one (exponential in the number of `%`s).
+    fn like_match_reference(s: &str, pattern: &str) -> bool {
+        fn rec(s: &[u8], p: &[u8]) -> bool {
+            match p.first() {
+                None => s.is_empty(),
+                Some(b'%') => (0..=s.len()).any(|skip| rec(&s[skip..], &p[1..])),
+                Some(b'_') => !s.is_empty() && rec(&s[1..], &p[1..]),
+                Some(&c) => !s.is_empty() && s[0] == c && rec(&s[1..], &p[1..]),
+            }
+        }
+        rec(s.to_ascii_lowercase().as_bytes(), pattern.to_ascii_lowercase().as_bytes())
+    }
+
+    proptest::proptest! {
+        /// The iterative matcher agrees with the backtracking one on short
+        /// strings over `aA_%b` and a two-byte character, so `_` meets
+        /// half a character and `%` runs, case folding and literal `_`/`%`
+        /// in the subject all occur. Every subject is tried against every
+        /// pattern of the case.
+        #[test]
+        fn like_match_agrees_with_backtracking_reference(
+            subjects in proptest::collection::vec("[aA_%bé]{0,10}", 12..13),
+            patterns in proptest::collection::vec("[aA_%bé]{0,8}", 12..13),
+        ) {
+            for s in &subjects {
+                for p in &patterns {
+                    let want = like_match_reference(s, p);
+                    proptest::prop_assert_eq!(like_match(s, p), want, "{:?} LIKE {:?}", s, p);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn like_many_wildcard_pairs_on_a_long_subject() {
+        // 40 `_%` pairs against 4 KB: the backtracking matcher would not
+        // finish; the iterative one is O(|s|·|p|).
+        let subject: String = "lorem ipsum dolor ".repeat(228);
+        assert!(subject.len() >= 4096);
+        let pairs = "_%".repeat(40);
+        assert!(like_match(&subject, &pairs));
+        assert!(like_match(&subject, &format!("{pairs}DOLOR ")));
+        assert!(!like_match(&subject, &format!("{pairs}#")));
+        assert!(!like_match(&subject[..39], &pairs));
+        assert!(like_match(&subject[..40], &pairs));
+    }
 
     #[test]
     fn like_patterns() {

@@ -15,6 +15,10 @@
 //! * [`analyzer`] — the containment algorithm, generic over three matcher
 //!   strategies (naive scan, the paper's MRU-reordered scan, and an
 //!   Aho–Corasick automaton) so the Figure 7 ablation can compare them;
+//! * [`store`] — the fragment vocabulary and its compiled matcher. It owns
+//!   the only copy of the fragment bytes; the per-thread MRU stripes hold
+//!   just a `u32` order of fragment ids and borrow the bytes for each
+//!   scan;
 //! * [`cache`] — one bounded, secret-keyed verdict cache that serves as
 //!   both the **PTI query cache** (exact query → safe) and the **query
 //!   structure cache** (AST skeleton hash → safe, "without storing

@@ -47,16 +47,21 @@ fn stripe_index() -> usize {
 /// index into [`FragmentStore::fragments`].
 ///
 /// The store is the *shared read side* of a lock-sharded engine: one
-/// `Arc<FragmentStore>` serves every worker. The naive scanner and the
-/// Aho–Corasick automaton are immutable and scanned through `&self`; the
-/// stateful MRU scanner is striped per scanning thread (lazily built), so
-/// concurrent workers never serialize on a single scanner lock.
+/// `Arc<FragmentStore>` serves every worker. The Aho–Corasick automaton is
+/// immutable and scanned through `&self`; the stateful MRU scanner is
+/// striped per scanning thread (lazily built), so concurrent workers never
+/// serialize on a single scanner lock.
+///
+/// The store holds the only copy of the fragment bytes. The naive scanner
+/// is a view built over them for each scan, and an MRU stripe holds just
+/// its order, one `u32` fragment id per fragment, and borrows the
+/// vocabulary for every scan. Over the benchmark's 13.6k-fragment
+/// vocabulary a stripe costs 54 KB, not a copy of the vocabulary.
 #[derive(Debug)]
 pub struct FragmentStore {
     fragments: Vec<String>,
     kind: MatcherKind,
     ac: Option<AhoCorasick>,
-    naive: Option<NaiveScanner>,
     mru: Option<Box<[OnceLock<Mutex<MruScanner>>]>>,
 }
 
@@ -73,9 +78,9 @@ impl FragmentStore {
     /// Compiles a store over a vocabulary it takes ownership of, in index
     /// order (the installer's path: no fragment is copied).
     pub fn from_vec(fragments: Vec<String>, kind: MatcherKind) -> Self {
-        let mut store = FragmentStore { fragments, kind, ac: None, naive: None, mru: None };
+        let mut store = FragmentStore { fragments, kind, ac: None, mru: None };
         match kind {
-            MatcherKind::Naive => store.naive = Some(NaiveScanner::new(&store.fragments)),
+            MatcherKind::Naive => {}
             MatcherKind::Mru => {
                 store.mru = Some((0..MRU_STRIPES).map(|_| OnceLock::new()).collect())
             }
@@ -112,7 +117,7 @@ impl FragmentStore {
     /// The calling thread's MRU scanner stripe (built on first use).
     fn mru_stripe(&self) -> &Mutex<MruScanner> {
         let stripes = self.mru.as_ref().expect("built in new");
-        stripes[stripe_index()].get_or_init(|| Mutex::new(MruScanner::new(&self.fragments)))
+        stripes[stripe_index()].get_or_init(|| Mutex::new(MruScanner::new(self.fragments.len())))
     }
 
     /// All fragment occurrences in `query`, as `(fragment index, start,
@@ -120,8 +125,8 @@ impl FragmentStore {
     pub fn occurrences(&self, query: &str) -> Vec<Match> {
         let hay = query.as_bytes();
         match self.kind {
-            MatcherKind::Naive => self.naive.as_ref().expect("built in new").find_all(hay),
-            MatcherKind::Mru => self.mru_stripe().lock().find_all(hay),
+            MatcherKind::Naive => NaiveScanner::new(&self.fragments).find_all(hay),
+            MatcherKind::Mru => self.mru_stripe().lock().find_all(&self.fragments, hay),
             MatcherKind::AhoCorasick => self.ac.as_ref().expect("built in new").find_all(hay),
         }
     }
@@ -136,7 +141,9 @@ impl FragmentStore {
         F: Fn(&[Match]) -> bool,
     {
         match self.kind {
-            MatcherKind::Mru => self.mru_stripe().lock().find_all_until(query.as_bytes(), done),
+            MatcherKind::Mru => {
+                self.mru_stripe().lock().find_all_until(&self.fragments, query.as_bytes(), done)
+            }
             _ => self.occurrences(query),
         }
     }

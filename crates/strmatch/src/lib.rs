@@ -21,7 +21,11 @@
 //!   [Aho–Corasick automaton](ahocorasick::AhoCorasick) as well as the
 //!   paper's original optimization — a [naive scanner with most-recently-used
 //!   fragment reordering](mru::MruScanner) — so the Figure 7 ablation can
-//!   compare both.
+//!   compare both. The naive and MRU scanners borrow the caller's
+//!   patterns (an MRU scanner owns only its order of pattern ids) and find
+//!   each pattern by jumping between positions of its first byte, eight
+//!   haystack bytes per word ([`swar::find_byte`]), with one slice compare
+//!   per candidate.
 //!
 //! All matchers operate on bytes; case folding and whitespace normalization
 //! are the caller's responsibility and provided as small helpers in

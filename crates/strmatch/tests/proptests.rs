@@ -269,16 +269,59 @@ proptest! {
     ) {
         let ac = AhoCorasick::new(&pats);
         let naive = NaiveScanner::new(&pats);
-        let mut mru = MruScanner::new(&pats);
+        let mut mru = MruScanner::new(pats.len());
         let mut a = ac.find_all(hay.as_bytes());
         let mut n = naive.find_all(hay.as_bytes());
-        let mut m = mru.find_all(hay.as_bytes());
+        let mut m = mru.find_all(&pats, hay.as_bytes());
         let key = |x: &joza_strmatch::Match| (x.pattern, x.start, x.end);
         a.sort_unstable_by_key(key);
         n.sort_unstable_by_key(key);
         m.sort_unstable_by_key(key);
         prop_assert_eq!(&a, &n);
         prop_assert_eq!(&a, &m);
+    }
+
+    /// One MRU scanner serving a stream of haystacks over one borrowed
+    /// vocabulary: after every promotion, a full scan still equals the
+    /// naive scan and Aho–Corasick, and an early-exit scan returns
+    /// exactly the matches of the patterns it tried, in MRU order, up to
+    /// the point its predicate first held.
+    #[test]
+    fn mru_with_promotions_and_early_exit_agrees_with_naive(
+        pats in proptest::collection::vec("[a-c]{1,3}", 1..8),
+        hays in proptest::collection::vec("[a-c]{0,24}", 1..6),
+        stop_after in 1usize..6,
+    ) {
+        let ac = AhoCorasick::new(&pats);
+        let naive = NaiveScanner::new(&pats);
+        let mut mru = MruScanner::new(pats.len());
+        let key = |x: &joza_strmatch::Match| (x.pattern, x.start, x.end);
+        for hay in &hays {
+            let hay = hay.as_bytes();
+            let mut want = naive.find_all(hay);
+            prop_assert_eq!(&mru.find_all(&pats, hay), &want);
+            let mut a = ac.find_all(hay);
+            a.sort_unstable_by_key(key);
+            want.sort_unstable_by_key(key);
+            prop_assert_eq!(&a, &want);
+            // Early exit: every returned match is a true match, each
+            // pattern's matches come whole, and the scan stopped at the
+            // first point the predicate held (or ran to the end).
+            let early = mru.find_all_until(&pats, hay, |ms| ms.len() >= stop_after);
+            let mut sorted = early.clone();
+            sorted.sort_unstable_by_key(key);
+            let tried: std::collections::BTreeSet<usize> =
+                early.iter().map(|m| m.pattern).collect();
+            let expect: Vec<_> =
+                want.iter().filter(|m| tried.contains(&m.pattern)).copied().collect();
+            prop_assert_eq!(&sorted, &expect);
+            prop_assert!(early.len() >= stop_after.min(want.len()));
+            if let Some(last) = early.last() {
+                let before_last = early.iter().filter(|m| m.pattern != last.pattern).count();
+                prop_assert!(before_last < stop_after);
+            }
+            prop_assert_eq!(&mru.find_all(&pats, hay), &naive.find_all(hay));
+        }
     }
 
     /// `to_lower` (the Cow front-end over the SWAR uppercase scan) agrees with the
@@ -406,9 +449,9 @@ proptest! {
         pats in proptest::collection::vec("[a-b]{1,3}", 1..5),
         hay in "[a-b]{0,30}",
     ) {
-        let mut mru = MruScanner::new(&pats);
-        let first = mru.find_all(hay.as_bytes());
-        let second = mru.find_all(hay.as_bytes());
+        let mut mru = MruScanner::new(pats.len());
+        let first = mru.find_all(&pats, hay.as_bytes());
+        let second = mru.find_all(&pats, hay.as_bytes());
         prop_assert_eq!(first, second);
     }
 }

@@ -57,12 +57,17 @@ impl Plugin {
 }
 
 /// A web application: core sources + plugins + framework input pipeline.
+///
+/// Core sources are shared, immutable text: cloning an application (one
+/// per deployment or worker) copies a pointer per core file, not the
+/// files. A WordPress-scale core is megabytes of source.
 #[derive(Debug, Clone, Default)]
 pub struct WebApp {
     /// Application name.
     pub name: String,
-    /// Non-routable framework sources (WordPress core files).
-    core_sources: Vec<String>,
+    /// Non-routable framework sources (WordPress core files), shared by
+    /// every clone.
+    core_sources: Vec<Arc<str>>,
     /// Plugins by slug.
     plugins: HashMap<String, Plugin>,
     /// Framework-level input transformation pipeline, applied to every
@@ -93,7 +98,7 @@ impl WebApp {
 
     /// Adds a non-routable core source file (contributes fragments only).
     pub fn add_core_source(&mut self, source: &str) {
-        self.core_sources.push(source.to_string());
+        self.core_sources.push(Arc::from(source));
     }
 
     /// Registers a plugin under its name.
@@ -142,7 +147,7 @@ impl WebApp {
     /// then plugin sources. This is the installer's fragment-extraction
     /// input (§IV-A).
     pub fn all_sources(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = self.core_sources.iter().map(String::as_str).collect();
+        let mut out: Vec<&str> = self.core_sources.iter().map(|s| &**s).collect();
         let mut slugs: Vec<&String> = self.plugins.keys().collect();
         slugs.sort();
         for slug in slugs {

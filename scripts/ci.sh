@@ -60,6 +60,16 @@ cargo test -q -p joza-strmatch --lib qgram
 cargo test -q -p joza-nti --lib verbatim_search
 cargo test -q -p joza-nti --lib thresholds_at_and_above_one
 cargo test -q --test alloc_free
+# PTI's fragment kernel must report exactly the byte-at-a-time loop's
+# matches (overlapping, empty and over-long patterns included); MRU over
+# the borrowed vocabulary, with promotions and early exit, must equal the
+# naive scan and Aho-Corasick; and every lab-corpus query must get an
+# identical PtiReport under Naive, MRU and Aho-Corasick.
+cargo test -q -p joza-strmatch --lib mru
+cargo test -q -p joza-strmatch --test proptests scanners_agree
+cargo test -q -p joza-strmatch --test proptests mru_
+cargo test -q -p joza-pti --lib store
+cargo test -q --test pti_matcher_identity
 
 # Pipeline equivalence, explicitly: a route session's check, the same
 # session's check_batch, and Joza::check_query_on_route must produce
@@ -84,6 +94,11 @@ cargo test -q -p joza-pti --lib daemon::tests::dead_
 cargo test -q -p joza-core --lib pti_daemon_death_blocks_then_respawns
 cargo test -q --test pipeline_equivalence evicting_caches_never_change_a_verdict
 cargo test -q -p joza-phpsim --test proptests fuzz_
+# LIKE matching stays polynomial: the iterative matcher equals the
+# backtracking reference, 40 `_%` pairs match a 4 KB subject, and a
+# wildcard-dense search is served through the gate.
+cargo test -q -p joza-db --lib like
+cargo test -q --test false_positives wildcard_dense_search
 
 # Engine equivalence, explicitly: the bytecode VM and the tree-walking
 # interpreter must produce bit-identical responses (body, queries,

@@ -57,6 +57,26 @@ fn benign_crawl_comments_searches_never_blocked() {
     }
 }
 
+/// A search term dense in `LIKE` wildcards has no critical token, so the
+/// gate passes it and the database matches `'%_%_%…~%'` against every
+/// post. Each `_%` pair used to multiply the match cost by about eight
+/// (five pairs took seconds); the match is now linear in the pattern
+/// length per row. The assertions are on results, not on time.
+#[test]
+fn wildcard_dense_search_is_served() {
+    let mut lab = build_lab();
+    let joza = Joza::install(&lab.server.app, JozaConfig::optimized());
+    for s in ["_%_%_%_%_%~".to_string(), format!("{}~", "_%".repeat(40))] {
+        let resp = lab.server.handle_with(&HttpRequest::get("search").param("s", &s), &joza);
+        assert!(!resp.blocked, "false positive on {s:?}");
+        assert_eq!(resp.executed, resp.queries.len(), "virtualized benign query on {s:?}");
+        assert!(resp.body.contains("<h1>0 results</h1>"), "{s:?}: {}", resp.body);
+    }
+    let resp = lab.server.handle_with(&HttpRequest::get("search").param("s", "_%_%m"), &joza);
+    assert!(!resp.blocked);
+    assert!(!resp.body.contains("<h1>0 results</h1>"), "{}", resp.body);
+}
+
 #[test]
 fn every_plugin_benign_value_passes() {
     let mut lab = build_lab();
