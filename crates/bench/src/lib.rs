@@ -7,7 +7,10 @@
 //! all). The machinery lives here:
 //!
 //! * [`paper`] — the sections and their [`paper::Claim`] rows, gated or
-//!   informational, and the claims table;
+//!   informational, and the claims table; beyond the paper's tables, the
+//!   `harden`, `second_order`, `pipeline` and `vm` sections cover static
+//!   hardening, second-order defense, the staged pipeline's throughput and
+//!   thread scaling, and the bytecode VM;
 //! * [`security`] — the §V security evaluation: NTI / PTI / Joza against
 //!   original, NTI-mutated and Taintless-mutated exploits across the
 //!   50-plugin corpus and the three CMS cases (Tables II & IV), the
@@ -17,9 +20,8 @@
 //!   protected under each cache/deployment configuration (Table V,
 //!   Table VI, Figures 7 & 8);
 //! * [`wpcom`] — the Wordpress.com workload statistics of Table VII;
-//! * [`report`] — plain-text table rendering and the helpers every
-//!   `results/BENCH_*.json` writer shares (provenance, engine config,
-//!   percentiles, JSON escaping and output).
+//! * [`report`] — plain-text table rendering, the claims table's
+//!   provenance line, percentiles and the per-stage breakdown.
 
 pub mod paper;
 pub mod report;

@@ -8,9 +8,11 @@
 //! evaluation.
 
 mod detection;
+mod hardening;
 mod overhead;
+mod serving;
 
-use crate::report::render_table;
+use crate::report::{provenance, render_table};
 use crate::security::{evaluate, SecurityEvaluation};
 
 /// Appends one line to a [`Report`]'s text, as `println!` prints it.
@@ -103,7 +105,7 @@ pub struct Section {
 }
 
 /// Every section, in the order a full run renders them.
-pub const SECTIONS: [Section; 14] = [
+pub const SECTIONS: [Section; 18] = [
     Section { name: "table1", timed: false, render: detection::table1 },
     Section { name: "table2", timed: false, render: detection::table2 },
     Section { name: "table3", timed: false, render: detection::table3 },
@@ -118,6 +120,10 @@ pub const SECTIONS: [Section; 14] = [
     Section { name: "ablation_matcher", timed: true, render: overhead::ablation_matcher },
     Section { name: "sast", timed: false, render: detection::sast },
     Section { name: "sast-findings", timed: false, render: detection::sast_findings },
+    Section { name: "harden", timed: false, render: hardening::harden },
+    Section { name: "second_order", timed: false, render: hardening::second_order },
+    Section { name: "pipeline", timed: true, render: serving::pipeline },
+    Section { name: "vm", timed: true, render: serving::vm },
 ];
 
 /// One run of the evaluation, holding the results that several sections
@@ -143,7 +149,8 @@ impl Paper {
     }
 }
 
-/// The claims table: one row per claim, then a one-line tally.
+/// The claims table: the run's [`provenance`] line, one row per claim,
+/// then a one-line tally.
 pub fn render_claims(claims: &[Claim]) -> String {
     let rows: Vec<Vec<String>> = claims
         .iter()
@@ -162,8 +169,9 @@ pub fn render_claims(claims: &[Claim]) -> String {
     let gated = claims.iter().filter(|c| c.gated).count();
     let differ = claims.iter().filter(|c| !c.gated && !c.holds).count();
     format!(
-        "PAPER CLAIMS\n\n{}\n{gated} gated claims, {} failed; {} informational, {differ} differ \
+        "PAPER CLAIMS\n{}\n\n{}\n{gated} gated claims, {} failed; {} informational, {differ} differ \
          from the paper\n",
+        provenance(),
         render_table(&["Section", "Claim", "Paper", "Ours", "Test", "Kind", "Result"], &rows),
         failed_gated(claims),
         claims.len() - gated,

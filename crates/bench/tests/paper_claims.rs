@@ -17,6 +17,7 @@ fn every_untimed_gated_claim_holds() {
     let failed: Vec<_> = gated.iter().filter(|c| !c.holds).collect();
     assert!(failed.is_empty(), "failed gated claims: {failed:#?}");
     // Tables I-IV, the threshold and policy ablations and the static
-    // report gate 18 claims between them; a dropped one fails here.
-    assert_eq!(gated.len(), 18, "gated claims: {gated:#?}");
+    // report gate 18 claims between them, the hardening section 5 and the
+    // second-order section 4; a dropped one fails here.
+    assert_eq!(gated.len(), 27, "gated claims: {gated:#?}");
 }
