@@ -19,7 +19,7 @@
 //! and the pieces split from it stay slices of the source until a fragment
 //! is kept, and the retain test stops at the first SQL token.
 
-use crate::lexer::{append_run, Lexeme, PhpLexer, RawPart};
+use crate::lexer::{append_run, find_any, Lexeme, PhpLexer, RawPart};
 use joza_sqlparse::lexer::has_known_token;
 use std::borrow::Cow;
 use std::collections::{btree_set, BTreeSet};
@@ -230,7 +230,7 @@ fn split_placeholders<'a>(lit: &'a str, mut emit: impl FnMut(Cow<'a, str>)) {
                     i = j;
                 }
             }
-            _ => i += 1,
+            _ => i = find_any(b, i + 1, [b':', b'%']),
         }
     }
     end_piece(&mut piece, &lit[run..]);
@@ -325,6 +325,28 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Every piece a source yields, borrowed or not, in order.
+    fn pieces(src: &str) -> Vec<(String, bool)> {
+        let mut out = Vec::new();
+        source_pieces(src, &mut out);
+        out.into_iter().map(|p| (p.to_string(), matches!(p, Cow::Borrowed(_)))).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn reference_scan_yields_identical_pieces(lits in proptest::collection::vec(DENSE, 8..16)) {
+            let src: String = lits
+                .iter()
+                .enumerate()
+                .map(|(i, lit)| {
+                    let dq = lit.replace('\\', "\\\\").replace('"', "\\\"");
+                    format!("$a{i} = \"{dq} $x {{$y}}{dq}\"; $b{i} = '{}';", lit.replace('\'', "\\'"))
+                })
+                .collect();
+            prop_assert_eq!(pieces(&src), crate::lexer::tests::bytewise(|| pieces(&src)));
         }
     }
 

@@ -271,7 +271,7 @@ impl<'s> PhpLexer<'s> {
                     return Ok(Lexeme::Str);
                 }
                 // Any other backslash is literal.
-                _ => self.pos += 1,
+                _ => self.pos = find_any(bytes, self.pos + 1, [b'\'', b'\\']),
             }
         }
         Err(self.err("unterminated single-quoted string"))
@@ -337,7 +337,7 @@ impl<'s> PhpLexer<'s> {
                     self.flush_lit(&mut lit);
                     return Ok(Lexeme::Str);
                 }
-                _ => self.pos += 1,
+                _ => self.pos = find_any(bytes, self.pos + 1, [b'"', b'\\', b'$', b'{']),
             }
         }
         Err(self.err("unterminated double-quoted string"))
@@ -398,6 +398,43 @@ pub(crate) fn append_run<'s>(lit: &mut Cow<'s, str>, run: &'s str) {
     }
 }
 
+/// Bit 0 of every byte lane of a word.
+const LANES: u64 = 0x0101_0101_0101_0101;
+/// Bit 7 of every byte lane of a word.
+const HIGHS: u64 = 0x8080_8080_8080_8080;
+
+/// Mask with bit 7 set in each byte lane of `w` that equals `b`. Exact
+/// per lane: a lane's low seven bits plus `0x7f` cannot carry into the
+/// next lane, unlike the borrowing `haszero` trick.
+fn eq_lanes(w: u64, b: u8) -> u64 {
+    let x = w ^ (LANES * u64::from(b));
+    !(((x & !HIGHS) + !HIGHS) | x) & HIGHS
+}
+
+/// Index of the first byte at or after `from` that is one of `stops`, or
+/// `bytes.len()` if there is none. String literals are mostly plain text
+/// between the few bytes a scan must stop at, so this reads eight bytes
+/// a word and finishes the last `len % 8` bytes one at a time. Stops are
+/// ASCII, so the result is always a character boundary.
+pub(crate) fn find_any<const N: usize>(bytes: &[u8], from: usize, stops: [u8; N]) -> usize {
+    #[cfg(test)]
+    if tests::BYTEWISE.get() {
+        // The byte-at-a-time reference: advance one byte, and the caller
+        // examines it.
+        return from;
+    }
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("eight-byte chunk"));
+        let hits = stops.iter().fold(0, |m, &b| m | eq_lanes(w, b));
+        if hits != 0 {
+            return i + hits.trailing_zeros() as usize / 8;
+        }
+        i += 8;
+    }
+    bytes[i..].iter().position(|b| stops.contains(b)).map_or(bytes.len(), |k| i + k)
+}
+
 /// The operators beginning with `first`, longest first.
 fn ops_starting_with(first: u8) -> &'static [&'static str] {
     match first {
@@ -439,8 +476,96 @@ fn is_ident_byte(b: u8) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Turns [`find_any`] into the byte-at-a-time loop it replaced.
+        pub(crate) static BYTEWISE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs `f` with the literal scans advancing one byte at a time.
+    pub(crate) fn bytewise<T>(f: impl FnOnce() -> T) -> T {
+        BYTEWISE.set(true);
+        let out = f();
+        BYTEWISE.set(false);
+        out
+    }
+
+    /// Runs of the bytes the literal scans stop at or branch on, and runs
+    /// of plain text (identifier bytes and multi-byte characters) to put
+    /// between them.
+    const STOPS: &str = "[\\\\\"'${}%:]{0,3}";
+    const PLAIN: &str = "[a-z_0-9 é€𝄞]{0,12}";
+
+    proptest! {
+        #[test]
+        fn reference_scan_lexes_identically(
+            stops in proptest::collection::vec(STOPS, 1..16),
+            plain in proptest::collection::vec(PLAIN, 1..16),
+        ) {
+            let body: String = stops.iter().zip(&plain).map(|(s, p)| format!("{s}{p}")).collect();
+            for src in [
+                format!("$q = \"{body}\"; $r = '{body}';"),
+                format!("$q = '{body}'; $r = \"{body}\";"),
+            ] {
+                let got = lex_php_spanned(&src);
+                prop_assert_eq!(&got, &bytewise(|| lex_php_spanned(&src)), "{:?}", src);
+            }
+        }
+
+        #[test]
+        fn find_any_finds_the_first_stop(
+            text in "[a\"\\\\$é{]{0,40}",
+            from in 0usize..48,
+        ) {
+            let bytes = text.as_bytes();
+            let from = from.min(bytes.len());
+            let want = bytes[from..]
+                .iter()
+                .position(|b| b"\"\\$".contains(b))
+                .map_or(bytes.len(), |k| from + k);
+            prop_assert_eq!(find_any(bytes, from, [b'"', b'\\', b'$']), want);
+        }
+    }
+
+    #[test]
+    fn reference_scan_agrees_on_edge_cases() {
+        for src in [
+            r#"$q = "";"#,
+            r#"$q = "abcdefgh";"#,
+            r#"$q = "abcdefg\"";"#,
+            r#"$q = "abcdefgh$x{$y}ijklmnop\$z\\";"#,
+            r#"$q = "{ {$ ${ $1 é\é€ $é";"#,
+            "$q = 'abcdefgh\\'ijklmnop\\\\qrstuvw\\x';",
+            "$q = 'ünïcödé ünïcödé ünïcödé';",
+            r#"$q = "unterminated"#,
+            "$q = 'unterminated",
+            r#"$q = "bad escape at the end\"#,
+            r#"$q = "{$x";"#,
+        ] {
+            assert_eq!(lex_php_spanned(src), bytewise(|| lex_php_spanned(src)), "{src:?}");
+        }
+    }
+
+    #[test]
+    fn eq_lanes_is_exact_in_every_lane() {
+        for b in 0..=255u8 {
+            for v in [0u8, 1, 0x7f, 0x80, 0xff, b, b ^ 1, b.wrapping_add(1)] {
+                for lane in 0..8 {
+                    // Every other lane holds `b`'s neighbour, which must not
+                    // leak a match into this lane.
+                    let mut word = [b.wrapping_sub(1); 8];
+                    word[lane] = v;
+                    let mask = eq_lanes(u64::from_le_bytes(word), b);
+                    let hit = mask >> (lane * 8 + 7) & 1 == 1;
+                    assert_eq!(hit, v == b, "b={b} v={v} lane={lane}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn basic_assignment() {

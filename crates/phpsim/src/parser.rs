@@ -4,6 +4,7 @@ use crate::ast::*;
 use crate::lexer::{lex_php_spanned, LexError, PTok, StrPart};
 use crate::span::Span;
 use crate::value::PValue;
+use std::cell::Cell;
 use std::fmt;
 
 /// An error produced while parsing PHP source.
@@ -62,6 +63,7 @@ pub fn parse_program(src: &str) -> Result<Program, PhpParseError> {
 ///
 /// Same failure modes as [`parse_program`].
 pub fn parse_program_spanned(src: &str) -> Result<(Program, Vec<Span>), PhpParseError> {
+    PARSES.with(|n| n.set(n.get() + 1));
     let (toks, tok_spans) = lex_php_spanned(src)?;
     let mut p = PhpParser { toks, tok_spans, pos: 0, stmt_spans: Vec::new() };
     let mut out = Vec::new();
@@ -69,6 +71,17 @@ pub fn parse_program_spanned(src: &str) -> Result<(Program, Vec<Span>), PhpParse
         out.push(p.stmt()?);
     }
     Ok((out, p.stmt_spans))
+}
+
+thread_local! {
+    static PARSES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many sources [`parse_program_spanned`] (and so [`parse_program`])
+/// has parsed on the calling thread, failed parses included. A test can
+/// read it before and after a pipeline to pin how often it parses.
+pub fn parse_count() -> u64 {
+    PARSES.with(Cell::get)
 }
 
 struct PhpParser {

@@ -18,8 +18,9 @@
 use crate::lattice::{AbstractVal, Taint};
 use crate::summaries::{effect_of, is_sink, Effect};
 use joza_phpsim::ast::{AssignOp, BinOp, Expr, InterpPart, Stmt, UnaryOp};
-use joza_phpsim::parser::parse_program_spanned;
+use joza_phpsim::parser::{parse_program_spanned, PhpParseError};
 use joza_phpsim::span::Span;
+use joza_webapp::app::{Plugin, WebApp};
 use std::collections::BTreeMap;
 
 /// Analyzer configuration.
@@ -86,23 +87,48 @@ pub struct TaintSummary {
 
 /// Analyzes one endpoint's source text.
 pub fn analyze_source(endpoint: &str, src: &str, config: &AnalyzerConfig) -> TaintSummary {
-    let (prog, spans) = match parse_program_spanned(src) {
-        Ok(ok) => ok,
-        Err(e) => {
-            // Unparsable source cannot be proven taint-free.
-            return TaintSummary {
-                endpoint: endpoint.to_string(),
-                taint_free: false,
-                sink_count: 0,
-                findings: Vec::new(),
-                parse_error: Some(e.to_string()),
-            };
-        }
-    };
+    match parse_program_spanned(src) {
+        Ok((prog, spans)) => analyze_program(endpoint, src, &prog, &spans, config),
+        Err(e) => unparsable(endpoint, &e),
+    }
+}
+
+/// [`analyze_source`] on a route of `app`, from the route's cached parse.
+pub(crate) fn analyze_plugin(
+    app: &WebApp,
+    plugin: &Plugin,
+    config: &AnalyzerConfig,
+) -> TaintSummary {
+    match app.parsed(&plugin.name) {
+        Ok(p) => analyze_program(&plugin.name, &plugin.source, &p.program, &p.spans, config),
+        Err(e) => unparsable(&plugin.name, &e),
+    }
+}
+
+/// Unparsable source cannot be proven taint-free.
+fn unparsable(endpoint: &str, e: &PhpParseError) -> TaintSummary {
+    TaintSummary {
+        endpoint: endpoint.to_string(),
+        taint_free: false,
+        sink_count: 0,
+        findings: Vec::new(),
+        parse_error: Some(e.to_string()),
+    }
+}
+
+/// Analyzes a parsed endpoint: `spans` is the program's statement span
+/// table into `src`.
+fn analyze_program(
+    endpoint: &str,
+    src: &str,
+    prog: &[Stmt],
+    spans: &[Span],
+    config: &AnalyzerConfig,
+) -> TaintSummary {
     let mut interp = AbstractInterp {
         endpoint,
         src,
-        spans: &spans,
+        spans,
         config,
         sinks: BTreeMap::new(),
         break_frames: Vec::new(),
@@ -110,7 +136,7 @@ pub fn analyze_source(endpoint: &str, src: &str, config: &AnalyzerConfig) -> Tai
     };
     let mut env = Env::new();
     let mut next = 0usize;
-    interp.eval_block(&prog, &mut env, &mut next);
+    interp.eval_block(prog, &mut env, &mut next);
 
     let sink_count = interp.sinks.len();
     let mut findings: Vec<Finding> =

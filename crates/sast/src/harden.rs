@@ -42,7 +42,7 @@
 //! responses and database states over the benign corpus, and the hardened
 //! application must neutralize every exploit targeting a rewritten route.
 
-use crate::querymodel::infer_source;
+use crate::querymodel::{infer_plugin, infer_program};
 use joza_phpsim::ast::{AssignOp, Expr, InterpPart, Stmt};
 use joza_phpsim::emit::emit_program;
 use joza_phpsim::parser::parse_program;
@@ -196,7 +196,7 @@ pub fn unparameterized_sink_lint(app: &WebApp) -> Vec<UnparameterizedSink> {
             Some(p) => p,
             None => continue,
         };
-        let model = infer_source(&summary.endpoint, &plugin.source);
+        let model = infer_plugin(app, plugin);
         let unmodeled: BTreeSet<usize> =
             model.sites.iter().filter(|s| s.templates.is_none()).map(|s| s.stmt_id).collect();
         if model.parse_error {
@@ -246,6 +246,12 @@ pub fn unparameterized_sink_lint(app: &WebApp) -> Vec<UnparameterizedSink> {
 /// `db_query` call, or a skip reason. On success the returned source is
 /// guaranteed to re-parse (`parse(emit(ast))` is asserted).
 pub fn harden_source(route: &str, src: &str) -> (RouteHarden, Option<String>) {
+    harden_parsed(route, parse_program(src).ok())
+}
+
+/// [`harden_source`] on a parsed route (`None`: the source does not
+/// parse). The program is rewritten in place, so it is the caller's copy.
+fn harden_parsed(route: &str, prog: Option<Vec<Stmt>>) -> (RouteHarden, Option<String>) {
     let mut report = RouteHarden {
         route: route.to_string(),
         sinks: 0,
@@ -254,17 +260,14 @@ pub fn harden_source(route: &str, src: &str) -> (RouteHarden, Option<String>) {
         skip: None,
     };
 
-    let mut prog = match parse_program(src) {
-        Ok(p) => p,
-        Err(_) => {
-            report.skip = Some(SkipReason::ParseError);
-            return (report, None);
-        }
+    let Some(mut prog) = prog else {
+        report.skip = Some(SkipReason::ParseError);
+        return (report, None);
     };
 
     // Gate on the inference pass: only routes whose model is complete
     // carry the proof that every dynamic input is a data-literal hole.
-    let model = infer_source(route, src);
+    let model = infer_program(route, &prog);
     report.sinks = model.sites.len();
     if model.sites.iter().any(|s| s.templates.is_none()) {
         report.skip = Some(if has_prepared_db_query(&prog) {
@@ -292,19 +295,20 @@ pub fn harden_source(route: &str, src: &str) -> (RouteHarden, Option<String>) {
     (report, Some(emitted))
 }
 
-/// Hardens every routable endpoint of an application. Returns the
-/// transformed application (skipped routes keep their original source)
-/// and the per-route report, sorted by route.
+/// Hardens every routable endpoint of an application, rewriting a copy of
+/// each route's cached parse. Returns the transformed application
+/// (skipped routes keep their original source and parse) and the
+/// per-route report, sorted by route.
 pub fn harden_app(app: &WebApp) -> (WebApp, HardenReport) {
     let mut hardened = app.clone();
-    let mut slugs: Vec<(String, String)> =
-        app.plugins().map(|p| (p.name.clone(), p.source.clone())).collect();
-    slugs.sort();
+    let mut slugs: Vec<&str> = app.plugins().map(|p| p.name.as_str()).collect();
+    slugs.sort_unstable();
     let mut report = HardenReport::default();
-    for (slug, source) in slugs {
-        let (route_report, new_source) = harden_source(&slug, &source);
+    for slug in slugs {
+        let (route_report, new_source) =
+            harden_parsed(slug, app.program(slug).ok().map(<[Stmt]>::to_vec));
         if let Some(src) = new_source {
-            hardened.set_plugin_source(&slug, &src);
+            hardened.set_plugin_source(slug, &src);
         }
         report.routes.push(route_report);
     }

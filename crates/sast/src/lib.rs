@@ -19,6 +19,15 @@
 //!   the `paper` binary's `sast` section compares against the lab
 //!   corpus's known ground truth.
 //!
+//! The app-level passes ([`app_query_models`], [`analyze_app`],
+//! [`analyze_store_flow`], [`harden_app`], [`unparameterized_sink_lint`])
+//! read each route's parse from the application
+//! (`joza_webapp::WebApp::parsed`), so a deployment parses every route
+//! once however many passes it runs; [`infer_source`], [`analyze_source`]
+//! and [`harden_source`] are the same analyses on source text. The
+//! cross-route fixpoint re-runs a route's taint pass only when the dirty
+//! cells it reads change.
+//!
 //! The fast-path contract is deliberately one-sided: `taint_free` must
 //! never be true for an endpoint whose queries can carry attacker bytes
 //! (soundness); false positives (a clean endpoint the analysis cannot
@@ -83,7 +92,7 @@ pub fn analyze_app(app: &WebApp) -> Vec<TaintSummary> {
     };
     let mut plugins: Vec<_> = app.plugins().collect();
     plugins.sort_by(|a, b| a.name.cmp(&b.name));
-    plugins.iter().map(|p| analyze_source(&p.name, &p.source, &config)).collect()
+    plugins.iter().map(|p| analyzer::analyze_plugin(app, p, &config)).collect()
 }
 
 /// Route names provably safe to skip dynamic checking for — the feed for

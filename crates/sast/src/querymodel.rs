@@ -27,10 +27,10 @@
 
 use crate::summaries::is_sink;
 use joza_phpsim::ast::{AssignOp, BinOp, Expr, InterpPart, Stmt, UnaryOp};
-use joza_phpsim::parser::parse_program_spanned;
+use joza_phpsim::parser::parse_program;
 use joza_phpsim::value::PValue;
 use joza_sqlparse::template::{QueryModelIndex, QueryTemplate, RouteModel, TemplatePart};
-use joza_webapp::app::WebApp;
+use joza_webapp::app::{Plugin, WebApp};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Cap on the template set per abstract value; beyond this the value is ⊤.
@@ -79,16 +79,26 @@ impl EndpointModel {
 
 /// Infers the query model for one endpoint's source text.
 pub fn infer_source(endpoint: &str, src: &str) -> EndpointModel {
-    let (prog, _spans) = match parse_program_spanned(src) {
-        Ok(ok) => ok,
-        Err(_) => {
-            return EndpointModel {
-                endpoint: endpoint.to_string(),
-                sites: Vec::new(),
-                parse_error: true,
-            };
-        }
-    };
+    match parse_program(src) {
+        Ok(prog) => infer_program(endpoint, &prog),
+        Err(_) => unparsable(endpoint),
+    }
+}
+
+/// [`infer_source`] on a route of `app`, from the route's cached parse.
+pub(crate) fn infer_plugin(app: &WebApp, plugin: &Plugin) -> EndpointModel {
+    match app.program(&plugin.name) {
+        Ok(prog) => infer_program(&plugin.name, prog),
+        Err(_) => unparsable(&plugin.name),
+    }
+}
+
+fn unparsable(endpoint: &str) -> EndpointModel {
+    EndpointModel { endpoint: endpoint.to_string(), sites: Vec::new(), parse_error: true }
+}
+
+/// Infers the query model of a parsed endpoint.
+pub(crate) fn infer_program(endpoint: &str, prog: &[Stmt]) -> EndpointModel {
     let mut interp = ModelInterp {
         sinks: BTreeMap::new(),
         break_frames: Vec::new(),
@@ -96,7 +106,7 @@ pub fn infer_source(endpoint: &str, src: &str) -> EndpointModel {
     };
     let mut env = Env::new();
     let mut next = 0usize;
-    interp.eval_block(&prog, &mut env, &mut next);
+    interp.eval_block(prog, &mut env, &mut next);
     let sites = interp
         .sinks
         .into_iter()
@@ -120,7 +130,7 @@ pub fn infer_source(endpoint: &str, src: &str) -> EndpointModel {
 pub fn app_query_models(app: &WebApp) -> QueryModelIndex {
     let mut index = QueryModelIndex::new();
     for p in app.plugins() {
-        index.insert(&p.name, infer_source(&p.name, &p.source).compile());
+        index.insert(&p.name, infer_plugin(app, p).compile());
     }
     index
 }

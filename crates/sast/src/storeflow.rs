@@ -44,14 +44,16 @@
 //! capture DB-sourced inputs), and the remediation worklist rendered by
 //! the `paper` binary's `sast` section and the `harden` bin.
 
-use crate::analyzer::{analyze_source, AnalyzerConfig, TaintSummary};
+use crate::analyzer::{analyze_plugin, AnalyzerConfig, TaintSummary};
 use crate::lattice::Taint;
-use crate::querymodel::{infer_source, SiteModel};
+use crate::querymodel::{infer_plugin, SiteModel};
+use joza_phpsim::span::Span;
 use joza_sqlparse::ast::{Expr as SqlExpr, Projection, SelectStatement, Statement, TableRef};
 use joza_sqlparse::template::{QueryTemplate, TemplatePart};
 use joza_sqlparse::Value;
-use joza_webapp::app::WebApp;
+use joza_webapp::app::{Plugin, WebApp};
 use joza_webapp::transform::InputTransform;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A storage location: `(table, column)`, lowercased. `"*"` in either
@@ -148,7 +150,7 @@ impl ProvenanceChain {
 }
 
 /// Per-route result of the persistence-aware pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteFlow {
     /// Route slug.
     pub route: String,
@@ -173,7 +175,7 @@ pub struct RouteFlow {
 }
 
 /// The cross-route fixpoint result for one application.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreFlowReport {
     /// Per-route flows, sorted by route slug.
     pub routes: Vec<RouteFlow>,
@@ -509,16 +511,14 @@ fn classify_site(site: &SiteModel) -> SiteAccess {
 // The cross-route fixpoint.
 // ---------------------------------------------------------------------
 
-/// True when `cell` (a concrete or wildcard read) hits the dirty set.
+/// True when `cell` (a concrete or wildcard read) hits the dirty set: the
+/// wildcard cell `(*, *)` is dirty, or a dirty cell lives in the cell's
+/// table and is the cell itself, the whole table, or any cell of it when
+/// the read is a whole-table read.
 fn covered(dirty: &BTreeSet<Cell>, cell: &Cell) -> bool {
-    if dirty.contains(&(ANY.to_string(), ANY.to_string())) {
-        return true;
-    }
-    if cell.1 == ANY {
-        // Whole-table read: dirty if any dirty cell lives in the table.
-        return dirty.iter().any(|(t, _)| *t == cell.0);
-    }
-    dirty.contains(cell) || dirty.contains(&(cell.0.clone(), ANY.to_string()))
+    dirty.iter().any(|(t, c)| {
+        (t == ANY && c == ANY) || (*t == cell.0 && (cell.1 == ANY || *c == cell.1 || c == ANY))
+    })
 }
 
 fn cell_label(cell: &Cell) -> String {
@@ -529,122 +529,160 @@ fn cell_label(cell: &Cell) -> String {
 /// so convergence happens in ≤ |cells| + 2 rounds.
 const MAX_ROUNDS: usize = 64;
 
-/// Runs the persistence-aware cross-route analysis over every routable
-/// endpoint of `app`.
-pub fn analyze_store_flow(app: &WebApp) -> StoreFlowReport {
-    let input_escaped = app.input_pipeline.contains(&InputTransform::MagicQuotes);
-    let mut plugins: Vec<_> = app.plugins().collect();
-    plugins.sort_by(|a, b| a.name.cmp(&b.name));
+/// One route's sink sites classified (templates are independent of the
+/// dirty set, so this runs once per route).
+struct RouteInfo<'a> {
+    plugin: &'a Plugin,
+    sites: BTreeMap<usize, SiteAccess>,
+    /// Preorder statement spans (for load-site line provenance).
+    spans: &'a [Span],
+    parse_error: bool,
+}
 
-    // Phase 1: per-route site classification (once; templates are
-    // independent of the dirty set).
-    struct RouteInfo<'a> {
-        name: &'a str,
-        source: &'a str,
-        sites: BTreeMap<usize, SiteAccess>,
-        /// Preorder statement spans (for load-site line provenance).
-        spans: Vec<joza_phpsim::span::Span>,
-        parse_error: bool,
+impl RouteInfo<'_> {
+    /// The DB sources the route's taint pass gets under `dirty`: every
+    /// load (or unknown) site whose cells hit the dirty set.
+    fn db_sources(&self, dirty: &BTreeSet<Cell>) -> BTreeMap<usize, Vec<String>> {
+        let mut db_sources = BTreeMap::new();
+        for (stmt_id, access) in &self.sites {
+            let mut labels: BTreeSet<String> = BTreeSet::new();
+            for cell in &access.loads {
+                if covered(dirty, cell) {
+                    labels.insert(cell_label(cell));
+                }
+            }
+            if access.unknown {
+                // An unclassified site may read anything dirty.
+                labels.extend(dirty.iter().map(cell_label));
+            }
+            if !labels.is_empty() {
+                db_sources.insert(*stmt_id, labels.into_iter().collect());
+            }
+        }
+        db_sources
     }
-    let infos: Vec<RouteInfo> = plugins
-        .iter()
-        .map(|p| {
-            let model = infer_source(&p.name, &p.source);
-            let sites = model.sites.iter().map(|s| (s.stmt_id, classify_site(s))).collect();
-            let spans = joza_phpsim::parser::parse_program_spanned(&p.source)
-                .map(|(_, spans)| spans)
-                .unwrap_or_default();
-            RouteInfo {
-                name: &p.name,
-                source: &p.source,
-                sites,
-                spans,
-                parse_error: model.parse_error,
-            }
-        })
-        .collect();
+}
 
-    // Phase 2: iterate store→dirty→load→taint to a fixpoint.
-    let mut dirty: BTreeSet<Cell> = BTreeSet::new();
-    let mut stores: Vec<StoreEvent> = Vec::new();
-    let mut top_poisoned = false;
-    let mut poisoned_by: BTreeSet<String> = BTreeSet::new();
-    let mut summaries: Vec<TaintSummary> = Vec::new();
-    let mut db_source_maps: Vec<BTreeMap<usize, Vec<String>>> = Vec::new();
-    let mut iterations = 0usize;
+/// A route's latest taint pass in the fixpoint.
+struct RoutePass {
+    /// The DB sources it ran with.
+    db_sources: BTreeMap<usize, Vec<String>>,
+    summary: TaintSummary,
+    /// `taint_free` of a pass the route got with no DB sources — its
+    /// first-order pass — if it had one.
+    first_order_taint_free: Option<bool>,
+}
 
-    for round in 0..MAX_ROUNDS {
-        iterations = round + 1;
+/// What the fixpoint has learned about the store so far.
+#[derive(Default)]
+struct StoreState {
+    dirty: BTreeSet<Cell>,
+    /// Tainted writes by (cell, route, stmt): the first pass to see one
+    /// records it.
+    stores: BTreeMap<(Cell, String, usize), StoreEvent>,
+    top_poisoned: bool,
+    poisoned_by: BTreeSet<String>,
+}
+
+impl StoreState {
+    /// Folds one taint pass's tainted writes into the store; true when
+    /// anything was new. Folding the same pass twice changes nothing.
+    fn harvest(&mut self, info: &RouteInfo, summary: &TaintSummary) -> bool {
+        let route = &info.plugin.name;
         let mut changed = false;
-        summaries.clear();
-        db_source_maps.clear();
-
-        for info in &infos {
-            // Install DB sources at every load (or unknown) site whose
-            // cells hit the dirty set.
-            let mut db_sources: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-            for (stmt_id, access) in &info.sites {
-                let mut labels: BTreeSet<String> = BTreeSet::new();
-                for cell in &access.loads {
-                    if covered(&dirty, cell) {
-                        labels.insert(cell_label(cell));
-                    }
+        if summary.parse_error.is_some() && !self.top_poisoned {
+            // Unparsable route: could write anything, anywhere.
+            self.top_poisoned = true;
+            self.poisoned_by.insert(route.clone());
+            self.dirty.insert((ANY.to_string(), ANY.to_string()));
+            changed = true;
+        }
+        for finding in &summary.findings {
+            let Some(access) = info.sites.get(&finding.stmt_id) else { continue };
+            if access.unknown {
+                if !self.top_poisoned {
+                    self.top_poisoned = true;
+                    self.dirty.insert((ANY.to_string(), ANY.to_string()));
+                    changed = true;
                 }
-                if access.unknown {
-                    // An unclassified site may read anything dirty.
-                    for cell in &dirty {
-                        labels.insert(cell_label(cell));
-                    }
-                }
-                if !labels.is_empty() {
-                    db_sources.insert(*stmt_id, labels.into_iter().collect());
-                }
+                self.poisoned_by.insert(route.clone());
             }
-            let config = AnalyzerConfig { input_escaped, db_sources: db_sources.clone() };
-            let summary = analyze_source(info.name, info.source, &config);
-
-            // Harvest tainted writes.
-            if summary.parse_error.is_some() && !top_poisoned {
-                // Unparsable route: could write anything, anywhere.
-                top_poisoned = true;
-                poisoned_by.insert(info.name.to_string());
-                dirty.insert((ANY.to_string(), ANY.to_string()));
-                changed = true;
-            }
-            for finding in &summary.findings {
-                let Some(access) = info.sites.get(&finding.stmt_id) else { continue };
-                if access.unknown {
-                    if !top_poisoned {
-                        top_poisoned = true;
-                        dirty.insert((ANY.to_string(), ANY.to_string()));
-                        changed = true;
-                    }
-                    poisoned_by.insert(info.name.to_string());
+            for cell in &access.stores {
+                if !self.dirty.contains(cell) {
+                    self.dirty.insert(cell.clone());
+                    changed = true;
                 }
-                for cell in &access.stores {
-                    let event = StoreEvent {
+                if let Entry::Vacant(slot) =
+                    self.stores.entry((cell.clone(), route.clone(), finding.stmt_id))
+                {
+                    slot.insert(StoreEvent {
                         cell: cell.clone(),
-                        route: info.name.to_string(),
+                        route: route.clone(),
                         stmt_id: finding.stmt_id,
                         sink: finding.sink.clone(),
                         line: finding.line,
                         taint: finding.taint,
                         sources: finding.sources.clone(),
                         snippet: finding.snippet.clone(),
-                    };
-                    if dirty.insert(cell.clone()) {
-                        changed = true;
-                    }
-                    if !stores.iter().any(|s| {
-                        s.cell == event.cell && s.route == event.route && s.stmt_id == event.stmt_id
-                    }) {
-                        stores.push(event);
-                        changed = true;
-                    }
+                    });
+                    changed = true;
                 }
             }
-            summaries.push(summary);
-            db_source_maps.push(db_sources);
+        }
+        changed
+    }
+}
+
+/// Runs the persistence-aware cross-route analysis over every routable
+/// endpoint of `app`, from the routes' cached parses.
+///
+/// The fixpoint is incremental: rounds visit the routes in slug order
+/// against the dirty set as it grows, but a route's taint pass re-runs
+/// only when its DB sources differ from those of its last pass — the
+/// same sources give the same summary, whose writes are already
+/// harvested. The report, round count included, is the one re-running
+/// every route every round gives.
+pub fn analyze_store_flow(app: &WebApp) -> StoreFlowReport {
+    let input_escaped = app.input_pipeline.contains(&InputTransform::MagicQuotes);
+    let mut plugins: Vec<&Plugin> = app.plugins().collect();
+    plugins.sort_by(|a, b| a.name.cmp(&b.name));
+
+    // Phase 1: per-route site classification.
+    let infos: Vec<RouteInfo> = plugins
+        .into_iter()
+        .map(|plugin| {
+            let model = infer_plugin(app, plugin);
+            RouteInfo {
+                plugin,
+                sites: model.sites.iter().map(|s| (s.stmt_id, classify_site(s))).collect(),
+                spans: app.parsed(&plugin.name).map_or(&[], |p| &p.spans),
+                parse_error: model.parse_error,
+            }
+        })
+        .collect();
+
+    // Phase 2: iterate store→dirty→load→taint to a fixpoint.
+    let mut state = StoreState::default();
+    let mut passes: Vec<Option<RoutePass>> = infos.iter().map(|_| None).collect();
+    let mut iterations = 0usize;
+    for round in 0..MAX_ROUNDS {
+        iterations = round + 1;
+        let mut changed = false;
+        for (info, pass) in infos.iter().zip(&mut passes) {
+            let db_sources = info.db_sources(&state.dirty);
+            if pass.as_ref().is_some_and(|p| p.db_sources == db_sources) {
+                continue;
+            }
+            let config = AnalyzerConfig { input_escaped, db_sources };
+            let summary = analyze_plugin(app, info.plugin, &config);
+            changed |= state.harvest(info, &summary);
+            let first_order_taint_free = if config.db_sources.is_empty() {
+                Some(summary.taint_free)
+            } else {
+                pass.as_ref().and_then(|p| p.first_order_taint_free)
+            };
+            *pass =
+                Some(RoutePass { db_sources: config.db_sources, summary, first_order_taint_free });
         }
         if !changed {
             break;
@@ -652,16 +690,18 @@ pub fn analyze_store_flow(app: &WebApp) -> StoreFlowReport {
     }
 
     // Phase 3: classify, and build provenance chains.
-    stores.sort_by(|a, b| (&a.cell, &a.route, a.stmt_id).cmp(&(&b.cell, &b.route, b.stmt_id)));
+    let StoreState { dirty, stores, top_poisoned, poisoned_by } = state;
+    let stores: Vec<StoreEvent> = stores.into_values().collect();
     let mut routes = Vec::with_capacity(infos.len());
-    for (idx, info) in infos.iter().enumerate() {
-        let summary = summaries[idx].clone();
-        let db_sources = &db_source_maps[idx];
-        let first_order = analyze_source(
-            info.name,
-            info.source,
-            &AnalyzerConfig { input_escaped, ..AnalyzerConfig::default() },
-        );
+    for (info, pass) in infos.iter().zip(passes) {
+        let RoutePass { db_sources, summary, first_order_taint_free } =
+            pass.expect("every route has a pass after round 1");
+        let name = &info.plugin.name;
+        let source = &info.plugin.source;
+        let first_order_taint_free = first_order_taint_free.unwrap_or_else(|| {
+            let config = AnalyzerConfig { input_escaped, ..AnalyzerConfig::default() };
+            analyze_plugin(app, info.plugin, &config).taint_free
+        });
 
         let mut chains = Vec::new();
         for finding in &summary.findings {
@@ -675,8 +715,7 @@ pub fn analyze_store_flow(app: &WebApp) -> StoreFlowReport {
                     .find(|(_, labels)| labels.iter().any(|l| l == src))
                     .map(|(id, _)| *id);
                 let Some(load_stmt_id) = load_site else { continue };
-                let load_line =
-                    info.spans.get(load_stmt_id).map(|s| s.line(info.source)).unwrap_or(0);
+                let load_line = info.spans.get(load_stmt_id).map(|s| s.line(source)).unwrap_or(0);
                 // Every store event that can have dirtied this cell.
                 for store in stores.iter().filter(|s| {
                     s.cell == cell
@@ -686,7 +725,7 @@ pub fn analyze_store_flow(app: &WebApp) -> StoreFlowReport {
                     chains.push(ProvenanceChain {
                         cell: cell.clone(),
                         store: store.clone(),
-                        load_route: info.name.to_string(),
+                        load_route: name.clone(),
                         load_stmt_id,
                         load_line,
                         sink_stmt_id: finding.stmt_id,
@@ -718,7 +757,7 @@ pub fn analyze_store_flow(app: &WebApp) -> StoreFlowReport {
 
         let store_cells: Vec<Cell> = stores
             .iter()
-            .filter(|s| s.route == info.name)
+            .filter(|s| s.route == *name)
             .map(|s| s.cell.clone())
             .collect::<BTreeSet<_>>()
             .into_iter()
@@ -734,9 +773,9 @@ pub fn analyze_store_flow(app: &WebApp) -> StoreFlowReport {
             info.sites.values().filter(|a| a.unknown).count() + usize::from(info.parse_error);
 
         routes.push(RouteFlow {
-            route: info.name.to_string(),
+            route: name.clone(),
             class,
-            first_order_taint_free: first_order.taint_free,
+            first_order_taint_free,
             summary,
             store_cells,
             load_cells,
@@ -766,6 +805,317 @@ mod tests {
             app.add_plugin(Plugin::new(name, "1.0", src));
         }
         app
+    }
+
+    /// The round-by-round fixpoint the incremental one replaced: every
+    /// route re-parsed and re-analyzed from its source text in every
+    /// round, and a separate first-order pass per route. Kept as the
+    /// differential reference.
+    fn reference_store_flow(app: &WebApp) -> StoreFlowReport {
+        let input_escaped = app.input_pipeline.contains(&InputTransform::MagicQuotes);
+        let mut plugins: Vec<_> = app.plugins().collect();
+        plugins.sort_by(|a, b| a.name.cmp(&b.name));
+
+        // Phase 1: per-route site classification (once; templates are
+        // independent of the dirty set).
+        struct RouteInfo<'a> {
+            name: &'a str,
+            source: &'a str,
+            sites: BTreeMap<usize, SiteAccess>,
+            /// Preorder statement spans (for load-site line provenance).
+            spans: Vec<joza_phpsim::span::Span>,
+            parse_error: bool,
+        }
+        let infos: Vec<RouteInfo> = plugins
+            .iter()
+            .map(|p| {
+                let model = crate::infer_source(&p.name, &p.source);
+                let sites = model.sites.iter().map(|s| (s.stmt_id, classify_site(s))).collect();
+                let spans = joza_phpsim::parser::parse_program_spanned(&p.source)
+                    .map(|(_, spans)| spans)
+                    .unwrap_or_default();
+                RouteInfo {
+                    name: &p.name,
+                    source: &p.source,
+                    sites,
+                    spans,
+                    parse_error: model.parse_error,
+                }
+            })
+            .collect();
+
+        // Phase 2: iterate store→dirty→load→taint to a fixpoint.
+        let mut dirty: BTreeSet<Cell> = BTreeSet::new();
+        let mut stores: Vec<StoreEvent> = Vec::new();
+        let mut top_poisoned = false;
+        let mut poisoned_by: BTreeSet<String> = BTreeSet::new();
+        let mut summaries: Vec<TaintSummary> = Vec::new();
+        let mut db_source_maps: Vec<BTreeMap<usize, Vec<String>>> = Vec::new();
+        let mut iterations = 0usize;
+
+        for round in 0..MAX_ROUNDS {
+            iterations = round + 1;
+            let mut changed = false;
+            summaries.clear();
+            db_source_maps.clear();
+
+            for info in &infos {
+                // Install DB sources at every load (or unknown) site whose
+                // cells hit the dirty set.
+                let mut db_sources: BTreeMap<usize, Vec<String>> = BTreeMap::new();
+                for (stmt_id, access) in &info.sites {
+                    let mut labels: BTreeSet<String> = BTreeSet::new();
+                    for cell in &access.loads {
+                        if covered(&dirty, cell) {
+                            labels.insert(cell_label(cell));
+                        }
+                    }
+                    if access.unknown {
+                        // An unclassified site may read anything dirty.
+                        for cell in &dirty {
+                            labels.insert(cell_label(cell));
+                        }
+                    }
+                    if !labels.is_empty() {
+                        db_sources.insert(*stmt_id, labels.into_iter().collect());
+                    }
+                }
+                let config = AnalyzerConfig { input_escaped, db_sources: db_sources.clone() };
+                let summary = crate::analyze_source(info.name, info.source, &config);
+
+                // Harvest tainted writes.
+                if summary.parse_error.is_some() && !top_poisoned {
+                    // Unparsable route: could write anything, anywhere.
+                    top_poisoned = true;
+                    poisoned_by.insert(info.name.to_string());
+                    dirty.insert((ANY.to_string(), ANY.to_string()));
+                    changed = true;
+                }
+                for finding in &summary.findings {
+                    let Some(access) = info.sites.get(&finding.stmt_id) else { continue };
+                    if access.unknown {
+                        if !top_poisoned {
+                            top_poisoned = true;
+                            dirty.insert((ANY.to_string(), ANY.to_string()));
+                            changed = true;
+                        }
+                        poisoned_by.insert(info.name.to_string());
+                    }
+                    for cell in &access.stores {
+                        let event = StoreEvent {
+                            cell: cell.clone(),
+                            route: info.name.to_string(),
+                            stmt_id: finding.stmt_id,
+                            sink: finding.sink.clone(),
+                            line: finding.line,
+                            taint: finding.taint,
+                            sources: finding.sources.clone(),
+                            snippet: finding.snippet.clone(),
+                        };
+                        if dirty.insert(cell.clone()) {
+                            changed = true;
+                        }
+                        if !stores.iter().any(|s| {
+                            s.cell == event.cell
+                                && s.route == event.route
+                                && s.stmt_id == event.stmt_id
+                        }) {
+                            stores.push(event);
+                            changed = true;
+                        }
+                    }
+                }
+                summaries.push(summary);
+                db_source_maps.push(db_sources);
+            }
+            if !changed {
+                break;
+            }
+        }
+
+        // Phase 3: classify, and build provenance chains.
+        stores.sort_by(|a, b| (&a.cell, &a.route, a.stmt_id).cmp(&(&b.cell, &b.route, b.stmt_id)));
+        let mut routes = Vec::with_capacity(infos.len());
+        for (idx, info) in infos.iter().enumerate() {
+            let summary = summaries[idx].clone();
+            let db_sources = &db_source_maps[idx];
+            let first_order = crate::analyze_source(
+                info.name,
+                info.source,
+                &AnalyzerConfig { input_escaped, ..AnalyzerConfig::default() },
+            );
+
+            let mut chains = Vec::new();
+            for finding in &summary.findings {
+                for src in &finding.sources {
+                    let Some(cell_name) = src.strip_prefix("db:") else { continue };
+                    let (table, column) = cell_name.split_once('.').unwrap_or((cell_name, ANY));
+                    let cell: Cell = (table.to_string(), column.to_string());
+                    // Which load site introduced this label?
+                    let load_site = db_sources
+                        .iter()
+                        .find(|(_, labels)| labels.iter().any(|l| l == src))
+                        .map(|(id, _)| *id);
+                    let Some(load_stmt_id) = load_site else { continue };
+                    let load_line =
+                        info.spans.get(load_stmt_id).map(|s| s.line(info.source)).unwrap_or(0);
+                    // Every store event that can have dirtied this cell.
+                    for store in stores.iter().filter(|s| {
+                        s.cell == cell
+                            || s.cell == (cell.0.clone(), ANY.to_string())
+                            || s.cell == (ANY.to_string(), ANY.to_string())
+                    }) {
+                        chains.push(ProvenanceChain {
+                            cell: cell.clone(),
+                            store: store.clone(),
+                            load_route: info.name.to_string(),
+                            load_stmt_id,
+                            load_line,
+                            sink_stmt_id: finding.stmt_id,
+                            sink_line: finding.line,
+                            sink_snippet: finding.snippet.clone(),
+                        });
+                    }
+                }
+            }
+            chains.sort_by(|a, b| {
+                (a.sink_stmt_id, &a.cell, &a.store.route, a.store.stmt_id).cmp(&(
+                    b.sink_stmt_id,
+                    &b.cell,
+                    &b.store.route,
+                    b.store.stmt_id,
+                ))
+            });
+            chains.dedup();
+
+            let has_db_finding =
+                summary.findings.iter().any(|f| f.sources.iter().any(|s| s.starts_with("db:")));
+            let class = if summary.taint_free {
+                RouteClass::Clean
+            } else if has_db_finding {
+                RouteClass::SecondOrderReachable
+            } else {
+                RouteClass::FirstOrderOnly
+            };
+
+            let store_cells: Vec<Cell> = stores
+                .iter()
+                .filter(|s| s.route == info.name)
+                .map(|s| s.cell.clone())
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let load_cells: Vec<Cell> = info
+                .sites
+                .values()
+                .flat_map(|a| a.loads.iter().cloned())
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let unknown_sites =
+                info.sites.values().filter(|a| a.unknown).count() + usize::from(info.parse_error);
+
+            routes.push(RouteFlow {
+                route: info.name.to_string(),
+                class,
+                first_order_taint_free: first_order.taint_free,
+                summary,
+                store_cells,
+                load_cells,
+                unknown_sites,
+                chains,
+            });
+        }
+
+        StoreFlowReport {
+            routes,
+            dirty,
+            stores,
+            top_poisoned,
+            poisoned_by: poisoned_by.into_iter().collect(),
+            iterations,
+        }
+    }
+
+    fn assert_matches_reference(app: &WebApp) -> StoreFlowReport {
+        let report = analyze_store_flow(app);
+        assert_eq!(report, reference_store_flow(app));
+        report
+    }
+
+    #[test]
+    fn fixpoint_reference_matches_on_the_lab() {
+        let lab = joza_lab::build_lab();
+        assert_matches_reference(&lab.server.app);
+    }
+
+    #[test]
+    fn fixpoint_reference_matches_on_the_second_order_lab() {
+        let so = joza_lab::second_order::build_second_order_lab();
+        let report = assert_matches_reference(&so.lab.server.app);
+        assert!(!report.second_order_routes().is_empty());
+    }
+
+    #[test]
+    fn fixpoint_reference_matches_on_a_chain_needing_many_rounds() {
+        // Rounds visit routes in slug order, so a chain whose links run
+        // against that order advances one link per round: z plants t1,
+        // y copies t1 → t2, x copies t2 → t3, w re-interpolates t3.
+        let relay = |from: &str, to: &str| {
+            format!(
+                r#"
+                $r = mysql_query("SELECT v FROM {from} WHERE id=1");
+                $row = mysql_fetch_row($r);
+                mysql_query("INSERT INTO {to} (id, v) VALUES (1, '" . $row . "')");
+                "#
+            )
+        };
+        let plant = r#"
+            $v = $_POST['v'];
+            mysql_query("INSERT INTO t1 (id, v) VALUES (1, '" . $v . "')");
+        "#;
+        let trigger = r#"
+            $r = mysql_query("SELECT v FROM t3 WHERE id=1");
+            $row = mysql_fetch_row($r);
+            mysql_query("SELECT * FROM posts WHERE author='" . $row . "'");
+        "#;
+        let (y, x) = (relay("t1", "t2"), relay("t2", "t3"));
+        let app =
+            app_of(&[("z-plant", plant), ("y-relay", &y), ("x-relay", &x), ("w-trigger", trigger)]);
+        let report = assert_matches_reference(&app);
+        assert!(report.iterations >= 3, "{} rounds", report.iterations);
+        assert_eq!(report.get("w-trigger").unwrap().class, RouteClass::SecondOrderReachable);
+        // A relay's first pass already carries DB sources from the plant
+        // earlier in the same round: its first-order verdict must come
+        // from a pass without them.
+        let forward = app_of(&[("a-plant", plant), ("b-relay", &y)]);
+        let report = assert_matches_reference(&forward);
+        let relay = report.get("b-relay").unwrap();
+        assert!(relay.first_order_taint_free);
+        assert_eq!(relay.class, RouteClass::SecondOrderReachable);
+    }
+
+    #[test]
+    fn fixpoint_reference_matches_under_poison_and_parse_errors() {
+        let unknown = r#"
+            $ids = $_GET['ids'];
+            db_query("SELECT name FROM nodes WHERE id IN (:ids)", array(':ids' => $ids));
+        "#;
+        let app = app_of(&[
+            ("unknown", unknown),
+            ("trigger", LOAD_ROUTE),
+            ("plant", STORE_ROUTE),
+            ("broken", "$x = ;"),
+        ]);
+        assert!(assert_matches_reference(&app).top_poisoned);
+    }
+
+    #[test]
+    fn store_flow_parses_each_route_once() {
+        let app = joza_lab::second_order::build_second_order_lab().lab.server.app;
+        let before = joza_phpsim::parser::parse_count();
+        analyze_store_flow(&app);
+        assert_eq!(joza_phpsim::parser::parse_count() - before, app.plugin_count() as u64);
     }
 
     const STORE_ROUTE: &str = r#"

@@ -70,7 +70,7 @@ pub fn parse(source: &str) -> Result<Statement, ParseError> {
             });
         }
     }
-    let mut p = Parser { src: source, tokens, pos: 0 };
+    let mut p = Parser { src: source, tokens, pos: 0, depth: 0 };
     let stmt = p.statement()?;
     p.eat_kind(TokenKind::Semicolon);
     if let Some(t) = p.peek() {
@@ -79,10 +79,21 @@ pub fn parse(source: &str) -> Result<Statement, ParseError> {
     Ok(stmt)
 }
 
+/// How deeply expressions (parenthesized, subqueries, prefix operators)
+/// may nest. The parser recurses once per level, and a stack overflow
+/// aborts the whole process, so deeper input is a parse error: the query
+/// is rejected, as a malformed one is. Lab and WordPress queries nest a
+/// few levels. A level takes about 3.5 KB of stack in an optimized build
+/// and about 20 KB in an unoptimized one, so at this bound the parse fits
+/// a 2 MiB worker stack in both.
+const MAX_NESTING: usize = 64;
+
 struct Parser<'a> {
     src: &'a str,
     tokens: Vec<Token>,
     pos: usize,
+    /// Current expression nesting ([`MAX_NESTING`] at most).
+    depth: usize,
 }
 
 type PResult<T> = Result<T, ParseError>;
@@ -190,7 +201,13 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A `SELECT` with its `UNION` arms; a subquery is a nesting level of
+    /// its own, on top of the expression that holds it.
     fn select(&mut self) -> PResult<SelectStatement> {
+        self.nested(Self::select_union)
+    }
+
+    fn select_union(&mut self) -> PResult<SelectStatement> {
         let mut stmt = self.select_body()?;
         while self.eat_kw("UNION") {
             let op = if self.eat_kw("ALL") { SetOp::UnionAll } else { SetOp::Union };
@@ -400,8 +417,20 @@ impl<'a> Parser<'a> {
 
     // ----- expressions, precedence climbing -----
 
+    /// Runs `f` one nesting level deeper, or fails past [`MAX_NESTING`].
+    /// Every cycle of the recursive descent passes through here.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err_here("expression nested too deeply"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn expr(&mut self) -> PResult<Expr> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> PResult<Expr> {
@@ -431,7 +460,7 @@ impl<'a> Parser<'a> {
 
     fn not_expr(&mut self) -> PResult<Expr> {
         if self.eat_kw("NOT") {
-            let inner = self.not_expr()?;
+            let inner = self.nested(Self::not_expr)?;
             Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) })
         } else {
             self.comparison()
@@ -574,15 +603,15 @@ impl<'a> Parser<'a> {
 
     fn unary(&mut self) -> PResult<Expr> {
         if self.eat_op("-") {
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             return Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) });
         }
         if self.eat_op("+") {
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             return Ok(Expr::Unary { op: UnaryOp::Plus, expr: Box::new(inner) });
         }
         if self.eat_op("!") {
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             return Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) });
         }
         self.primary()
@@ -999,6 +1028,37 @@ mod tests {
         let err = parse(q).unwrap_err();
         assert!(err.offset <= q.len());
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| {
+            [
+                format!("SELECT a FROM t WHERE id={}1{}", "(".repeat(n), ")".repeat(n)),
+                format!("SELECT a FROM t WHERE id={}1", "-".repeat(n)),
+                format!("SELECT a FROM t WHERE {}id=1", "NOT ".repeat(n)),
+                format!(
+                    "SELECT a FROM t WHERE id IN {}1{}",
+                    "(SELECT ".repeat(n),
+                    " FROM t)".repeat(n)
+                ),
+            ]
+        };
+        // The statement and its WHERE expression are two levels; each
+        // parenthesis adds one.
+        assert!(parse(&nested(MAX_NESTING - 2)[0]).is_ok());
+        for n in [MAX_NESTING, 600, 50_000] {
+            let deep = nested(n);
+            // On a spawned thread's default stack, as a server worker has.
+            std::thread::spawn(move || {
+                for q in &deep {
+                    let e = parse(q).expect_err("past the nesting bound");
+                    assert!(e.message.contains("nested too deeply"), "{e}");
+                }
+            })
+            .join()
+            .expect("parse must not overflow the stack");
+        }
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   *before* the application mangles them (§IV-B);
 //! * a plugin architecture ([`app`]): each plugin is a PHP-subset source
 //!   file routed by slug, executed by `joza-phpsim` against the shared
-//!   in-memory database;
+//!   in-memory database. An application parses each route once per value
+//!   ([`WebApp::parsed`]): the static passes, the bytecode compiler and
+//!   the tree-walker all read that parse, and every path that can change
+//!   a route's source drops it;
 //! * a [`gate`] seam where a protection system (Joza) intercepts every
 //!   query before it reaches the DBMS, mirroring the paper's
 //!   wrapper-based interception (§IV-A): a shared [`GateFactory`] opens
@@ -51,7 +54,7 @@ pub mod request;
 pub mod server;
 pub mod transform;
 
-pub use app::{Plugin, WebApp};
+pub use app::{ParsedRoute, Plugin, WebApp};
 pub use gate::{AllowAll, GateDecision, GateFactory, GateSession, RawInput};
 pub use joza_phpsim::cost;
 pub use request::{HttpRequest, InputSource};

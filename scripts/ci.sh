@@ -7,6 +7,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# The benchmark is a package of its own with a committed lock file. A
+# dependency edit that would rewrite that lock file fails here, not in a
+# benchmark run.
+echo "==> benchmark lock file is current"
+cargo metadata --locked --offline --format-version 1 \
+    --manifest-path crates/bench/src/bin/benchmark/Cargo.toml >/dev/null
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -70,6 +77,22 @@ cargo test -q -p joza-strmatch --test proptests scanners_agree
 cargo test -q -p joza-strmatch --test proptests mru_
 cargo test -q -p joza-pti --lib store
 cargo test -q --test pti_matcher_identity
+# One parse per route: query models, taint summaries and the hardening
+# report built from an application's shared parses must equal the text
+# entry points' on every lab, CMS and second-order route, and a
+# deployment (models, store flow, engine build, a chunk per route) must
+# parse each route once. The incremental store-flow fixpoint must return
+# the round-by-round reference's report, round count included (the lab,
+# the second-order lab, a chain needing a round per link, poison and
+# parse errors). The PHP lexer's word-at-a-time literal scans must give
+# the byte-at-a-time loop's tokens, spans and pieces.
+echo "==> shared-parse identity, fixpoint reference, literal-scan reference"
+cargo test -q -p joza-sast --test shared_parse
+cargo test -q -p joza-sast --lib fixpoint_reference
+cargo test -q -p joza-sast --lib store_flow_parses_each_route_once
+cargo test -q -p joza-phpsim --lib lexer::tests::reference_
+cargo test -q -p joza-phpsim --lib lexer::tests::find_any
+cargo test -q -p joza-phpsim --lib lexer::tests::eq_lanes
 
 # Pipeline equivalence, explicitly: a route session's check, the same
 # session's check_batch, and Joza::check_query_on_route must produce
@@ -87,13 +110,22 @@ cargo test -q --test pipeline_equivalence
 # verdict identical to a cache-less engine's. The PHP front end and the
 # fragment extractor never panic on source dense in quotes, backslashes,
 # `$`, braces, `%`, `:` and multi-byte characters.
-echo "==> robustness (bounded caches, daemon kill, eviction soundness, phpsim fuzz)"
+echo "==> robustness (bounded caches, daemon kill, eviction soundness, phpsim fuzz, nesting, stale routes)"
 cargo test -q --test bounded_cache
 cargo test -q -p joza-pti --lib stays_within_capacity_and_counts_evictions
 cargo test -q -p joza-pti --lib daemon::tests::dead_
 cargo test -q -p joza-core --lib pti_daemon_death_blocks_then_respawns
 cargo test -q --test pipeline_equivalence evicting_caches_never_change_a_verdict
 cargo test -q -p joza-phpsim --test proptests fuzz_
+# Hostile nesting: SQL nested past the parser's bound (parentheses,
+# prefix operators, subqueries; 600 and 50,000 levels) is a parse error
+# on a default 2 MiB thread stack, never a stack overflow that aborts
+# the process, and such a request is served as an SQL error or blocked.
+cargo test -q -p joza-sqlparse --lib nesting
+cargo test -q --test hostile_nesting
+# Stale route code: re-adding a plugin or writing its source through
+# `plugin_mut` must drop its cached parse and chunk on both engines.
+cargo test -q -p joza-webapp --lib stale_route_code
 # LIKE matching stays polynomial: the iterative matcher equals the
 # backtracking reference, 40 `_%` pairs match a 4 KB subject, and a
 # wildcard-dense search is served through the gate.
