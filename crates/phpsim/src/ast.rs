@@ -2,6 +2,11 @@
 
 use crate::value::PValue;
 
+/// The request superglobals, in the order [`mod@crate::compile`] pins them
+/// to the first variable slots of every chunk. Every one of them is
+/// request input: the static passes treat each read as a taint source.
+pub const SUPERGLOBALS: [&str; 5] = ["_GET", "_POST", "_COOKIE", "_REQUEST", "_SERVER"];
+
 /// A program is a statement list.
 pub type Program = Vec<Stmt>;
 

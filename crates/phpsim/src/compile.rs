@@ -22,11 +22,6 @@ use crate::ast::*;
 use crate::value::PValue;
 use std::collections::HashMap;
 
-/// The five superglobals pinned, in this order, to the first variable
-/// slots of every [`Chunk`]. [`crate::vm::Vm`] relies on this layout to
-/// install request parameters before execution.
-pub const SUPERGLOBALS: [&str; 5] = ["_GET", "_POST", "_COOKIE", "_REQUEST", "_SERVER"];
-
 /// A builtin call name, lowered once at compile time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallName {

@@ -120,7 +120,7 @@ impl<'h> Interp<'h> {
     /// Creates an interpreter bound to `host` with empty superglobals.
     pub fn new(host: &'h mut dyn Host) -> Self {
         let mut vars = HashMap::new();
-        for sg in ["_GET", "_POST", "_COOKIE", "_REQUEST", "_SERVER"] {
+        for sg in SUPERGLOBALS {
             vars.insert(sg.to_string(), PValue::Array(PArray::new()));
         }
         Interp { vars, rt: Runtime::new(host), output: String::new(), halted: false }

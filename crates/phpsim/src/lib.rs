@@ -68,7 +68,6 @@ pub mod lexer;
 pub mod parser;
 pub mod span;
 pub mod value;
-pub mod visit;
 pub mod vm;
 
 pub use compile::{compile, Chunk};

@@ -54,10 +54,10 @@ pub fn parse_program(src: &str) -> Result<Program, PhpParseError> {
 }
 
 /// Parses a PHP-subset script into a [`Program`] plus a byte-[`Span`]
-/// table with one entry per statement, indexed in statement *preorder* —
-/// the identical order [`crate::visit::walk_program`] assigns statement
-/// ids, so `spans[id]` is the source range of the statement a visitor
-/// sees as `id`.
+/// table with one entry per statement, indexed in statement *preorder*:
+/// a statement before its children, the `then` branch before the `else`
+/// branch, bodies in textual order. `spans[id]` is the source range of
+/// the `id`-th statement in that order.
 ///
 /// # Errors
 ///
@@ -764,5 +764,15 @@ mod tests {
         assert!(parse_program("if ($a { }").is_err());
         assert!(parse_program("$x = 5").is_err()); // missing semicolon
         assert!(parse_program("foo(;").is_err());
+    }
+
+    #[test]
+    fn spans_cover_whole_statements() {
+        let src = "$a = 1; $b = $a . 'x'; mysql_query($b);";
+        let (prog, spans) = parse_program_spanned(src).unwrap();
+        assert_eq!(prog.len(), 3);
+        assert_eq!(spans[0].slice(src), "$a = 1;");
+        assert_eq!(spans[1].slice(src), "$b = $a . 'x';");
+        assert_eq!(spans[2].slice(src), "mysql_query($b);");
     }
 }

@@ -1,9 +1,9 @@
 //! Byte spans into PHP source text.
 //!
 //! The lexer records a span per token and the parser aggregates them into
-//! a span per statement (in statement *preorder*, the same order
-//! [`crate::visit`] walks), so downstream consumers — chiefly the static
-//! taint analyzer — can point findings back at source text.
+//! a span per statement (in statement *preorder*, the order the static
+//! passes number statements in), so downstream consumers — chiefly the
+//! static taint analyzer — can point findings back at source text.
 
 /// A half-open byte range `[lo, hi)` into the original source string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]

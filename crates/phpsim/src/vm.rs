@@ -18,9 +18,9 @@
 //!
 //! [`Interp::output`]: crate::interp::Interp::output
 
-use crate::ast::AssignOp;
+use crate::ast::{AssignOp, SUPERGLOBALS};
 use crate::builtins;
-use crate::compile::{Chunk, InterpSeg, Op, SUPERGLOBALS};
+use crate::compile::{Chunk, InterpSeg, Op};
 use crate::interp::{
     apply_assign_op, assign_into, eval_binop, index_read, isset_index, set_superglobal_entry, Host,
     PhpError, Runtime,

@@ -1,35 +1,31 @@
-//! The abstract interpreter: a flow-sensitive worklist fixpoint over the
-//! taint lattice, walking statements in the same preorder the parser's
-//! span table uses.
+//! The taint pass: the static passes' one walker (`absint`) over the taint
+//! lattice.
 //!
 //! The variable environment maps names to [`AbstractVal`]s; arrays are
 //! smashed (one abstract value per variable, indices joined in — written
-//! *keys* included, since array keys are an injection channel).
-//! Branches are analyzed on cloned environments and joined afterwards, so
-//! a sanitizer inside only one `if` arm never clears taint on the join.
-//! Loop bodies iterate to a fixpoint on (taint, provenance) — the finite
-//! lattice guarantees termination; traces are bounded separately.
-//! `break`/`continue` terminate their abstract path: the environment at
-//! the jump is recorded (break states join the loop's exit state,
-//! continue states its next-iteration entry) and the statements after the
-//! jump are skipped on that path, so a strong update in unreachable tail
-//! code can never scrub taint that concretely escapes the loop.
+//! *keys* included, since array keys are an injection channel). Branch
+//! joins keep the worse side, so a sanitizer inside only one `if` arm
+//! never clears taint after the `if`; loops iterate to a fixpoint on
+//! (taint, provenance), with traces bounded separately.
 
+use crate::absint::{self, Domain};
 use crate::lattice::{AbstractVal, Taint};
 use crate::summaries::{effect_of, is_sink, Effect};
-use joza_phpsim::ast::{AssignOp, BinOp, Expr, InterpPart, Stmt, UnaryOp};
+use joza_phpsim::ast::{Expr, Stmt};
 use joza_phpsim::parser::{parse_program_spanned, PhpParseError};
 use joza_phpsim::span::Span;
+use joza_phpsim::value::PValue;
 use joza_webapp::app::{Plugin, WebApp};
 use std::collections::BTreeMap;
 
 /// Analyzer configuration.
 #[derive(Debug, Clone, Default)]
 pub struct AnalyzerConfig {
-    /// When true, the framework escapes every request input before plugin
-    /// code runs (WordPress magic quotes), so source reads start at
-    /// `MaybeTainted` instead of `Tainted`. `stripslashes`-style decodes
-    /// restore them to `Tainted`.
+    /// When true, the framework escapes request parameters and cookies
+    /// before plugin code runs (WordPress magic quotes), so their reads
+    /// start at `MaybeTainted` instead of `Tainted`; `stripslashes`-style
+    /// decodes restore them to `Tainted`. Headers (`$_SERVER`) are never
+    /// escaped and always read `Tainted`.
     pub input_escaped: bool,
     /// DB-sourced taint: sink call sites (by preorder statement id) whose
     /// *result handles* carry attacker-reachable stored data. The handle
@@ -78,7 +74,7 @@ pub struct TaintSummary {
     pub taint_free: bool,
     /// Number of distinct sink call sites seen.
     pub sink_count: usize,
-    /// Flows whose sink taint exceeds `Untainted`, sorted by
+    /// Sink sites whose taint exceeds `Untainted`, sorted by
     /// (endpoint, span.lo, sink) for deterministic output.
     pub findings: Vec<Finding>,
     /// Parse failure, if any (conservatively not taint-free).
@@ -125,22 +121,10 @@ fn analyze_program(
     spans: &[Span],
     config: &AnalyzerConfig,
 ) -> TaintSummary {
-    let mut interp = AbstractInterp {
-        endpoint,
-        src,
-        spans,
-        config,
-        sinks: BTreeMap::new(),
-        break_frames: Vec::new(),
-        continue_frames: Vec::new(),
-    };
-    let mut env = Env::new();
-    let mut next = 0usize;
-    interp.eval_block(prog, &mut env, &mut next);
-
-    let sink_count = interp.sinks.len();
+    let taints = absint::run(Taints { endpoint, src, spans, config, sinks: BTreeMap::new() }, prog);
+    let sink_count = taints.sinks.len();
     let mut findings: Vec<Finding> =
-        interp.sinks.into_values().filter(|f| f.taint > Taint::Untainted).collect();
+        taints.sinks.into_values().filter(|f| f.taint > Taint::Untainted).collect();
     findings.sort_by(|a, b| {
         (a.endpoint.as_str(), a.span.lo, a.sink.as_str()).cmp(&(
             b.endpoint.as_str(),
@@ -157,320 +141,94 @@ fn analyze_program(
     }
 }
 
-type Env = BTreeMap<String, AbstractVal>;
-
-/// Superglobals treated as attacker-controlled sources.
-const SOURCE_SUPERGLOBALS: &[&str] = &["_GET", "_POST", "_COOKIE", "_REQUEST"];
-
-/// Loop-fixpoint safety bound; the lattice converges far earlier.
-const MAX_LOOP_ITERS: usize = 50;
-
-/// How a statement (or block) hands control onward on one abstract path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Flow {
-    /// Execution continues with the next statement.
-    Normal,
-    /// The path left via `break`/`continue`; its environment has already
-    /// been recorded with the enclosing loop.
-    Exited,
-}
-
-struct AbstractInterp<'a> {
+/// The taint domain: request reads are sources, `summaries::effect_of`
+/// classifies builtins, and every sink call site keeps the join of what
+/// reaches it.
+struct Taints<'a> {
     endpoint: &'a str,
     src: &'a str,
     spans: &'a [Span],
     config: &'a AnalyzerConfig,
     /// All sink call sites keyed by (stmt id, sink name); re-visits from
-    /// loop fixpoints join in.
+    /// loop passes join in.
     sinks: BTreeMap<(usize, String), Finding>,
-    /// Per enclosing loop, the environments captured at `break`
-    /// statements — joined into the loop's exit state.
-    break_frames: Vec<Vec<Env>>,
-    /// Per enclosing loop, the environments captured at `continue`
-    /// statements — joined into the next iteration's entry state.
-    continue_frames: Vec<Vec<Env>>,
 }
 
-impl AbstractInterp<'_> {
-    fn source_taint(&self) -> Taint {
-        if self.config.input_escaped {
+impl Domain for Taints<'_> {
+    type Val = AbstractVal;
+
+    fn lit(&self, _: &PValue) -> AbstractVal {
+        AbstractVal::untainted()
+    }
+
+    fn text(&self, _: &str) -> AbstractVal {
+        AbstractVal::untainted()
+    }
+
+    /// Arithmetic, comparisons and coercions leave no attacker bytes.
+    fn scalar(&self) -> AbstractVal {
+        AbstractVal::untainted()
+    }
+
+    fn concat(&self, a: &AbstractVal, b: &AbstractVal) -> AbstractVal {
+        a.join(b)
+    }
+
+    fn join(&self, a: &AbstractVal, b: &AbstractVal) -> AbstractVal {
+        a.join(b)
+    }
+
+    /// Magic quotes escape request parameters and cookies, so under
+    /// `input_escaped` their reads start `MaybeTainted`; headers
+    /// (`$_SERVER`) reach the program raw.
+    fn source(&self, superglobal: &str, index: Option<&Expr>) -> AbstractVal {
+        let label = match index {
+            // A bare `$_GET` read taints with an unknown parameter.
+            None => format!("${superglobal}[*]"),
+            Some(Expr::Lit(PValue::Str(s))) => format!("${superglobal}['{s}']"),
+            Some(Expr::Lit(PValue::Int(i))) => format!("${superglobal}[{i}]"),
+            Some(_) => format!("${superglobal}[?]"),
+        };
+        let taint = if self.config.input_escaped && superglobal != "_SERVER" {
             Taint::MaybeTainted
         } else {
             Taint::Tainted
-        }
+        };
+        AbstractVal::source(&label, taint)
     }
 
-    /// Walks a statement list, assigning preorder ids that mirror
-    /// `joza_phpsim::visit::walk_program`.
-    ///
-    /// Stops evaluating after a statement that exits the path
-    /// (`break`/`continue`), but still advances `next` past the skipped
-    /// tail so preorder ids stay aligned with `walk_program`.
-    fn eval_block(&mut self, stmts: &[Stmt], env: &mut Env, next: &mut usize) -> Flow {
-        for (i, stmt) in stmts.iter().enumerate() {
-            if self.eval_stmt(stmt, env, next) == Flow::Exited {
-                *next += count_block(&stmts[i + 1..]);
-                return Flow::Exited;
-            }
-        }
-        Flow::Normal
+    /// Reading a tainted index out of an untainted array yields untainted
+    /// data; only the array's own taint flows out.
+    fn element(&self, array: AbstractVal) -> AbstractVal {
+        array
     }
 
-    fn eval_stmt(&mut self, stmt: &Stmt, env: &mut Env, next: &mut usize) -> Flow {
-        let id = *next;
-        *next += 1;
-        match stmt {
-            Stmt::Expr(e) => {
-                self.eval_expr(e, env, id);
-            }
-            Stmt::Assign { var, indices, op, expr } => {
-                let mut idx_taint = AbstractVal::untainted();
-                for idx in indices.iter().flatten() {
-                    idx_taint = idx_taint.join(&self.eval_expr(idx, env, id));
-                }
-                let mut val = self.eval_expr(expr, env, id);
-                match op {
-                    Some(AssignOp::Concat) => {
-                        let old = env.get(var).cloned().unwrap_or_default();
-                        val = old.join(&val);
-                    }
-                    Some(AssignOp::Add) | Some(AssignOp::Sub) => {
-                        // Arithmetic coerces to a number: attacker bytes
-                        // cannot survive.
-                        val = AbstractVal::untainted();
-                    }
-                    None => {}
-                }
-                val.push_hop(&format!("${var}"));
-                if indices.is_empty() {
-                    env.insert(var.clone(), val);
-                } else {
-                    // Smashed arrays: weak update (join into the whole),
-                    // and the written *key* taints the array too — foreach
-                    // reads keys back out of the smashed value.
-                    val = val.join(&idx_taint);
-                    let joined = env.get(var).map_or_else(|| val.clone(), |old| old.join(&val));
-                    env.insert(var.clone(), joined);
-                }
-            }
-            Stmt::If { cond, then_branch, else_branch } => {
-                self.eval_expr(cond, env, id);
-                let mut then_env = env.clone();
-                let then_flow = self.eval_block(then_branch, &mut then_env, next);
-                let mut else_env = env.clone();
-                let else_flow = self.eval_block(else_branch, &mut else_env, next);
-                // A branch that exited contributes no state to the code
-                // after the `if` — its environment was recorded with the
-                // enclosing loop when the jump was evaluated.
-                match (then_flow, else_flow) {
-                    (Flow::Normal, Flow::Normal) => *env = join_env(&then_env, &else_env),
-                    (Flow::Normal, Flow::Exited) => *env = then_env,
-                    (Flow::Exited, Flow::Normal) => *env = else_env,
-                    (Flow::Exited, Flow::Exited) => return Flow::Exited,
-                }
-            }
-            Stmt::While { cond, body } => {
-                self.eval_expr(cond, env, id);
-                self.loop_fixpoint(body, env, next, |interp, body, env, next| {
-                    interp.eval_block(body, env, next);
-                });
-                // Re-read the condition on the post state (side effects in
-                // `while ($row = fetch(...))` style conditions).
-                self.eval_expr(cond, env, id);
-            }
-            Stmt::Foreach { array, key_var, val_var, body } => {
-                let arr = self.eval_expr(array, env, id);
-                let kv = key_var.clone();
-                let vv = val_var.clone();
-                self.loop_fixpoint(body, env, next, move |interp, body, env, next| {
-                    // Smashed arrays: both keys and values carry the
-                    // array's taint (array *keys* are the CVE-2014-3704
-                    // channel).
-                    let mut elem = arr.clone();
-                    elem.push_hop(&format!("${vv}"));
-                    env.insert(vv.clone(), elem);
-                    if let Some(k) = &kv {
-                        let mut key_val = arr.clone();
-                        key_val.push_hop(&format!("${k}"));
-                        env.insert(k.clone(), key_val);
-                    }
-                    interp.eval_block(body, env, next);
-                });
-            }
-            Stmt::Echo(exprs) => {
-                for e in exprs {
-                    self.eval_expr(e, env, id);
-                }
-            }
-            Stmt::Return(value) | Stmt::Exit(value) => {
-                if let Some(e) = value {
-                    self.eval_expr(e, env, id);
-                }
-            }
-            Stmt::Break => {
-                if let Some(frame) = self.break_frames.last_mut() {
-                    frame.push(env.clone());
-                }
-                return Flow::Exited;
-            }
-            Stmt::Continue => {
-                if let Some(frame) = self.continue_frames.last_mut() {
-                    frame.push(env.clone());
-                }
-                return Flow::Exited;
-            }
-        }
-        Flow::Normal
+    /// Smashed arrays: keys carry the array's taint (array *keys* are the
+    /// CVE-2014-3704 channel).
+    fn key(&self, array: &AbstractVal) -> AbstractVal {
+        array.clone()
     }
 
-    /// Runs `body` repeatedly (each pass numbering statements from the
-    /// same preorder base) until the environment stops changing on
-    /// (taint, provenance), then advances `next` past the body.
-    ///
-    /// `continue` states from a pass are joined into the next iteration's
-    /// entry; `break` states are joined into the loop's exit, so state at
-    /// a mid-body jump can never be scrubbed by the (unreachable) tail of
-    /// the body.
-    fn loop_fixpoint<F>(&mut self, body: &[Stmt], env: &mut Env, next: &mut usize, mut pass: F)
-    where
-        F: FnMut(&mut Self, &[Stmt], &mut Env, &mut usize),
-    {
-        let body_start = *next;
-        let body_len = count_block(body);
-        self.break_frames.push(Vec::new());
-        self.continue_frames.push(Vec::new());
-        for _ in 0..MAX_LOOP_ITERS {
-            let mut trial = env.clone();
-            let mut counter = body_start;
-            pass(self, body, &mut trial, &mut counter);
-            debug_assert_eq!(counter, body_start + body_len);
-            for cont in self.continue_frames.last_mut().expect("loop frame").drain(..) {
-                trial = join_env(&trial, &cont);
+    /// The join of every key and value (keys matter: CVE-2014-3704).
+    fn array(&self, items: Vec<(Option<AbstractVal>, AbstractVal)>) -> AbstractVal {
+        let mut out = AbstractVal::untainted();
+        for (k, v) in &items {
+            if let Some(k) = k {
+                out = out.join(k);
             }
-            let joined = join_env(env, &trial);
-            if env_converged(env, &joined) {
-                break;
-            }
-            *env = joined;
+            out = out.join(v);
         }
-        self.continue_frames.pop();
-        for broke in self.break_frames.pop().expect("loop frame") {
-            *env = join_env(env, &broke);
-        }
-        *next = body_start + body_len;
+        out
     }
 
-    fn eval_expr(&mut self, expr: &Expr, env: &mut Env, stmt_id: usize) -> AbstractVal {
-        match expr {
-            Expr::Lit(_) => AbstractVal::untainted(),
-            Expr::Var(name) => self.read_var(name, env),
-            Expr::Interp(parts) => {
-                let mut out = AbstractVal::untainted();
-                for p in parts {
-                    if let InterpPart::Var(name) = p {
-                        out = out.join(&self.read_var(name, env));
-                    }
-                }
-                out
-            }
-            Expr::Index { base, index } => {
-                if let Expr::Var(name) = base.as_ref() {
-                    if is_source_superglobal(name) {
-                        self.eval_expr(index, env, stmt_id);
-                        let label = source_label(name, index);
-                        return AbstractVal::source(&label, self.source_taint());
-                    }
-                }
-                let b = self.eval_expr(base, env, stmt_id);
-                let i = self.eval_expr(index, env, stmt_id);
-                // Reading a tainted index out of an untainted array yields
-                // untainted data; only the array's own taint flows out.
-                let _ = i;
-                b
-            }
-            Expr::Call { name, args } => self.eval_call(name, args, env, stmt_id),
-            Expr::Unary { op, expr } => {
-                let v = self.eval_expr(expr, env, stmt_id);
-                match op {
-                    // `@expr` is a transparent pass-through.
-                    UnaryOp::Silence => v,
-                    // `!`/`-` coerce to bool/number.
-                    UnaryOp::Not | UnaryOp::Neg => AbstractVal::untainted(),
-                }
-            }
-            Expr::Binary { left, op, right } => {
-                let l = self.eval_expr(left, env, stmt_id);
-                let r = self.eval_expr(right, env, stmt_id);
-                match op {
-                    BinOp::Concat => l.join(&r),
-                    // Arithmetic and comparisons coerce attacker strings
-                    // away.
-                    _ => AbstractVal::untainted(),
-                }
-            }
-            Expr::Ternary { cond, then_val, else_val } => {
-                let c = self.eval_expr(cond, env, stmt_id);
-                let e = self.eval_expr(else_val, env, stmt_id);
-                match then_val {
-                    Some(t) => {
-                        let t = self.eval_expr(t, env, stmt_id);
-                        t.join(&e)
-                    }
-                    // `$a ?: $b` evaluates to the condition when truthy.
-                    None => c.join(&e),
-                }
-            }
-            Expr::ArrayLit(items) => {
-                // Smashed: the array's abstract value is the join of every
-                // key and value (keys matter: CVE-2014-3704).
-                let mut out = AbstractVal::untainted();
-                for (k, v) in items {
-                    if let Some(k) = k {
-                        out = out.join(&self.eval_expr(k, env, stmt_id));
-                    }
-                    out = out.join(&self.eval_expr(v, env, stmt_id));
-                }
-                out
-            }
-            Expr::Isset(exprs) => {
-                for e in exprs {
-                    self.eval_expr(e, env, stmt_id);
-                }
-                AbstractVal::untainted()
-            }
-            Expr::Empty(e) => {
-                self.eval_expr(e, env, stmt_id);
-                AbstractVal::untainted()
-            }
-            Expr::AssignExpr { var, expr } => {
-                let mut v = self.eval_expr(expr, env, stmt_id);
-                v.push_hop(&format!("${var}"));
-                env.insert(var.clone(), v.clone());
-                v
-            }
-        }
+    /// The written *key* taints the array too: foreach reads keys back
+    /// out of the smashed value.
+    fn keyed(&self, val: AbstractVal, keys: Vec<AbstractVal>) -> AbstractVal {
+        val.join(&keys.iter().fold(AbstractVal::untainted(), |acc, k| acc.join(k)))
     }
 
-    fn read_var(&self, name: &str, env: &Env) -> AbstractVal {
-        if is_source_superglobal(name) {
-            // A bare `$_GET` read taints with an unknown parameter.
-            return AbstractVal::source(&format!("${name}[*]"), self.source_taint());
-        }
-        env.get(name).cloned().unwrap_or_default()
-    }
-
-    fn eval_call(
-        &mut self,
-        name: &str,
-        args: &[Expr],
-        env: &mut Env,
-        stmt_id: usize,
-    ) -> AbstractVal {
-        let mut joined = AbstractVal::untainted();
-        for a in args {
-            let v = self.eval_expr(a, env, stmt_id);
-            joined = joined.join(&v);
-        }
+    fn call(&mut self, stmt_id: usize, name: &str, args: Vec<AbstractVal>) -> AbstractVal {
+        let joined = args.iter().fold(AbstractVal::untainted(), |acc, v| acc.join(v));
         if is_sink(name) {
             self.record_sink(stmt_id, name, &joined);
             if let Some(cells) = self.config.db_sources.get(&stmt_id) {
@@ -485,32 +243,45 @@ impl AbstractInterp<'_> {
                 return v;
             }
         }
+        let restamp = |mut v: AbstractVal, taint| {
+            if v.taint == Taint::Untainted {
+                return AbstractVal::untainted();
+            }
+            v.taint = taint;
+            v.push_hop(&format!("{}()", name.to_ascii_lowercase()));
+            v
+        };
         match effect_of(name) {
             Effect::Propagate => joined,
-            Effect::Escape => {
-                if joined.taint == Taint::Untainted {
-                    AbstractVal::untainted()
-                } else {
-                    let mut v = joined;
-                    v.taint = Taint::MaybeTainted;
-                    v.push_hop(&format!("{}()", name.to_ascii_lowercase()));
-                    v
-                }
-            }
+            Effect::Escape => restamp(joined, Taint::MaybeTainted),
             Effect::Sanitize | Effect::Fresh => AbstractVal::untainted(),
-            Effect::Unescape => {
-                if joined.taint == Taint::Untainted {
-                    AbstractVal::untainted()
-                } else {
-                    let mut v = joined;
-                    v.taint = Taint::Tainted;
-                    v.push_hop(&format!("{}()", name.to_ascii_lowercase()));
-                    v
-                }
-            }
+            Effect::Unescape => restamp(joined, Taint::Tainted),
         }
     }
 
+    fn named(&self, mut val: AbstractVal, var: &str) -> AbstractVal {
+        if val.taint != Taint::Untainted {
+            val.push_hop(&format!("${var}"));
+        }
+        val
+    }
+
+    fn widen(&self, old: &AbstractVal, new: &AbstractVal) -> AbstractVal {
+        old.join(new)
+    }
+
+    /// Traces are ignored: the fixpoint must not depend on them.
+    fn stable(&self, old: &AbstractVal, new: &AbstractVal) -> bool {
+        old.same_abstract(new)
+    }
+
+    fn top(&self, mut val: AbstractVal) -> AbstractVal {
+        val.taint = Taint::Tainted;
+        val
+    }
+}
+
+impl Taints<'_> {
     fn record_sink(&mut self, stmt_id: usize, sink: &str, val: &AbstractVal) {
         let sink = sink.to_ascii_lowercase();
         let span = self.spans.get(stmt_id).copied().unwrap_or_default();
@@ -540,19 +311,6 @@ impl AbstractInterp<'_> {
     }
 }
 
-fn is_source_superglobal(name: &str) -> bool {
-    SOURCE_SUPERGLOBALS.contains(&name)
-}
-
-fn source_label(superglobal: &str, index: &Expr) -> String {
-    use joza_phpsim::value::PValue;
-    match index {
-        Expr::Lit(PValue::Str(s)) => format!("$_{}['{}']", &superglobal[1..], s),
-        Expr::Lit(PValue::Int(i)) => format!("$_{}[{}]", &superglobal[1..], i),
-        _ => format!("$_{}[?]", &superglobal[1..]),
-    }
-}
-
 fn snippet(stmt_text: &str) -> String {
     let first = stmt_text.lines().next().unwrap_or("").trim();
     if first.chars().count() > 72 {
@@ -560,45 +318,6 @@ fn snippet(stmt_text: &str) -> String {
         format!("{cut}…")
     } else {
         first.to_string()
-    }
-}
-
-fn join_env(a: &Env, b: &Env) -> Env {
-    let mut out = a.clone();
-    for (k, v) in b {
-        match out.get(k) {
-            Some(existing) => {
-                let joined = existing.join(v);
-                out.insert(k.clone(), joined);
-            }
-            // Present in one branch only: join with the implicit
-            // untainted/undefined default keeps the branch's taint.
-            None => {
-                out.insert(k.clone(), v.clone());
-            }
-        }
-    }
-    out
-}
-
-fn env_converged(old: &Env, new: &Env) -> bool {
-    old.len() == new.len()
-        && old.iter().zip(new.iter()).all(|((ka, va), (kb, vb))| ka == kb && va.same_abstract(vb))
-}
-
-/// Number of statements in a subtree — must agree with the preorder
-/// numbering in `joza_phpsim::visit`.
-fn count_block(stmts: &[Stmt]) -> usize {
-    stmts.iter().map(count_stmt).sum()
-}
-
-fn count_stmt(stmt: &Stmt) -> usize {
-    1 + match stmt {
-        Stmt::If { then_branch, else_branch, .. } => {
-            count_block(then_branch) + count_block(else_branch)
-        }
-        Stmt::While { body, .. } | Stmt::Foreach { body, .. } => count_block(body),
-        _ => 0,
     }
 }
 

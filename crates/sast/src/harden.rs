@@ -42,8 +42,10 @@
 //! responses and database states over the benign corpus, and the hardened
 //! application must neutralize every exploit targeting a rewritten route.
 
+use crate::absint::{assigned_vars_expr, assigned_vars_stmt};
 use crate::querymodel::{infer_plugin, infer_program};
-use joza_phpsim::ast::{AssignOp, Expr, InterpPart, Stmt};
+use crate::summaries::is_sink;
+use joza_phpsim::ast::{AssignOp, BinOp, Expr, InterpPart, Stmt, SUPERGLOBALS};
 use joza_phpsim::emit::emit_program;
 use joza_phpsim::parser::parse_program;
 use joza_phpsim::value::PValue;
@@ -346,8 +348,6 @@ enum Entry {
 
 type Env = BTreeMap<String, Entry>;
 
-const SOURCE_SUPERGLOBALS: &[&str] = &["_GET", "_POST", "_COOKIE", "_REQUEST", "_SERVER"];
-
 /// Builtins safe to re-evaluate at the sink: deterministic in their
 /// arguments and free of side effects. Result-set readers (`mysql_fetch_*`),
 /// clocks, and RNGs are deliberately absent.
@@ -462,92 +462,6 @@ fn free_vars(e: &Expr, out: &mut BTreeSet<String>) {
             free_vars(expr, out);
         }
     }
-}
-
-/// Variables assigned anywhere in a statement (loop-entry invalidation).
-fn assigned_vars_stmt(stmt: &Stmt, out: &mut BTreeSet<String>) {
-    match stmt {
-        Stmt::Expr(e) | Stmt::Return(Some(e)) | Stmt::Exit(Some(e)) => assigned_vars_expr(e, out),
-        Stmt::Assign { var, indices, expr, .. } => {
-            out.insert(var.clone());
-            for idx in indices.iter().flatten() {
-                assigned_vars_expr(idx, out);
-            }
-            assigned_vars_expr(expr, out);
-        }
-        Stmt::If { cond, then_branch, else_branch } => {
-            assigned_vars_expr(cond, out);
-            for s in then_branch.iter().chain(else_branch) {
-                assigned_vars_stmt(s, out);
-            }
-        }
-        Stmt::While { cond, body } => {
-            assigned_vars_expr(cond, out);
-            for s in body {
-                assigned_vars_stmt(s, out);
-            }
-        }
-        Stmt::Foreach { array, key_var, val_var, body } => {
-            assigned_vars_expr(array, out);
-            if let Some(k) = key_var {
-                out.insert(k.clone());
-            }
-            out.insert(val_var.clone());
-            for s in body {
-                assigned_vars_stmt(s, out);
-            }
-        }
-        Stmt::Echo(exprs) => {
-            for e in exprs {
-                assigned_vars_expr(e, out);
-            }
-        }
-        Stmt::Return(None) | Stmt::Exit(None) | Stmt::Break | Stmt::Continue => {}
-    }
-}
-
-fn assigned_vars_expr(e: &Expr, out: &mut BTreeSet<String>) {
-    if let Expr::AssignExpr { var, expr } = e {
-        out.insert(var.clone());
-        assigned_vars_expr(expr, out);
-        return;
-    }
-    match e {
-        Expr::Index { base, index } => {
-            assigned_vars_expr(base, out);
-            assigned_vars_expr(index, out);
-        }
-        Expr::Call { args, .. } | Expr::Isset(args) => {
-            for a in args {
-                assigned_vars_expr(a, out);
-            }
-        }
-        Expr::Unary { expr, .. } | Expr::Empty(expr) => assigned_vars_expr(expr, out),
-        Expr::Binary { left, right, .. } => {
-            assigned_vars_expr(left, out);
-            assigned_vars_expr(right, out);
-        }
-        Expr::Ternary { cond, then_val, else_val } => {
-            assigned_vars_expr(cond, out);
-            if let Some(t) = then_val {
-                assigned_vars_expr(t, out);
-            }
-            assigned_vars_expr(else_val, out);
-        }
-        Expr::ArrayLit(items) => {
-            for (k, v) in items {
-                if let Some(k) = k {
-                    assigned_vars_expr(k, out);
-                }
-                assigned_vars_expr(v, out);
-            }
-        }
-        Expr::Interp(_) | Expr::Lit(_) | Expr::Var(_) | Expr::AssignExpr { .. } => {}
-    }
-}
-
-fn is_sink_name(name: &str) -> bool {
-    crate::summaries::is_sink(&name.to_ascii_lowercase())
 }
 
 fn has_prepared_db_query(prog: &[Stmt]) -> bool {
@@ -738,11 +652,20 @@ impl Rewriter {
         }
     }
 
+    /// Rewrites an operand that may not run (a ternary arm, the right side
+    /// of `&&`/`||`): what it assigns joins with the skipped path's state,
+    /// so a sink after it never inlines a value that may not be there.
+    fn rewrite_maybe(&mut self, e: &mut Expr, env: &mut Env) {
+        let mut ran = env.clone();
+        self.rewrite_expr(e, &mut ran);
+        *env = join_env(env, &ran);
+    }
+
     /// Recursively rewrites sinks inside an expression, updating the env
     /// for embedded assignment expressions.
     fn rewrite_expr(&mut self, e: &mut Expr, env: &mut Env) {
         let replacement = match e {
-            Expr::Call { name, args } if is_sink_name(name) => {
+            Expr::Call { name, args } if is_sink(name) => {
                 self.sinks += 1;
                 if self.failure.is_some() {
                     return;
@@ -807,17 +730,21 @@ impl Rewriter {
                 self.rewrite_expr(expr, env);
                 None
             }
-            Expr::Binary { left, right, .. } => {
+            Expr::Binary { left, op, right } => {
                 self.rewrite_expr(left, env);
-                self.rewrite_expr(right, env);
+                if matches!(op, BinOp::And | BinOp::Or) {
+                    self.rewrite_maybe(right, env);
+                } else {
+                    self.rewrite_expr(right, env);
+                }
                 None
             }
             Expr::Ternary { cond, then_val, else_val } => {
                 self.rewrite_expr(cond, env);
                 if let Some(t) = then_val {
-                    self.rewrite_expr(t, env);
+                    self.rewrite_maybe(t, env);
                 }
-                self.rewrite_expr(else_val, env);
+                self.rewrite_maybe(else_val, env);
                 None
             }
             Expr::ArrayLit(items) => {
@@ -923,7 +850,7 @@ fn decompose(e: &Expr, env: &Env, hoisted: bool) -> Result<Vec<Piece>, SkipReaso
             }
             Ok(out)
         }
-        Expr::Binary { left, op, right } if *op == joza_phpsim::ast::BinOp::Concat => {
+        Expr::Binary { left, op, right } if *op == BinOp::Concat => {
             let mut out = decompose(left, env, hoisted)?;
             out.extend(decompose(right, env, hoisted)?);
             Ok(out)
@@ -934,7 +861,7 @@ fn decompose(e: &Expr, env: &Env, hoisted: bool) -> Result<Vec<Piece>, SkipReaso
 }
 
 fn resolve_var(name: &str, env: &Env, hoisted: bool) -> Result<Vec<Piece>, SkipReason> {
-    if SOURCE_SUPERGLOBALS.contains(&name) {
+    if SUPERGLOBALS.contains(&name) {
         return Ok(vec![Piece::Dyn { expr: Expr::Var(name.to_string()), hoisted }]);
     }
     match env.get(name) {
@@ -1077,7 +1004,7 @@ fn fold_concat(mut exprs: Vec<Expr>) -> Expr {
     let first = exprs.remove(0);
     exprs.into_iter().fold(first, |acc, e| Expr::Binary {
         left: Box::new(acc),
-        op: joza_phpsim::ast::BinOp::Concat,
+        op: BinOp::Concat,
         right: Box::new(e),
     })
 }
@@ -1290,6 +1217,17 @@ mod tests {
         );
         assert_eq!(report.skip, Some(SkipReason::LoopCarriedFragment), "{report:?}");
         assert!(out.is_none());
+    }
+
+    #[test]
+    fn assignment_in_skippable_operand_is_not_inlined() {
+        // When `$c` is falsy the query is the first one: inlining the
+        // guarded assignment would change what the route sends.
+        for guarded in ["$c && ($q = 'SELECT 2');", "$t = $c ? ($q = 'SELECT 2') : 0;"] {
+            let (report, out) =
+                harden(&format!("$q = 'SELECT 1'; $c = $_GET['c']; {guarded} mysql_query($q);"));
+            assert_eq!(report.skip, Some(SkipReason::UnresolvedQueryExpr), "{guarded}: {out:?}");
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! request superglobals as sources, the `mysql_query`-family builtins as
 //! sinks, and the escaping/casting builtins as sanitizers, then runs an
 //! abstract interpretation to a fixpoint over the taint lattice
-//! `Untainted < MaybeTainted < Tainted` with per-source provenance.
+//! `Untainted < MaybeTainted < Tainted` with per-source provenance. The
+//! taint pass and the query-model pass ([`querymodel`]) are two value
+//! domains of one walker, so they agree on every call site and source.
 //!
 //! Outputs:
 //!
@@ -54,6 +56,7 @@
 //! assert!(analyze_source("demo", clean, &AnalyzerConfig::default()).taint_free);
 //! ```
 
+mod absint;
 pub mod analyzer;
 pub mod harden;
 pub mod lattice;

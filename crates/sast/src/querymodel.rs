@@ -21,12 +21,13 @@
 //! collapses to ⊤. A ⊤ sink site leaves the whole endpoint model
 //! *incomplete* — the gate then keeps the fast path off the table for
 //! mismatches (no anomaly signal) but still uses whatever templates did
-//! compile. Walk order, preorder statement ids, loop frames, and branch
-//! joins all mirror `analyzer.rs` exactly, so both passes agree on which
-//! call sites exist.
+//! compile. The pass is a domain of the walker (`absint`) the taint pass
+//! also runs on, so both agree on which call sites exist and how they
+//! are numbered.
 
-use crate::summaries::is_sink;
-use joza_phpsim::ast::{AssignOp, BinOp, Expr, InterpPart, Stmt, UnaryOp};
+use crate::absint::{self, Domain};
+use crate::summaries::{effect_of, is_sink, Effect};
+use joza_phpsim::ast::{Expr, Stmt};
 use joza_phpsim::parser::parse_program;
 use joza_phpsim::value::PValue;
 use joza_sqlparse::template::{QueryModelIndex, QueryTemplate, RouteModel, TemplatePart};
@@ -39,8 +40,6 @@ const MAX_TEMPLATES: usize = 8;
 const MAX_PARTS: usize = 64;
 /// Cap on templates recorded per sink site (loop revisits accumulate).
 const MAX_SITE_TEMPLATES: usize = 16;
-/// Loop-widening safety bound; Rep-absorption converges far earlier.
-const MAX_LOOP_ITERS: usize = 12;
 
 /// The inferred model for one sink call site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,15 +98,7 @@ fn unparsable(endpoint: &str) -> EndpointModel {
 
 /// Infers the query model of a parsed endpoint.
 pub(crate) fn infer_program(endpoint: &str, prog: &[Stmt]) -> EndpointModel {
-    let mut interp = ModelInterp {
-        sinks: BTreeMap::new(),
-        break_frames: Vec::new(),
-        continue_frames: Vec::new(),
-    };
-    let mut env = Env::new();
-    let mut next = 0usize;
-    interp.eval_block(prog, &mut env, &mut next);
-    let sites = interp
+    let sites = absint::run(Models { sinks: BTreeMap::new() }, prog)
         .sinks
         .into_iter()
         .map(|((stmt_id, sink), sval)| SiteModel {
@@ -322,341 +313,140 @@ fn widen(old: &SVal, new: &SVal) -> SVal {
     SVal::capped(out)
 }
 
-type Env = BTreeMap<String, SVal>;
-
-const SOURCE_SUPERGLOBALS: &[&str] = &["_GET", "_POST", "_COOKIE", "_REQUEST"];
-
-fn is_source_superglobal(name: &str) -> bool {
-    SOURCE_SUPERGLOBALS.contains(&name)
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Flow {
-    Normal,
-    Exited,
-}
-
-struct ModelInterp {
+/// The string-construction domain; sink sites keep the join of the
+/// query templates reaching them.
+struct Models {
     /// Sink sites keyed by (stmt id, sink name); loop re-visits join in.
     sinks: BTreeMap<(usize, String), SVal>,
-    break_frames: Vec<Vec<Env>>,
-    continue_frames: Vec<Vec<Env>>,
 }
 
-impl ModelInterp {
-    fn eval_block(&mut self, stmts: &[Stmt], env: &mut Env, next: &mut usize) -> Flow {
-        for (i, stmt) in stmts.iter().enumerate() {
-            if self.eval_stmt(stmt, env, next) == Flow::Exited {
-                *next += count_block(&stmts[i + 1..]);
-                return Flow::Exited;
-            }
-        }
-        Flow::Normal
-    }
+impl Domain for Models {
+    type Val = SVal;
 
-    fn eval_stmt(&mut self, stmt: &Stmt, env: &mut Env, next: &mut usize) -> Flow {
-        let id = *next;
-        *next += 1;
-        match stmt {
-            Stmt::Expr(e) => {
-                self.eval_expr(e, env, id);
-            }
-            Stmt::Assign { var, indices, op, expr } => {
-                for idx in indices.iter().flatten() {
-                    self.eval_expr(idx, env, id);
-                }
-                let mut val = self.eval_expr(expr, env, id);
-                match op {
-                    Some(AssignOp::Concat) => {
-                        let old = env.get(var).cloned().unwrap_or_default();
-                        val = old.concat(&val);
-                    }
-                    Some(AssignOp::Add) | Some(AssignOp::Sub) => {
-                        // Arithmetic yields a number: one data literal.
-                        val = SVal::hole();
-                    }
-                    None => {}
-                }
-                if indices.is_empty() {
-                    env.insert(var.clone(), val);
-                } else {
-                    // Smashed arrays: weak update, elements joined.
-                    let joined = env.get(var).map_or_else(|| val.clone(), |old| old.join(&val));
-                    env.insert(var.clone(), joined);
-                }
-            }
-            Stmt::If { cond, then_branch, else_branch } => {
-                self.eval_expr(cond, env, id);
-                let mut then_env = env.clone();
-                let then_flow = self.eval_block(then_branch, &mut then_env, next);
-                let mut else_env = env.clone();
-                let else_flow = self.eval_block(else_branch, &mut else_env, next);
-                match (then_flow, else_flow) {
-                    (Flow::Normal, Flow::Normal) => *env = join_env(&then_env, &else_env),
-                    (Flow::Normal, Flow::Exited) => *env = then_env,
-                    (Flow::Exited, Flow::Normal) => *env = else_env,
-                    (Flow::Exited, Flow::Exited) => return Flow::Exited,
-                }
-            }
-            Stmt::While { cond, body } => {
-                self.eval_expr(cond, env, id);
-                self.loop_fixpoint(body, env, next, |interp, body, env, next| {
-                    interp.eval_block(body, env, next);
-                });
-                self.eval_expr(cond, env, id);
-            }
-            Stmt::Foreach { array, key_var, val_var, body } => {
-                let arr = self.eval_expr(array, env, id);
-                // Smashed arrays: elements take the array's own template
-                // union (an array literal's values, or a hole for a
-                // request-derived array).
-                let elem = arr.clone();
-                let kv = key_var.clone();
-                let vv = val_var.clone();
-                self.loop_fixpoint(body, env, next, move |interp, body, env, next| {
-                    env.insert(vv.clone(), elem.clone());
-                    if let Some(k) = &kv {
-                        // Keys are dynamic scalars (and the CVE-2014-3704
-                        // injection channel — a hole, never a literal).
-                        env.insert(k.clone(), SVal::hole());
-                    }
-                    interp.eval_block(body, env, next);
-                });
-            }
-            Stmt::Echo(exprs) => {
-                for e in exprs {
-                    self.eval_expr(e, env, id);
-                }
-            }
-            Stmt::Return(value) | Stmt::Exit(value) => {
-                if let Some(e) = value {
-                    self.eval_expr(e, env, id);
-                }
-            }
-            Stmt::Break => {
-                if let Some(frame) = self.break_frames.last_mut() {
-                    frame.push(env.clone());
-                }
-                return Flow::Exited;
-            }
-            Stmt::Continue => {
-                if let Some(frame) = self.continue_frames.last_mut() {
-                    frame.push(env.clone());
-                }
-                return Flow::Exited;
-            }
-        }
-        Flow::Normal
-    }
-
-    /// Same skeleton as `analyzer::loop_fixpoint`, but the widening
-    /// replaces the plain join so `.=` accumulation converges to a
-    /// `Rep`-form fixpoint instead of growing forever.
-    fn loop_fixpoint<F>(&mut self, body: &[Stmt], env: &mut Env, next: &mut usize, mut pass: F)
-    where
-        F: FnMut(&mut Self, &[Stmt], &mut Env, &mut usize),
-    {
-        let body_start = *next;
-        let body_len = count_block(body);
-        self.break_frames.push(Vec::new());
-        self.continue_frames.push(Vec::new());
-        for iter in 0..MAX_LOOP_ITERS {
-            let mut trial = env.clone();
-            let mut counter = body_start;
-            pass(self, body, &mut trial, &mut counter);
-            debug_assert_eq!(counter, body_start + body_len);
-            for cont in self.continue_frames.last_mut().expect("loop frame").drain(..) {
-                trial = join_env(&trial, &cont);
-            }
-            let widened = if iter + 1 == MAX_LOOP_ITERS {
-                // Safety valve: force ⊤ on anything still moving.
-                top_out_diff(env, &trial)
-            } else {
-                widen_env(env, &trial)
-            };
-            if widened == *env {
-                break;
-            }
-            *env = widened;
-        }
-        self.continue_frames.pop();
-        for broke in self.break_frames.pop().expect("loop frame") {
-            *env = join_env(env, &broke);
-        }
-        *next = body_start + body_len;
-    }
-
-    fn eval_expr(&mut self, expr: &Expr, env: &mut Env, stmt_id: usize) -> SVal {
-        match expr {
-            Expr::Lit(v) => match v {
-                PValue::Str(s) => SVal::lit(s),
-                PValue::Int(i) => SVal::lit(&i.to_string()),
-                _ => SVal::lit(&v.to_php_string()),
-            },
-            Expr::Var(name) => read_var(name, env),
-            Expr::Interp(parts) => {
-                let mut out = SVal::empty();
-                for p in parts {
-                    let v = match p {
-                        InterpPart::Lit(s) => SVal::lit(s),
-                        InterpPart::Var(name) => read_var(name, env),
-                    };
-                    out = out.concat(&v);
-                }
-                out
-            }
-            Expr::Index { base, index } => {
-                if let Expr::Var(name) = base.as_ref() {
-                    if is_source_superglobal(name) {
-                        self.eval_expr(index, env, stmt_id);
-                        return SVal::hole();
-                    }
-                }
-                let b = self.eval_expr(base, env, stmt_id);
-                self.eval_expr(index, env, stmt_id);
-                // One element of a smashed value: scalar unless the base
-                // is a known set of scalars.
-                if b.scalarish() {
-                    b
-                } else {
-                    SVal::hole()
-                }
-            }
-            Expr::Call { name, args } => self.eval_call(name, args, env, stmt_id),
-            Expr::Unary { op, expr } => {
-                let v = self.eval_expr(expr, env, stmt_id);
-                match op {
-                    UnaryOp::Silence => v,
-                    // Coerce to number/bool: a single literal.
-                    UnaryOp::Not | UnaryOp::Neg => SVal::hole(),
-                }
-            }
-            Expr::Binary { left, op, right } => {
-                let l = self.eval_expr(left, env, stmt_id);
-                let r = self.eval_expr(right, env, stmt_id);
-                match op {
-                    BinOp::Concat => l.concat(&r),
-                    _ => SVal::hole(),
-                }
-            }
-            Expr::Ternary { cond, then_val, else_val } => {
-                let c = self.eval_expr(cond, env, stmt_id);
-                let e = self.eval_expr(else_val, env, stmt_id);
-                match then_val {
-                    Some(t) => {
-                        let t = self.eval_expr(t, env, stmt_id);
-                        t.join(&e)
-                    }
-                    None => c.join(&e),
-                }
-            }
-            Expr::ArrayLit(items) => {
-                // The smashed array value is the union of its element
-                // templates (what a foreach reads back out).
-                let mut out = SVal::T(BTreeSet::new());
-                for (k, v) in items {
-                    if let Some(k) = k {
-                        self.eval_expr(k, env, stmt_id);
-                    }
-                    let ev = self.eval_expr(v, env, stmt_id);
-                    out = out.join(&ev);
-                }
-                if matches!(&out, SVal::T(s) if s.is_empty()) {
-                    SVal::empty()
-                } else {
-                    out
-                }
-            }
-            Expr::Isset(exprs) => {
-                for e in exprs {
-                    self.eval_expr(e, env, stmt_id);
-                }
-                SVal::hole()
-            }
-            Expr::Empty(e) => {
-                self.eval_expr(e, env, stmt_id);
-                SVal::hole()
-            }
-            Expr::AssignExpr { var, expr } => {
-                let v = self.eval_expr(expr, env, stmt_id);
-                env.insert(var.clone(), v.clone());
-                v
-            }
+    fn lit(&self, v: &PValue) -> SVal {
+        match v {
+            PValue::Str(s) => SVal::lit(s),
+            PValue::Int(i) => SVal::lit(&i.to_string()),
+            _ => SVal::lit(&v.to_php_string()),
         }
     }
 
-    fn eval_call(&mut self, name: &str, args: &[Expr], env: &mut Env, stmt_id: usize) -> SVal {
-        let vals: Vec<SVal> = args.iter().map(|a| self.eval_expr(a, env, stmt_id)).collect();
+    fn text(&self, s: &str) -> SVal {
+        SVal::lit(s)
+    }
+
+    /// A number or bool is one data literal.
+    fn scalar(&self) -> SVal {
+        SVal::hole()
+    }
+
+    fn concat(&self, a: &SVal, b: &SVal) -> SVal {
+        a.concat(b)
+    }
+
+    fn join(&self, a: &SVal, b: &SVal) -> SVal {
+        a.join(b)
+    }
+
+    fn source(&self, _superglobal: &str, _index: Option<&Expr>) -> SVal {
+        SVal::hole()
+    }
+
+    /// One element of a smashed value: scalar unless the array is a known
+    /// set of scalars.
+    fn element(&self, array: SVal) -> SVal {
+        if array.scalarish() {
+            array
+        } else {
+            SVal::hole()
+        }
+    }
+
+    /// Keys are dynamic scalars (and the CVE-2014-3704 injection channel —
+    /// a hole, never a literal).
+    fn key(&self, _array: &SVal) -> SVal {
+        SVal::hole()
+    }
+
+    /// The union of the element templates (what a foreach reads back out).
+    fn array(&self, items: Vec<(Option<SVal>, SVal)>) -> SVal {
+        let out = items.iter().fold(SVal::T(BTreeSet::new()), |acc, (_, v)| acc.join(v));
+        if matches!(&out, SVal::T(s) if s.is_empty()) {
+            SVal::empty()
+        } else {
+            out
+        }
+    }
+
+    fn keyed(&self, val: SVal, _keys: Vec<SVal>) -> SVal {
+        val
+    }
+
+    fn call(&mut self, stmt_id: usize, name: &str, vals: Vec<SVal>) -> SVal {
         let lower = name.to_ascii_lowercase();
         if is_sink(&lower) {
-            self.record_sink(stmt_id, &lower, &vals, args);
+            self.record_sink(stmt_id, &lower, &vals);
         }
+        // A scalar-shaped input maps to one dynamic scalar.
+        let rescalar = || {
+            if vals.iter().fold(SVal::empty(), |acc, v| acc.join(v)).scalarish() {
+                SVal::hole()
+            } else {
+                SVal::Top
+            }
+        };
         match lower.as_str() {
-            // Structured string builders (satellite: keep in lockstep
-            // with `summaries::effect_of`'s Propagate classification).
-            "sprintf" | "vsprintf" => sprintf_model(vals.first(), &vals[1.min(vals.len())..]),
+            // Structured string builders (`summaries::effect_of` keeps
+            // them Propagate for the taint pass).
+            "sprintf" | "vsprintf" => sprintf_model(vals.first()),
             "implode" | "join" => implode_model(&vals),
             "str_replace" => str_replace_model(&vals),
-
-            // Scalar producers: casts, escapes, decodes, fetches, clocks.
-            // Structure-wise they all yield one dynamic scalar as long as
-            // the input was scalar-shaped.
-            "intval" | "absint" | "abs" | "floatval" | "doubleval" | "strlen" | "strpos"
-            | "count" | "sizeof" | "md5" | "number_format" | "preg_match" | "in_array"
-            | "is_array" | "is_numeric" | "is_string" | "mysql_num_rows" | "mysqli_num_rows"
-            | "time" | "rand" | "mt_rand" | "current_time" => SVal::hole(),
-
-            "addslashes"
-            | "magic_quotes"
-            | "wp_magic_quotes"
-            | "esc_sql"
-            | "mysql_real_escape_string"
-            | "mysqli_real_escape_string"
-            | "real_escape_string"
-            | "htmlspecialchars"
-            | "esc_html"
-            | "esc_attr"
-            | "stripslashes"
-            | "urldecode"
-            | "rawurldecode"
-            | "base64_decode"
-            | "trim"
-            | "strtolower"
-            | "strtoupper" => {
-                let joined = vals.iter().fold(SVal::empty(), |acc, v| acc.join(v));
-                if joined.scalarish() {
-                    SVal::hole()
-                } else {
-                    SVal::Top
-                }
-            }
-
+            // Propagating for taint, but shape-preserving on a scalar.
+            "trim" | "strtolower" | "strtoupper" => rescalar(),
+            // A row fetch reads one dynamic scalar per use.
             "mysql_fetch_assoc" | "mysql_fetch_array" | "mysql_fetch_row" | "mysql_result" => {
                 SVal::hole()
             }
-
-            // Sinks return handles; error strings are dynamic scalars.
-            "mysql_query" | "mysqli_query" | "db_query" | "mysql_error" | "mysqli_error" => {
-                SVal::hole()
-            }
-
-            // Side-effect-only calls.
-            "error_log" | "header" | "setcookie" | "session_start" | "ob_start" => SVal::hole(),
-
-            // Unknown builtins could build arbitrary SQL fragments: ⊤
-            // keeps the endpoint model honest about completeness.
-            _ => SVal::Top,
+            _ => match effect_of(&lower) {
+                // Casts, counts, clocks, sink handles, error strings and
+                // side-effect-only calls.
+                Effect::Sanitize | Effect::Fresh => SVal::hole(),
+                Effect::Escape | Effect::Unescape => rescalar(),
+                // Unknown builtins could build arbitrary SQL fragments: ⊤
+                // keeps the endpoint model honest about completeness.
+                Effect::Propagate => SVal::Top,
+            },
         }
     }
 
-    fn record_sink(&mut self, stmt_id: usize, sink: &str, vals: &[SVal], args: &[Expr]) {
+    fn named(&self, val: SVal, _var: &str) -> SVal {
+        val
+    }
+
+    /// The widening replaces the plain join so `.=` accumulation
+    /// converges to a `Rep`-form fixpoint instead of growing forever.
+    fn widen(&self, old: &SVal, new: &SVal) -> SVal {
+        widen(old, new)
+    }
+
+    fn stable(&self, old: &SVal, new: &SVal) -> bool {
+        old == new
+    }
+
+    fn top(&self, _val: SVal) -> SVal {
+        SVal::Top
+    }
+}
+
+impl Models {
+    fn record_sink(&mut self, stmt_id: usize, sink: &str, vals: &[SVal]) {
         let query = match sink {
             // mysqli_query($link, $sql) — legacy 1-arg shape tolerated.
             "mysqli_query" if vals.len() >= 2 => vals[1].clone(),
             // db_query with an $args array goes through placeholder
             // expansion that splices *array keys* into the statement
             // text (CVE-2014-3704): not statically modelable.
-            "db_query" if args.len() >= 2 => SVal::Top,
+            "db_query" if vals.len() >= 2 => SVal::Top,
             _ => vals.first().cloned().unwrap_or(SVal::Top),
         };
         let entry = self
@@ -671,17 +461,10 @@ impl ModelInterp {
     }
 }
 
-fn read_var(name: &str, env: &Env) -> SVal {
-    if is_source_superglobal(name) {
-        return SVal::hole();
-    }
-    env.get(name).cloned().unwrap_or_default()
-}
-
 /// `sprintf(fmt, args…)`: when the format is one static literal, expand
-/// `%d`/`%s`/`%f`/`%u`/`%x` to the corresponding argument's templates
-/// (scalar args become holes) and `%%` to `%`; otherwise ⊤.
-fn sprintf_model(fmt: Option<&SVal>, args: &[SVal]) -> SVal {
+/// each `%d`/`%s`/`%f`/`%u`/`%x` conversion to a hole (a conversion
+/// always emits one scalar, whatever fed it) and `%%` to `%`; otherwise ⊤.
+fn sprintf_model(fmt: Option<&SVal>) -> SVal {
     let Some(SVal::T(set)) = fmt else { return SVal::Top };
     if set.len() != 1 {
         return SVal::Top;
@@ -694,7 +477,6 @@ fn sprintf_model(fmt: Option<&SVal>, args: &[SVal]) -> SVal {
     };
     let mut out = SVal::empty();
     let mut lit = String::new();
-    let mut arg_i = 0;
     let mut chars = fmt_str.chars().peekable();
     while let Some(c) = chars.next() {
         if c != '%' {
@@ -706,10 +488,6 @@ fn sprintf_model(fmt: Option<&SVal>, args: &[SVal]) -> SVal {
             Some('d' | 's' | 'f' | 'u' | 'x') => {
                 out = out.concat(&SVal::lit(&lit));
                 lit.clear();
-                let arg = args.get(arg_i).cloned().unwrap_or_default();
-                arg_i += 1;
-                // A conversion always emits one scalar, whatever fed it.
-                let _ = arg;
                 out = out.concat(&SVal::hole());
             }
             // Width/precision flags and exotic conversions: give up.
@@ -770,67 +548,6 @@ fn str_replace_model(vals: &[SVal]) -> SVal {
     match vals.get(2) {
         Some(v) if v.scalarish() => SVal::hole(),
         _ => SVal::Top,
-    }
-}
-
-fn join_env(a: &Env, b: &Env) -> Env {
-    let mut out = a.clone();
-    for (k, v) in b {
-        match out.get(k) {
-            Some(existing) => {
-                let joined = existing.join(v);
-                out.insert(k.clone(), joined);
-            }
-            None => {
-                out.insert(k.clone(), v.clone());
-            }
-        }
-    }
-    out
-}
-
-fn widen_env(old: &Env, new: &Env) -> Env {
-    let mut out = old.clone();
-    for (k, v) in new {
-        match out.get(k) {
-            Some(existing) => {
-                let w = widen(existing, v);
-                out.insert(k.clone(), w);
-            }
-            None => {
-                out.insert(k.clone(), v.clone());
-            }
-        }
-    }
-    out
-}
-
-/// The last-resort loop join: any variable still changing goes to ⊤.
-fn top_out_diff(old: &Env, new: &Env) -> Env {
-    let mut out = old.clone();
-    for (k, v) in new {
-        match out.get(k) {
-            Some(existing) if existing == v => {}
-            _ => {
-                out.insert(k.clone(), SVal::Top);
-            }
-        }
-    }
-    out
-}
-
-/// Same preorder statement counting as `analyzer::count_block`.
-fn count_block(stmts: &[Stmt]) -> usize {
-    stmts.iter().map(count_stmt).sum()
-}
-
-fn count_stmt(stmt: &Stmt) -> usize {
-    1 + match stmt {
-        Stmt::If { then_branch, else_branch, .. } => {
-            count_block(then_branch) + count_block(else_branch)
-        }
-        Stmt::While { body, .. } | Stmt::Foreach { body, .. } => count_block(body),
-        _ => 0,
     }
 }
 

@@ -9,7 +9,8 @@
 
 use joza_core::{Joza, JozaConfig};
 use joza_lab::{build_lab, verify::request_for, Lab, CLEAN_CORE_ROUTES};
-use joza_sast::{analyze_source, taint_free_routes, AnalyzerConfig};
+use joza_sast::{analyze_source, infer_source, taint_free_routes, AnalyzerConfig};
+use joza_sqlparse::template::TemplatePart;
 use joza_webapp::request::HttpRequest;
 
 fn benign_core_requests() -> Vec<HttpRequest> {
@@ -145,6 +146,49 @@ fn break_mid_loop_state_escapes() {
     );
     // Concretely $x can be tainted at the sink (break exits mid-body).
     assert!(!s.taint_free, "UNSOUND: break mid-body state not joined");
+}
+
+/// A loop whose taint needs more passes to settle than the fixpoint
+/// allows: `$v60` is tainted in the first pass and reaches `$v1` one link
+/// per pass. When the pass cap is hit, every variable the body assigns
+/// must go to the domain's top — keeping the last pass's environment
+/// would leave `$v1` untainted and the query model a complete literal.
+#[test]
+fn loop_chain_longer_than_the_pass_cap_goes_to_top() {
+    let links: String = (1..60).map(|i| format!("$v{i} = $v{};\n", i + 1)).collect();
+    let src = format!(
+        "$c = 0;\nwhile ($c < 100) {{\n{links}$v60 = $_GET['x'];\n$c = $c + 1;\n}}\n\
+         mysql_query(\"SELECT * FROM t WHERE id=\" . $v1);\n"
+    );
+    let s = analyze_source("t", &src, &AnalyzerConfig::default());
+    assert!(!s.taint_free, "UNSOUND: loop-carried taint dropped at the pass cap");
+    let m = infer_source("t", &src);
+    assert_eq!(m.sites.len(), 1);
+    assert_eq!(m.sites[0].templates, None, "UNSOUND: loop-carried hole dropped at the pass cap");
+}
+
+/// An assignment inside an operand that may not run — a ternary arm, the
+/// right side of `&&`/`||`, the `?:` fallback — must not scrub the value
+/// the variable keeps when the operand is skipped.
+#[test]
+fn assignments_in_skippable_operands_join() {
+    for guarded in [
+        "$x = ''; $t = $c ? ($x = 1) : ($x = $_GET['y']);",
+        "$x = $_GET['y']; $t = $c ? ($x = 1) : 2;",
+        "$x = $_GET['y']; $t = $c && ($x = 1);",
+        "$x = $_GET['y']; $t = $c || ($x = 1);",
+        "$x = $_GET['y']; $t = $c ?: ($x = 1);",
+    ] {
+        let src = format!("{guarded} mysql_query(\"SELECT * FROM t WHERE a='$x'\");");
+        let s = analyze_source("t", &src, &AnalyzerConfig::default());
+        assert!(!s.taint_free, "UNSOUND: {guarded} scrubbed the request value");
+        let m = infer_source("t", &src);
+        let templates = m.sites[0].templates.as_ref().expect("modeled");
+        assert!(
+            templates.iter().any(|t| t.parts.contains(&TemplatePart::Hole)),
+            "UNSOUND: {guarded} left no hole in {templates:?}"
+        );
+    }
 }
 
 #[test]

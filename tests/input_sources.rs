@@ -3,6 +3,7 @@
 
 use joza::core::{Joza, JozaConfig};
 use joza::db::{Database, Value};
+use joza::sast::{app_query_models, taint_free_routes};
 use joza::webapp::app::{Plugin, WebApp};
 use joza::webapp::request::HttpRequest;
 use joza::webapp::server::Server;
@@ -53,6 +54,24 @@ fn header_borne_injection_is_captured_and_blocked() {
     let resp = server.handle_with(&benign, &joza);
     assert!(!resp.blocked, "{resp:?}");
     assert_eq!(resp.executed, resp.queries.len());
+
+    // Behind the static fast path too: the header is a taint source, so
+    // the route is never proven taint-free and the attack reaches the
+    // dynamic detectors (on a fresh database, so nothing planted above
+    // can show up in the page).
+    let mut server = header_logger_app();
+    let proven = taint_free_routes(&server.app);
+    assert!(!proven.iter().any(|r| r == "log-visit"), "header route proven taint-free");
+    let fast = Joza::installer(&server.app, JozaConfig::optimized())
+        .taint_free_routes(proven)
+        .query_models(app_query_models(&server.app))
+        .build();
+    let resp = server.handle_with(&attack, &fast);
+    assert!(resp.denied(), "{resp:?}");
+    assert!(!resp.body.contains("TOPSECRET-42"));
+    let resp = server.handle_with(&benign, &fast);
+    assert!(!resp.blocked, "{resp:?}");
+    assert!(!resp.body.contains("TOPSECRET-42"));
 }
 
 #[test]
