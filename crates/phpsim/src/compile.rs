@@ -700,24 +700,7 @@ impl Compiler {
 /// base-read reorder (builtins and host calls never touch script
 /// variables).
 fn contains_assign(e: &Expr) -> bool {
-    match e {
-        Expr::AssignExpr { .. } => true,
-        Expr::Lit(_) | Expr::Var(_) | Expr::Interp(_) => false,
-        Expr::Index { base, index } => contains_assign(base) || contains_assign(index),
-        Expr::Call { args, .. } => args.iter().any(contains_assign),
-        Expr::Unary { expr, .. } => contains_assign(expr),
-        Expr::Binary { left, right, .. } => contains_assign(left) || contains_assign(right),
-        Expr::Ternary { cond, then_val, else_val } => {
-            contains_assign(cond)
-                || then_val.as_deref().is_some_and(contains_assign)
-                || contains_assign(else_val)
-        }
-        Expr::ArrayLit(items) => {
-            items.iter().any(|(k, v)| k.as_ref().is_some_and(contains_assign) || contains_assign(v))
-        }
-        Expr::Isset(exprs) => exprs.iter().any(contains_assign),
-        Expr::Empty(inner) => contains_assign(inner),
-    }
+    matches!(e, Expr::AssignExpr { .. }) || e.children().any(contains_assign)
 }
 
 /// Flattens a `.` chain into its operands, preserving evaluation order.

@@ -1,14 +1,15 @@
-//! The abstract interpreter both static passes run on.
+//! The abstract interpreter all three static passes run on.
 //!
 //! [`run`] owns *how* a phpsim program is walked: preorder statement ids
 //! (the order of the parser's span table), branch joins, the
 //! `break`/`continue` frames, the loop fixpoint and its pass cap, the
 //! `while` condition re-read, the evaluation order of every expression,
 //! and reads of the request superglobals. A [`Domain`] supplies only the
-//! transfer functions. The taint pass ([`crate::analyzer`]) and the
-//! query-model pass ([`crate::querymodel`]) are two domains, so they agree
-//! by construction on which call sites exist, how they are numbered, and
-//! which reads are request input.
+//! transfer functions. The taint pass ([`crate::analyzer`]), the
+//! query-model pass ([`crate::querymodel`]) and the hardening pass
+//! ([`crate::harden`]) are three domains, so they agree by construction on
+//! which call sites exist, how they are numbered, and which reads are
+//! request input.
 //!
 //! Branches are walked on cloned environments and joined afterwards.
 //! `break`/`continue` end their abstract path: the environment at the
@@ -21,8 +22,9 @@
 //! A loop body is re-walked, from the same preorder base, until the
 //! domain's loop join stops changing the environment. A loop still moving
 //! after [`MAX_LOOP_PASSES`] sends every variable it may assign to the
-//! domain's top and is walked once more on that state, so the sinks inside
-//! it see the top values too.
+//! domain's top above the join of all of them (so each keeps every
+//! source the loop mixes in) and is walked once more on that state, so
+//! the sinks inside it see the top values too.
 
 use joza_phpsim::ast::{AssignOp, BinOp, Expr, InterpPart, Stmt, UnaryOp, SUPERGLOBALS};
 use joza_phpsim::value::PValue;
@@ -59,9 +61,9 @@ pub(crate) trait Domain {
     fn array(&self, items: Vec<(Option<Self::Val>, Self::Val)>) -> Self::Val;
     /// The value an indexed write `$a[k1][k2] = v` joins into `$a`.
     fn keyed(&self, val: Self::Val, keys: Vec<Self::Val>) -> Self::Val;
-    /// A builtin call at statement `stmt_id` on its evaluated arguments;
-    /// sinks are calls too.
-    fn call(&mut self, stmt_id: usize, name: &str, args: Vec<Self::Val>) -> Self::Val;
+    /// The builtin call `site` (to `name`) at statement `stmt_id` on its
+    /// evaluated arguments; sinks are calls too.
+    fn call(&mut self, stmt_id: usize, site: &Expr, name: &str, args: Vec<Self::Val>) -> Self::Val;
     /// A value about to be stored in `$var`.
     fn named(&self, val: Self::Val, var: &str) -> Self::Val;
     /// The loop join of one pass's value into the loop-entry value.
@@ -71,6 +73,28 @@ pub(crate) trait Domain {
     /// Top above `val`: what a variable becomes when its loop hits the
     /// pass cap.
     fn top(&self, val: Self::Val) -> Self::Val;
+
+    /// The value of the expression `expr`, from the value the transfer
+    /// functions gave it.
+    fn at(&self, _expr: &Expr, val: Self::Val) -> Self::Val {
+        val
+    }
+    /// The value a read of `$name` yields, from its bound value.
+    fn var(&self, _name: &str, val: Self::Val) -> Self::Val {
+        val
+    }
+    /// A `foreach` value read out of an array value (smashed arrays: the
+    /// array value itself).
+    fn each(&self, array: &Self::Val) -> Self::Val {
+        array.clone()
+    }
+    /// What a merge joins in for a variable one side never bound; `None`
+    /// keeps the bound side's value.
+    fn unbound(&self) -> Option<Self::Val> {
+        None
+    }
+    /// Called after `$var` was bound in `env`.
+    fn assigned(&self, _env: &mut Env<Self::Val>, _var: &str) {}
 }
 
 /// Walks `prog` from an empty environment and hands the domain back.
@@ -80,7 +104,8 @@ pub(crate) fn run<D: Domain>(dom: D, prog: &[Stmt]) -> D {
     walker.dom
 }
 
-type Env<V> = BTreeMap<String, V>;
+/// A variable environment.
+pub(crate) type Env<V> = BTreeMap<String, V>;
 
 /// How a statement hands control onward on one abstract path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,6 +170,7 @@ impl<D: Domain> Walker<D> {
                     }
                 }
                 env.insert(var.clone(), val);
+                self.dom.assigned(env, var);
             }
             Stmt::If { cond, then_branch, else_branch } => {
                 self.expr(cond, env, id);
@@ -227,9 +253,15 @@ impl<D: Domain> Walker<D> {
         if !settled {
             let mut assigned = BTreeSet::new();
             assigned_vars_stmt(stmt, &mut assigned);
-            for var in assigned {
-                let val = env.remove(&var).unwrap_or_default();
-                env.insert(var, self.dom.top(val));
+            let all = assigned
+                .iter()
+                .map(|var| env.get(var).cloned().unwrap_or_default())
+                .reduce(|a, b| self.dom.join(&a, &b));
+            if let Some(all) = all {
+                let top = self.dom.top(all);
+                for var in assigned {
+                    env.insert(var, top.clone());
+                }
             }
             let trial = self.pass(body, each, env, start);
             *env = self.merge(env, &trial, true);
@@ -252,9 +284,11 @@ impl<D: Domain> Walker<D> {
     ) -> Env<D::Val> {
         let mut trial = env.clone();
         if let Some((arr, key_var, val_var)) = each {
-            trial.insert(val_var.to_string(), self.dom.named(arr.clone(), val_var));
+            trial.insert(val_var.to_string(), self.dom.named(self.dom.each(arr), val_var));
+            self.dom.assigned(&mut trial, val_var);
             if let Some(k) = key_var {
                 trial.insert(k.to_string(), self.dom.named(self.dom.key(arr), k));
+                self.dom.assigned(&mut trial, k);
             }
         }
         let mut counter = start;
@@ -268,26 +302,44 @@ impl<D: Domain> Walker<D> {
     }
 
     /// `a` with every variable of `b` joined in (widened when `widen`);
-    /// a variable bound on one side only keeps that side's value.
+    /// a variable bound on one side only is merged with the domain's
+    /// `unbound` value, or keeps that side's value when there is none.
     fn merge(&self, a: &Env<D::Val>, b: &Env<D::Val>, widen: bool) -> Env<D::Val> {
+        let meet = |x: &D::Val, y: &D::Val| {
+            if widen {
+                self.dom.widen(x, y)
+            } else {
+                self.dom.join(x, y)
+            }
+        };
+        let unbound = self.dom.unbound();
         let mut out = a.clone();
         for (k, v) in b {
             match out.get_mut(k) {
-                Some(old) if widen => *old = self.dom.widen(old, v),
-                Some(old) => *old = self.dom.join(old, v),
+                Some(old) => *old = meet(old, v),
                 None => {
-                    out.insert(k.clone(), v.clone());
+                    out.insert(
+                        k.clone(),
+                        unbound.as_ref().map_or_else(|| v.clone(), |u| meet(u, v)),
+                    );
                 }
+            }
+        }
+        if let Some(u) = &unbound {
+            for (_, v) in out.iter_mut().filter(|(k, _)| !b.contains_key(*k)) {
+                *v = meet(v, u);
             }
         }
         out
     }
 
     fn read(&self, name: &str, env: &Env<D::Val>) -> D::Val {
-        if SUPERGLOBALS.contains(&name) {
-            return self.dom.source(name, None);
-        }
-        env.get(name).cloned().unwrap_or_default()
+        let val = if SUPERGLOBALS.contains(&name) {
+            self.dom.source(name, None)
+        } else {
+            env.get(name).cloned().unwrap_or_default()
+        };
+        self.dom.var(name, val)
     }
 
     /// Walks an operand that may not run (a ternary arm, the right side of
@@ -306,6 +358,11 @@ impl<D: Domain> Walker<D> {
     }
 
     fn expr(&mut self, expr: &Expr, env: &mut Env<D::Val>, id: usize) -> D::Val {
+        let val = self.eval(expr, env, id);
+        self.dom.at(expr, val)
+    }
+
+    fn eval(&mut self, expr: &Expr, env: &mut Env<D::Val>, id: usize) -> D::Val {
         match expr {
             Expr::Lit(v) => self.dom.lit(v),
             Expr::Var(name) => self.read(name, env),
@@ -333,7 +390,7 @@ impl<D: Domain> Walker<D> {
             }
             Expr::Call { name, args } => {
                 let vals = args.iter().map(|a| self.expr(a, env, id)).collect();
-                self.dom.call(id, name, vals)
+                self.dom.call(id, expr, name, vals)
             }
             Expr::Unary { op, expr } => {
                 let v = self.expr(expr, env, id);
@@ -389,6 +446,7 @@ impl<D: Domain> Walker<D> {
                 let v = self.expr(expr, env, id);
                 let v = self.dom.named(v, var);
                 env.insert(var.clone(), v.clone());
+                self.dom.assigned(env, var);
                 v
             }
         }
@@ -396,101 +454,32 @@ impl<D: Domain> Walker<D> {
 }
 
 /// Number of statements in a subtree: the span-table slots it occupies.
-fn count_block(stmts: &[Stmt]) -> usize {
-    stmts
-        .iter()
-        .map(|s| {
-            1 + match s {
-                Stmt::If { then_branch, else_branch, .. } => {
-                    count_block(then_branch) + count_block(else_branch)
-                }
-                Stmt::While { body, .. } | Stmt::Foreach { body, .. } => count_block(body),
-                _ => 0,
-            }
-        })
-        .sum()
+fn count_block<'a>(stmts: impl IntoIterator<Item = &'a Stmt>) -> usize {
+    stmts.into_iter().map(|s| 1 + count_block(s.children().1)).sum()
 }
 
 /// Variables assigned anywhere in a statement, loop heads included.
-pub(crate) fn assigned_vars_stmt(stmt: &Stmt, out: &mut BTreeSet<String>) {
+fn assigned_vars_stmt(stmt: &Stmt, out: &mut BTreeSet<String>) {
     match stmt {
-        Stmt::Expr(e) | Stmt::Return(Some(e)) | Stmt::Exit(Some(e)) => assigned_vars_expr(e, out),
-        Stmt::Assign { var, indices, expr, .. } => {
+        Stmt::Assign { var, .. } => {
             out.insert(var.clone());
-            for idx in indices.iter().flatten() {
-                assigned_vars_expr(idx, out);
-            }
-            assigned_vars_expr(expr, out);
         }
-        Stmt::If { cond, then_branch, else_branch } => {
-            assigned_vars_expr(cond, out);
-            for s in then_branch.iter().chain(else_branch) {
-                assigned_vars_stmt(s, out);
-            }
+        Stmt::Foreach { key_var, val_var, .. } => {
+            out.extend(key_var.iter().chain([val_var]).cloned());
         }
-        Stmt::While { cond, body } => {
-            assigned_vars_expr(cond, out);
-            for s in body {
-                assigned_vars_stmt(s, out);
-            }
-        }
-        Stmt::Foreach { array, key_var, val_var, body } => {
-            assigned_vars_expr(array, out);
-            if let Some(k) = key_var {
-                out.insert(k.clone());
-            }
-            out.insert(val_var.clone());
-            for s in body {
-                assigned_vars_stmt(s, out);
-            }
-        }
-        Stmt::Echo(exprs) => {
-            for e in exprs {
-                assigned_vars_expr(e, out);
-            }
-        }
-        Stmt::Return(None) | Stmt::Exit(None) | Stmt::Break | Stmt::Continue => {}
+        _ => {}
     }
+    let (exprs, blocks) = stmt.children();
+    exprs.for_each(|e| assigned_vars_expr(e, out));
+    blocks.for_each(|s| assigned_vars_stmt(s, out));
 }
 
 /// Variables an expression assigns (`$x = …` inside an expression).
-pub(crate) fn assigned_vars_expr(e: &Expr, out: &mut BTreeSet<String>) {
-    match e {
-        Expr::AssignExpr { var, expr } => {
-            out.insert(var.clone());
-            assigned_vars_expr(expr, out);
-        }
-        Expr::Index { base, index } => {
-            assigned_vars_expr(base, out);
-            assigned_vars_expr(index, out);
-        }
-        Expr::Call { args, .. } | Expr::Isset(args) => {
-            for a in args {
-                assigned_vars_expr(a, out);
-            }
-        }
-        Expr::Unary { expr, .. } | Expr::Empty(expr) => assigned_vars_expr(expr, out),
-        Expr::Binary { left, right, .. } => {
-            assigned_vars_expr(left, out);
-            assigned_vars_expr(right, out);
-        }
-        Expr::Ternary { cond, then_val, else_val } => {
-            assigned_vars_expr(cond, out);
-            if let Some(t) = then_val {
-                assigned_vars_expr(t, out);
-            }
-            assigned_vars_expr(else_val, out);
-        }
-        Expr::ArrayLit(items) => {
-            for (k, v) in items {
-                if let Some(k) = k {
-                    assigned_vars_expr(k, out);
-                }
-                assigned_vars_expr(v, out);
-            }
-        }
-        Expr::Interp(_) | Expr::Lit(_) | Expr::Var(_) => {}
+fn assigned_vars_expr(e: &Expr, out: &mut BTreeSet<String>) {
+    if let Expr::AssignExpr { var, .. } = e {
+        out.insert(var.clone());
     }
+    e.children().for_each(|c| assigned_vars_expr(c, out));
 }
 
 #[cfg(test)]
@@ -515,7 +504,7 @@ mod tests {
         fn key(&self, _: &()) {}
         fn array(&self, _: Vec<(Option<()>, ())>) {}
         fn keyed(&self, _: (), _: Vec<()>) {}
-        fn call(&mut self, stmt_id: usize, name: &str, _: Vec<()>) {
+        fn call(&mut self, stmt_id: usize, _: &Expr, name: &str, _: Vec<()>) {
             self.0.insert((stmt_id, name.to_string()));
         }
         fn named(&self, _: (), _: &str) {}

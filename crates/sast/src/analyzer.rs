@@ -227,11 +227,11 @@ impl Domain for Taints<'_> {
         val.join(&keys.iter().fold(AbstractVal::untainted(), |acc, k| acc.join(k)))
     }
 
-    fn call(&mut self, stmt_id: usize, name: &str, args: Vec<AbstractVal>) -> AbstractVal {
+    fn call(&mut self, id: usize, _: &Expr, name: &str, args: Vec<AbstractVal>) -> AbstractVal {
         let joined = args.iter().fold(AbstractVal::untainted(), |acc, v| acc.join(v));
         if is_sink(name) {
-            self.record_sink(stmt_id, name, &joined);
-            if let Some(cells) = self.config.db_sources.get(&stmt_id) {
+            self.record_sink(id, name, &joined);
+            if let Some(cells) = self.config.db_sources.get(&id) {
                 // This sink's result handle reads attacker-reachable
                 // cells: the handle is tainted with db-cell provenance
                 // (fetches propagate it to every row value).

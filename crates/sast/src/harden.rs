@@ -1,20 +1,22 @@
 //! Static parameterization: rewrite modeled sinks into prepared calls.
 //!
-//! PR 4's query-model inference proves, per sink site, that every query
-//! the site can emit has the shape `Lit Hole Lit …` — statically known
-//! SQL text with dynamic scalars confined to data-literal positions.
-//! That proof is exactly the licence to *repair* the site (ASSIST; "You
-//! shall not pass"): replace the string-concatenation sink with a
-//! prepared-statement call whose text is the literal skeleton and whose
-//! parameters are the original dynamic subexpressions.
+//! The query-model pass ([`crate::querymodel`]) proves, per sink site,
+//! that every query the site can emit has the shape `Lit Hole Lit …`:
+//! statically known SQL text with dynamic scalars confined to
+//! data-literal positions. That proof is exactly the licence to *repair*
+//! the site (ASSIST; "You shall not pass"): replace the
+//! string-concatenation sink with a prepared-statement call whose text is
+//! the literal skeleton and whose parameters are the original dynamic
+//! subexpressions.
 //!
-//! The pass re-interprets each route's AST with a **pieces domain**: a
-//! variable is either `Scalar` (holds a dynamic value usable as one bound
-//! parameter), `Inline` (holds a known concatenation of literal text and
-//! pure dynamic pieces, which the sink rewrite may inline), or `Opaque`
-//! (not safely expressible — the route is skipped with a reason). At each
-//! sink, the query argument decomposes into literal/dynamic pieces; a
-//! quote-context scan then assembles the prepared text:
+//! The pass has two steps. **Analyse:** the walker all static passes run
+//! on (`absint`) interprets the route in the **pieces domain**:
+//! a value is `Scalar` (a dynamic value usable as one bound parameter),
+//! `Inline` (a known concatenation of literal text and dynamic pieces,
+//! which a sink may inline), or `Opaque` (not safely expressible: a sink
+//! reading it skips the route with the reason). Every sink call the walker
+//! evaluates is a hardening site; its query argument's pieces go through
+//! a quote-context scan that assembles the prepared text:
 //!
 //! * a dynamic piece *outside* SQL quotes becomes a `:jzN` placeholder
 //!   bound to `strval(piece)` — `strval` mirrors the string conversion
@@ -31,27 +33,36 @@
 //!
 //! The assembled text must parse as SQL (placeholders included); a hole
 //! that lands somewhere a data literal cannot go — a table name, a
-//! column — fails the parse and skips the route. Evaluation order is
-//! preserved: unmoved pieces are evaluated at the sink exactly as the
-//! original concatenation did, and pieces inlined from earlier
-//! assignments are required to be pure and are invalidated when any
-//! variable they read is reassigned.
+//! column — fails the parse and skips the route. A sink with another sink
+//! inside its arguments skips the route too: the prepared call replaces
+//! the whole sink, so no raw query may ride inside it. **Apply:** the
+//! recorded prepared calls are spliced into the route's own copy of the
+//! AST in place of the sink call nodes they were recorded for (by node
+//! address); a sink the walker never reached (dead code after `break`)
+//! skips the route, so a rewritten route keeps no raw sink at all.
+//!
+//! Evaluation order is preserved: unmoved pieces are evaluated at the sink
+//! exactly as the original concatenation did. Pieces inlined from earlier
+//! assignments must be pure, and the domain's assignment hook makes every
+//! inline value that reads a reassigned variable opaque. Loop-carried
+//! values go through the domain's widening: a variable that changes
+//! across a loop pass and is not one scalar throughout becomes opaque.
 //!
 //! The rewrite is verified *differentially* (`joza_lab`'s harden
 //! driver): original and hardened applications must produce bit-identical
 //! responses and database states over the benign corpus, and the hardened
 //! application must neutralize every exploit targeting a rewritten route.
 
-use crate::absint::{assigned_vars_expr, assigned_vars_stmt};
+use crate::absint::{self, Domain, Env};
 use crate::querymodel::{infer_plugin, infer_program};
 use crate::summaries::is_sink;
-use joza_phpsim::ast::{AssignOp, BinOp, Expr, InterpPart, Stmt, SUPERGLOBALS};
+use joza_phpsim::ast::{BinOp, Expr, InterpPart, Stmt};
 use joza_phpsim::emit::emit_program;
 use joza_phpsim::parser::parse_program;
 use joza_phpsim::value::PValue;
 use joza_sqlparse::parser::parse as parse_sql;
 use joza_webapp::app::WebApp;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Why a route was left unrewritten.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,29 +278,30 @@ fn harden_parsed(route: &str, prog: Option<Vec<Stmt>>) -> (RouteHarden, Option<S
         return (report, None);
     };
 
-    // Gate on the inference pass: only routes whose model is complete
-    // carry the proof that every dynamic input is a data-literal hole.
+    // Analyse. Only routes whose query model is complete carry the proof
+    // that every dynamic input is a data-literal hole.
     let model = infer_program(route, &prog);
-    report.sinks = model.sites.len();
-    if model.sites.iter().any(|s| s.templates.is_none()) {
-        report.skip = Some(if has_prepared_db_query(&prog) {
+    let sites = absint::run(Hardening::default(), &prog).sites;
+    let complete = model.sites.iter().all(|s| s.templates.is_some());
+    report.sinks = if complete { sites.len() } else { model.sites.len() };
+    let outcome = if !complete {
+        Err(if sites.iter().any(|(_, p)| *p == Err(SkipReason::AlreadyPrepared)) {
             SkipReason::AlreadyPrepared
         } else {
             SkipReason::IncompleteModel
-        });
-        return (report, None);
-    }
-
-    let mut rw = Rewriter { failure: None, sinks: 0, rewritten: 0, placeholders: 0 };
-    let mut env = Env::new();
-    rw.walk_block(&mut prog, &mut env);
-    report.sinks = rw.sinks;
-    if let Some(reason) = rw.failure {
+        })
+    } else if let Some(reason) = sites.iter().find_map(|(_, p)| p.as_ref().err()) {
+        Err(*reason)
+    } else {
+        splice(&mut prog, &sites)
+    };
+    if let Err(reason) = outcome {
         report.skip = Some(reason);
         return (report, None);
     }
-    report.sinks_rewritten = rw.rewritten;
-    report.placeholders = rw.placeholders;
+    report.sinks_rewritten = sites.len();
+    report.placeholders =
+        sites.iter().filter_map(|(_, p)| p.as_ref().ok()).map(|p| p.1.len()).sum();
 
     let emitted = emit_program(&prog);
     let reparsed = parse_program(&emitted).expect("emitted hardened source must parse");
@@ -318,7 +330,7 @@ pub fn harden_app(app: &WebApp) -> (WebApp, HardenReport) {
 }
 
 // ---------------------------------------------------------------------
-// The pieces domain.
+// Analyse: the pieces domain.
 // ---------------------------------------------------------------------
 
 /// One constituent of a query under construction.
@@ -326,27 +338,34 @@ pub fn harden_app(app: &WebApp) -> (WebApp, HardenReport) {
 enum Piece {
     /// Statically known text (string conversion already applied).
     Lit(String),
-    /// A dynamic subexpression. `hoisted` pieces were captured from an
-    /// earlier assignment and will be re-evaluated at the sink — they
-    /// must be pure, and are invalidated if any variable they read is
-    /// reassigned before use.
-    Dyn { expr: Expr, hoisted: bool },
+    /// A dynamic subexpression, evaluated where the prepared call binds it.
+    Dyn(Expr),
 }
 
-/// What the rewriter knows about a variable.
-#[derive(Debug, Clone, PartialEq)]
-enum Entry {
-    /// Holds a dynamic value; usable as a single bound parameter
-    /// (`$v` re-read at the sink is always the runtime value).
+/// What the pass knows about a value.
+#[derive(Debug, Clone, PartialEq, Default)]
+enum Pieces {
+    /// A dynamic value usable as one bound parameter: a variable holding
+    /// one (or none) is re-read at the sink, which is always faithful.
+    #[default]
     Scalar,
-    /// Holds a known concatenation with literal text; the sink rewrite
-    /// inlines these pieces so the literals join the SQL skeleton.
+    /// A known concatenation with literal text; a sink inlines these
+    /// pieces so the literals join the SQL skeleton. The dynamic pieces a
+    /// variable holds are pure and re-evaluated at the sink.
     Inline(Vec<Piece>),
-    /// Not safely expressible; using it at a sink skips the route.
+    /// Not safely expressible; a sink reading it skips the route.
     Opaque(SkipReason),
 }
 
-type Env = BTreeMap<String, Entry>;
+/// A sink's prepared statement text and bound values, or why it has none.
+type Prepared = Result<(String, Vec<Expr>), SkipReason>;
+
+/// The pieces domain: per sink call node (by address, in the order the
+/// walker first evaluates them), the sink's prepared form.
+#[derive(Default)]
+struct Hardening {
+    sites: Vec<(*const Expr, Prepared)>,
+}
 
 /// Builtins safe to re-evaluate at the sink: deterministic in their
 /// arguments and free of side effects. Result-set readers (`mysql_fetch_*`),
@@ -395,482 +414,218 @@ const PURE_FNS: &[&str] = &[
 
 fn is_pure(e: &Expr) -> bool {
     match e {
-        Expr::Lit(_) | Expr::Var(_) | Expr::Interp(_) => true,
-        Expr::Index { base, index } => is_pure(base) && is_pure(index),
-        Expr::Unary { expr, .. } => is_pure(expr),
-        Expr::Binary { left, right, .. } => is_pure(left) && is_pure(right),
-        Expr::Ternary { cond, then_val, else_val } => {
-            is_pure(cond) && then_val.as_deref().is_none_or(is_pure) && is_pure(else_val)
-        }
-        Expr::ArrayLit(items) => {
-            items.iter().all(|(k, v)| k.as_ref().is_none_or(is_pure) && is_pure(v))
-        }
-        Expr::Isset(args) => args.iter().all(is_pure),
-        Expr::Empty(e) => is_pure(e),
         Expr::AssignExpr { .. } => false,
-        Expr::Call { name, args } => {
-            PURE_FNS.contains(&name.to_ascii_lowercase().as_str()) && args.iter().all(is_pure)
-        }
+        Expr::Call { name, .. } if !PURE_FNS.contains(&name.to_ascii_lowercase().as_str()) => false,
+        _ => e.children().all(is_pure),
     }
 }
 
-/// Variables an expression reads (hoisting validity tracking).
-fn free_vars(e: &Expr, out: &mut BTreeSet<String>) {
+/// Whether `e` reads `$var`.
+fn reads(e: &Expr, var: &str) -> bool {
     match e {
-        Expr::Lit(_) => {}
-        Expr::Var(name) => {
-            out.insert(name.clone());
-        }
-        Expr::Interp(parts) => {
-            for p in parts {
-                if let InterpPart::Var(name) = p {
-                    out.insert(name.clone());
-                }
-            }
-        }
-        Expr::Index { base, index } => {
-            free_vars(base, out);
-            free_vars(index, out);
-        }
-        Expr::Call { args, .. } | Expr::Isset(args) => {
-            for a in args {
-                free_vars(a, out);
-            }
-        }
-        Expr::Unary { expr, .. } | Expr::Empty(expr) => free_vars(expr, out),
-        Expr::Binary { left, right, .. } => {
-            free_vars(left, out);
-            free_vars(right, out);
-        }
-        Expr::Ternary { cond, then_val, else_val } => {
-            free_vars(cond, out);
-            if let Some(t) = then_val {
-                free_vars(t, out);
-            }
-            free_vars(else_val, out);
-        }
-        Expr::ArrayLit(items) => {
-            for (k, v) in items {
-                if let Some(k) = k {
-                    free_vars(k, out);
-                }
-                free_vars(v, out);
-            }
-        }
-        Expr::AssignExpr { var, expr } => {
-            out.insert(var.clone());
-            free_vars(expr, out);
-        }
+        Expr::Var(name) => name == var,
+        Expr::Interp(parts) => parts.iter().any(|p| matches!(p, InterpPart::Var(n) if n == var)),
+        _ => e.children().any(|c| reads(c, var)),
     }
 }
 
-fn has_prepared_db_query(prog: &[Stmt]) -> bool {
-    fn in_expr(e: &Expr) -> bool {
-        match e {
-            Expr::Call { name, args } => {
-                (name.eq_ignore_ascii_case("db_query") && args.len() >= 2)
-                    || args.iter().any(in_expr)
-            }
-            Expr::Index { base, index } => in_expr(base) || in_expr(index),
-            Expr::Unary { expr, .. } | Expr::Empty(expr) => in_expr(expr),
-            Expr::Binary { left, right, .. } => in_expr(left) || in_expr(right),
-            Expr::Ternary { cond, then_val, else_val } => {
-                in_expr(cond) || then_val.as_deref().is_some_and(in_expr) || in_expr(else_val)
-            }
-            Expr::ArrayLit(items) => {
-                items.iter().any(|(k, v)| k.as_ref().is_some_and(in_expr) || in_expr(v))
-            }
-            Expr::Isset(args) => args.iter().any(in_expr),
-            Expr::AssignExpr { expr, .. } => in_expr(expr),
-            Expr::Lit(_) | Expr::Var(_) | Expr::Interp(_) => false,
-        }
-    }
-    fn in_stmt(s: &Stmt) -> bool {
-        match s {
-            Stmt::Expr(e) | Stmt::Return(Some(e)) | Stmt::Exit(Some(e)) => in_expr(e),
-            Stmt::Assign { indices, expr, .. } => {
-                indices.iter().flatten().any(in_expr) || in_expr(expr)
-            }
-            Stmt::If { cond, then_branch, else_branch } => {
-                in_expr(cond) || then_branch.iter().any(in_stmt) || else_branch.iter().any(in_stmt)
-            }
-            Stmt::While { cond, body } => in_expr(cond) || body.iter().any(in_stmt),
-            Stmt::Foreach { array, body, .. } => in_expr(array) || body.iter().any(in_stmt),
-            Stmt::Echo(exprs) => exprs.iter().any(in_expr),
-            Stmt::Return(None) | Stmt::Exit(None) | Stmt::Break | Stmt::Continue => false,
-        }
-    }
-    prog.iter().any(in_stmt)
+/// Whether `e` calls a sink anywhere.
+fn has_sink(e: &Expr) -> bool {
+    matches!(e, Expr::Call { name, .. } if is_sink(name)) || e.children().any(has_sink)
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Flow {
-    Normal,
-    Exited,
-}
+impl Domain for Hardening {
+    type Val = Pieces;
 
-struct Rewriter {
-    failure: Option<SkipReason>,
-    sinks: usize,
-    rewritten: usize,
-    placeholders: usize,
-}
+    fn lit(&self, v: &PValue) -> Pieces {
+        Pieces::Inline(vec![Piece::Lit(v.to_php_string())])
+    }
 
-impl Rewriter {
-    fn fail(&mut self, reason: SkipReason) {
-        if self.failure.is_none() {
-            self.failure = Some(reason);
+    /// An empty run of text adds no piece.
+    fn text(&self, s: &str) -> Pieces {
+        Pieces::Inline(if s.is_empty() { vec![] } else { vec![Piece::Lit(s.to_string())] })
+    }
+
+    fn scalar(&self) -> Pieces {
+        Pieces::Scalar
+    }
+
+    fn concat(&self, a: &Pieces, b: &Pieces) -> Pieces {
+        match (a, b) {
+            (Pieces::Inline(a), Pieces::Inline(b)) => Pieces::Inline([&a[..], b].concat()),
+            (Pieces::Opaque(reason), _) | (_, Pieces::Opaque(reason)) => Pieces::Opaque(*reason),
+            // Appending to a scalar would capture a self-referential value.
+            _ => Pieces::Opaque(SkipReason::UnresolvedQueryExpr),
         }
     }
 
-    fn walk_block(&mut self, stmts: &mut [Stmt], env: &mut Env) -> Flow {
-        for stmt in stmts.iter_mut() {
-            if self.walk_stmt(stmt, env) == Flow::Exited {
-                return Flow::Exited;
-            }
-        }
-        Flow::Normal
-    }
-
-    fn walk_stmt(&mut self, stmt: &mut Stmt, env: &mut Env) -> Flow {
-        match stmt {
-            Stmt::Expr(e) => {
-                self.rewrite_expr(e, env);
-            }
-            Stmt::Assign { var, indices, op, expr } => {
-                for idx in indices.iter_mut().flatten() {
-                    self.rewrite_expr(idx, env);
-                }
-                // Classify the *original* right-hand side before any sink
-                // inside it is replaced (the classification describes the
-                // runtime value either way; the original is what the
-                // model pass saw).
-                let entry = self.assignment_entry(var, indices, op.as_ref(), expr, env);
-                self.rewrite_expr(expr, env);
-                env.insert(var.clone(), entry);
-                kill_references(env, var);
-            }
-            Stmt::If { cond, then_branch, else_branch } => {
-                self.rewrite_expr(cond, env);
-                let mut then_env = env.clone();
-                let then_flow = self.walk_block(then_branch, &mut then_env);
-                let mut else_env = env.clone();
-                let else_flow = self.walk_block(else_branch, &mut else_env);
-                match (then_flow, else_flow) {
-                    (Flow::Normal, Flow::Normal) => *env = join_env(&then_env, &else_env),
-                    (Flow::Normal, Flow::Exited) => *env = then_env,
-                    (Flow::Exited, Flow::Normal) => *env = else_env,
-                    (Flow::Exited, Flow::Exited) => return Flow::Exited,
-                }
-            }
-            Stmt::While { cond, body } => {
-                let mut assigned = BTreeSet::new();
-                assigned_vars_expr(cond, &mut assigned);
-                for s in body.iter() {
-                    assigned_vars_stmt(s, &mut assigned);
-                }
-                let pre = env.clone();
-                enter_loop(env, &assigned);
-                self.rewrite_expr(cond, env);
-                self.walk_block(body, env);
-                exit_loop(env, &pre, &assigned);
-            }
-            Stmt::Foreach { array, key_var, val_var, body } => {
-                self.rewrite_expr(array, env);
-                let mut assigned = BTreeSet::new();
-                if let Some(k) = key_var {
-                    assigned.insert(k.clone());
-                }
-                assigned.insert(val_var.clone());
-                for s in body.iter() {
-                    assigned_vars_stmt(s, &mut assigned);
-                }
-                let pre = env.clone();
-                enter_loop(env, &assigned);
-                // Element and key values are runtime scalars of the
-                // iterated array — single bound parameters.
-                env.insert(val_var.clone(), Entry::Scalar);
-                if let Some(k) = key_var {
-                    env.insert(k.clone(), Entry::Scalar);
-                }
-                self.walk_block(body, env);
-                exit_loop(env, &pre, &assigned);
-            }
-            Stmt::Echo(exprs) => {
-                for e in exprs {
-                    self.rewrite_expr(e, env);
-                }
-            }
-            Stmt::Return(e) | Stmt::Exit(e) => {
-                if let Some(e) = e {
-                    self.rewrite_expr(e, env);
-                }
-                return Flow::Exited;
-            }
-            Stmt::Break | Stmt::Continue => return Flow::Exited,
-        }
-        Flow::Normal
-    }
-
-    /// The env entry an assignment produces.
-    fn assignment_entry(
-        &mut self,
-        var: &str,
-        indices: &[Option<Expr>],
-        op: Option<&AssignOp>,
-        expr: &Expr,
-        env: &Env,
-    ) -> Entry {
-        if !indices.is_empty() {
-            // Smashed array element write: the variable as a whole is no
-            // longer a value the pieces domain can place.
-            return Entry::Opaque(SkipReason::UnresolvedQueryExpr);
-        }
-        match op {
-            Some(AssignOp::Add) | Some(AssignOp::Sub) => Entry::Scalar,
-            Some(AssignOp::Concat) => {
-                let old = match env.get(var) {
-                    Some(Entry::Inline(ps)) => ps.clone(),
-                    // Appending to a scalar (or unknown) would capture a
-                    // self-referential value; only straight-line builds
-                    // from literals are expressible.
-                    _ => return Entry::Opaque(SkipReason::UnresolvedQueryExpr),
-                };
-                match decompose(expr, env, true) {
-                    Ok(mut rhs) => {
-                        let mut ps = old;
-                        ps.append(&mut rhs);
-                        entry_from_pieces(ps)
-                    }
-                    Err(r) => Entry::Opaque(r),
-                }
-            }
-            None => match decompose(expr, env, true) {
-                Ok(ps) => entry_from_pieces(ps),
-                Err(r) => Entry::Opaque(r),
-            },
-        }
-    }
-
-    /// Rewrites an operand that may not run (a ternary arm, the right side
-    /// of `&&`/`||`): what it assigns joins with the skipped path's state,
-    /// so a sink after it never inlines a value that may not be there.
-    fn rewrite_maybe(&mut self, e: &mut Expr, env: &mut Env) {
-        let mut ran = env.clone();
-        self.rewrite_expr(e, &mut ran);
-        *env = join_env(env, &ran);
-    }
-
-    /// Recursively rewrites sinks inside an expression, updating the env
-    /// for embedded assignment expressions.
-    fn rewrite_expr(&mut self, e: &mut Expr, env: &mut Env) {
-        let replacement = match e {
-            Expr::Call { name, args } if is_sink(name) => {
-                self.sinks += 1;
-                if self.failure.is_some() {
-                    return;
-                }
-                let lower = name.to_ascii_lowercase();
-                let query_idx = match lower.as_str() {
-                    "mysqli_query" if args.len() >= 2 => 1,
-                    "db_query" if args.len() >= 2 => {
-                        // Already parameterized (route-level gating makes
-                        // this unreachable; keep the reason precise).
-                        self.fail(SkipReason::AlreadyPrepared);
-                        return;
-                    }
-                    _ => 0,
-                };
-                if args.is_empty() {
-                    self.fail(SkipReason::UnresolvedQueryExpr);
-                    return;
-                }
-                for (i, a) in args.iter_mut().enumerate() {
-                    if i != query_idx {
-                        self.rewrite_expr(a, env);
-                    }
-                }
-                match decompose(&args[query_idx], env, false)
-                    .and_then(|pieces| build_prepared(&pieces))
-                {
-                    Ok((text, bindings)) => {
-                        self.rewritten += 1;
-                        self.placeholders += bindings.len();
-                        Some(prepared_call(&text, bindings))
-                    }
-                    Err(reason) => {
-                        self.fail(reason);
-                        return;
-                    }
-                }
-            }
-            Expr::AssignExpr { var, expr } => {
-                let entry = match decompose(expr, env, true) {
-                    Ok(ps) => entry_from_pieces(ps),
-                    Err(r) => Entry::Opaque(r),
-                };
-                self.rewrite_expr(expr, env);
-                let var = var.clone();
-                env.insert(var.clone(), entry);
-                kill_references(env, &var);
-                None
-            }
-            Expr::Index { base, index } => {
-                self.rewrite_expr(base, env);
-                self.rewrite_expr(index, env);
-                None
-            }
-            Expr::Call { args, .. } | Expr::Isset(args) => {
-                for a in args {
-                    self.rewrite_expr(a, env);
-                }
-                None
-            }
-            Expr::Unary { expr, .. } | Expr::Empty(expr) => {
-                self.rewrite_expr(expr, env);
-                None
-            }
-            Expr::Binary { left, op, right } => {
-                self.rewrite_expr(left, env);
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    self.rewrite_maybe(right, env);
-                } else {
-                    self.rewrite_expr(right, env);
-                }
-                None
-            }
-            Expr::Ternary { cond, then_val, else_val } => {
-                self.rewrite_expr(cond, env);
-                if let Some(t) = then_val {
-                    self.rewrite_maybe(t, env);
-                }
-                self.rewrite_maybe(else_val, env);
-                None
-            }
-            Expr::ArrayLit(items) => {
-                for (k, v) in items {
-                    if let Some(k) = k {
-                        self.rewrite_expr(k, env);
-                    }
-                    self.rewrite_expr(v, env);
-                }
-                None
-            }
-            Expr::Lit(_) | Expr::Var(_) | Expr::Interp(_) => None,
-        };
-        if let Some(new) = replacement {
-            *e = new;
-        }
-    }
-}
-
-/// On entering a loop, every variable the loop may assign loses its
-/// inline pieces: the entry state mixes pre-loop and previous-iteration
-/// values.
-fn enter_loop(env: &mut Env, assigned: &BTreeSet<String>) {
-    for v in assigned {
-        env.insert(v.clone(), Entry::Opaque(SkipReason::LoopCarriedFragment));
-    }
-    // Inline entries reading loop-assigned variables are stale too.
-    for v in assigned {
-        kill_references(env, v);
-    }
-}
-
-/// On exit, a loop-assigned variable survives as `Scalar` only if it was
-/// scalar-shaped both before the loop and at the end of the body walk
-/// (zero and non-zero iteration paths agree); anything else is opaque.
-fn exit_loop(env: &mut Env, pre: &Env, assigned: &BTreeSet<String>) {
-    for v in assigned {
-        let pre_scalar = matches!(pre.get(v), None | Some(Entry::Scalar));
-        let post_scalar = matches!(env.get(v), Some(Entry::Scalar));
-        let entry = if pre_scalar && post_scalar {
-            Entry::Scalar
+    /// Paths that built different values leave nothing one rewrite fits.
+    fn join(&self, a: &Pieces, b: &Pieces) -> Pieces {
+        if a == b {
+            a.clone()
         } else {
-            Entry::Opaque(SkipReason::LoopCarriedFragment)
-        };
-        env.insert(v.clone(), entry);
+            Pieces::Opaque(SkipReason::UnresolvedQueryExpr)
+        }
     }
-}
 
-/// Reassigning `var` invalidates every inline capture that reads it.
-fn kill_references(env: &mut Env, var: &str) {
-    let stale: Vec<String> = env
-        .iter()
-        .filter(|(_, entry)| match entry {
-            Entry::Inline(ps) => ps.iter().any(|p| match p {
-                Piece::Dyn { expr, hoisted: true } => {
-                    let mut vars = BTreeSet::new();
-                    free_vars(expr, &mut vars);
-                    vars.contains(var)
-                }
-                _ => false,
-            }),
-            _ => false,
-        })
-        .map(|(k, _)| k.clone())
-        .collect();
-    for k in stale {
-        env.insert(k, Entry::Opaque(SkipReason::UnresolvedQueryExpr));
+    fn source(&self, _: &str, _: Option<&Expr>) -> Pieces {
+        Pieces::Scalar
     }
-}
 
-fn entry_from_pieces(pieces: Vec<Piece>) -> Entry {
-    let has_lit = pieces.iter().any(|p| matches!(p, Piece::Lit(_)));
-    if !has_lit {
-        // No skeleton text: the value is one dynamic scalar; re-reading
-        // the variable at the sink is always faithful.
-        return Entry::Scalar;
+    fn element(&self, _: Pieces) -> Pieces {
+        Pieces::Scalar
     }
-    let all_pure = pieces.iter().all(|p| match p {
-        Piece::Lit(_) => true,
-        Piece::Dyn { expr, .. } => is_pure(expr),
-    });
-    if all_pure {
-        Entry::Inline(pieces)
-    } else {
-        Entry::Opaque(SkipReason::ImpureBinding)
-    }
-}
 
-/// Decomposes an expression into pieces. `hoisted` marks dynamic pieces
-/// as captured-for-later (assignment right-hand sides); at a sink the
-/// directly-present subexpressions stay in place (`hoisted = false`) and
-/// evaluate exactly where the original concatenation evaluated them.
-fn decompose(e: &Expr, env: &Env, hoisted: bool) -> Result<Vec<Piece>, SkipReason> {
-    match e {
-        Expr::Lit(v) => Ok(vec![Piece::Lit(v.to_php_string())]),
-        Expr::Interp(parts) => {
-            let mut out = Vec::new();
-            for p in parts {
-                match p {
-                    InterpPart::Lit(s) => out.push(Piece::Lit(s.clone())),
-                    InterpPart::Var(name) => out.extend(resolve_var(name, env, hoisted)?),
+    fn key(&self, _: &Pieces) -> Pieces {
+        Pieces::Scalar
+    }
+
+    fn array(&self, _: Vec<(Option<Pieces>, Pieces)>) -> Pieces {
+        Pieces::Scalar
+    }
+
+    /// After an element write the array as a whole is no longer a value
+    /// the pass can place.
+    fn keyed(&self, _: Pieces, _: Vec<Pieces>) -> Pieces {
+        Pieces::Opaque(SkipReason::UnresolvedQueryExpr)
+    }
+
+    fn call(&mut self, _: usize, site: &Expr, name: &str, args: Vec<Pieces>) -> Pieces {
+        if is_sink(name) {
+            let prepared = prepare(site, name, &args);
+            let key: *const Expr = site;
+            match self.sites.iter_mut().find(|(k, _)| *k == key) {
+                None => self.sites.push((key, prepared)),
+                // A later loop pass walks a wider state, which can only
+                // turn the prepared form into a failure; a failure sticks.
+                Some((_, old)) => {
+                    if old.is_ok() {
+                        *old = prepared;
+                    }
                 }
             }
-            Ok(out)
         }
-        Expr::Binary { left, op, right } if *op == BinOp::Concat => {
-            let mut out = decompose(left, env, hoisted)?;
-            out.extend(decompose(right, env, hoisted)?);
-            Ok(out)
+        Pieces::Scalar
+    }
+
+    /// A stored value with no literal text is re-read at the sink; one
+    /// with literal text is inlined, so its dynamic pieces must be pure.
+    fn named(&self, val: Pieces, _: &str) -> Pieces {
+        match val {
+            Pieces::Inline(ps) if !ps.iter().any(|p| matches!(p, Piece::Lit(_))) => Pieces::Scalar,
+            Pieces::Inline(ps) if ps.iter().any(|p| matches!(p, Piece::Dyn(e) if !is_pure(e))) => {
+                Pieces::Opaque(SkipReason::ImpureBinding)
+            }
+            other => other,
         }
-        Expr::Var(name) => resolve_var(name, env, hoisted),
-        other => Ok(vec![Piece::Dyn { expr: other.clone(), hoisted }]),
+    }
+
+    /// A value that changed across a loop pass is the same scalar or
+    /// nothing a static template can bound.
+    fn widen(&self, old: &Pieces, new: &Pieces) -> Pieces {
+        if old == new {
+            old.clone()
+        } else {
+            Pieces::Opaque(SkipReason::LoopCarriedFragment)
+        }
+    }
+
+    fn stable(&self, old: &Pieces, new: &Pieces) -> bool {
+        old == new
+    }
+
+    fn top(&self, _: Pieces) -> Pieces {
+        Pieces::Opaque(SkipReason::LoopCarriedFragment)
+    }
+
+    /// Literals, variables, interpolations and concatenations keep their
+    /// pieces; any other expression is one dynamic piece, evaluated where
+    /// it stands.
+    fn at(&self, expr: &Expr, val: Pieces) -> Pieces {
+        match expr {
+            Expr::Lit(_) | Expr::Var(_) | Expr::Interp(_) => val,
+            Expr::Binary { op: BinOp::Concat, .. } => val,
+            _ => Pieces::Inline(vec![Piece::Dyn(expr.clone())]),
+        }
+    }
+
+    fn var(&self, name: &str, val: Pieces) -> Pieces {
+        match val {
+            Pieces::Scalar => Pieces::Inline(vec![Piece::Dyn(Expr::Var(name.to_string()))]),
+            other => other,
+        }
+    }
+
+    /// The iterated array's elements are runtime scalars.
+    fn each(&self, _: &Pieces) -> Pieces {
+        Pieces::Scalar
+    }
+
+    fn unbound(&self) -> Option<Pieces> {
+        Some(Pieces::Scalar)
+    }
+
+    /// Reassigning `var` invalidates every inline value that reads it.
+    fn assigned(&self, env: &mut Env<Pieces>, var: &str) {
+        for val in env.values_mut() {
+            if let Pieces::Inline(ps) = val {
+                if ps.iter().any(|p| matches!(p, Piece::Dyn(e) if reads(e, var))) {
+                    *val = Pieces::Opaque(SkipReason::UnresolvedQueryExpr);
+                }
+            }
+        }
     }
 }
 
-fn resolve_var(name: &str, env: &Env, hoisted: bool) -> Result<Vec<Piece>, SkipReason> {
-    if SUPERGLOBALS.contains(&name) {
-        return Ok(vec![Piece::Dyn { expr: Expr::Var(name.to_string()), hoisted }]);
+/// The prepared form of the sink call `site` to `name` on its evaluated
+/// arguments.
+fn prepare(site: &Expr, name: &str, args: &[Pieces]) -> Prepared {
+    let query = match name.to_ascii_lowercase().as_str() {
+        // Already parameterized (the model gate reports these first).
+        "db_query" if args.len() >= 2 => return Err(SkipReason::AlreadyPrepared),
+        "mysqli_query" if args.len() >= 2 => &args[1],
+        _ => args.first().ok_or(SkipReason::UnresolvedQueryExpr)?,
+    };
+    if site.children().any(has_sink) {
+        return Err(SkipReason::UnresolvedQueryExpr);
     }
-    match env.get(name) {
-        Some(Entry::Inline(ps)) => Ok(ps.clone()),
-        Some(Entry::Scalar) | None => {
-            Ok(vec![Piece::Dyn { expr: Expr::Var(name.to_string()), hoisted }])
+    match query {
+        Pieces::Inline(pieces) => build_prepared(pieces),
+        Pieces::Opaque(reason) => Err(*reason),
+        Pieces::Scalar => Err(SkipReason::UnresolvedQueryExpr),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Apply.
+// ---------------------------------------------------------------------
+
+/// Replaces each recorded sink call node of `stmts` by its prepared call;
+/// a sink with no record was never evaluated and skips the route. The
+/// recorded addresses stay those of live nodes: a replaced sink holds no
+/// other sink, and a replacement is never descended into.
+fn splice<'a>(
+    stmts: impl IntoIterator<Item = &'a mut Stmt>,
+    sites: &[(*const Expr, Prepared)],
+) -> Result<(), SkipReason> {
+    fn expr(e: &mut Expr, sites: &[(*const Expr, Prepared)]) -> Result<(), SkipReason> {
+        let key: *const Expr = e;
+        if let Some((_, prepared)) = sites.iter().find(|(k, _)| *k == key) {
+            let (text, bindings) = prepared.clone()?;
+            *e = prepared_call(&text, bindings);
+            return Ok(());
         }
-        Some(Entry::Opaque(reason)) => Err(*reason),
+        if matches!(e, Expr::Call { name, .. } if is_sink(name)) {
+            return Err(SkipReason::UnresolvedQueryExpr);
+        }
+        e.children_mut().try_for_each(|c| expr(c, sites))
     }
+    for stmt in stmts {
+        let (mut exprs, blocks) = stmt.children_mut();
+        exprs.try_for_each(|e| expr(e, sites))?;
+        splice(blocks, sites)?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -887,7 +642,7 @@ enum RegionPart {
 /// Assembles the prepared statement text and its bindings from a piece
 /// sequence, scanning single-quote context so dynamic pieces inside SQL
 /// string literals fold into one bound parameter per quoted region.
-fn build_prepared(pieces: &[Piece]) -> Result<(String, Vec<Expr>), SkipReason> {
+fn build_prepared(pieces: &[Piece]) -> Prepared {
     let mut text = String::new();
     let mut bindings: Vec<Expr> = Vec::new();
     // `None` = outside quotes; `Some(parts)` = inside a quoted region.
@@ -939,7 +694,7 @@ fn build_prepared(pieces: &[Piece]) -> Result<(String, Vec<Expr>), SkipReason> {
                     }
                 }
             }
-            Piece::Dyn { expr, .. } => match &mut region {
+            Piece::Dyn(expr) => match &mut region {
                 None => push_placeholder(&mut text, &mut bindings, strval(expr.clone()))?,
                 Some(parts) => parts.push(RegionPart::Dyn(expr.clone())),
             },
@@ -1031,40 +786,23 @@ fn prepared_call(text: &str, bindings: Vec<Expr>) -> Expr {
     Expr::Call { name: "db_query".to_string(), args }
 }
 
-fn join_env(a: &Env, b: &Env) -> Env {
-    let mut out = Env::new();
-    for (k, va) in a {
-        let joined = match b.get(k) {
-            Some(vb) if va == vb => va.clone(),
-            Some(Entry::Scalar) if matches!(va, Entry::Scalar) => Entry::Scalar,
-            Some(_) => Entry::Opaque(SkipReason::UnresolvedQueryExpr),
-            // Assigned on one path only: the other path's value is the
-            // prior (unknown-here) one.
-            None => match va {
-                Entry::Scalar => Entry::Scalar,
-                _ => Entry::Opaque(SkipReason::UnresolvedQueryExpr),
-            },
-        };
-        out.insert(k.clone(), joined);
-    }
-    for (k, vb) in b {
-        if !a.contains_key(k) {
-            let v = match vb {
-                Entry::Scalar => Entry::Scalar,
-                _ => Entry::Opaque(SkipReason::UnresolvedQueryExpr),
-            };
-            out.insert(k.clone(), v);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn harden(src: &str) -> (RouteHarden, Option<String>) {
         harden_source("test", src)
+    }
+
+    fn has_prepared_db_query<'a>(prog: impl IntoIterator<Item = &'a Stmt>) -> bool {
+        fn in_expr(e: &Expr) -> bool {
+            matches!(e, Expr::Call { name, args } if name == "db_query" && args.len() >= 2)
+                || e.children().any(in_expr)
+        }
+        prog.into_iter().any(|s| {
+            let (mut exprs, blocks) = s.children();
+            exprs.any(in_expr) || has_prepared_db_query(blocks)
+        })
     }
 
     #[test]
@@ -1157,6 +895,20 @@ mod tests {
     }
 
     #[test]
+    fn unparsable_source_skips_with_parse_error() {
+        let (report, out) = harden("$x = ;");
+        assert_eq!(report.skip, Some(SkipReason::ParseError), "{report:?}");
+        assert!(out.is_none());
+    }
+
+    #[test]
+    fn quote_opened_before_a_hole_and_never_closed_skips() {
+        let (report, out) = harden(r#"mysql_query("SELECT * FROM t WHERE a='" . $_GET['a']);"#);
+        assert_eq!(report.skip, Some(SkipReason::UnbalancedQuote), "{report:?}");
+        assert!(out.is_none());
+    }
+
+    #[test]
     fn unknown_builtin_skips_with_incomplete_model() {
         let (report, out) = harden(
             r#"
@@ -1228,6 +980,89 @@ mod tests {
                 harden(&format!("$q = 'SELECT 1'; $c = $_GET['c']; {guarded} mysql_query($q);"));
             assert_eq!(report.skip, Some(SkipReason::UnresolvedQueryExpr), "{guarded}: {out:?}");
         }
+    }
+
+    #[test]
+    fn nested_sink_skips_the_route() {
+        let (report, out) = harden(
+            r#"
+            $id = $_GET['id'];
+            $r = mysql_query("SELECT id FROM s WHERE n=" . mysql_num_rows(mysql_query("SELECT id FROM p WHERE id=" . $id)));
+        "#,
+        );
+        assert_eq!(report.skip, Some(SkipReason::UnresolvedQueryExpr), "{report:?}");
+        assert_eq!(report.sinks, 2);
+        assert!(out.is_none());
+    }
+
+    #[test]
+    fn sink_after_exit_is_a_site() {
+        let (report, out) =
+            harden("$q = 'SELECT a FROM t WHERE b='; exit; mysql_query($q . $_GET['x']);");
+        assert!(report.rewritten(), "{report:?}");
+        assert_eq!((report.sinks, report.sinks_rewritten), (1, 1));
+        let src = out.expect("rewritten source");
+        assert!(src.contains("db_query('SELECT a FROM t WHERE b=:jz0'"), "{src}");
+        assert!(!src.contains("mysql_query"), "{src}");
+    }
+
+    #[test]
+    fn dead_sink_after_break_skips() {
+        let (report, out) = harden(
+            "foreach ($_GET['a'] as $v) { mysql_query('SELECT 1'); break; mysql_query('SELECT 2'); }",
+        );
+        assert_eq!(report.skip, Some(SkipReason::UnresolvedQueryExpr), "{report:?}");
+        assert!(out.is_none());
+    }
+
+    #[test]
+    fn reassigning_a_variable_an_inline_value_reads_skips() {
+        let (report, out) = harden(
+            r#"
+            $x = $_GET['a'];
+            $q = "SELECT a FROM t WHERE b=" . trim($x);
+            $x = 'other';
+            mysql_query($q);
+        "#,
+        );
+        assert_eq!(report.skip, Some(SkipReason::UnresolvedQueryExpr), "{report:?}");
+        assert!(out.is_none());
+    }
+
+    #[test]
+    fn value_the_loop_changes_after_its_sink_skips() {
+        // The first iteration sends the first query, later ones the second.
+        let (report, out) = harden(
+            "$q = 'SELECT a FROM t'; \
+             while ($_GET['c']) { mysql_query($q); $q = 'SELECT a FROM t WHERE b=1'; }",
+        );
+        assert_eq!(report.skip, Some(SkipReason::LoopCarriedFragment), "{report:?}");
+        assert!(out.is_none());
+    }
+
+    #[test]
+    fn value_assigned_on_one_path_is_not_inlined() {
+        let (report, out) =
+            harden("if ($_GET['c']) { $q = 'SELECT a FROM t'; } mysql_query($q . ' LIMIT 1');");
+        assert_eq!(report.skip, Some(SkipReason::UnresolvedQueryExpr), "{report:?}");
+        assert!(out.is_none());
+    }
+
+    #[test]
+    fn foreach_over_a_built_array_binds_its_elements() {
+        let (report, out) = harden(
+            r#"
+            $ids = array();
+            $ids[] = intval($_GET['a']);
+            foreach ($ids as $id) {
+                mysql_query("SELECT a FROM t WHERE id=" . $id);
+            }
+        "#,
+        );
+        assert!(report.rewritten(), "{report:?}");
+        let src = out.expect("rewritten source");
+        assert!(src.contains("db_query('SELECT a FROM t WHERE id=:jz0'"), "{src}");
+        assert!(src.contains("':jz0' => strval($id)"), "{src}");
     }
 
     #[test]

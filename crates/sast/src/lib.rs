@@ -8,8 +8,10 @@
 //! sinks, and the escaping/casting builtins as sanitizers, then runs an
 //! abstract interpretation to a fixpoint over the taint lattice
 //! `Untainted < MaybeTainted < Tainted` with per-source provenance. The
-//! taint pass and the query-model pass ([`querymodel`]) are two value
-//! domains of one walker, so they agree on every call site and source.
+//! taint pass, the query-model pass ([`querymodel`]) and the hardening
+//! pass ([`harden`]) are three value domains of one walker, so they agree
+//! on every call site and source, and the rewrite sees exactly the sinks
+//! the model that licenses it saw.
 //!
 //! Outputs:
 //!
@@ -19,7 +21,10 @@
 //!   detectors at all;
 //! * deterministic [`Finding`]s (source→sink traces with AST spans) that
 //!   the `paper` binary's `sast` section compares against the lab
-//!   corpus's known ground truth.
+//!   corpus's known ground truth;
+//! * per-route query models ([`app_query_models`]) and hardened sources
+//!   ([`harden_app`]: every sink of a completely modeled route rewritten
+//!   to a prepared `db_query` call, or a [`SkipReason`]).
 //!
 //! The app-level passes ([`app_query_models`], [`analyze_app`],
 //! [`analyze_store_flow`], [`harden_app`], [`unparameterized_sink_lint`])

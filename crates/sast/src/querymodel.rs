@@ -382,7 +382,7 @@ impl Domain for Models {
         val
     }
 
-    fn call(&mut self, stmt_id: usize, name: &str, vals: Vec<SVal>) -> SVal {
+    fn call(&mut self, stmt_id: usize, _: &Expr, name: &str, vals: Vec<SVal>) -> SVal {
         let lower = name.to_ascii_lowercase();
         if is_sink(&lower) {
             self.record_sink(stmt_id, &lower, &vals);

@@ -85,21 +85,29 @@ cargo test -q --test pti_matcher_identity
 # the round-by-round reference's report, round count included (the lab,
 # the second-order lab, a chain needing a round per link, poison and
 # parse errors). The PHP lexer's word-at-a-time literal scans must give
-# the byte-at-a-time loop's tokens, spans and pieces. Both static passes
-# run on one walker: every static report over the lab and the
-# second-order lab must keep its pinned digest, the walker's statement ids
-# must equal the parser's span table, a `$_SERVER` header read must keep
-# its route off the static fast path (the exploit is denied), a loop
-# still moving at the pass cap must send its variables to top, and an
-# assignment in an operand that may not run (ternary arm, `&&`/`||`) must
-# neither scrub taint nor be inlined by the hardening pass.
-echo "==> shared-parse identity, fixpoint reference, literal-scan reference, report digest, walker ids, header source, loop cap, skippable operands"
+# the byte-at-a-time loop's tokens, spans and pieces. All three static
+# passes (taint, query models, hardening) run on one walker: every static
+# report over the lab and the second-order lab must keep its pinned
+# digest, the walker's statement ids must equal the parser's span table,
+# a `$_SERVER` header read must keep its route off the static fast path
+# (the exploit is denied), a loop still moving at the pass cap must send
+# its variables to top with the loop's sources kept, and an assignment in
+# an operand that may not run (ternary arm, `&&`/`||`) must neither scrub
+# taint nor be inlined by the hardening pass. A sink nested in another
+# sink's query must not reach the database raw behind the hardened gate,
+# every rewritten route (lab, second-order lab, a nested sink, a sink
+# after `exit`) must call no sink but `db_query` with a literal statement
+# text, and the parse-error and unbalanced-quote skip reasons stay pinned.
+echo "==> shared-parse identity, fixpoint reference, literal-scan reference, report digest, walker ids, header source, loop cap, skippable operands, hardened gate"
 cargo test -q -p joza-sast --test report_digest
 cargo test -q -p joza-sast --lib absint::tests::preorder_ids_match_span_table
 cargo test -q --test input_sources header_borne_injection
 cargo test -q -p joza-sast --test soundness loop_chain_longer_than_the_pass_cap
 cargo test -q -p joza-sast --test soundness assignments_in_skippable_operands_join
 cargo test -q -p joza-sast --lib assignment_in_skippable_operand_is_not_inlined
+cargo test -q --test hardened_gate
+cargo test -q -p joza-sast --lib unparsable_source_skips_with_parse_error
+cargo test -q -p joza-sast --lib quote_opened_before_a_hole_and_never_closed_skips
 cargo test -q -p joza-sast --test shared_parse
 cargo test -q -p joza-sast --lib fixpoint_reference
 cargo test -q -p joza-sast --lib store_flow_parses_each_route_once
