@@ -7,7 +7,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use joza_sqlparse::fingerprint::{fingerprint_syms_with, render_skeleton_syms_into};
 use joza_sqlparse::lexer::{lex, lex_into};
-use joza_sqlparse::symbol::SymId;
+use joza_sqlparse::symbol::{snapshot, SymId};
 use joza_sqlparse::token::Token;
 use joza_strmatch::normalize::to_lower_into;
 use joza_strmatch::swar;
@@ -83,18 +83,20 @@ fn bench_skeleton(c: &mut Criterion) {
     let mut g = c.benchmark_group("skeleton");
     let q = query(256);
     let toks = lex(&q);
+    let symbols = snapshot();
     let mut syms: Vec<SymId> = Vec::new();
     g.bench_function("render_syms_into/256", |bench| {
         bench.iter(|| {
             syms.clear();
-            render_skeleton_syms_into(black_box(&q), &toks, &mut syms);
+            render_skeleton_syms_into(black_box(&q), &toks, &symbols, &mut syms);
             black_box(syms.len())
         })
     });
-    render_skeleton_syms_into(&q, &toks, &mut syms);
+    syms.clear();
+    render_skeleton_syms_into(&q, &toks, &symbols, &mut syms);
     let mut scratch: Vec<SymId> = Vec::new();
     g.bench_function("fingerprint_syms/256", |bench| {
-        bench.iter(|| fingerprint_syms_with(black_box(&syms), &mut scratch))
+        bench.iter(|| fingerprint_syms_with(black_box(&syms), &symbols, &q, &toks, &mut scratch))
     });
     g.finish();
 }

@@ -19,19 +19,22 @@
 //! [`CheckArena`] ([`QueryArtifacts::new_in`]): the `Vec`s live in
 //! `OnceCell`-wrapped [`Lease`]s, so dropping the artifacts at the end of
 //! the check parks each buffer (cleared, capacity kept) for the next
-//! check on the thread. The skeleton is a sequence of interned
-//! [`SymId`]s, not strings — rendering it allocates nothing once the
-//! query's vocabulary is in the symbol table, and the model automaton
-//! matches it integer-by-integer. [`QueryArtifacts::new`] (no arena)
-//! keeps identical semantics on detached heap buffers for tests and
-//! one-off callers.
+//! check on the thread. The skeleton is a sequence of [`SymId`]s, not
+//! strings, looked up in the deployment's pinned [`Symbols`] snapshot
+//! without a lock; a rendering the snapshot lacks (an identifier no
+//! template names) gets the check-local id of its token's position.
+//! Rendering therefore never grows the process symbol table and, once
+//! the buffers are warm, allocates nothing, and the model automaton
+//! matches the skeleton integer-by-integer.
+//! [`QueryArtifacts::new`] (no arena) keeps identical semantics on
+//! detached heap buffers for tests and one-off callers.
 
 use crate::arena::CheckArena;
 use joza_arena::Lease;
 use joza_sqlparse::critical::{critical_tokens_into, CriticalPolicy};
 use joza_sqlparse::fingerprint::{fingerprint_syms_with, render_skeleton_syms_into};
 use joza_sqlparse::lexer::lex_into;
-use joza_sqlparse::symbol::SymId;
+use joza_sqlparse::symbol::{SymId, Symbols};
 use joza_sqlparse::token::Token;
 use joza_strmatch::swar;
 use std::cell::OnceCell;
@@ -53,6 +56,7 @@ enum Folded<'q> {
 pub struct QueryArtifacts<'q> {
     query: &'q str,
     arena: Option<&'q CheckArena>,
+    symbols: &'q Symbols,
     tokens: OnceCell<Lease<'q, Token>>,
     skeleton: OnceCell<Lease<'q, SymId>>,
     fingerprint: OnceCell<u64>,
@@ -62,13 +66,14 @@ pub struct QueryArtifacts<'q> {
 
 impl<'q> QueryArtifacts<'q> {
     /// Wraps a query with an empty artifact cache on detached heap
-    /// buffers (no recycling). Semantically identical to
-    /// [`QueryArtifacts::new_in`]; the engine's check path always uses
-    /// the arena flavour.
-    pub fn new(query: &'q str) -> Self {
+    /// buffers (no recycling), rendering skeletons against `symbols`.
+    /// Semantically identical to [`QueryArtifacts::new_in`]; the engine's
+    /// check path always uses the arena flavour.
+    pub fn new(query: &'q str, symbols: &'q Symbols) -> Self {
         QueryArtifacts {
             query,
             arena: None,
+            symbols,
             tokens: OnceCell::new(),
             skeleton: OnceCell::new(),
             fingerprint: OnceCell::new(),
@@ -79,9 +84,10 @@ impl<'q> QueryArtifacts<'q> {
 
     /// Wraps a query with an empty artifact cache whose buffers are
     /// leased from `arena` and parked back (capacity kept) when the
-    /// artifacts drop at the end of the check.
-    pub fn new_in(query: &'q str, arena: &'q CheckArena) -> Self {
-        QueryArtifacts { arena: Some(arena), ..QueryArtifacts::new(query) }
+    /// artifacts drop at the end of the check. Skeletons are rendered
+    /// against `symbols`, the snapshot the deployment pinned.
+    pub fn new_in(query: &'q str, arena: &'q CheckArena, symbols: &'q Symbols) -> Self {
+        QueryArtifacts { arena: Some(arena), ..QueryArtifacts::new(query, symbols) }
     }
 
     /// The raw query text.
@@ -103,7 +109,7 @@ impl<'q> QueryArtifacts<'q> {
     pub fn skeleton(&self) -> &[SymId] {
         self.skeleton.get_or_init(|| {
             let mut buf = self.arena.map_or_else(Lease::detached, |a| a.skeleton.lease());
-            render_skeleton_syms_into(self.query, self.tokens(), &mut buf);
+            render_skeleton_syms_into(self.query, self.tokens(), self.symbols, &mut buf);
             buf
         })
     }
@@ -114,7 +120,8 @@ impl<'q> QueryArtifacts<'q> {
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
             let mut scratch = self.arena.map_or_else(Lease::detached, |a| a.collapse.lease());
-            fingerprint_syms_with(self.skeleton(), &mut scratch)
+            let (query, tokens) = (self.query, self.tokens());
+            fingerprint_syms_with(self.skeleton(), self.symbols, query, tokens, &mut scratch)
         })
     }
 
@@ -163,14 +170,16 @@ mod tests {
     use joza_sqlparse::critical::critical_tokens;
     use joza_sqlparse::fingerprint::{fingerprint, raw_skeleton_syms};
     use joza_sqlparse::lexer::lex;
+    use joza_sqlparse::symbol::snapshot;
     use joza_strmatch::normalize::to_lower;
 
     #[test]
     fn artifacts_agree_with_direct_computation() {
         let q = "SELECT * FROM records WHERE ID=42 LIMIT 5";
-        let a = QueryArtifacts::new(q);
+        let symbols = snapshot();
+        let a = QueryArtifacts::new(q, &symbols);
         assert_eq!(a.tokens(), lex(q).as_slice());
-        assert_eq!(a.skeleton(), raw_skeleton_syms(q).as_slice());
+        assert_eq!(a.skeleton(), raw_skeleton_syms(q, &symbols).as_slice());
         assert_eq!(a.fingerprint(), fingerprint(q));
         assert_eq!(a.normalized(true), to_lower(q.as_bytes()).as_ref());
         let policy = CriticalPolicy::default();
@@ -179,13 +188,14 @@ mod tests {
 
     #[test]
     fn accessors_are_idempotent() {
-        let a = QueryArtifacts::new("SELECT 1");
+        let symbols = snapshot();
+        let a = QueryArtifacts::new("SELECT 1", &symbols);
         let fp1 = a.fingerprint();
         let t1 = a.tokens().len();
         assert_eq!(a.fingerprint(), fp1);
         assert_eq!(a.tokens().len(), t1);
         // The unnormalized variant sticks after the first call.
-        let b = QueryArtifacts::new("SELECT A");
+        let b = QueryArtifacts::new("SELECT A", &symbols);
         assert_eq!(b.normalized(false), b"SELECT A");
         assert_eq!(b.normalized(true), b"SELECT A");
     }
@@ -193,6 +203,7 @@ mod tests {
     #[test]
     fn arena_backed_artifacts_match_heap_backed() {
         let arena = CheckArena::new();
+        let symbols = snapshot();
         let queries = [
             "SELECT * FROM records WHERE ID=42 LIMIT 5",
             "INSERT INTO t (a,b) VALUES (1,'x'),(2,'y')",
@@ -201,8 +212,8 @@ mod tests {
         ];
         let policy = CriticalPolicy::default();
         for q in queries {
-            let heap = QueryArtifacts::new(q);
-            let arenad = QueryArtifacts::new_in(q, &arena);
+            let heap = QueryArtifacts::new(q, &symbols);
+            let arenad = QueryArtifacts::new_in(q, &arena, &symbols);
             assert_eq!(arenad.tokens(), heap.tokens(), "{q}");
             assert_eq!(arenad.skeleton(), heap.skeleton(), "{q}");
             assert_eq!(arenad.fingerprint(), heap.fingerprint(), "{q}");
@@ -214,9 +225,11 @@ mod tests {
     #[test]
     fn drop_parks_buffers_for_the_next_check() {
         let arena = CheckArena::new();
-        let q = "SELECT * FROM records WHERE Name='UPPER' AND ID=7";
+        let symbols = snapshot();
+        // `never_deployed_col` is in no template, so it takes a local id.
+        let q = "SELECT * FROM records WHERE Name='UPPER' AND never_deployed_col=7";
         {
-            let a = QueryArtifacts::new_in(q, &arena);
+            let a = QueryArtifacts::new_in(q, &arena, &symbols);
             let _ = a.fingerprint();
             let _ = a.normalized(true);
             let _ = a.criticals(&CriticalPolicy::default());
@@ -231,7 +244,7 @@ mod tests {
             assert!(cap > 0, "{name} buffer was not parked");
         }
         // The next artifact's buffers come back with capacity.
-        let a = QueryArtifacts::new_in(q, &arena);
+        let a = QueryArtifacts::new_in(q, &arena, &symbols);
         let _ = a.fingerprint();
     }
 }

@@ -87,6 +87,7 @@ use joza_phpsim::fragments::FragmentSet;
 use joza_pti::cache::CacheStats;
 use joza_pti::daemon::{PtiComponent, PtiComponentConfig};
 use joza_pti::{FragmentStore, VerdictCache};
+use joza_sqlparse::symbol::{self, Symbols};
 pub use joza_sqlparse::template::{QueryModelIndex, RouteModel};
 use joza_webapp::app::WebApp;
 use joza_webapp::gate::{GateDecision, GateFactory, GateSession, RawInput};
@@ -380,6 +381,12 @@ pub(crate) struct Deployment {
     /// everything. Values fetched from covered cells are captured as
     /// DB-sourced inputs for NTI/PTI (second-order defense).
     dirty_cells: Option<Arc<BTreeSet<(String, String)>>>,
+    /// The symbol table as it stood when this release was assembled —
+    /// after its models compiled, so it holds every symbol their automata
+    /// contain. Checks render skeletons against it without a lock, and
+    /// give renderings it lacks check-local ids: serving traffic never
+    /// grows the process table.
+    symbols: Arc<Symbols>,
     checks: CheckPipeline,
 }
 
@@ -711,7 +718,14 @@ impl Joza {
         // that is what makes trace stamps monotone for every observer.
         let mut slot = self.deployment.write();
         let generation = self.next_generation.fetch_add(1, Ordering::Relaxed) + 1;
-        *slot = Arc::new(Deployment { generation, models, taint_free, dirty_cells, checks });
+        *slot = Arc::new(Deployment {
+            generation,
+            models,
+            taint_free,
+            dirty_cells,
+            symbols: symbol::snapshot(),
+            checks,
+        });
         Ok(generation)
     }
 
@@ -797,7 +811,7 @@ impl Joza {
         // check arena; the `with_arena` scope is exactly the check, so
         // the buffers park back (capacity kept) when `artifacts` drops.
         crate::arena::with_arena(|check_arena| {
-            let artifacts = QueryArtifacts::new_in(query, check_arena);
+            let artifacts = QueryArtifacts::new_in(query, check_arena, &dep.symbols);
             let mut cx = CheckCx {
                 route,
                 model,
@@ -1073,6 +1087,7 @@ impl JozaBuilder {
             models: self.models.map(Arc::new),
             taint_free: self.taint_free.map(Arc::new),
             dirty_cells: self.dirty_cells.map(Arc::new),
+            symbols: symbol::snapshot(),
             checks,
         });
         Ok(Joza {

@@ -580,14 +580,24 @@ impl Domain for Hardening {
 /// The prepared form of the sink call `site` to `name` on its evaluated
 /// arguments.
 fn prepare(site: &Expr, name: &str, args: &[Pieces]) -> Prepared {
-    let query = match name.to_ascii_lowercase().as_str() {
+    let at = match name.to_ascii_lowercase().as_str() {
         // Already parameterized (the model gate reports these first).
         "db_query" if args.len() >= 2 => return Err(SkipReason::AlreadyPrepared),
-        "mysqli_query" if args.len() >= 2 => &args[1],
-        _ => args.first().ok_or(SkipReason::UnresolvedQueryExpr)?,
+        "mysqli_query" if args.len() >= 2 => 1,
+        _ => 0,
     };
+    let query = args.get(at).ok_or(SkipReason::UnresolvedQueryExpr)?;
     if site.children().any(has_sink) {
         return Err(SkipReason::UnresolvedQueryExpr);
+    }
+    // The prepared call keeps only the query argument, so every other
+    // one must be safe not to evaluate: a variable or a literal.
+    if site
+        .children()
+        .enumerate()
+        .any(|(i, e)| i != at && !matches!(e, Expr::Var(_) | Expr::Lit(_)))
+    {
+        return Err(SkipReason::ImpureBinding);
     }
     match query {
         Pieces::Inline(pieces) => build_prepared(pieces),
@@ -892,6 +902,28 @@ mod tests {
             "static quoted literal stays, dynamic ones bind: {src}"
         );
         assert!(src.contains("':jz1' => strval(stripslashes($author))"), "{src}");
+    }
+
+    #[test]
+    fn sink_argument_with_effects_is_not_dropped() {
+        let (report, out) = harden(
+            r#"
+            $r = mysqli_query($link = mysqli_connect('h'), 'SELECT a FROM t');
+            echo $link;
+        "#,
+        );
+        assert_eq!(report.skip, Some(SkipReason::ImpureBinding), "{report:?}");
+        assert!(out.is_none());
+        // A plain variable (or literal) link is safe to drop.
+        let (report, out) = harden(
+            r#"
+            $link = mysqli_connect('h');
+            $r = mysqli_query($link, 'SELECT a FROM t');
+            $s = mysql_query('SELECT b FROM t', 'conn');
+        "#,
+        );
+        assert!(report.rewritten(), "{report:?}");
+        assert!(out.expect("rewritten source").contains("$link = mysqli_connect('h');"));
     }
 
     #[test]

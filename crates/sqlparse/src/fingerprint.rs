@@ -31,10 +31,11 @@
 use crate::keywords::canonical;
 use crate::lexer::lex;
 use crate::symbol::{
-    intern, SymId, SYM_COLLAPSED, SYM_COMMA, SYM_COMMENT, SYM_HOLE, SYM_LPAREN, SYM_RPAREN,
-    SYM_VALUES,
+    intern, seeded, SymId, Symbols, SYM_COLLAPSED, SYM_COMMA, SYM_COMMENT, SYM_HOLE, SYM_LPAREN,
+    SYM_RPAREN, SYM_VALUES,
 };
-use crate::token::TokenKind;
+use crate::token::{Token, TokenKind};
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
@@ -48,54 +49,82 @@ pub const COLLAPSED: &str = "?*";
 /// Renders one token of `query` in skeleton normal form: literals become
 /// [`HOLE`], keywords are uppercased, comments collapse to `/*c*/`, quoted
 /// identifiers lose their backticks.
-pub fn render_token(query: &str, t: &crate::token::Token) -> String {
+pub fn render_token(query: &str, t: &Token) -> String {
+    rendering(query, t).into_owned()
+}
+
+/// [`render_token`], borrowed from `query` (or a `'static` table entry)
+/// wherever the rendering is a slice of either — every case the lexer
+/// produces.
+fn rendering<'q>(query: &'q str, t: &Token) -> Cow<'q, str> {
+    let text = t.text(query);
     match t.kind {
-        TokenKind::Number | TokenKind::StringLit => HOLE.to_string(),
-        TokenKind::Keyword => t.text(query).to_ascii_uppercase(),
-        TokenKind::Comment => "/*c*/".to_string(),
-        TokenKind::QuotedIdentifier => t.text(query).trim_matches('`').to_string(),
-        _ => t.text(query).to_string(),
+        TokenKind::Number | TokenKind::StringLit => Cow::Borrowed(HOLE),
+        // Unreachable from the lexer (Keyword implies table hit), but
+        // stay total for hand-built tokens.
+        TokenKind::Keyword => {
+            canonical(text).map_or_else(|| Cow::Owned(text.to_ascii_uppercase()), Cow::Borrowed)
+        }
+        TokenKind::Comment => Cow::Borrowed("/*c*/"),
+        TokenKind::QuotedIdentifier => Cow::Borrowed(text.trim_matches('`')),
+        _ => Cow::Borrowed(text),
     }
 }
 
-/// Renders one token of `query` as an interned symbol — the hot-path
-/// counterpart of [`render_token`]: byte-identical renderings by
-/// construction ([`crate::symbol`] is injective), but a token whose
-/// rendering has been seen before (after warmup, all of them) allocates
-/// nothing. Keywords render through [`canonical`] so not even the
-/// uppercased copy is built.
-pub fn render_token_sym(query: &str, t: &crate::token::Token) -> SymId {
+/// Renders one token of `query` as an interned symbol — the
+/// deployment-time renderer that query-template compilation uses, so a
+/// template's identifiers enter the process table.
+pub(crate) fn intern_token_sym(query: &str, t: &Token) -> SymId {
     match t.kind {
         TokenKind::Number | TokenKind::StringLit => SYM_HOLE,
-        TokenKind::Keyword => match canonical(t.text(query)) {
-            Some(c) => intern(c),
-            // Unreachable from the lexer (Keyword implies table hit), but
-            // stay total for hand-built tokens: match `render_token`.
-            None => intern(&t.text(query).to_ascii_uppercase()),
-        },
         TokenKind::Comment => SYM_COMMENT,
-        TokenKind::QuotedIdentifier => intern(t.text(query).trim_matches('`')),
-        _ => intern(t.text(query)),
+        _ => intern(&rendering(query, t)),
     }
 }
 
 /// Renders the raw (uncollapsed) symbol skeleton of already-lexed
-/// `tokens` into `out` — the allocation-free skeleton entry point: `out`
-/// is a recycled scratch buffer and every symbol lookup is a hash probe.
+/// `tokens` into `out` — the check path's skeleton entry point: `out` is
+/// a recycled scratch buffer and every rendering is a lookup in the
+/// pinned `symbols`. Nothing is interned or allocated: a rendering the
+/// snapshot lacks gets the check-local id of its token's position
+/// ([`SymId::is_local`]), whose bytes stay in `query`.
 pub fn render_skeleton_syms_into(
     query: &str,
-    tokens: &[crate::token::Token],
+    tokens: &[Token],
+    symbols: &Symbols,
     out: &mut Vec<SymId>,
 ) {
     out.reserve(tokens.len());
-    out.extend(tokens.iter().map(|t| render_token_sym(query, t)));
+    out.extend(tokens.iter().enumerate().map(|(k, t)| match t.kind {
+        TokenKind::Number | TokenKind::StringLit => SYM_HOLE,
+        TokenKind::Comment => SYM_COMMENT,
+        _ => symbols.lookup(&rendering(query, t)).unwrap_or_else(|| SymId::local(k)),
+    }));
+}
+
+/// Renders symbol ids of `query`'s skeleton back to strings — a table id
+/// through `symbols`, a local id through the token it names — the slow
+/// path for diagnostics and tests; never used on the check path.
+pub fn resolve_syms(
+    ids: &[SymId],
+    symbols: &Symbols,
+    query: &str,
+    tokens: &[Token],
+) -> Vec<String> {
+    ids.iter()
+        .map(|&id| match id.local_index() {
+            Some(k) => render_token(query, &tokens[k]),
+            None => symbols.resolve(id).expect("symbol from another snapshot").to_owned(),
+        })
+        .collect()
 }
 
 /// The raw symbol skeleton of `query` as a fresh vector (convenience
 /// wrapper over [`render_skeleton_syms_into`] for cold paths and tests).
-pub fn raw_skeleton_syms(query: &str) -> Vec<SymId> {
+/// Local ids name positions in `lex(query)`.
+pub fn raw_skeleton_syms(query: &str, symbols: &Symbols) -> Vec<SymId> {
     let mut out = Vec::new();
-    render_skeleton_syms_into(query, &lex(query), &mut out);
+    render_skeleton_syms_into(query, &lex(query), symbols, &mut out);
     out
 }
 
@@ -112,7 +141,7 @@ pub fn raw_skeleton_tokens(query: &str) -> Vec<String> {
 /// [`raw_skeleton_tokens`] over an already-lexed token stream — the
 /// parse-once entry point: callers that hold the query's tokens (e.g. a
 /// `QueryArtifacts` cache) render the skeleton without lexing again.
-pub fn render_skeleton(query: &str, tokens: &[crate::token::Token]) -> Vec<String> {
+pub fn render_skeleton(query: &str, tokens: &[Token]) -> Vec<String> {
     tokens.iter().map(|t| render_token(query, t)).collect()
 }
 
@@ -257,30 +286,71 @@ pub fn collapse_syms_into(raw: &[SymId], out: &mut Vec<SymId>) {
     out.truncate(w);
 }
 
-/// Hashes a **collapsed** symbol skeleton to a 64-bit fingerprint. This
-/// is the single fingerprint definition in the process: the string entry
-/// points ([`fingerprint`], [`fingerprint_of`]) intern and collapse into
-/// this same hash, so all caches agree. Fingerprints are meaningful only
-/// within one process: symbol ids depend on first-seen order, and the
-/// SipHash key is a per-process secret, so a shape whose fingerprint
-/// collides with another's cannot be searched for offline.
-pub fn fingerprint_collapsed_syms(collapsed: &[SymId]) -> u64 {
+/// Hashes a **collapsed** symbol skeleton of `query` (lexed into
+/// `tokens`) to a 64-bit fingerprint. This is the single fingerprint
+/// definition in the process: the string entry points ([`fingerprint`],
+/// [`fingerprint_of`]) render and collapse into this same hash, so all
+/// caches agree.
+///
+/// The hash is a function of the rendered skeleton text alone. Seeded
+/// symbols (holes, keywords, punctuation, operators) have the same id in
+/// every snapshot and are hashed by id; every other rendering — a table
+/// id's string or a local id's token — is hashed by its bytes, so a
+/// query's fingerprint does not depend on which identifiers a deployment
+/// happened to intern, and two queries that differ in an identifier never
+/// share one. The SipHash key is a per-process secret, so a shape whose
+/// fingerprint collides with another's cannot be searched for offline.
+pub fn fingerprint_collapsed_syms(
+    collapsed: &[SymId],
+    symbols: &Symbols,
+    query: &str,
+    tokens: &[Token],
+) -> u64 {
+    hash_syms(collapsed, symbols, |k| rendering(query, &tokens[k]))
+}
+
+/// Marks a rendering hashed by its bytes; no seeded id reaches it.
+const BY_BYTES: u32 = u32::MAX;
+
+/// The fingerprint hash; `local(k)` is the rendering local id `k` names.
+fn hash_syms<'a>(
+    collapsed: &[SymId],
+    symbols: &Symbols,
+    local: impl Fn(usize) -> Cow<'a, str>,
+) -> u64 {
     static KEY: OnceLock<RandomState> = OnceLock::new();
     let mut h = KEY.get_or_init(RandomState::new).build_hasher();
-    for id in collapsed {
-        h.write_u32(id.index());
+    for &id in collapsed {
+        if symbols.is_seeded(id) {
+            h.write_u32(id.index());
+            continue;
+        }
+        let s = match id.local_index() {
+            Some(k) => local(k),
+            None => Cow::Borrowed(symbols.resolve(id).expect("symbol from another snapshot")),
+        };
+        h.write_u32(BY_BYTES);
+        h.write_usize(s.len());
+        h.write(s.as_bytes());
     }
     h.write_usize(collapsed.len());
     h.finish()
 }
 
-/// The fingerprint of a **raw** (uncollapsed) symbol skeleton, using
-/// `scratch` for the collapsed form — the allocation-free parse-once
-/// entry point used by the per-check artifact cache.
-pub fn fingerprint_syms_with(raw: &[SymId], scratch: &mut Vec<SymId>) -> u64 {
+/// The fingerprint of a **raw** (uncollapsed) symbol skeleton of `query`
+/// (lexed into `tokens`), using `scratch` for the collapsed form — the
+/// allocation-free parse-once entry point used by the per-check artifact
+/// cache.
+pub fn fingerprint_syms_with(
+    raw: &[SymId],
+    symbols: &Symbols,
+    query: &str,
+    tokens: &[Token],
+    scratch: &mut Vec<SymId>,
+) -> u64 {
     scratch.clear();
     collapse_syms_into(raw, scratch);
-    fingerprint_collapsed_syms(scratch)
+    fingerprint_collapsed_syms(scratch, symbols, query, tokens)
 }
 
 /// Renders the structural skeleton of a query: every token in order, with
@@ -323,12 +393,19 @@ pub fn skeleton_of(raw: &[String]) -> String {
 
 /// The 64-bit fingerprint of a raw skeleton token sequence — the
 /// parse-once counterpart of [`fingerprint`]: `fingerprint_of(&raw_skeleton_tokens(q))`
-/// equals `fingerprint(q)` for every query. Interns each rendering and
-/// defers to the symbol-based hash, so string- and symbol-entry callers
-/// share one fingerprint space.
+/// equals `fingerprint(q)` for every query. Looks each rendering up (and
+/// interns none) and defers to the symbol-based hash, so string- and
+/// symbol-entry callers share one fingerprint space.
 pub fn fingerprint_of(raw: &[String]) -> u64 {
-    let syms: Vec<SymId> = raw.iter().map(|s| intern(s)).collect();
-    fingerprint_syms_with(&syms, &mut Vec::new())
+    let symbols = seeded();
+    let syms: Vec<SymId> = raw
+        .iter()
+        .enumerate()
+        .map(|(k, s)| symbols.lookup(s).unwrap_or_else(|| SymId::local(k)))
+        .collect();
+    let mut collapsed = Vec::new();
+    collapse_syms_into(&syms, &mut collapsed);
+    hash_syms(&collapsed, symbols, |k| Cow::Borrowed(raw[k].as_str()))
 }
 
 /// Hashes the [`skeleton`] of a query to a 64-bit fingerprint.
@@ -348,12 +425,18 @@ pub fn fingerprint_of(raw: &[String]) -> u64 {
 /// );
 /// ```
 pub fn fingerprint(query: &str) -> u64 {
-    fingerprint_syms_with(&raw_skeleton_syms(query), &mut Vec::new())
+    // No deployment here: the seeds-only table gives every identifier a
+    // local id, which hashes exactly as an interned one would.
+    let (symbols, tokens) = (seeded(), lex(query));
+    let mut raw = Vec::new();
+    render_skeleton_syms_into(query, &tokens, symbols, &mut raw);
+    fingerprint_syms_with(&raw, symbols, query, &tokens, &mut Vec::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbol::{seeded, snapshot};
 
     #[test]
     fn literal_values_erased() {
@@ -420,14 +503,18 @@ mod tests {
     #[test]
     fn fingerprint_key_is_secret() {
         use std::collections::hash_map::DefaultHasher;
+        let symbols = seeded();
+        let q = "SELECT * FROM t WHERE 1=1";
         let mut collapsed = Vec::new();
-        collapse_syms_into(&raw_skeleton_syms("SELECT * FROM t WHERE id=1"), &mut collapsed);
+        let raw = raw_skeleton_syms(q, symbols);
+        collapse_syms_into(&raw, &mut collapsed);
+        assert!(collapsed.iter().all(|&id| symbols.is_seeded(id)));
         let mut public = DefaultHasher::new();
         for id in &collapsed {
             public.write_u32(id.index());
         }
         public.write_usize(collapsed.len());
-        assert_ne!(fingerprint_collapsed_syms(&collapsed), public.finish());
+        assert_ne!(fingerprint_collapsed_syms(&collapsed, symbols, q, &lex(q)), public.finish());
     }
 
     #[test]
@@ -517,14 +604,16 @@ mod tests {
             "VALUES (1),(a)",
             "",
         ];
+        let symbols = seeded();
         for q in queries {
             // Raw renderings are byte-identical.
-            let raw_syms = raw_skeleton_syms(q);
-            assert_eq!(crate::symbol::resolve_all(&raw_syms), raw_skeleton_tokens(q), "{q}");
+            let toks = lex(q);
+            let raw_syms = raw_skeleton_syms(q, symbols);
+            assert_eq!(resolve_syms(&raw_syms, symbols, q, &toks), raw_skeleton_tokens(q), "{q}");
             // Collapse logic agrees token-for-token.
             let mut collapsed = Vec::new();
             collapse_syms_into(&raw_syms, &mut collapsed);
-            assert_eq!(crate::symbol::resolve_all(&collapsed), skeleton_tokens(q), "{q}");
+            assert_eq!(resolve_syms(&collapsed, symbols, q, &toks), skeleton_tokens(q), "{q}");
             // And the two fingerprint entry points share one hash space.
             assert_eq!(fingerprint_of(&raw_skeleton_tokens(q)), fingerprint(q), "{q}");
         }
@@ -532,11 +621,12 @@ mod tests {
 
     #[test]
     fn collapse_syms_reuses_scratch() {
-        let raw = raw_skeleton_syms("SELECT * FROM t WHERE id IN (1,2,3)");
+        let (symbols, q) = (seeded(), "SELECT * FROM t WHERE id IN (1,2,3)");
+        let (raw, toks) = (raw_skeleton_syms(q, symbols), lex(q));
         let mut scratch = Vec::new();
-        let fp1 = fingerprint_syms_with(&raw, &mut scratch);
+        let fp1 = fingerprint_syms_with(&raw, symbols, q, &toks, &mut scratch);
         let cap = scratch.capacity();
-        let fp2 = fingerprint_syms_with(&raw, &mut scratch);
+        let fp2 = fingerprint_syms_with(&raw, symbols, q, &toks, &mut scratch);
         assert_eq!(fp1, fp2);
         assert_eq!(scratch.capacity(), cap, "scratch must be recycled, not regrown");
     }
@@ -556,5 +646,63 @@ mod tests {
             assert_eq!(skeleton_of(&raw), skeleton(q), "{q}");
             assert_eq!(fingerprint_of(&raw), fingerprint(q), "{q}");
         }
+    }
+
+    #[test]
+    fn table_ids_are_equal_exactly_when_bytes_are_and_local_ids_name_their_token() {
+        let q = "SELECT never_interned_a, `never_interned_a`, never_interned_b, @v, @v \
+                 FROM never_interned_t WHERE never_interned_a = :p OR x = :p";
+        let symbols = snapshot();
+        let toks = lex(q);
+        let mut raw = Vec::new();
+        render_skeleton_syms_into(q, &toks, &symbols, &mut raw);
+        let texts = render_skeleton(q, &toks);
+        for (i, a) in raw.iter().enumerate() {
+            match a.local_index() {
+                Some(k) => assert_eq!(k, i, "a local id names its own token"),
+                None => assert_eq!(symbols.resolve(*a), Some(texts[i].as_str())),
+            }
+            for (j, b) in raw.iter().enumerate() {
+                if !a.is_local() && !b.is_local() {
+                    assert_eq!(a == b, texts[i] == texts[j], "{} vs {}", texts[i], texts[j]);
+                } else {
+                    assert_eq!(a == b, i == j, "{} vs {}", texts[i], texts[j]);
+                }
+            }
+        }
+        assert!(raw.iter().any(|id| id.is_local()));
+        // Equal renderings hash equally whichever token they came from.
+        assert_eq!(
+            fingerprint("SELECT never_interned_a FROM t"),
+            fingerprint("SELECT `never_interned_a` FROM t")
+        );
+    }
+
+    #[test]
+    fn unknown_identifiers_never_share_a_fingerprint() {
+        let a = "SELECT 1 AS alias_never_seen_1 FROM t WHERE id=5";
+        let b = "SELECT 1 AS alias_never_seen_2 FROM t WHERE id=5";
+        assert_ne!(fingerprint(a), fingerprint(b));
+        assert_eq!(fingerprint(a), fingerprint("SELECT 2 AS alias_never_seen_1 FROM t WHERE id=7"));
+    }
+
+    #[test]
+    fn fingerprint_does_not_depend_on_what_was_interned() {
+        let q = "SELECT first_interned_col, other_col FROM first_interned_t WHERE id IN (1,2)";
+        let before = fingerprint(q);
+        let toks = lex(q);
+        let stale = snapshot();
+        let raw_stale = raw_skeleton_syms(q, &stale);
+        for word in ["first_interned_col", "first_interned_t"] {
+            intern(word);
+        }
+        let fresh = snapshot();
+        let raw_fresh = raw_skeleton_syms(q, &fresh);
+        let locals = |raw: &[SymId]| raw.iter().filter(|id| id.is_local()).count();
+        assert!(locals(&raw_fresh) < locals(&raw_stale), "interning moved ids to the table");
+        let mut scratch = Vec::new();
+        assert_eq!(fingerprint_syms_with(&raw_stale, &stale, q, &toks, &mut scratch), before);
+        assert_eq!(fingerprint_syms_with(&raw_fresh, &fresh, q, &toks, &mut scratch), before);
+        assert_eq!(fingerprint(q), before);
     }
 }

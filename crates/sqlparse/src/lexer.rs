@@ -262,9 +262,7 @@ impl<'a> Lexer<'a> {
         let two: Option<[u8; 2]> = self.peek(1).map(|n| [b, n]);
         // Multi-byte operators, longest first.
         if let Some(t) = two {
-            let ops2: &[&[u8; 2]] =
-                &[b"<=", b">=", b"<>", b"!=", b":=", b"||", b"&&", b"<<", b">>"];
-            if ops2.iter().any(|o| **o == t) {
+            if TWO_BYTE_OPERATORS.iter().any(|o| o.as_bytes() == t) {
                 self.pos += 2;
                 return TokenKind::Operator;
             }
@@ -273,6 +271,12 @@ impl<'a> Lexer<'a> {
         TokenKind::Operator
     }
 }
+
+/// The multi-byte operators the lexer recognizes; every other operator,
+/// punctuation mark and unclassifiable byte is one byte. The symbol table
+/// seeds these, so a checked query's operators never need a local id.
+pub(crate) const TWO_BYTE_OPERATORS: &[&str] =
+    &["<=", ">=", "<>", "!=", ":=", "||", "&&", "<<", ">>"];
 
 fn is_ident_start(b: u8) -> bool {
     // Continue-set ([`swar::is_ident_byte`]) minus digits.

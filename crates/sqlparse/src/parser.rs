@@ -1047,6 +1047,23 @@ mod tests {
         // The statement and its WHERE expression are two levels; each
         // parenthesis adds one.
         assert!(parse(&nested(MAX_NESTING - 2)[0]).is_ok());
+        // Each form at the deepest depth the parser still accepts parses
+        // on a spawned thread's default stack — the frame-heavy case, and
+        // the one a debug build is closest to overflowing on.
+        for form in 0..4 {
+            let deepest = std::thread::spawn(move || {
+                let deepest = (1..=MAX_NESTING)
+                    .take_while(|&n| parse(&nested(n)[form]).is_ok())
+                    .last()
+                    .expect("depth 1 parses");
+                let e = parse(&nested(deepest + 1)[form]).expect_err("one past the deepest");
+                assert!(e.message.contains("nested too deeply"), "form {form}: {e}");
+                deepest
+            })
+            .join()
+            .expect("the deepest accepted parse must not overflow the stack");
+            assert!(deepest >= MAX_NESTING / 4, "form {form} accepts only {deepest} levels");
+        }
         for n in [MAX_NESTING, 600, 50_000] {
             let deep = nested(n);
             // On a spawned thread's default stack, as a server worker has.

@@ -24,9 +24,9 @@
 //! boundaries; anything else rejects the template (the site then simply
 //! stays on the dynamic path — rejection is always sound).
 
-use crate::fingerprint::{raw_skeleton_syms, render_token_sym};
+use crate::fingerprint::{intern_token_sym, raw_skeleton_syms};
 use crate::lexer::lex;
-use crate::symbol::{intern, SymId};
+use crate::symbol::{snapshot, SymId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
@@ -105,7 +105,8 @@ impl fmt::Display for TemplateReject {
 }
 
 /// One symbol of a compiled automaton branch. Token payloads are
-/// interned [`SymId`]s (see [`crate::symbol`]), so matching a branch
+/// interned [`SymId`]s (see [`crate::symbol`]): compiling a template is
+/// what puts its identifiers into the process table, so matching a branch
 /// against a query skeleton compares integers, never strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Sym {
@@ -189,7 +190,7 @@ pub fn compile_template(t: &QueryTemplate) -> Result<Vec<Sym>, TemplateReject> {
                     if tokens[i].end > rep.end {
                         return Err(TemplateReject::RepMisaligned);
                     }
-                    body.push(render_token_sym(&probe.text, &tokens[i]));
+                    body.push(intern_token_sym(&probe.text, &tokens[i]));
                     end_ok = tokens[i].end == rep.end;
                     i += 1;
                 }
@@ -205,7 +206,7 @@ pub fn compile_template(t: &QueryTemplate) -> Result<Vec<Sym>, TemplateReject> {
                 return Err(TemplateReject::RepMisaligned);
             }
         }
-        syms.push(Sym::Tok(render_token_sym(&probe.text, tk)));
+        syms.push(Sym::Tok(intern_token_sym(&probe.text, tk)));
         i += 1;
     }
     Ok(syms)
@@ -229,30 +230,25 @@ impl SkeletonAutomaton {
         self.branches.len()
     }
 
-    /// Whether `query`'s raw skeleton token sequence matches any branch.
+    /// Whether `query`'s raw skeleton token sequence matches any branch
+    /// (rendered against the current process table — a cold-path entry
+    /// point; the engine matches its pinned snapshot's skeletons through
+    /// [`SkeletonAutomaton::accepts_syms`]).
     pub fn accepts(&self, query: &str) -> bool {
-        self.accepts_syms(&raw_skeleton_syms(query))
+        self.accepts_syms(&raw_skeleton_syms(query, &snapshot()))
     }
 
     /// [`SkeletonAutomaton::accepts`] over an already-rendered raw
     /// skeleton **symbol** sequence (see
-    /// [`crate::fingerprint::raw_skeleton_syms`]) — the parse-once,
-    /// allocation-free entry point for callers that cache the query's
-    /// skeleton. Matching compares interned ids, so each step is one
-    /// integer comparison.
+    /// [`crate::fingerprint::render_skeleton_syms_into`]) — the
+    /// parse-once, allocation-free entry point for callers that cache the
+    /// query's skeleton. Matching compares ids, so each step is one
+    /// integer comparison; a check-local id matches no branch symbol.
     pub fn accepts_syms(&self, toks: &[SymId]) -> bool {
         if self.branches.is_empty() {
             return false;
         }
         self.branches.iter().any(|b| match_seq(b, toks))
-    }
-
-    /// [`SkeletonAutomaton::accepts_syms`] over string renderings (see
-    /// [`crate::fingerprint::raw_skeleton_tokens`]); interns each token,
-    /// so prefer the symbol entry point on hot paths.
-    pub fn accepts_tokens(&self, toks: &[String]) -> bool {
-        let syms: Vec<SymId> = toks.iter().map(|t| intern(t)).collect();
-        self.accepts_syms(&syms)
     }
 }
 
@@ -335,13 +331,6 @@ impl RouteModel {
     /// Whether the model's automaton accepts `query`.
     pub fn accepts(&self, query: &str) -> bool {
         self.automaton.accepts(query)
-    }
-
-    /// Whether the model's automaton accepts an already-rendered raw
-    /// skeleton token sequence; interns each token — prefer
-    /// [`RouteModel::accepts_syms`] on hot paths.
-    pub fn accepts_tokens(&self, toks: &[String]) -> bool {
-        self.automaton.accepts_tokens(toks)
     }
 
     /// Whether the model's automaton accepts an already-rendered raw

@@ -3,11 +3,11 @@
 use joza_arena::BufSlot;
 use joza_sqlparse::fingerprint::{
     fingerprint, fingerprint_of, fingerprint_syms_with, raw_skeleton_syms, raw_skeleton_tokens,
-    skeleton, skeleton_tokens,
+    resolve_syms, skeleton, skeleton_tokens,
 };
 use joza_sqlparse::lexer::{has_known_token, lex, lex_into};
 use joza_sqlparse::parser::parse;
-use joza_sqlparse::symbol::resolve_all;
+use joza_sqlparse::symbol;
 use joza_sqlparse::token::TokenKind;
 use proptest::prelude::*;
 
@@ -135,11 +135,12 @@ proptest! {
     /// same fingerprint.
     #[test]
     fn sym_skeleton_matches_string_skeleton(input in lexer_edge_input()) {
-        let raw_syms = raw_skeleton_syms(&input);
+        let (symbols, toks) = (symbol::snapshot(), lex(&input));
+        let raw_syms = raw_skeleton_syms(&input, &symbols);
         let raw_strs = raw_skeleton_tokens(&input);
-        prop_assert_eq!(resolve_all(&raw_syms), raw_strs.clone());
+        prop_assert_eq!(resolve_syms(&raw_syms, &symbols, &input, &toks), raw_strs.clone());
         prop_assert_eq!(
-            fingerprint_syms_with(&raw_syms, &mut Vec::new()),
+            fingerprint_syms_with(&raw_syms, &symbols, &input, &toks, &mut Vec::new()),
             fingerprint_of(&raw_strs)
         );
         prop_assert_eq!(fingerprint(&input), fingerprint_of(&raw_strs));
@@ -161,6 +162,56 @@ proptest! {
         let sk = skeleton(&q);
         prop_assert!(!sk.is_empty());
         prop_assert!(!lex(&sk).is_empty());
+    }
+}
+
+/// Arbitrary bytes, as a request body could carry them, made into a query
+/// string the way a server decodes one (invalid UTF-8 replaced).
+fn arbitrary_bytes() -> impl Strategy<Value = String> {
+    proptest::collection::vec(any::<u8>(), 0..300)
+        .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+}
+
+// Fuzz properties: every entry point a checked query reaches is total on
+// arbitrary bytes and leaves the symbol table as it found it (checks look
+// symbols up, they never intern). No test in this binary compiles a
+// template, so nothing else grows the table while these run.
+proptest! {
+    #[test]
+    fn fuzz_lex_is_total_on_arbitrary_bytes(input in arbitrary_bytes()) {
+        let before = symbol::len();
+        let mut prev_end = 0;
+        for t in lex(&input) {
+            prop_assert!(prev_end <= t.start && t.start < t.end && t.end <= input.len());
+            let _ = t.text(&input);
+            prev_end = t.end;
+        }
+        prop_assert_eq!(symbol::len(), before);
+    }
+
+    #[test]
+    fn fuzz_parse_is_total_on_arbitrary_bytes(input in arbitrary_bytes()) {
+        let before = symbol::len();
+        let _ = parse(&input);
+        prop_assert_eq!(symbol::len(), before);
+    }
+
+    #[test]
+    fn fuzz_skeleton_is_total_on_arbitrary_bytes(input in arbitrary_bytes()) {
+        let before = symbol::len();
+        let symbols = symbol::snapshot();
+        let raw = raw_skeleton_syms(&input, &symbols);
+        let resolved = resolve_syms(&raw, &symbols, &input, &lex(&input));
+        prop_assert_eq!(resolved, raw_skeleton_tokens(&input));
+        let _ = skeleton(&input);
+        prop_assert_eq!(symbol::len(), before);
+    }
+
+    #[test]
+    fn fuzz_fingerprint_is_total_on_arbitrary_bytes(input in arbitrary_bytes()) {
+        let before = symbol::len();
+        prop_assert_eq!(fingerprint(&input), fingerprint_of(&raw_skeleton_tokens(&input)));
+        prop_assert_eq!(symbol::len(), before);
     }
 }
 

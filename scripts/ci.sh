@@ -48,7 +48,7 @@ cargo test -q --test concurrency -- --test-threads=4
 # an input as long as the query. The `myers` and `kernels` filters also
 # pick up the single-word Myers edge cases (|p| = 1, 63, 64, 65) and the
 # prefilter-on/off report identity.
-echo "==> differential kernel tests (strmatch myers + swar + qgram, nti kernel, lexer equivalence, installer vocabulary)"
+echo "==> differential kernel tests (strmatch myers + swar + qgram, nti kernel, lexer equivalence, fingerprint invariants, installer vocabulary)"
 cargo test -q -p joza-strmatch myers
 cargo test -q -p joza-strmatch --test proptests myers
 cargo test -q -p joza-strmatch --test proptests qgram
@@ -61,6 +61,16 @@ cargo test -q -p joza-sqlparse --test proptests has_known_token
 cargo test -q -p joza-phpsim --lib fragments::tests::reference_
 cargo test -q --test installer_vocabulary
 cargo test -q -p joza-sqlparse --test proptests sym_skeleton
+# Skeleton fingerprints are a function of the rendered text alone: two
+# table symbols are equal exactly when their bytes are, a check-local id
+# names its own token and equals no table id, queries that differ only in
+# an identifier no deployment interned never share a fingerprint, and a
+# query's fingerprint is the same whether or not its identifiers were
+# interned.
+cargo test -q -p joza-sqlparse --lib fingerprint::tests::table_ids_are_equal_exactly_when_bytes_are
+cargo test -q -p joza-sqlparse --lib fingerprint::tests::unknown_identifiers_never_share
+cargo test -q -p joza-sqlparse --lib fingerprint::tests::fingerprint_does_not_depend_on_what_was_interned
+cargo test -q -p joza-sqlparse --lib symbol::tests::local_ids_name_positions
 cargo test -q --test nti_kernel_identity
 cargo test -q -p joza-strmatch --test proptests find_str
 cargo test -q -p joza-strmatch --lib qgram
@@ -97,7 +107,9 @@ cargo test -q --test pti_matcher_identity
 # sink's query must not reach the database raw behind the hardened gate,
 # every rewritten route (lab, second-order lab, a nested sink, a sink
 # after `exit`) must call no sink but `db_query` with a literal statement
-# text, and the parse-error and unbalanced-quote skip reasons stay pinned.
+# text, the parse-error and unbalanced-quote skip reasons stay pinned, and
+# a sink argument the prepared call would drop (an assignment, a call)
+# skips the route instead of vanishing.
 echo "==> shared-parse identity, fixpoint reference, literal-scan reference, report digest, walker ids, header source, loop cap, skippable operands, hardened gate"
 cargo test -q -p joza-sast --test report_digest
 cargo test -q -p joza-sast --lib absint::tests::preorder_ids_match_span_table
@@ -108,6 +120,7 @@ cargo test -q -p joza-sast --lib assignment_in_skippable_operand_is_not_inlined
 cargo test -q --test hardened_gate
 cargo test -q -p joza-sast --lib unparsable_source_skips_with_parse_error
 cargo test -q -p joza-sast --lib quote_opened_before_a_hole_and_never_closed_skips
+cargo test -q -p joza-sast --lib sink_argument_with_effects_is_not_dropped
 cargo test -q -p joza-sast --test shared_parse
 cargo test -q -p joza-sast --lib fixpoint_reference
 cargo test -q -p joza-sast --lib store_flow_parses_each_route_once
@@ -124,15 +137,21 @@ cargo test -q --test pipeline_equivalence
 
 # Robustness, explicitly: one million unique safe queries keep the PTI
 # query cache within its constant capacity with every overflow counted as
-# an eviction; a killed PTI daemon (or a garbled verdict frame) blocks
+# an eviction; one million queries with fresh identifiers (some with
+# bytes the lexer cannot classify) leave the skeleton symbol table's
+# length unchanged, as does deploying the same models again; the SQL
+# lexer, parser, skeleton renderer and fingerprint never panic on
+# arbitrary bytes and never grow the symbol table; a killed PTI daemon (or a garbled verdict frame) blocks
 # the next query (fail closed, recovery policy applied) instead of
 # panicking the worker, and the respawned daemon answers the one after;
 # and both PTI caches filled far past capacity leave every lab-corpus
 # verdict identical to a cache-less engine's. The PHP front end and the
 # fragment extractor never panic on source dense in quotes, backslashes,
 # `$`, braces, `%`, `:` and multi-byte characters.
-echo "==> robustness (bounded caches, daemon kill, eviction soundness, phpsim fuzz, nesting, stale routes)"
+echo "==> robustness (bounded caches and symbols, daemon kill, eviction soundness, phpsim and sqlparse fuzz, nesting, stale routes)"
 cargo test -q --test bounded_cache
+cargo test -q --test bounded_symbols
+cargo test -q -p joza-sqlparse --test proptests fuzz_
 cargo test -q -p joza-pti --lib stays_within_capacity_and_counts_evictions
 cargo test -q -p joza-pti --lib daemon::tests::dead_
 cargo test -q -p joza-core --lib pti_daemon_death_blocks_then_respawns
@@ -141,7 +160,9 @@ cargo test -q -p joza-phpsim --test proptests fuzz_
 # Hostile nesting: SQL nested past the parser's bound (parentheses,
 # prefix operators, subqueries; 600 and 50,000 levels) is a parse error
 # on a default 2 MiB thread stack, never a stack overflow that aborts
-# the process, and such a request is served as an SQL error or blocked.
+# the process, and such a request is served as an SQL error or blocked;
+# each form at the deepest depth the parser accepts parses on that stack
+# in this debug build.
 cargo test -q -p joza-sqlparse --lib nesting
 cargo test -q --test hostile_nesting
 # Stale route code: re-adding a plugin or writing its source through

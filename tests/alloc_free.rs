@@ -58,6 +58,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// `SELECT * FROM items WHERE id=<hole>`, so matching queries resolve on
 /// the model fast path.
 fn model_engine() -> Joza {
+    model_engine_with(JozaConfig::optimized())
+}
+
+fn model_engine_with(config: JozaConfig) -> Joza {
     let template = QueryTemplate {
         parts: vec![
             TemplatePart::Lit("SELECT * FROM items WHERE id=".to_string()),
@@ -68,7 +72,7 @@ fn model_engine() -> Joza {
     models.insert("items", RouteModel::build(&[Some(vec![template])]));
     Joza::builder()
         .fragments(["SELECT * FROM items WHERE id="])
-        .config(JozaConfig::optimized())
+        .config(config)
         .query_models(models)
         .known_routes(["items"])
         .build()
@@ -105,6 +109,34 @@ fn model_fast_path_is_allocation_free_when_warm() {
     }
     let delta = allocs_on_this_thread() - before;
     assert_eq!(delta, 0, "warm model-fast-path checks must not allocate ({delta} allocations)");
+}
+
+#[test]
+fn identifiers_never_seen_at_deployment_render_without_allocating() {
+    // NTI alone behind the model: the model stage renders the skeleton,
+    // the fresh identifier takes a check-local id (so the automaton
+    // rejects it and NTI runs), and neither step may allocate once the
+    // arena is warm. PTI's daemon frames would allocate, so it is off.
+    let joza = model_engine_with(JozaConfig { disable_pti: true, ..JozaConfig::optimized() });
+    let queries: Vec<String> = (0..64)
+        .map(|i| format!("SELECT * FROM items WHERE id=42 AND fresh_alias_{i:03}=1"))
+        .collect();
+    let check = |q: &str| {
+        let v = joza.check_query_on_route("items", &["42"], q);
+        assert!(v.is_safe(), "{q}");
+        assert_eq!(v.path(), CheckPath::Dynamic, "an unknown identifier misses the model: {q}");
+        assert!(v.structural_anomaly(), "{q}");
+    };
+    for q in &queries[..2] {
+        check(q);
+    }
+
+    let before = allocs_on_this_thread();
+    for q in &queries[2..] {
+        check(q);
+    }
+    let delta = allocs_on_this_thread() - before;
+    assert_eq!(delta, 0, "warm checks with fresh identifiers must not allocate ({delta})");
 }
 
 #[test]
