@@ -566,6 +566,11 @@ impl Joza {
     /// [`JozaBuilder`] preloaded with them, so callers can attach query
     /// models, a taint-free whitelist, or kernel overrides before
     /// building.
+    ///
+    /// Extraction ([`FragmentSet::from_sources`]) lexes a large
+    /// application on up to `available_parallelism` scoped threads, which
+    /// have all exited when this returns. The vocabulary, and so the
+    /// engine, does not depend on how many it uses.
     pub fn installer(app: &WebApp, config: JozaConfig) -> JozaBuilder {
         Joza::builder()
             .fragment_set(FragmentSet::from_sources(&app.all_sources()))

@@ -17,12 +17,30 @@
 //!
 //! Extraction reads the PHP lexer's token stream directly: literal text
 //! and the pieces split from it stay slices of the source until a fragment
-//! is kept, and the retain test stops at the first SQL token.
+//! is kept, and the retain test stops at the first SQL token. A large
+//! application is lexed on several threads at once (see
+//! [`FragmentSet::from_sources`]); the vocabulary does not depend on how
+//! many.
 
 use crate::lexer::{append_run, find_any, Lexeme, PhpLexer, RawPart};
 use joza_sqlparse::lexer::has_known_token;
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::{btree_set, BTreeSet};
+use std::ops::Range;
+use std::sync::OnceLock;
+use std::{panic, thread};
+
+/// Smallest share of the source bytes worth a thread of its own: lexing
+/// and sorting 64 KiB takes about a third of a millisecond on one core of
+/// a 2-vCPU Xeon host, several times a thread's start-up.
+const MIN_PART_BYTES: usize = 64 * 1024;
+/// Most parts, and so threads, one extraction uses.
+const MAX_PARTS: usize = 8;
+/// Source bytes per raw piece to size a part's buffer for: a little below
+/// the ~55 of the benchmark application, so one allocation usually holds a
+/// part's pieces.
+const BYTES_PER_PIECE: usize = 48;
 
 /// A de-duplicated, ordered set of program string fragments.
 ///
@@ -43,22 +61,58 @@ impl FragmentSet {
     /// Sources that fail to lex contribute nothing (real Joza skips
     /// unparseable files).
     ///
-    /// The pieces of all files are sorted and de-duplicated before the
-    /// retain test, so it runs once per distinct piece, and only the kept
-    /// fragments are copied out of the sources.
+    /// The sources are split into contiguous parts of about equal byte
+    /// size, one per available core (at most eight, and none smaller than
+    /// 64 KiB), and each part is lexed, sorted and de-duplicated on a
+    /// scoped thread of its own; the calling thread takes the first part,
+    /// and a single part spawns no thread. The sorted runs are merged, so
+    /// the retain test runs once per distinct piece, and only the kept
+    /// fragments are copied out of the sources. The result is the same set
+    /// whatever the number of parts.
     pub fn from_sources(sources: &[&str]) -> Self {
-        let mut pieces = Vec::new();
-        for src in sources {
-            source_pieces(src, &mut pieces);
-        }
-        pieces.sort_unstable();
-        pieces.dedup();
-        let fragments = pieces
-            .into_iter()
-            .filter(|piece| has_known_token(piece))
-            .map(Cow::into_owned)
-            .collect();
-        FragmentSet { fragments }
+        let lens: Vec<usize> = sources.iter().map(|s| s.len()).collect();
+        Self::from_parts(sources, &part_plan(&lens, cores()))
+    }
+
+    /// [`FragmentSet::from_sources`] with the part count forced to
+    /// `parts` (clamped to the number of sources), whatever the input's
+    /// size and the machine's cores. A test seam: the vocabulary must not
+    /// depend on the count.
+    #[cfg(any(test, feature = "test-seam"))]
+    pub fn from_sources_in_parts(sources: &[&str], parts: usize) -> Self {
+        let lens: Vec<usize> = sources.iter().map(|s| s.len()).collect();
+        let parts = parts.clamp(1, lens.len().max(1));
+        Self::from_parts(sources, &split_even(&lens, parts))
+    }
+
+    /// Extracts the fragments of `sources`, one part of the plan per
+    /// thread.
+    fn from_parts(sources: &[&str], plan: &[Range<usize>]) -> Self {
+        // Each part's buffer is allocated here, on the calling thread.
+        // glibc's `realloc` keeps a block in the arena it came from, so a
+        // worker's pushes grow the buffer there: the largest allocations of
+        // an extraction stay out of the worker's own malloc arena.
+        let mut parts = plan.iter().map(|range| {
+            let files = &sources[range.clone()];
+            let bytes: usize = files.iter().map(|s| s.len()).sum();
+            (files, Vec::with_capacity(bytes / BYTES_PER_PIECE))
+        });
+        let (files, buf) = parts.next().expect("a plan has at least one part");
+        let runs = thread::scope(|scope| {
+            let workers: Vec<_> =
+                parts.map(|(files, buf)| scope.spawn(move || sorted_run(files, buf))).collect();
+            let mut runs = vec![sorted_run(files, buf)];
+            runs.extend(
+                workers.into_iter().map(|w| w.join().unwrap_or_else(|e| panic::resume_unwind(e))),
+            );
+            runs
+        });
+        let pieces = runs.into_iter().reduce(merge_two).unwrap_or_default();
+        // A copy, not `into_owned`: a `%%`-joined piece was allocated on
+        // its worker's arena, and the vocabulary lives on.
+        let fragments =
+            pieces.into_iter().filter(|p| has_known_token(p)).map(|p| String::from(&*p));
+        FragmentSet { fragments: fragments.collect() }
     }
 
     /// Adds one fragment verbatim (used for framework-provided vocabulary).
@@ -172,6 +226,72 @@ fn source_pieces<'s>(php_source: &'s str, out: &mut Vec<Cow<'s, str>>) {
             }
         }
     }
+}
+
+/// The machine's core count, read once: `available_parallelism` reads the
+/// affinity mask and cgroup quota on every call.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// The part plan: contiguous ranges of source indices, in order, covering
+/// every source once. The count is `min(cores, sources, total bytes /
+/// MIN_PART_BYTES)`, capped at [`MAX_PARTS`] and at least one, so a single
+/// file or a small input is one part.
+fn part_plan(lens: &[usize], cores: usize) -> Vec<Range<usize>> {
+    let total: usize = lens.iter().sum();
+    let parts = cores.min(lens.len()).min(total / MIN_PART_BYTES).clamp(1, MAX_PARTS);
+    split_even(lens, parts)
+}
+
+/// Splits `lens` into `parts` contiguous, non-empty ranges of about equal
+/// byte size (`parts` must be at most `lens.len()`, or 1). Part `k` ends
+/// after the first file that brings the running total to `k / parts` of
+/// the bytes, or earlier if the parts still to come need the files left.
+fn split_even(lens: &[usize], parts: usize) -> Vec<Range<usize>> {
+    let total: usize = lens.iter().sum();
+    let mut plan = Vec::with_capacity(parts);
+    let (mut start, mut bytes) = (0, 0);
+    for (i, len) in lens.iter().enumerate() {
+        bytes += len;
+        let (k, left) = (plan.len() + 1, lens.len() - (i + 1));
+        if k < parts && (left == parts - k || (left > parts - k && bytes * parts >= total * k)) {
+            plan.push(start..i + 1);
+            start = i + 1;
+        }
+    }
+    plan.push(start..lens.len());
+    plan
+}
+
+/// The distinct pieces of `files`, sorted, pushed onto `run`.
+fn sorted_run<'s>(files: &[&'s str], mut run: Vec<Cow<'s, str>>) -> Vec<Cow<'s, str>> {
+    for src in files {
+        source_pieces(src, &mut run);
+    }
+    run.sort_unstable();
+    run.dedup();
+    run
+}
+
+/// Merges two sorted, duplicate-free runs into one, dropping the pieces
+/// both hold from the second.
+fn merge_two<'s>(a: Vec<Cow<'s, str>>, b: Vec<Cow<'s, str>>) -> Vec<Cow<'s, str>> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        match x.cmp(y) {
+            Ordering::Less => out.extend(a.next()),
+            Ordering::Greater => out.extend(b.next()),
+            Ordering::Equal => {
+                b.next();
+                out.extend(a.next());
+            }
+        }
+    }
+    out.extend(a.chain(b));
+    out
 }
 
 /// Splits a literal at `%s`/`%d`/`%f`/`%05d`-style printf placeholders and
@@ -411,6 +531,112 @@ mod tests {
         let all: Vec<&str> = incremental.iter().collect();
         assert_eq!(all, [" AND ", " DESC", " OR ", "ORDER BY ", "SELECT * FROM t WHERE id=", "x"]);
         assert!(FragmentSet::from_sources(&[]).is_empty());
+    }
+
+    /// File-by-file extraction: no sort, no parts, no merge.
+    fn file_by_file(sources: &[&str]) -> FragmentSet {
+        sources.iter().flat_map(|src| extract_fragments(src)).collect()
+    }
+
+    /// A literal most generated files hold, so that it falls on both sides
+    /// of every part boundary. The `%%` makes its piece an owned one.
+    const SHARED: &str = "SELECT shared %% FROM t WHERE a=%d";
+
+    proptest! {
+        #[test]
+        fn every_part_count_gives_the_file_by_file_set(
+            kinds in proptest::collection::vec(0usize..5, 1..12),
+            lits in proptest::collection::vec(DENSE, 12..24),
+        ) {
+            let srcs: Vec<String> = kinds
+                .iter()
+                .enumerate()
+                .map(|(i, &kind)| {
+                    let lit = |j: usize| {
+                        lits[(3 * i + j) % lits.len()].replace('\\', "\\\\").replace('\'', "\\'")
+                    };
+                    match kind {
+                        0 => String::new(),
+                        1 => format!("$s = '{SHARED}'; $a = '{}'; $bad = 'unterminated", lit(0)),
+                        2 => format!("$s = '{SHARED}'; $a = '{}';", lit(0)),
+                        _ => format!("$a = '{}%%{}'; $s = '{SHARED}'; $b = '{}';", lit(0), lit(1), lit(2)),
+                    }
+                })
+                .collect();
+            let sources: Vec<&str> = srcs.iter().map(String::as_str).collect();
+            let reference = file_by_file(&sources);
+            prop_assert_eq!(FragmentSet::from_sources(&sources), reference.clone());
+            for parts in 1..=4 {
+                prop_assert_eq!(
+                    FragmentSet::from_sources_in_parts(&sources, parts),
+                    reference.clone(),
+                    "{} parts",
+                    parts
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_literal_on_both_sides_of_a_part_boundary_is_kept_once() {
+        let a = "$q = 'SELECT id FROM t'; $p = 'a %% b'; $u = 'UNION';";
+        let b = "$q = 'SELECT id FROM t'; $p = 'a %% b'; $o = 'OR';";
+        let sources = [a, b];
+        assert_eq!(split_even(&[a.len(), b.len()], 2), [0..1, 1..2]);
+        let set = FragmentSet::from_sources_in_parts(&sources, 2);
+        assert_eq!(set, file_by_file(&sources));
+        assert_eq!(set.iter().collect::<Vec<_>>(), ["OR", "SELECT id FROM t", "UNION", "a % b"]);
+    }
+
+    /// Checks that `plan` is non-empty, contiguous, in order and covers
+    /// every index of `lens` once, and returns each part's byte size.
+    fn part_bytes(lens: &[usize], plan: &[Range<usize>]) -> Vec<usize> {
+        assert_eq!(plan.first().map(|r| r.start), Some(0), "{plan:?}");
+        assert_eq!(plan.last().map(|r| r.end), Some(lens.len()), "{plan:?}");
+        assert!(plan.windows(2).all(|w| w[0].end == w[1].start), "{plan:?}");
+        assert!(lens.is_empty() || plan.iter().all(|r| r.start < r.end), "{plan:?}");
+        plan.iter().map(|r| lens[r.clone()].iter().sum()).collect()
+    }
+
+    #[test]
+    fn one_file_or_a_small_input_is_one_part() {
+        let whole = |n| vec![Range { start: 0, end: n }];
+        assert_eq!(part_plan(&[], 8), whole(0));
+        assert_eq!(part_plan(&[100 * MIN_PART_BYTES], 8), whole(1));
+        assert_eq!(part_plan(&[MIN_PART_BYTES / 4; 7], 8), whole(7));
+        assert_eq!(part_plan(&[MIN_PART_BYTES; 4], 1), whole(4));
+        assert_eq!(part_plan(&[MIN_PART_BYTES; 4], 2), [0..2, 2..4]);
+    }
+
+    #[test]
+    fn a_thousand_cores_are_capped() {
+        let lens = vec![MIN_PART_BYTES; 1000];
+        let plan = part_plan(&lens, 1000);
+        assert_eq!(plan.len(), MAX_PARTS);
+        assert!(part_bytes(&lens, &plan).iter().all(|&b| b == 125 * MIN_PART_BYTES));
+    }
+
+    proptest! {
+        #[test]
+        fn parts_are_contiguous_ordered_and_cover_every_source(
+            lens in proptest::collection::vec(0usize..4 * MIN_PART_BYTES, 0..40),
+            cores in 1usize..1000,
+        ) {
+            let total: usize = lens.iter().sum();
+            let plan = part_plan(&lens, cores);
+            let parts = cores.min(lens.len()).min(total / MIN_PART_BYTES).clamp(1, MAX_PARTS);
+            prop_assert_eq!(plan.len(), parts);
+            // Each part overshoots its share by at most one file.
+            let widest = lens.iter().copied().max().unwrap_or(0);
+            for bytes in part_bytes(&lens, &plan) {
+                prop_assert!(bytes <= total / parts + widest + 1, "{} of {}", bytes, total);
+            }
+            for forced in 1..=lens.len() {
+                let plan = split_even(&lens, forced);
+                prop_assert_eq!(plan.len(), forced);
+                part_bytes(&lens, &plan);
+            }
+        }
     }
 
     #[test]

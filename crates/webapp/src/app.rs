@@ -48,13 +48,6 @@ impl Plugin {
             render_cost: Duration::ZERO,
         }
     }
-
-    /// Sets the simulated render cost (builder style).
-    #[must_use]
-    pub fn with_render_cost(mut self, cost: Duration) -> Self {
-        self.render_cost = cost;
-        self
-    }
 }
 
 /// One route's parse, shared by every static pass and both engines: the

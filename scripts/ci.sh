@@ -40,7 +40,10 @@ cargo test -q --test concurrency -- --test-threads=4
 # match its references too: the byte-level placeholder splitter and the
 # early-exit SQL retain test against the char-by-char splitter and a full
 # lex, and the installed lab-plus-WordPress vocabulary against its golden
-# count and order-sensitive digest.
+# count and order-sensitive digest. Split over 1 to 4 parts (threads),
+# extraction must give the file-by-file set, also with unlexable and empty
+# files, `%%`-joined pieces and one literal on both sides of a part
+# boundary, and the golden vocabulary with 1 and 3 parts.
 # NTI's verbatim search must return `str::find`'s answer, also once its
 # verification budget hands a periodic pair to `str::find` mid-search; the
 # q-gram check must skip the bound exactly when it cannot exceed the
@@ -59,6 +62,8 @@ cargo test -q -p joza-nti --test proptests kernels
 cargo test -q -p joza-sqlparse --test proptests lex_into
 cargo test -q -p joza-sqlparse --test proptests has_known_token
 cargo test -q -p joza-phpsim --lib fragments::tests::reference_
+cargo test -q -p joza-phpsim --lib fragments::tests::every_part_count
+cargo test -q -p joza-phpsim --lib fragments::tests::a_literal_on_both_sides
 cargo test -q --test installer_vocabulary
 cargo test -q -p joza-sqlparse --test proptests sym_skeleton
 # Skeleton fingerprints are a function of the rendered text alone: two

@@ -2,11 +2,13 @@
 //! a WordPress-scale synthetic core must extract exactly the pinned
 //! fragment vocabulary, in the pinned order. Fragment indices and the MRU
 //! matcher's starting order follow that order, so any change to the
-//! extractor that adds, drops or reorders a fragment fails here.
+//! extractor that adds, drops or reorders a fragment fails here, and so
+//! does any dependence on how many threads the installer split it over.
 
 use joza::core::{Joza, JozaConfig};
 use joza::lab::{build_lab, wordpress};
 use joza::phpsim::fragments::FragmentSet;
+use joza::webapp::app::WebApp;
 
 /// Synthetic WordPress core files, as in the deployment benchmark.
 const SYNTHETIC_CORE_FILES: usize = 280;
@@ -26,12 +28,18 @@ fn digest<'a>(fragments: impl IntoIterator<Item = &'a str>) -> u64 {
     h
 }
 
-#[test]
-fn installer_vocabulary_matches_golden() {
+/// The lab application plus the synthetic WordPress core.
+fn application() -> WebApp {
     let mut app = build_lab().server.app;
     for src in wordpress::synthetic_core_sources(SYNTHETIC_CORE_FILES) {
         app.add_core_source(&src);
     }
+    app
+}
+
+#[test]
+fn installer_vocabulary_matches_golden() {
+    let app = application();
     let joza = Joza::install(&app, JozaConfig::optimized());
     assert_eq!(joza.fragment_count(), GOLDEN_COUNT);
 
@@ -45,5 +53,16 @@ fn installer_vocabulary_matches_golden() {
     for set in [&bulk, &incremental] {
         assert_eq!(set.len(), GOLDEN_COUNT);
         assert_eq!(digest(set.iter()), GOLDEN_DIGEST, "vocabulary content or order changed");
+    }
+}
+
+#[test]
+fn installer_vocabulary_is_the_same_for_every_part_count() {
+    let app = application();
+    let sources = app.all_sources();
+    for parts in [1, 3] {
+        let set = FragmentSet::from_sources_in_parts(&sources, parts);
+        assert_eq!(set.len(), GOLDEN_COUNT, "{parts} parts");
+        assert_eq!(digest(set.iter()), GOLDEN_DIGEST, "{parts} parts changed the vocabulary");
     }
 }
