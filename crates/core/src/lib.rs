@@ -376,11 +376,10 @@ pub(crate) struct Deployment {
     models: Option<Arc<QueryModelIndex>>,
     taint_free: Option<Arc<BTreeSet<String>>>,
     /// Stored cells the static store/load pass marked attacker-reachable
-    /// (`joza_sast::analyze_store_flow`). `"*"` entries are wildcards:
-    /// `("t", "*")` covers every column of `t`, `("*", "*")` covers
-    /// everything. Values fetched from covered cells are captured as
-    /// DB-sourced inputs for NTI/PTI (second-order defense).
-    dirty_cells: Option<Arc<BTreeSet<(String, String)>>>,
+    /// (`joza_sast::analyze_store_flow`). Values fetched from covered
+    /// cells are captured as DB-sourced inputs for NTI/PTI (second-order
+    /// defense).
+    dirty_cells: Option<Arc<DirtyCells>>,
     /// The symbol table as it stood when this release was assembled —
     /// after its models compiled, so it holds every symbol their automata
     /// contain. Checks render skeletons against it without a lock, and
@@ -393,6 +392,52 @@ pub(crate) struct Deployment {
 impl Deployment {
     fn model_for(&self, route: &str) -> Option<Arc<RouteModel>> {
         self.models.as_deref().and_then(|m| m.get_arc(route))
+    }
+
+    /// Whether the static pass proved `route` taint-free: every check on
+    /// it short-circuits at the static stage.
+    fn proves_taint_free(&self, route: &str) -> bool {
+        self.taint_free.as_ref().is_some_and(|t| t.contains(route))
+    }
+}
+
+/// A deployed dirty-cell set. `"*"` components are wildcards: `("t",
+/// "*")` covers every column of `t`, `("*", "c")` column `c` of every
+/// table, and `("*", "*")` everything. Names compare ASCII
+/// case-insensitively. The cells are kept lowercased and sorted, so a
+/// lookup borrows the caller's names and allocates nothing.
+#[derive(Debug)]
+pub(crate) struct DirtyCells {
+    cells: Vec<(String, String)>,
+}
+
+impl DirtyCells {
+    fn new(cells: BTreeSet<(String, String)>) -> Self {
+        let mut cells: Vec<(String, String)> = cells
+            .into_iter()
+            .map(|(t, c)| (t.to_ascii_lowercase(), c.to_ascii_lowercase()))
+            .collect();
+        cells.sort_unstable();
+        cells.dedup();
+        DirtyCells { cells }
+    }
+
+    /// Whether `(table, column)` is dirty, directly or through a wildcard.
+    fn covers(&self, table: &str, column: &str) -> bool {
+        [(table, column), (table, "*"), ("*", column), ("*", "*")]
+            .into_iter()
+            .any(|(t, c)| self.contains(t, c))
+    }
+
+    fn contains(&self, table: &str, column: &str) -> bool {
+        let (table, column) = (table.bytes(), column.bytes());
+        self.cells
+            .binary_search_by(|(t, c)| {
+                t.bytes()
+                    .cmp(table.clone().map(|b| b.to_ascii_lowercase()))
+                    .then_with(|| c.bytes().cmp(column.clone().map(|b| b.to_ascii_lowercase())))
+            })
+            .is_ok()
     }
 }
 
@@ -637,6 +682,7 @@ impl Joza {
             dep: self.deployment(),
             route: None,
             model: None,
+            taint_free: false,
             inputs: Vec::new(),
         }
     }
@@ -647,7 +693,15 @@ impl Joza {
     pub fn session_for(&self, route: &str) -> JozaSession<'_> {
         let dep = self.deployment();
         let model = dep.model_for(route);
-        JozaSession { joza: self, dep, route: Some(route.to_string()), model, inputs: Vec::new() }
+        let taint_free = dep.proves_taint_free(route);
+        JozaSession {
+            joza: self,
+            dep,
+            route: Some(route.to_string()),
+            model,
+            taint_free,
+            inputs: Vec::new(),
+        }
     }
 
     /// The calling worker's PTI shard, initialized on first touch. Lazy
@@ -707,7 +761,7 @@ impl Joza {
             (None, false) => current.taint_free.clone(),
         };
         let dirty_cells = match (update.dirty_cells, update.clear_dirty_cells) {
-            (Some(set), _) => Some(Arc::new(set)),
+            (Some(set), _) => Some(Arc::new(DirtyCells::new(set))),
             (None, true) => None,
             (None, false) => current.dirty_cells.clone(),
         };
@@ -802,7 +856,7 @@ impl Joza {
         let (route_miss_unknown, route_miss_incomplete) = match route {
             Some(r)
                 if (dep.models.is_some() || dep.taint_free.is_some())
-                    && !dep.taint_free.as_ref().is_some_and(|t| t.contains(r)) =>
+                    && !dep.proves_taint_free(r) =>
             {
                 match model {
                     None => (true, false),
@@ -1091,7 +1145,7 @@ impl JozaBuilder {
             generation: 0,
             models: self.models.map(Arc::new),
             taint_free: self.taint_free.map(Arc::new),
-            dirty_cells: self.dirty_cells.map(Arc::new),
+            dirty_cells: self.dirty_cells.map(|set| Arc::new(DirtyCells::new(set))),
             symbols: symbol::snapshot(),
             checks,
         });
@@ -1165,6 +1219,9 @@ pub struct JozaSession<'a> {
     dep: Arc<Deployment>,
     route: Option<String>,
     model: Option<Arc<RouteModel>>,
+    /// The pinned deployment proves the route taint-free, so no check of
+    /// this session reads its inputs.
+    taint_free: bool,
     inputs: Vec<(String, String)>,
 }
 
@@ -1181,17 +1238,12 @@ impl JozaSession<'_> {
 
     /// Whether the pinned deployment marks the stored cell
     /// `(table, column)` dirty — attacker-reachable by write, so fetched
-    /// values must be treated as taint sources. Honors `"*"` wildcards in
-    /// the deployed set.
+    /// values must be treated as taint sources. Honors every `"*"`
+    /// wildcard form in the deployed set (`("t", "*")`, `("*", "c")`,
+    /// `("*", "*")`) and compares names ASCII case-insensitively, without
+    /// allocating.
     pub fn is_dirty_cell(&self, table: &str, column: &str) -> bool {
-        let Some(cells) = self.dep.dirty_cells.as_deref() else {
-            return false;
-        };
-        let t = table.to_ascii_lowercase();
-        let c = column.to_ascii_lowercase();
-        cells.contains(&(t.clone(), c))
-            || cells.contains(&(t, "*".to_string()))
-            || cells.contains(&("*".to_string(), "*".to_string()))
+        self.dep.dirty_cells.as_deref().is_some_and(|cells| cells.covers(table, column))
     }
 
     /// Captures one value fetched from a dirty cell as a DB-sourced
@@ -1257,8 +1309,11 @@ impl GateSession for JozaSession<'_> {
         self.joza.decide(&verdict)
     }
 
+    /// A session on a route the deployment proves taint-free captures
+    /// nothing: every check short-circuits at the static stage, so no
+    /// stage would read a captured value.
     fn dirty_cell(&self, table: &str, column: &str) -> bool {
-        self.is_dirty_cell(table, column)
+        !self.taint_free && self.is_dirty_cell(table, column)
     }
 
     fn capture_db_input(&mut self, table: &str, column: &str, value: &str) {
@@ -1287,6 +1342,49 @@ mod tests {
 
     fn joza() -> Joza {
         Joza::builder().fragments(FRAGS).config(JozaConfig::optimized()).build()
+    }
+
+    #[test]
+    fn dirty_cells_honor_every_wildcard_form() {
+        let covered = ("wp_comments", "comment_content");
+        let elsewhere = [("wp_comments", "comment_author"), ("wp_users", "comment_content")];
+        // (deployed cell, which of `elsewhere` it also covers)
+        let forms = [
+            (("wp_comments", "comment_content"), [false, false]),
+            (("WP_Comments", "Comment_Content"), [false, false]),
+            (("wp_comments", "*"), [true, false]),
+            (("*", "comment_content"), [false, true]),
+            (("*", "*"), [true, true]),
+        ];
+        for (cell, also) in forms {
+            let built = Joza::builder().fragments(FRAGS).dirty_cells([cell]).build();
+            let deployed = Joza::builder().fragments(FRAGS).build();
+            deployed.deploy(ModelUpdate::new().dirty_cells([cell])).unwrap();
+            for j in [&built, &deployed] {
+                let s = j.session_for("r");
+                assert!(s.is_dirty_cell(covered.0, covered.1), "{cell:?}");
+                assert!(s.is_dirty_cell("WP_COMMENTS", "COMMENT_CONTENT"), "{cell:?}");
+                for ((t, c), want) in elsewhere.into_iter().zip(also) {
+                    assert_eq!(s.is_dirty_cell(t, c), want, "{cell:?} on ({t}, {c})");
+                }
+            }
+        }
+        let none = Joza::builder().fragments(FRAGS).build();
+        assert!(!none.session_for("r").is_dirty_cell(covered.0, covered.1));
+    }
+
+    #[test]
+    fn taint_free_route_sessions_capture_nothing() {
+        let j = Joza::builder()
+            .fragments(FRAGS)
+            .taint_free_routes(["clean"])
+            .dirty_cells([("*", "*")])
+            .build();
+        let clean = j.session_for("clean");
+        assert!(clean.is_dirty_cell("t", "c"), "the cell is still dirty");
+        assert!(!GateSession::dirty_cell(&clean, "t", "c"), "but nothing reads a capture");
+        assert!(GateSession::dirty_cell(&j.session_for("other"), "t", "c"));
+        assert!(GateSession::dirty_cell(&j.session(), "t", "c"));
     }
 
     #[test]

@@ -19,28 +19,45 @@
 //! * the threshold trades false positives (too high) against false
 //!   negatives (too low); the paper's evasions exploit exactly this.
 //!
-//! Optimizations (§VI-B): a q-gram lower-bound prefilter and a length
-//! plausibility check skip implausible input/query pairs before the
-//! quadratic alignment runs. The query's q-gram profile is built lazily,
-//! only once some input reaches that check, as sorted packed grams in a
-//! recycled buffer (no hashing). An input too short for its bound to
-//! exceed the distance cutoff (at most `⌈(|p| − 2)/3⌉` missing-gram edits;
-//! every input of up to 11 bytes at threshold 0.2) never consults the
-//! profile: the bound could not skip it anyway.
+//! Optimizations (§VI-B) skip implausible input/query pairs before the
+//! quadratic alignment runs. They all work from one **distance cutoff**
+//! `k` ([`distance_cutoff`]): the largest distance whose longest possible
+//! span, `|p| + k` bytes, still passes the ratio filter, computed with the
+//! filter's own `f64` expression. A match farther than `k` cannot become a
+//! marking, so a filter may skip any pair it proves has none within `k`.
+//! Each input that reaches the filters meets them in this order:
 //!
-//! Under [`MatchKernel::BitParallel`], each input that passes the length
-//! check is first searched for *verbatim* in the normalized query with
-//! [`swar::find_str`], which returns exactly `str::find`'s answer. For an
-//! input of 32 bytes or more it anchors candidates on the input's first
-//! and last bytes, eight start positions per word, and verifies each a
-//! word at a time; past a verification budget of one query length it
-//! hands the rest to `str::find` (std's Two-Way search), so it stays
-//! linear in the worst case. Shorter inputs go to `str::find` directly. A
+//! 1. the **length check**: an input longer than the query by more than
+//!    `k` cannot match. Case folding keeps the length, so this runs on the
+//!    raw input, before the fold;
+//! 2. under [`MatchKernel::BitParallel`], the **verbatim search** (below);
+//!    a hit is the comparison's answer and skips the rest;
+//! 3. for a *short* input, whose q-gram bound could not exceed `k + 1`
+//!    (at most `⌈(|p| − 2)/3⌉` missing-gram edits; every input of up to
+//!    11 bytes at threshold 0.2), the **piece filter**: the input is split
+//!    into `k + 1` pieces of at least 3 bytes, and if none of them occurs
+//!    in the query, no span is within `k` (the partition lemma: `k` edits
+//!    leave one piece untouched). It runs in both kernels, whatever
+//!    [`NtiConfig::qgram_prefilter`] says, and a short input never builds
+//!    the query's q-gram profile. A short input too short for such pieces
+//!    goes straight to the kernel;
+//! 4. for a longer input, the **q-gram prefilter**: the query's q-gram
+//!    profile is built lazily, only once some input reaches this check,
+//!    as sorted packed grams in a recycled buffer (no hashing).
+//!
+//! The verbatim search looks for the input *verbatim* in the normalized
+//! query with [`swar::find_str`], which returns exactly `str::find`'s
+//! answer. For an input of 32 bytes or more it anchors candidates on the
+//! input's first and last bytes, eight start positions per word, and
+//! verifies each a word at a time; past a verification budget of one
+//! query length it hands the rest to `str::find` (std's Two-Way search),
+//! so it stays linear in the worst case. Shorter inputs go to `str::find` directly. A
 //! hit is taken as the comparison's result directly — the leftmost
 //! occurrence at distance 0 — and is exactly what the q-gram prefilter
 //! plus kernel would report: the prefilter cannot skip a distance-0 pair
 //! (all the input's q-grams occur in the query), so the pair counts as
-//! one comparison run; the Myers scan stops at its first zero-scoring
+//! one comparison run (and every piece of it occurs, so the piece filter
+//! cannot skip it either); the Myers scan stops at its first zero-scoring
 //! column, whose span is the leftmost occurrence; and Sellers' tie-break
 //! (minimal distance, then minimal ratio — 0 for every exact span — then
 //! leftmost) picks the same one. An input the application embeds
@@ -227,17 +244,24 @@ impl NtiAnalyzer {
         let mut report = NtiReport::default();
         let criticals = view.criticals;
         let query_bytes = view.normalized;
-        let mut query_profile = QgramProfile::new(query_bytes, 3, gram_scratch);
-        // The verbatim search (bit-parallel only; Classic stays the oracle)
-        // runs on `str`s. Case folding changes ASCII bytes only, so a view
-        // built from a query is UTF-8; any other view skips the shortcut.
-        let query_str = match self.config.kernel {
-            MatchKernel::Classic => None,
-            MatchKernel::BitParallel => std::str::from_utf8(query_bytes).ok(),
-        };
+        let mut query_profile = QgramProfile::new(query_bytes, QGRAM, gram_scratch);
+        // The verbatim search and the piece filter run on `str`s. Case
+        // folding changes ASCII bytes only, so a view built from a query
+        // is UTF-8; any other view skips both.
+        let query_str = std::str::from_utf8(query_bytes).ok();
+        let t = self.config.threshold;
 
         for (idx, input) in inputs.iter().enumerate() {
             if input.len() < self.config.min_input_len {
+                continue;
+            }
+            // Folding keeps the length, so the length check runs first.
+            let Some(k) = distance_cutoff(t, input.len()) else {
+                report.comparisons_skipped += 1;
+                continue;
+            };
+            if !qgram::length_plausible(input.len(), query_bytes.len(), k) {
+                report.comparisons_skipped += 1;
                 continue;
             }
             let bytes = input.as_bytes();
@@ -255,27 +279,32 @@ impl NtiAnalyzer {
                 None => false,
             };
             let input_bytes: &[u8] = if folded { fold_scratch } else { bytes };
-            // Allowed distance bound: ratio < t with matched_len <= |p| + d
-            // implies d < t·|p| / (1 − t).
-            let t = self.config.threshold;
-            let cutoff = ((t * input_bytes.len() as f64) / (1.0 - t)).ceil() as usize;
-            if !qgram::length_plausible(input_bytes.len(), query_bytes.len(), cutoff) {
-                report.comparisons_skipped += 1;
-                continue;
-            }
-            // A verbatim occurrence passes the q-gram check and is the
-            // kernel's own answer — distance 0, leftmost span. Folding
-            // keeps UTF-8 valid, so only a folded copy needs checking.
-            let verbatim = query_str.and_then(|q| {
-                let input = if folded { std::str::from_utf8(input_bytes).ok()? } else { input };
-                swar::find_str(q, input)
-            });
-            if verbatim.is_none()
-                && self.config.qgram_prefilter
-                && query_profile.exceeds(input_bytes, cutoff)
-            {
-                report.comparisons_skipped += 1;
-                continue;
+            // Folding keeps UTF-8 valid, so only a folded copy needs
+            // checking.
+            let input_str =
+                if folded { std::str::from_utf8(input_bytes).ok() } else { Some(*input) };
+            // A verbatim occurrence passes every filter and is the
+            // kernel's own answer — distance 0, leftmost span (bit-parallel
+            // only; Classic stays the oracle).
+            let verbatim = match self.config.kernel {
+                MatchKernel::Classic => None,
+                MatchKernel::BitParallel => {
+                    query_str.zip(input_str).and_then(|(q, p)| swar::find_str(q, p))
+                }
+            };
+            if verbatim.is_none() {
+                // A short input's q-gram bound could not prune even one
+                // distance past the cutoff, so it never builds the query's
+                // profile; its pieces stand in for the bound.
+                let skip = if qgram::bound_ceiling(input_bytes.len(), QGRAM) <= k + 1 {
+                    query_str.zip(input_str).is_some_and(|(q, p)| pieces_absent(q, p, k))
+                } else {
+                    self.config.qgram_prefilter && query_profile.exceeds(input_bytes, k)
+                };
+                if skip {
+                    report.comparisons_skipped += 1;
+                    continue;
+                }
             }
             report.comparisons_run += 1;
             let m = match (verbatim, self.config.kernel) {
@@ -283,14 +312,10 @@ impl NtiAnalyzer {
                     Some(SubstringMatch { start, end: start + input_bytes.len(), distance: 0 })
                 }
                 (None, MatchKernel::Classic) => Some(substring_distance(input_bytes, query_bytes)),
+                // Every span that survives the ratio filter below is within
+                // `k`, so a `None` here and a filtered-out Classic match
+                // are the same verdict.
                 (None, MatchKernel::BitParallel) => {
-                    // Any span that survives the ratio filter below has
-                    // distance d < t·|p|/(1−t) ≤ cutoff, so a `None` here
-                    // and a filtered-out Classic match are the same
-                    // verdict. Outside t ∈ (0,1) the cutoff formula is
-                    // meaningless; fall back to the unbounded scan
-                    // (distances never exceed |p|).
-                    let k = if t > 0.0 && t < 1.0 { cutoff } else { input_bytes.len() };
                     bounded_myers_substring_distance(input_bytes, query_bytes, k)
                 }
             };
@@ -319,6 +344,71 @@ impl NtiAnalyzer {
         }
         report
     }
+}
+
+/// The q-gram length NTI's prefilter uses.
+const QGRAM: usize = 3;
+
+/// Shortest piece [`pieces_absent`] searches for: a shorter one occurs in
+/// almost any query, so it could not skip a pair.
+const MIN_PIECE: usize = 3;
+
+/// NTI's distance cutoff: the largest distance `d ≤ |p|` at which a match
+/// can still pass the ratio filter, that is, whose longest possible span
+/// (`|p| + d` bytes) has a [difference ratio](SubstringMatch::diff_ratio)
+/// below `threshold`. A span at a larger distance is at most that long,
+/// so its ratio is no smaller. The ratio is the filter's own `f64`
+/// expression, so the cutoff is exact, rounding included. `None` when
+/// not even distance 0 passes (`threshold ≤ 0` or NaN). At `threshold ≥
+/// 1` every distance passes, and the cutoff is `|p|`, which no best match
+/// exceeds.
+///
+/// # Examples
+///
+/// ```
+/// use joza_nti::distance_cutoff;
+///
+/// // 2/13 < 0.2 ≤ 3/14: an 11-byte input matches within 2 edits.
+/// assert_eq!(distance_cutoff(0.2, 11), Some(2));
+/// assert_eq!(distance_cutoff(0.0, 11), None);
+/// assert_eq!(distance_cutoff(1.0, 11), Some(11));
+/// ```
+pub fn distance_cutoff(threshold: f64, input_len: usize) -> Option<usize> {
+    let passes = |d: usize| {
+        SubstringMatch { start: 0, end: input_len + d, distance: d }.diff_ratio() < threshold
+    };
+    if !passes(0) {
+        return None;
+    }
+    // d/(|p| + d) < t ⟺ d < t·|p|/(1 − t): start next to that bound and
+    // settle the last step with the filter's own expression.
+    let estimate = threshold * input_len as f64 / (1.0 - threshold);
+    let mut d = if estimate >= 0.0 { (estimate as usize).min(input_len) } else { input_len };
+    while d > 0 && !passes(d) {
+        d -= 1;
+    }
+    while d < input_len && passes(d + 1) {
+        d += 1;
+    }
+    Some(d)
+}
+
+/// The partition filter: splits `input` into `k + 1` pieces and reports
+/// whether none of them occurs verbatim in `query`. A span within `k`
+/// edits of `input` leaves at least one piece untouched, and that piece
+/// occurs in the span, so `true` proves the pair has no match within `k`.
+/// An input too short for `k + 1` pieces of [`MIN_PIECE`] bytes, or one
+/// whose pieces would split a character, is never reported absent.
+fn pieces_absent(query: &str, input: &str, k: usize) -> bool {
+    let (n, parts) = (input.len(), k + 1);
+    if n / parts < MIN_PIECE {
+        return false;
+    }
+    (0..parts).all(|i| {
+        input
+            .get(i * n / parts..(i + 1) * n / parts)
+            .is_some_and(|piece| swar::find_str(query, piece).is_none())
+    })
 }
 
 #[cfg(test)]
@@ -546,10 +636,9 @@ mod tests {
 
     #[test]
     fn thresholds_at_and_above_one_neither_overflow_nor_skip() {
-        // At t = 1.0 the distance cutoff is `usize::MAX`; the length check
-        // must saturate rather than overflow (or, in release, wrap and skip
-        // every input at least as long as the query). At t = 1.5 the cutoff
-        // formula goes negative and casts to 0.
+        // At t ≥ 1 every distance passes the ratio filter: the cutoff is
+        // |p|, the length check must not overflow, and no input is skipped
+        // for its length, not even one longer than the query.
         let q = "SELECT * FROM t WHERE id=-1 OR 1=1";
         let inputs = [q, "-1 OR 1=1", "zzzz", "a much longer input than the whole query is"];
         for threshold in [1.0, 1.5] {

@@ -1,6 +1,7 @@
 //! Property-based tests for the NTI analyzer's invariants.
 
-use joza_nti::{MatchKernel, NtiAnalyzer, NtiConfig};
+use joza_nti::{distance_cutoff, MatchKernel, NtiAnalyzer, NtiConfig};
+use joza_strmatch::sellers::{substring_distance, SubstringMatch};
 use proptest::prelude::*;
 
 fn analyzer(threshold: f64) -> NtiAnalyzer {
@@ -111,9 +112,11 @@ proptest! {
     }
 
     /// An input of at most 11 bytes has at most 9 q-grams, a bound of at
-    /// most 3, and a cutoff of at least 3 at t = 0.2: the prefilter can
-    /// never skip it. Reports, counters included, are the same with the
-    /// prefilter on and off, under both kernels.
+    /// most 3, and a cutoff of at least 2 at t = 0.2: a bound that could
+    /// not prune one distance past the cutoff, so NTI never consults the
+    /// prefilter for it (the piece filter runs instead, whatever the
+    /// prefilter setting). Reports, counters included, are the same with
+    /// the prefilter on and off, under both kernels.
     #[test]
     fn kernels_agree_with_and_without_a_prefilter_that_cannot_prune(
         inputs in proptest::collection::vec("[a-z0-9 =']{3,11}", 1..5),
@@ -129,6 +132,36 @@ proptest! {
             for prefilter in [false, true] {
                 prop_assert_eq!(&report(kernel, prefilter), &reference, "{} {}", kernel, prefilter);
             }
+        }
+    }
+
+    /// The filters are exact: a name planted with a few substitutions in a
+    /// long query gets the markings the alignment alone gives, with no
+    /// length check, verbatim search, piece filter or q-gram check, under
+    /// both kernels.
+    #[test]
+    fn filters_never_drop_a_marking(
+        input in "[a-z0-9 ]{3,24}",
+        edits in 0usize..7,
+        filler in "[a-z ]{0,300}",
+        t_idx in 0usize..4,
+    ) {
+        let threshold = [0.05, 0.20, 0.35, 0.60][t_idx];
+        let planted: String = input
+            .char_indices()
+            .map(|(i, c)| if i % 2 == 1 && i / 2 < edits { '#' } else { c })
+            .collect();
+        let query = format!("SELECT * FROM t WHERE a='{filler}{planted}{filler}'");
+        let best = substring_distance(input.as_bytes(), query.to_ascii_lowercase().as_bytes());
+        let expected: Vec<_> = (!best.is_empty() && best.diff_ratio() < threshold)
+            .then_some((best.start, best.end, best.distance))
+            .into_iter()
+            .collect();
+        for kernel in [MatchKernel::Classic, MatchKernel::BitParallel] {
+            let r = NtiAnalyzer::new(NtiConfig { threshold, kernel, ..NtiConfig::default() })
+                .analyze(&[&input], &query);
+            let got: Vec<_> = r.markings.iter().map(|m| (m.start, m.end, m.distance)).collect();
+            prop_assert_eq!(&got, &expected, "{} at t = {}", kernel, threshold);
         }
     }
 
@@ -225,6 +258,32 @@ proptest! {
                 "the planted input must be marked at distance 0: {report:?}"
             );
         }
+    }
+}
+
+/// The largest distance `d ≤ |p|` whose longest span, `|p| + d` bytes,
+/// passes the ratio filter, by trying every one.
+fn largest_passing_distance(t: f64, n: usize) -> Option<usize> {
+    (0..=n).filter(|&d| SubstringMatch { start: 0, end: n + d, distance: d }.diff_ratio() < t).max()
+}
+
+proptest! {
+    /// The derived cutoff is exactly the largest distance the ratio
+    /// filter can pass, for thresholds in (0, 1) and inputs up to 4 KB.
+    #[test]
+    fn distance_cutoff_is_the_largest_passing_distance(micros in 1u64..1_000_000, n in 0usize..4097) {
+        let t = micros as f64 / 1e6;
+        prop_assert_eq!(distance_cutoff(t, n), largest_passing_distance(t, n), "t = {}, |p| = {}", t, n);
+    }
+
+    /// Edge thresholds: at t ≤ 0 no distance passes, at t ≥ 1 every one up
+    /// to |p| does.
+    #[test]
+    fn distance_cutoff_at_edge_thresholds(t_idx in 0usize..6, n in 0usize..4097) {
+        let t = [-1.0, -0.0, 0.0, 1.0, 1.5, f64::INFINITY][t_idx];
+        let expected = if t > 0.0 { Some(n) } else { None };
+        prop_assert_eq!(distance_cutoff(t, n), expected);
+        prop_assert_eq!(largest_passing_distance(t, n), expected);
     }
 }
 

@@ -32,15 +32,27 @@
 //! load and about fifteen word operations. It returns the same minimal
 //! distance and end positions as the general path.
 //!
-//! The scan yields the minimal distance and every end position achieving
-//! it; the classic Sellers traceback then runs **only on the winning
-//! window** to recover exact `start..end` spans, and the final span is
-//! chosen with exactly the tie-break rules of
-//! [`substring_distance`](crate::sellers::substring_distance) — verdicts
+//! The scan yields the minimal distance `d*` and every end position
+//! achieving it. **Span recovery** then finds, for each candidate end,
+//! the start that the classic Sellers traceback reaches, without the
+//! scalar DP. A winning span ends at its candidate and is at most `|p| +
+//! d*` bytes long, so the DP restarted free `|p| + d*` columns before the
+//! first candidate holds, on every optimal path, the same values and the
+//! same tie-break decisions as the full DP. Recovery re-runs the
+//! bit-parallel column update over that window, keeping a checkpoint
+//! every `√cols` columns (at least 64), and then walks the traceback
+//! backward from each candidate end, recomputing one stretch of columns
+//! at a time from its checkpoint. The walk reads Sellers' choice (diagonal, then deletion,
+//! then insertion) off the stored score deltas. Rows below the band an
+//! optimal path can reach are never computed. Recovery thus advances at
+//! most `2·⌈|p|/64⌉` DP words per text column, counted by
+//! [`bounded_myers_substring_distance_metered`]. The final span is chosen
+//! with exactly the tie-break rules of
+//! [`substring_distance`](crate::sellers::substring_distance): verdicts
 //! and spans are bit-identical to the classic kernel (property-tested in
 //! `tests/proptests.rs`).
 
-use crate::sellers::{final_row, ratio_key, SubstringMatch};
+use crate::sellers::{ratio_key, SubstringMatch};
 
 /// Which approximate-matching kernel NTI runs (§III-A hot path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -100,6 +112,30 @@ pub fn bounded_myers_substring_distance(
     text: &[u8],
     k: usize,
 ) -> Option<SubstringMatch> {
+    bounded_myers_substring_distance_metered(pattern, text, k, &mut 0)
+}
+
+/// [`bounded_myers_substring_distance`], adding to `recovery_words` the
+/// number of DP words (one 64-row block advanced by one text byte) that
+/// span recovery spent. Recovery advances at most `2·⌈|p|/64⌉` words per
+/// text column, so the count stays within `2·⌈|p|/64⌉·|text|`.
+///
+/// # Examples
+///
+/// ```
+/// use joza_strmatch::myers::bounded_myers_substring_distance_metered;
+///
+/// let mut words = 0;
+/// let m = bounded_myers_substring_distance_metered(b"don't", b"name='don\\'t'", 1, &mut words);
+/// assert_eq!(m.map(|m| (m.range(), m.distance)), Some((6..12, 1)));
+/// assert!(words <= 2 * 13);
+/// ```
+pub fn bounded_myers_substring_distance_metered(
+    pattern: &[u8],
+    text: &[u8],
+    k: usize,
+    recovery_words: &mut u64,
+) -> Option<SubstringMatch> {
     let n = pattern.len();
     let m = text.len();
     if n == 0 {
@@ -124,7 +160,7 @@ pub fn bounded_myers_substring_distance(
         let end = ends[0];
         return Some(SubstringMatch { start: end - n, end, distance: 0 });
     }
-    Some(recover_span(pattern, text, d_star, &ends))
+    Some(recover_span(pattern, text, d_star, &ends, recovery_words))
 }
 
 /// One 64-row block advance (Myers' column update with Hyyrö's carry
@@ -156,6 +192,18 @@ fn advance_block(pv: &mut u64, mv: &mut u64, mut eq: u64, hin: i32) -> (u64, u64
     (ph, mh, hout)
 }
 
+/// Peq for a pattern of any length, laid out byte-major: word `c·B + b`
+/// (with `B = ⌈|p|/64⌉`) has bit `i` set iff `pattern[b·64 + i] == c`, so
+/// the words one text byte selects are contiguous.
+fn peq_by_byte(pattern: &[u8]) -> Vec<u64> {
+    let blocks = pattern.len().div_ceil(W);
+    let mut peq = vec![0u64; 256 * blocks];
+    for (i, &pc) in pattern.iter().enumerate() {
+        peq[pc as usize * blocks + i / W] |= 1u64 << (i % W);
+    }
+    peq
+}
+
 /// The bit-parallel scan: minimal last-row score ≤ `k` over all end
 /// positions, plus every end position achieving it (in increasing order).
 /// Returns `None` when no end position scores ≤ `k`.
@@ -171,11 +219,7 @@ fn scan(pattern: &[u8], text: &[u8], k: usize) -> Option<(usize, Vec<usize>)> {
     let top = blocks - 1;
     let top_bit = (n - 1) % W; // bit of the last real pattern row
 
-    // Peq[b][c]: bit i set iff pattern[b*64 + i] == c.
-    let mut peq: Vec<[u64; 256]> = vec![[0u64; 256]; blocks];
-    for (i, &pc) in pattern.iter().enumerate() {
-        peq[i / W][pc as usize] |= 1u64 << (i % W);
-    }
+    let peq = peq_by_byte(pattern);
 
     let bot = |b: usize| ((b + 1) * W).min(n); // rows covered through block b
     let mut pv: Vec<u64> = vec![!0u64; blocks];
@@ -199,9 +243,10 @@ fn scan(pattern: &[u8], text: &[u8], k: usize) -> Option<(usize, Vec<usize>)> {
     }
 
     for (j, &tc) in text.iter().enumerate() {
+        let eqs = &peq[tc as usize * blocks..][..blocks];
         let mut hin = 0i32; // row 0 is free (semi-global)
         for b in 0..=last {
-            let (ph, mh, hout) = advance_block(&mut pv[b], &mut mv[b], peq[b][tc as usize], hin);
+            let (ph, mh, hout) = advance_block(&mut pv[b], &mut mv[b], eqs[b], hin);
             if b == top {
                 bscore[b] =
                     (bscore[b] + ((ph >> top_bit) & 1) as usize) - ((mh >> top_bit) & 1) as usize;
@@ -311,36 +356,251 @@ fn scan_word(pattern: &[u8], text: &[u8], k: usize) -> Option<(usize, Vec<usize>
     (best != usize::MAX).then_some((best, ends))
 }
 
-/// Recovers the exact winning span: runs the classic Sellers traceback on
-/// the window around the candidate end positions (every column a winning
-/// path can touch, so the windowed DP decisions match the full DP's) and
-/// applies `substring_distance`'s tie-break — minimal difference ratio,
-/// then leftmost — among the minimal-distance candidates.
-fn recover_span(pattern: &[u8], text: &[u8], d_star: usize, ends: &[usize]) -> SubstringMatch {
-    let n = pattern.len();
-    let lo = ends[0];
-    let hi = *ends.last().expect("at least one candidate end");
-    // A winning path at end j spans columns ≥ j - n - d*; its DP decisions
-    // compare cells whose values are window-exact once the window starts
-    // 2n columns earlier still (cell (i, c) only depends on text starts
-    // ≥ c - 2i). 3n + d* + 1 before the first candidate covers both.
-    let w = lo.saturating_sub(3 * n + d_star + 1);
-    let (dist, start) = final_row(pattern, &text[w..hi]);
-
+/// Recovers the exact winning span. Each candidate end's winning span
+/// starts at most `|p| + d*` columns before it (a longer span costs more
+/// than `d*` insertions), so the ends are grouped into windows that reach
+/// that far back, and [`Window::starts`] walks Sellers' traceback inside
+/// each. Among the candidates, `substring_distance`'s tie-break picks the
+/// minimal difference ratio, then the leftmost end.
+fn recover_span(
+    pattern: &[u8],
+    text: &[u8],
+    d_star: usize,
+    ends: &[usize],
+    words: &mut u64,
+) -> SubstringMatch {
+    let reach = pattern.len() + d_star;
+    let peq = peq_by_byte(pattern);
     let mut best: Option<(f64, SubstringMatch)> = None;
-    for &end in ends {
-        debug_assert_eq!(
-            dist[end - w],
-            d_star,
-            "windowed Sellers disagrees with bit-parallel scan"
-        );
-        let cand = SubstringMatch { start: start[end - w] + w, end, distance: d_star };
-        let key = ratio_key(d_star, cand.len());
-        if best.as_ref().is_none_or(|(bk, _)| key < *bk) {
-            best = Some((key, cand));
+    let mut rest = ends;
+    while !rest.is_empty() {
+        // An end joins the group while its window overlaps the group's.
+        let len = 1 + rest.windows(2).take_while(|p| p[1].saturating_sub(reach) <= p[0]).count();
+        let (group, tail) = rest.split_at(len);
+        rest = tail;
+        let window = Window::new(pattern, text, &peq, d_star, group, words);
+        for (&end, start) in group.iter().zip(window.starts(group, words)) {
+            let cand = SubstringMatch { start, end, distance: d_star };
+            let key = ratio_key(d_star, cand.len());
+            if best.as_ref().is_none_or(|(bk, _)| key < *bk) {
+                best = Some((key, cand));
+            }
         }
     }
     best.expect("candidate list is non-empty").1
+}
+
+/// The semi-global DP over the text columns `w..=hi` that a group of
+/// candidate ends `lo..=hi` needs, started free at `w = lo − |p| − d*`
+/// (or 0) as if the text began there.
+///
+/// Every optimal path to a candidate end lies inside the window, and so
+/// inside a band: a cell `(i, c)` on one has `|(|p| − i) − (e − c)| ≤
+/// d*`. Windowed values are never smaller than the full DP's and are
+/// exact on every cell an optimal path reaches, so Sellers' tie-break
+/// decisions along the traceback are the full DP's. Rows past the band's
+/// last row are not computed: a row depends only on the rows above it, and a
+/// block that enters the band starts from the deletion chain from the
+/// block above, an upper bound that leaves the on-path cells exact.
+///
+/// The forward pass keeps one column in every `stride` (a checkpoint, at
+/// least [`MIN_STRIDE`] apart); the traceback then recomputes one stride
+/// of columns at a time, right to left, storing only the rows its cursors
+/// can still reach. Memory stays `O(√cols · ⌈|p|/64⌉)` words, and the
+/// whole recovery advances at most `2 · cols · ⌈|p|/64⌉` DP words.
+struct Window<'a> {
+    pattern: &'a [u8],
+    text: &'a [u8],
+    d_star: usize,
+    w: usize,
+    hi: usize,
+    /// The band's last row at column `c` is `min(|p|, c − w + lift)`.
+    lift: usize,
+    blocks: usize,
+    stride: usize,
+    /// Peq, byte-major ([`peq_by_byte`]).
+    peq: &'a [u64],
+    /// `(Pv, Mv)` of columns `w`, `w + stride`, …, `blocks` words each.
+    checkpoints: Vec<u64>,
+}
+
+/// Fewest columns between two checkpoints: a window this narrow is one
+/// stretch, recomputed once, with no forward pass at all.
+const MIN_STRIDE: usize = 64;
+
+/// Vertical or horizontal score delta of row `row` (1-based) from a pair
+/// of plus/minus bit-vectors whose word 0 is block `first` and whose bit
+/// `r` stands for row `r + 1` of its block.
+#[inline]
+fn delta(plus: &[u64], minus: &[u64], first: usize, row: usize) -> i32 {
+    let (b, bit) = ((row - 1) / W - first, (row - 1) % W);
+    ((plus[b] >> bit) & 1) as i32 - ((minus[b] >> bit) & 1) as i32
+}
+
+impl<'a> Window<'a> {
+    /// Runs the forward pass for the ascending candidate ends `group`,
+    /// keeping checkpoints.
+    fn new(
+        pattern: &'a [u8],
+        text: &'a [u8],
+        peq: &'a [u64],
+        d_star: usize,
+        group: &[usize],
+        words: &mut u64,
+    ) -> Self {
+        let (n, lo, hi) = (pattern.len(), group[0], group[group.len() - 1]);
+        let w = lo.saturating_sub(n + d_star);
+        let blocks = n.div_ceil(W);
+        let cols = hi - w;
+        let mut window = Window {
+            pattern,
+            text,
+            d_star,
+            w,
+            hi,
+            lift: w + n + d_star - lo,
+            blocks,
+            stride: cols.isqrt().max(MIN_STRIDE),
+            peq,
+            checkpoints: Vec::new(),
+        };
+        // Checkpoints at `w`, `w + stride`, … up to the last stretch's
+        // start; the columns after it are recomputed anyway.
+        let last = w + cols.saturating_sub(1) / window.stride * window.stride;
+        let (mut pv, mut mv) = (vec![!0u64; blocks], vec![0u64; blocks]);
+        let mut checkpoints = Vec::with_capacity((cols / window.stride + 1) * 2 * blocks);
+        for c in w..=last {
+            if (c - w).is_multiple_of(window.stride) {
+                checkpoints.extend_from_slice(&pv);
+                checkpoints.extend_from_slice(&mv);
+            }
+            if c < last {
+                *words += window.advance(c, &mut pv, &mut mv, blocks, None) as u64;
+            }
+        }
+        window.checkpoints = checkpoints;
+        window
+    }
+
+    /// The last block holding a band row at column `c`.
+    fn last_block(&self, c: usize) -> usize {
+        (c - self.w + self.lift).clamp(1, self.pattern.len()).div_ceil(W) - 1
+    }
+
+    /// Advances column `c` to `c + 1` over the band's blocks below
+    /// `limit` and returns the number of blocks advanced. A block that
+    /// enters the band has not been advanced since column `w`, so it still
+    /// holds that column's `+1` per row: the deletion chain from the block
+    /// above. With `hs`, block `b`'s pre-shift `Ph` and `Mh` words (its
+    /// horizontal deltas) are handed to `hs(b, ph, mh)`.
+    #[inline]
+    fn advance(
+        &self,
+        c: usize,
+        pv: &mut [u64],
+        mv: &mut [u64],
+        limit: usize,
+        mut hs: Option<&mut dyn FnMut(usize, u64, u64)>,
+    ) -> usize {
+        let next = self.last_block(c + 1).min(limit - 1);
+        let eqs = &self.peq[self.text[c] as usize * self.blocks..][..=next];
+        let mut hin = 0i32;
+        for (b, &eq) in eqs.iter().enumerate() {
+            let (ph, mh, hout) = advance_block(&mut pv[b], &mut mv[b], eq, hin);
+            if let Some(hs) = hs.as_deref_mut() {
+                hs(b, ph, mh);
+            }
+            hin = hout;
+        }
+        next + 1
+    }
+
+    /// The start Sellers' traceback reaches from `(|p|, e)` for each end
+    /// `e` of the window's group, in the group's order.
+    fn starts(&self, ends: &[usize], words: &mut u64) -> Vec<usize> {
+        let (n, stride) = (self.pattern.len(), self.stride);
+        // Cursors `(row, column)`; a finished one has row 0 or sits on
+        // column `w`, and its column is then the start.
+        let mut cursors: Vec<(usize, usize)> = ends.iter().map(|&e| (n, e)).collect();
+        let (mut seg, mut pv, mut mv) =
+            (Vec::new(), vec![0u64; self.blocks], vec![0u64; self.blocks]);
+        let mut a = self.w + (self.hi - self.w).saturating_sub(1) / stride * stride;
+        loop {
+            let live = || cursors.iter().zip(ends).filter(|((i, c), _)| *i > 0 && *c > a);
+            if live().next().is_some() {
+                // Rows the live cursors can still read left of their
+                // column: none below their band (row i − 1 included), none
+                // above where they stand.
+                let hi_row = live().map(|((i, _), _)| *i).max().expect("a live cursor");
+                let lo_row = live()
+                    .map(|(_, &e)| (n + a + 1).saturating_sub(e + self.d_star).max(2) - 1)
+                    .min()
+                    .expect("a live cursor");
+                let (first, last) = ((lo_row - 1) / W, (hi_row - 1) / W);
+                let width = last + 1 - first;
+                let b = (a + stride).min(self.hi);
+                let cp = (a - self.w) / stride * 2 * self.blocks;
+                pv.copy_from_slice(&self.checkpoints[cp..cp + self.blocks]);
+                mv.copy_from_slice(&self.checkpoints[cp + self.blocks..cp + 2 * self.blocks]);
+                seg.clear();
+                seg.resize((b - a) * 4 * width, 0);
+                for (k, col) in seg.chunks_exact_mut(4 * width).enumerate() {
+                    let (pm, hs) = col.split_at_mut(2 * width);
+                    let mut keep = |blk: usize, ph: u64, mh: u64| {
+                        if (first..=last).contains(&blk) {
+                            hs[blk - first] = ph;
+                            hs[width + blk - first] = mh;
+                        }
+                    };
+                    *words +=
+                        self.advance(a + k, &mut pv, &mut mv, last + 1, Some(&mut keep)) as u64;
+                    let band = first..=last.min(self.last_block(a + k + 1));
+                    pm[..band.clone().count()].copy_from_slice(&pv[band.clone()]);
+                    pm[width..width + band.clone().count()].copy_from_slice(&mv[band]);
+                }
+                for cursor in cursors.iter_mut().filter(|(i, c)| *i > 0 && *c > a) {
+                    self.walk(cursor, a, first, width, &seg);
+                }
+            }
+            if a == self.w {
+                break;
+            }
+            a -= stride;
+        }
+        cursors.into_iter().map(|(_, c)| c).collect()
+    }
+
+    /// Follows Sellers' traceback from `cursor` while it stays in the
+    /// stride of columns `a + 1..` held by `seg` (`width` blocks from
+    /// `first` on), choosing, as `final_row` does, the diagonal, then the
+    /// deletion (up), then the insertion (left): the first predecessor
+    /// whose score plus its step cost equals the cell's. The deltas decide
+    /// that without the scores: with `dv` and `dh` the cell's vertical and
+    /// horizontal deltas, the diagonal is tight when its substitution cost
+    /// equals `dv` plus the horizontal delta of the row above, the
+    /// deletion when `dv = +1`, and otherwise the insertion (`dh = +1`).
+    fn walk(&self, cursor: &mut (usize, usize), a: usize, first: usize, width: usize, seg: &[u64]) {
+        let (mut i, mut c) = *cursor;
+        while i > 0 && c > a {
+            let col = &seg[(c - a - 1) * 4 * width..(c - a) * 4 * width];
+            let (pv, rest) = col.split_at(width);
+            let (mv, rest) = rest.split_at(width);
+            let (ph, mh) = rest.split_at(width);
+            let dv = delta(pv, mv, first, i);
+            let dh_above = if i > 1 { delta(ph, mh, first, i - 1) } else { 0 };
+            let cost = i32::from(self.pattern[i - 1] != self.text[c - 1]);
+            if cost == dv + dh_above {
+                i -= 1;
+                c -= 1;
+            } else if dv == 1 {
+                i -= 1;
+            } else {
+                debug_assert_eq!(delta(ph, mh, first, i), 1, "no tight predecessor at ({i}, {c})");
+                c -= 1;
+            }
+        }
+        *cursor = (i, c);
+    }
 }
 
 #[cfg(test)]
@@ -462,6 +722,42 @@ mod tests {
         );
         assert!(bounded_myers_substring_distance(b"abc", b"", 2).is_none());
         assert!(bounded_myers_substring_distance(b"abc", b"", 3).is_some());
+    }
+
+    /// Recovery advances at most two DP words per block and text column:
+    /// one forward pass with checkpoints, one recomputation while walking
+    /// back.
+    fn assert_recovery_linear(p: &[u8], t: &[u8], k: usize) -> SubstringMatch {
+        let mut words = 0;
+        let m = bounded_myers_substring_distance_metered(p, t, k, &mut words).expect("within k");
+        let bound = 2 * p.len().div_ceil(W) * t.len();
+        assert!(words <= bound as u64, "{words} DP words > {bound} for |p| = {}", p.len());
+        m
+    }
+
+    #[test]
+    fn recovery_words_stay_linear_on_escaped_comments() {
+        // A magic-quoted comment body: the span is the whole escaped copy,
+        // one inserted backslash per apostrophe.
+        let unit = "it's the author's dog's bone, isn't it? ";
+        for len in [1024, 4096, 16384] {
+            let body: String = unit.chars().cycle().take(len).collect();
+            let query = format!("INSERT INTO c VALUES ('{}')", body.replace('\'', "\\'"));
+            let quotes = body.matches('\'').count();
+            let m = assert_recovery_linear(body.as_bytes(), query.as_bytes(), len / 4);
+            assert_eq!((m.start, m.end, m.distance), (23, query.len() - 2, quotes), "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn recovery_words_stay_linear_with_many_candidate_ends() {
+        // `a^200` against `(a^199 b)^20`: every end inside the text scores
+        // 1, so nearly every column is a candidate end.
+        let p = vec![b'a'; 200];
+        let t: Vec<u8> = (0..20).flat_map(|_| [&[b'a'; 199][..], b"b"].concat()).collect();
+        let m = assert_recovery_linear(&p, &t, 50);
+        assert_eq!(m, substring_distance(&p, &t));
+        assert_eq!(m.distance, 1);
     }
 
     #[test]

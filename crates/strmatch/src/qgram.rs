@@ -122,18 +122,29 @@ impl<'t, 'b> QgramProfile<'t, 'b> {
     }
 
     /// Whether [`lower_bound`](Self::lower_bound) of `pattern` exceeds
-    /// `cutoff`. The bound counts missing grams, and a pattern has only
-    /// `|p| − q + 1` of them, so it never exceeds `⌈(|p| − q + 1)/q⌉`.
-    /// When that ceiling is within `cutoff` the answer is `false` without
-    /// building the profile or merging any grams: at NTI's `q = 3` and
-    /// threshold 0.2, every input of up to 11 bytes.
+    /// `cutoff`. When [`bound_ceiling`] is within `cutoff` the answer is
+    /// `false` without building the profile or merging any grams.
     pub fn exceeds(&mut self, pattern: &[u8], cutoff: usize) -> bool {
-        let q = self.q;
-        let ceiling = match pattern.len().checked_sub(q) {
-            Some(rest) if q > 0 => (rest + 1).div_ceil(q),
-            _ => 0,
-        };
-        ceiling > cutoff && self.lower_bound(pattern) > cutoff
+        bound_ceiling(pattern.len(), self.q) > cutoff && self.lower_bound(pattern) > cutoff
+    }
+}
+
+/// The largest value [`lower_bound`] can return for a pattern of
+/// `pattern_len` bytes: the bound counts missing grams, and a pattern has
+/// only `|p| − q + 1` of them, so it never exceeds `⌈(|p| − q + 1)/q⌉`.
+///
+/// # Examples
+///
+/// ```
+/// use joza_strmatch::qgram::bound_ceiling;
+///
+/// assert_eq!(bound_ceiling(11, 3), 3);
+/// assert_eq!(bound_ceiling(2, 3), 0);
+/// ```
+pub fn bound_ceiling(pattern_len: usize, q: usize) -> usize {
+    match pattern_len.checked_sub(q) {
+        Some(rest) if q > 0 => (rest + 1).div_ceil(q),
+        _ => 0,
     }
 }
 

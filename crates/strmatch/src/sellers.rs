@@ -121,10 +121,9 @@ pub fn substring_distance(pattern: &[u8], text: &[u8]) -> SubstringMatch {
 /// (`start[j]`, following the diagonal-then-deletion-then-insertion tie
 /// break that keeps spans tight-but-leftmost).
 ///
-/// `pattern` must be non-empty. Shared by the classic kernel (which scans
-/// the whole row) and the bit-parallel kernel (which runs it only over
-/// the small winning window to recover exact spans).
-pub(crate) fn final_row(pattern: &[u8], text: &[u8]) -> (Vec<usize>, Vec<usize>) {
+/// `pattern` must be non-empty. The bit-parallel kernel's span recovery
+/// (`myers.rs`) walks the same tie-break backward over its bit-vectors.
+fn final_row(pattern: &[u8], text: &[u8]) -> (Vec<usize>, Vec<usize>) {
     let m = text.len();
     // dist[j]: min edit distance of pattern vs some substring of text
     // ending at j. start[j]: where that substring begins.

@@ -50,7 +50,14 @@ cargo test -q --test concurrency -- --test-threads=4
 # cutoff; and thresholds of 1.0 and above must neither overflow nor skip
 # an input as long as the query. The `myers` and `kernels` filters also
 # pick up the single-word Myers edge cases (|p| = 1, 63, 64, 65) and the
-# prefilter-on/off report identity.
+# prefilter-on/off report identity. `nti_kernel_identity` also covers
+# 6-16 byte names absent from 1-8 KB comment queries or planted near the
+# distance cutoff (one edit inside, at, one past), and apostrophe-dense
+# comments up to 8 KB under magic quotes, where the bit-parallel span
+# recovery walks the whole body; the derived cutoff must equal the
+# largest distance the ratio filter passes; and the length check, the
+# verbatim search, the piece filter and the q-gram check together must
+# keep every marking the alignment alone gives.
 echo "==> differential kernel tests (strmatch myers + swar + qgram, nti kernel, lexer equivalence, fingerprint invariants, installer vocabulary)"
 cargo test -q -p joza-strmatch myers
 cargo test -q -p joza-strmatch --test proptests myers
@@ -59,6 +66,8 @@ cargo test -q -p joza-strmatch swar
 cargo test -q -p joza-strmatch --test proptests swar
 cargo test -q -p joza-strmatch --test proptests to_lower
 cargo test -q -p joza-nti --test proptests kernels
+cargo test -q -p joza-nti --test proptests distance_cutoff
+cargo test -q -p joza-nti --test proptests filters_never_drop_a_marking
 cargo test -q -p joza-sqlparse --test proptests lex_into
 cargo test -q -p joza-sqlparse --test proptests has_known_token
 cargo test -q -p joza-phpsim --lib fragments::tests::reference_
@@ -153,7 +162,7 @@ cargo test -q --test pipeline_equivalence
 # verdict identical to a cache-less engine's. The PHP front end and the
 # fragment extractor never panic on source dense in quotes, backslashes,
 # `$`, braces, `%`, `:` and multi-byte characters.
-echo "==> robustness (bounded caches and symbols, daemon kill, eviction soundness, phpsim and sqlparse fuzz, nesting, stale routes)"
+echo "==> robustness (bounded caches and symbols, daemon kill, eviction soundness, phpsim and sqlparse fuzz, nesting, stale routes, NTI work counts)"
 cargo test -q --test bounded_cache
 cargo test -q --test bounded_symbols
 cargo test -q -p joza-sqlparse --test proptests fuzz_
@@ -178,6 +187,13 @@ cargo test -q -p joza-webapp --lib stale_route_code
 # wildcard-dense search is served through the gate.
 cargo test -q -p joza-db --lib like
 cargo test -q --test false_positives wildcard_dense_search
+# NTI stays linear on long benign comments, pinned by counts, not
+# timers: span recovery advances at most 2·⌈|p|/64⌉·|q| DP words (an
+# escaped 16 KB comment, and a pair with a candidate end in nearly every
+# column), and the piece filter skips exactly the comment-post scans
+# whose author is absent from the query.
+cargo test -q -p joza-strmatch --lib recovery_words
+cargo test -q --test nti_kernel_identity piece_filter_skips
 
 # Engine equivalence, explicitly: the bytecode VM and the tree-walking
 # interpreter must produce bit-identical responses (body, queries,

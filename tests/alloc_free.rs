@@ -162,3 +162,27 @@ fn warm_batch_amortizes_to_constant_allocations() {
     // per query: well under one allocation per check.
     assert!(delta < 8, "64-query warm batch allocated {delta} times");
 }
+
+#[test]
+fn dirty_cell_lookups_are_allocation_free() {
+    // Second-order capture asks once per origin of every fetched result
+    // column; with every wildcard form deployed, no lookup allocates.
+    let j = Joza::builder()
+        .fragments(["SELECT 1"])
+        .dirty_cells([("wp_comments", "comment_content"), ("wp_users", "*"), ("*", "meta_value")])
+        .build();
+    let session = j.session_for("items");
+    let before = allocs_on_this_thread();
+    let hits = [
+        ("wp_comments", "comment_content"),
+        ("WP_Comments", "Comment_Content"),
+        ("wp_users", "user_login"),
+        ("wp_postmeta", "meta_value"),
+        ("wp_posts", "post_title"),
+    ]
+    .into_iter()
+    .filter(|(t, c)| session.is_dirty_cell(t, c))
+    .count();
+    assert_eq!(allocs_on_this_thread() - before, 0, "a dirty-cell lookup allocated");
+    assert_eq!(hits, 4);
+}

@@ -1,7 +1,7 @@
 //! The two NTI matching kernels must produce identical full reports
 //! (markings, spans, distances, tainted criticals): BitParallel
 //! (Myers/Hyyrö, verbatim-first) is a pure optimization of Classic
-//! (Sellers). Checked on two workloads:
+//! (Sellers). Checked on these workloads:
 //!
 //! * every lab plugin and CMS case served ungated with its exploit and
 //!   its benign request — the (inputs, query) pairs the gate really sees;
@@ -11,7 +11,11 @@
 //! * the comment posts of the benchmark's gate-dynamic workload: a
 //!   quote-free 1-4 KB body found verbatim in every query of the
 //!   post-comment route, and a 9-byte author that the duplicate check's
-//!   query lacks.
+//!   query lacks;
+//! * 6-16 byte names in 1-8 KB comment queries: absent, and planted one
+//!   edit inside, at and one edit past NTI's distance cutoff;
+//! * apostrophe-dense comment bodies up to 8 KB escaped by magic quotes,
+//!   where span recovery runs over the whole body.
 
 use joza_lab::build_lab;
 use joza_lab::verify::request_for;
@@ -156,8 +160,112 @@ fn kernels_agree_on_gate_dynamic_comment_posts() {
             r.markings
         );
         assert_eq!(r.markings.iter().any(|m| m.input_index == 1), query.contains(author));
-        // The post id is too short to compare; the author's q-gram bound
-        // cannot prune it, so it is compared even where it is absent.
-        assert_eq!((r.comparisons_run, r.comparisons_skipped), (2, 0));
+        // The post id is too short to compare. The author's three pieces
+        // (cutoff 2) occur nowhere in the duplicate check's query, so the
+        // piece filter skips it there; where it is present it is compared.
+        let present = usize::from(query.contains(author));
+        assert_eq!((r.comparisons_run, r.comparisons_skipped), (1 + present, 1 - present));
+    }
+}
+
+/// The piece filter's count over the comment-post pairs: it skips the
+/// author's scan in exactly the queries that lack the author, and never
+/// the body's.
+#[test]
+fn piece_filter_skips_absent_authors_on_comment_posts() {
+    let pairs = comment_post_pairs();
+    let absent = pairs.iter().filter(|(inputs, q)| !q.contains(inputs[1].as_str())).count();
+    assert_eq!(absent, 3, "one duplicate check per body size lacks the author");
+    for kernel in [MatchKernel::Classic, MatchKernel::BitParallel] {
+        let nti = NtiAnalyzer::new(NtiConfig { kernel, ..NtiConfig::default() });
+        let (mut run, mut skipped) = (0, 0);
+        for (inputs, query) in &pairs {
+            let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
+            let r = nti.analyze(&refs, query);
+            run += r.comparisons_run;
+            skipped += r.comparisons_skipped;
+        }
+        assert_eq!((run, skipped), (2 * pairs.len() - absent, absent), "{kernel}");
+    }
+}
+
+/// A name in a comment query of `len` bytes, planted `edits` substitutions
+/// away from the input (`None`: not planted at all).
+fn name_in_comment(name: &str, edits: Option<usize>, len: usize) -> String {
+    let filler = "a nice long comment about taint inference, with words and more words ";
+    let mut body: String = filler.chars().cycle().take(len).collect();
+    if let Some(edits) = edits {
+        // Substitute `#` (in no name) for every other byte from the start.
+        let planted: String = name
+            .char_indices()
+            .map(|(i, c)| if i % 2 == 0 && i / 2 < edits { '#' } else { c })
+            .collect();
+        body.insert_str(len / 2, &planted);
+    }
+    format!(
+        "INSERT INTO wp_comments (comment_post_ID, comment_author, comment_content) \
+         VALUES (7, 'someone', '{body}')"
+    )
+}
+
+#[test]
+fn kernels_agree_on_short_names_near_the_cutoff() {
+    let t = NtiConfig::default().threshold;
+    let mut pairs = Vec::new();
+    let mut absent = 0;
+    for n in 6..=16 {
+        let name: String = "qvzkxjwpyfgbmhtd".chars().take(n).collect();
+        let k = joza_nti::distance_cutoff(t, n).expect("a positive threshold");
+        for len in [1024, 4096, 8192] {
+            pairs.push((vec![name.clone()], name_in_comment(&name, None, len)));
+            absent += 1;
+            for edits in [k.saturating_sub(1), k, k + 1] {
+                pairs.push((vec![name.clone()], name_in_comment(&name, Some(edits), len)));
+            }
+        }
+    }
+    assert_kernels_agree(&pairs);
+    // No piece of an absent name occurs in its query: the filter skips
+    // every one of those pairs (each name's pieces are at least 3 bytes
+    // at t = 0.2, except the 5-byte name's, which is not in the set).
+    let nti = NtiAnalyzer::new(NtiConfig::default());
+    let skipped: usize = pairs
+        .iter()
+        .filter(|(inputs, q)| !q.contains('#') && !q.contains(inputs[0].as_str()))
+        .map(|(inputs, q)| nti.analyze(&[inputs[0].as_str()], q).comparisons_skipped)
+        .sum();
+    assert_eq!(skipped, absent);
+}
+
+/// Apostrophe-dense comment bodies under magic quotes: every `'` reaches
+/// the query as `\'`, so the body is not there verbatim, and both the
+/// bounded scan and span recovery run over the whole body.
+#[test]
+fn kernels_agree_on_escaped_apostrophe_comments() {
+    let unit = "it's the author's dog's bone, isn't it? ";
+    let pairs: Vec<Pair> = [512usize, 2048, 8192]
+        .into_iter()
+        .map(|len| {
+            let body: String = unit.chars().cycle().take(len).collect();
+            let escaped = body.replace('\'', "\\'");
+            let query = format!(
+                "INSERT INTO wp_comments (comment_post_ID, comment_author, comment_content) \
+                 VALUES (7, 'visitor7', '{escaped}')"
+            );
+            (vec!["7".to_string(), "visitor7".to_string(), body], query)
+        })
+        .collect();
+    assert_eq!(assert_kernels_agree(&pairs), 0, "escaped comments are benign");
+    let nti = NtiAnalyzer::new(NtiConfig::default());
+    for (inputs, query) in &pairs {
+        let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
+        let r = nti.analyze(&refs, query);
+        let quotes = inputs[2].matches('\'').count();
+        let at = query.find("'it").expect("the body is embedded") + 1;
+        assert!(
+            r.markings.iter().any(|m| (m.input_index, m.start, m.distance) == (2, at, quotes)),
+            "the body must be marked at its escaped copy: {:?}",
+            r.markings
+        );
     }
 }
