@@ -1,17 +1,15 @@
 //! Criterion micro-benchmarks for the string-matching primitives the
-//! paper's §III/§VI cost analysis rests on: Levenshtein variants (NTI's
+//! paper's §III/§VI cost analysis rests on: Levenshtein distance (NTI's
 //! inner loop), Sellers semi-global substring distance vs input/query
 //! length, and the three multi-pattern fragment-matching strategies.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use joza_bench::workload::wordpress_fragments;
 use joza_strmatch::ahocorasick::AhoCorasick;
-use joza_strmatch::levenshtein::{bounded_distance, distance};
+use joza_strmatch::levenshtein::distance;
 use joza_strmatch::mru::{MruScanner, NaiveScanner};
 use joza_strmatch::myers::{bounded_myers_substring_distance, myers_substring_distance};
-use joza_strmatch::sellers::{
-    bounded_substring_distance, naive_substring_distance, substring_distance,
-};
+use joza_strmatch::sellers::{naive_substring_distance, substring_distance};
 
 fn query(len: usize) -> String {
     let mut q = String::from("SELECT ID, post_title FROM wp_posts WHERE post_status = 'publish'");
@@ -32,9 +30,6 @@ fn bench_levenshtein(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("full_matrix", n), &n, |bench, _| {
             bench.iter(|| distance(black_box(a.as_bytes()), black_box(b.as_bytes())))
         });
-        g.bench_with_input(BenchmarkId::new("bounded_cutoff4", n), &n, |bench, _| {
-            bench.iter(|| bounded_distance(black_box(a.as_bytes()), black_box(b.as_bytes()), 4))
-        });
     }
     g.finish();
 }
@@ -53,11 +48,6 @@ fn bench_sellers(c: &mut Criterion) {
         let q = query(qlen);
         g.bench_with_input(BenchmarkId::new("full", qlen), &qlen, |bench, _| {
             bench.iter(|| substring_distance(black_box(input.as_bytes()), black_box(q.as_bytes())))
-        });
-        g.bench_with_input(BenchmarkId::new("bounded", qlen), &qlen, |bench, _| {
-            bench.iter(|| {
-                bounded_substring_distance(black_box(input.as_bytes()), black_box(q.as_bytes()), 8)
-            })
         });
         g.bench_with_input(BenchmarkId::new("myers", qlen), &qlen, |bench, _| {
             bench.iter(|| {

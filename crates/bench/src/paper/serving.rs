@@ -92,8 +92,8 @@ const PASSES: usize = 3;
 /// The thread counts `pipeline` sweeps; the first is the reference.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// The fully-loaded engine: every pipeline stage assembled (query models
-/// for the model fast path, statically-proven routes for the static one).
+/// The fully-loaded engine: every stage live (query models for the model
+/// fast path, statically-proven routes for the static one).
 fn full_engine(lab: &Lab) -> Joza {
     Joza::installer(&lab.server.app, serving_config())
         .query_models(app_query_models(&lab.server.app))
@@ -233,8 +233,8 @@ fn thread_scaling(lab: &mut Lab) -> Vec<ScalingCell> {
 
 /// The staged pipeline in three parts:
 ///
-/// 1. **End-to-end serving**: checked-queries/sec with the full
-///    `CheckPipeline` live behind the PHP-simulator web server, against a
+/// 1. **End-to-end serving**: checked-queries/sec with every check stage
+///    live behind the PHP-simulator web server, against a
 ///    dynamic-only baseline. This number includes the interpreter's cost.
 /// 2. **Gate-direct replay**: the same workload's SQL stream captured
 ///    once from an unprotected run (`joza_lab::serve::capture`) and

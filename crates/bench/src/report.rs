@@ -2,21 +2,37 @@
 //! the provenance line of the claims table and the percentile and
 //! per-stage breakdown helpers the serving sections share.
 
+use std::path::Path;
 use std::time::Duration;
 
 /// The git revision of the working tree (`git rev-parse --short=12
-/// HEAD`), or `"unknown"` when git is unavailable — e.g. running from an
-/// exported source tarball.
+/// HEAD`), suffixed `-dirty` when tracked files have uncommitted changes,
+/// or `"unknown"` when git is unavailable — e.g. running from an exported
+/// source tarball.
 fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    git_rev_in(Path::new("."))
+}
+
+/// [`git_rev`] for the working tree that contains `dir`.
+fn git_rev_in(dir: &Path) -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(dir)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let Some(rev) = git(&["rev-parse", "--short=12", "HEAD"]).filter(|s| !s.is_empty()) else {
+        return "unknown".to_string();
+    };
+    let changes = git(&["status", "--porcelain", "--untracked-files=no"]);
+    if changes.is_some_and(|c| !c.is_empty()) {
+        format!("{rev}-dirty")
+    } else {
+        rev
+    }
 }
 
 /// The provenance of a run's numbers, as one line: the git revision they
@@ -153,6 +169,36 @@ mod tests {
         assert_eq!(percentile(&sorted, 0.5), Duration::from_micros(3));
         assert_eq!(percentile(&sorted, 1.0), Duration::from_micros(5));
         assert_eq!(percentile(&[], 0.99), Duration::ZERO);
+    }
+
+    #[test]
+    fn git_rev_marks_a_dirty_tree() {
+        let dir = std::env::temp_dir().join(format!("joza-git-rev-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(git_rev_in(&dir), "unknown", "not a repository");
+        if std::process::Command::new("git").arg("--version").output().is_err() {
+            return; // no git on this host: only the fallback is testable
+        }
+        let git = |args: &[&str]| {
+            let ok = std::process::Command::new("git")
+                .args(["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"])
+                .args(args)
+                .current_dir(&dir)
+                .output()
+                .is_ok_and(|o| o.status.success());
+            assert!(ok, "git {args:?}");
+        };
+        git(&["init", "-q"]);
+        std::fs::write(dir.join("f"), "a").unwrap();
+        git(&["add", "f"]);
+        git(&["commit", "-q", "-m", "c"]);
+        let clean = git_rev_in(&dir);
+        assert_eq!(clean.len(), 12, "{clean}");
+        std::fs::write(dir.join("untracked"), "x").unwrap();
+        assert_eq!(git_rev_in(&dir), clean, "untracked files leave the tree clean");
+        std::fs::write(dir.join("f"), "b").unwrap();
+        assert_eq!(git_rev_in(&dir), format!("{clean}-dirty"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

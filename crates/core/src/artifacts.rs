@@ -1,12 +1,10 @@
-//! Parse-once query artifacts shared by every pipeline stage.
+//! Parse-once query artifacts shared by every check stage.
 //!
-//! Before the pipeline refactor each detection path re-derived what it
-//! needed from the raw query string: the model fast path re-lexed to render
-//! a skeleton, NTI re-lexed for critical tokens and re-folded the bytes,
-//! PTI re-lexed inside the analyzer and re-fingerprinted for the structure
-//! cache. [`QueryArtifacts`] computes each derived form **once**, on first
-//! demand, and hands out shared references for the rest of the check; a
-//! stage that never runs never pays for the artifacts it alone would need.
+//! [`QueryArtifacts`] computes each derived form of the checked query —
+//! token stream, skeleton, fingerprint, folded bytes, critical tokens —
+//! **once**, on first demand, and hands out shared references for the
+//! rest of the check; a stage that never runs never pays for the
+//! artifacts it alone would need.
 //!
 //! The struct lives on the stack of one `check` call and borrows the query
 //! text, so its lifetime — and the cache's — is exactly one checked query.
@@ -125,22 +123,18 @@ impl<'q> QueryArtifacts<'q> {
         })
     }
 
-    /// The query bytes in NTI's match normalization: case-folded when
-    /// `normalize` is set, the raw bytes otherwise.
-    ///
-    /// The flag is fixed per engine (it comes from the one `NtiConfig`),
-    /// so the first call's choice is cached for the whole check.
-    pub fn normalized(&self, normalize: bool) -> &[u8] {
+    /// The query bytes in NTI's match normalization: ASCII case-folded.
+    pub fn normalized(&self) -> &[u8] {
         let folded = self.folded.get_or_init(|| {
             let bytes = self.query.as_bytes();
             match swar::first_ascii_upper(bytes) {
-                Some(first) if normalize => {
+                Some(first) => {
                     let mut buf = self.arena.map_or_else(Lease::detached, |a| a.folded.lease());
                     buf.extend_from_slice(&bytes[..first]);
                     joza_strmatch::normalize::to_lower_into(&bytes[first..], &mut buf);
                     Folded::Owned(buf)
                 }
-                _ => Folded::Borrowed(bytes),
+                None => Folded::Borrowed(bytes),
             }
         });
         match folded {
@@ -181,7 +175,7 @@ mod tests {
         assert_eq!(a.tokens(), lex(q).as_slice());
         assert_eq!(a.skeleton(), raw_skeleton_syms(q, &symbols).as_slice());
         assert_eq!(a.fingerprint(), fingerprint(q));
-        assert_eq!(a.normalized(true), to_lower(q.as_bytes()).as_ref());
+        assert_eq!(a.normalized(), to_lower(q.as_bytes()).as_ref());
         let policy = CriticalPolicy::default();
         assert_eq!(a.criticals(&policy), critical_tokens(q, &lex(q), &policy).as_slice());
     }
@@ -194,10 +188,9 @@ mod tests {
         let t1 = a.tokens().len();
         assert_eq!(a.fingerprint(), fp1);
         assert_eq!(a.tokens().len(), t1);
-        // The unnormalized variant sticks after the first call.
         let b = QueryArtifacts::new("SELECT A", &symbols);
-        assert_eq!(b.normalized(false), b"SELECT A");
-        assert_eq!(b.normalized(true), b"SELECT A");
+        assert_eq!(b.normalized(), b"select a");
+        assert_eq!(b.normalized(), b"select a");
     }
 
     #[test]
@@ -217,7 +210,7 @@ mod tests {
             assert_eq!(arenad.tokens(), heap.tokens(), "{q}");
             assert_eq!(arenad.skeleton(), heap.skeleton(), "{q}");
             assert_eq!(arenad.fingerprint(), heap.fingerprint(), "{q}");
-            assert_eq!(arenad.normalized(true), heap.normalized(true), "{q}");
+            assert_eq!(arenad.normalized(), heap.normalized(), "{q}");
             assert_eq!(arenad.criticals(&policy), heap.criticals(&policy), "{q}");
         }
     }
@@ -231,7 +224,7 @@ mod tests {
         {
             let a = QueryArtifacts::new_in(q, &arena, &symbols);
             let _ = a.fingerprint();
-            let _ = a.normalized(true);
+            let _ = a.normalized();
             let _ = a.criticals(&CriticalPolicy::default());
         }
         for (name, cap) in [

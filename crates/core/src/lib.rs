@@ -14,15 +14,17 @@
 //!   application happens to contain) appear near-verbatim in the query and
 //!   get caught by NTI.
 //!
-//! # The check pipeline
+//! # The check stages
 //!
-//! Every check drives one fixed [`pipeline`] of stages — static fast path,
-//! model fast path, NTI, PTI, structural anomaly — assembled at build time
-//! from the [`JozaConfig`]. Derived query forms (token stream, skeleton,
-//! fingerprint, folded bytes) are computed **once** per checked query in a
-//! [`QueryArtifacts`] cache shared by all stages, and every [`Verdict`]
-//! carries a per-stage [`StageTrace`] recording which stages ran,
-//! short-circuited, or fired. See `DESIGN.md` §9.
+//! Every check runs the five [`pipeline`] stages in order — static fast
+//! path, model fast path, NTI, PTI, structural anomaly — skipping those
+//! the [`JozaConfig`] disables or the deployment lacks. Derived query
+//! forms (token stream, skeleton, fingerprint, folded bytes) are computed
+//! **once** per checked query in a [`QueryArtifacts`] cache shared by all
+//! stages. Each stage writes its outcome into the check's [`StageTrace`],
+//! the one record of what the check found: a [`Verdict`] is that trace,
+//! its answers (safe, detector, anomaly, path) are read from it, and so
+//! is every [`JozaStats`] counter. See `DESIGN.md` §9.
 //!
 //! The API surface is one session type:
 //!
@@ -41,8 +43,8 @@
 //! The engine is **lock-sharded** (see `DESIGN.md` §6, §11). The
 //! read-mostly side — fragment store, compiled matchers, NTI analyzer,
 //! config — is shared and consulted through `&self` with no lock. The
-//! route-keyed knowledge (query models, taint-free whitelist, assembled
-//! pipeline) lives in an RCU-style *deployment*: an immutable release
+//! route-keyed knowledge (query models, taint-free whitelist, dirty
+//! cells) lives in an RCU-style *deployment*: an immutable release
 //! behind an `RwLock<Arc<_>>` that [`Joza::deploy`] swaps atomically;
 //! sessions pin the release current when they were opened, so a request
 //! is served end-to-end by one consistent model generation. PTI daemon
@@ -92,7 +94,7 @@ pub use joza_sqlparse::template::{QueryModelIndex, RouteModel};
 use joza_webapp::app::WebApp;
 use joza_webapp::gate::{GateDecision, GateFactory, GateSession, RawInput};
 use parking_lot::{Mutex, RwLock};
-use pipeline::{CheckCx, CheckPipeline};
+use pipeline::CheckCx;
 use stats::StatsCell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -184,43 +186,46 @@ pub enum CheckPath {
 /// The verdict for one query.
 ///
 /// Opaque by design: construct via [`Joza::check_query`], read via the
-/// accessors. `#[non_exhaustive]` keeps room to attach evidence (edit
-/// distances, uncovered tokens) without breaking downstream matches.
+/// accessors. Every answer is read off the verdict's [`StageTrace`], the
+/// one record of what the check found. `#[non_exhaustive]` keeps room to
+/// attach evidence (edit distances, uncovered tokens) without breaking
+/// downstream matches.
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq)]
 pub struct Verdict {
-    safe: bool,
-    detected_by: Option<Detector>,
-    nti_attack: Option<bool>,
-    pti_attack: Option<bool>,
     trace: StageTrace,
-    structural_anomaly: bool,
 }
 
 impl Verdict {
-    /// Whether the query may proceed to the DBMS.
+    /// Whether the query may proceed to the DBMS: neither detector
+    /// flagged it.
     pub fn is_safe(&self) -> bool {
-        self.safe
+        self.detector().is_none()
     }
 
     /// Which component(s) detected the attack (`None` when safe).
     pub fn detector(&self) -> Option<Detector> {
-        self.detected_by
+        match (self.nti_attack(), self.pti_attack()) {
+            (Some(true), Some(true)) => Some(Detector::Both),
+            (Some(true), _) => Some(Detector::Nti),
+            (_, Some(true)) => Some(Detector::Pti),
+            _ => None,
+        }
     }
 
     /// NTI's raw verdict (`None` when NTI is disabled or a fast path
     /// skipped it).
     pub fn nti_attack(&self) -> Option<bool> {
-        self.nti_attack
+        self.trace.fired(StageId::Nti)
     }
 
     /// PTI's raw verdict (`None` when PTI is disabled or a fast path
     /// skipped it).
     pub fn pti_attack(&self) -> Option<bool> {
-        self.pti_attack
+        self.trace.fired(StageId::Pti)
     }
 
-    /// Summary of how the verdict was reached, derived from the trace.
+    /// Summary of how the verdict was reached.
     pub fn path(&self) -> CheckPath {
         if self.trace.status(StageId::ModelFastPath) == StageStatus::ShortCircuited {
             CheckPath::ModelFastPath
@@ -231,8 +236,8 @@ impl Verdict {
         }
     }
 
-    /// The per-stage provenance trace: what every pipeline stage did for
-    /// this query.
+    /// The per-stage provenance trace: what every stage did for this
+    /// query.
     pub fn trace(&self) -> &StageTrace {
         &self.trace
     }
@@ -243,29 +248,31 @@ impl Verdict {
     /// its own: model completeness is an analysis judgement, not a
     /// ground truth.
     pub fn structural_anomaly(&self) -> bool {
-        self.structural_anomaly
+        self.trace.status(StageId::Structural) == StageStatus::Fired
     }
 }
 
 /// Cumulative engine statistics.
 ///
-/// The three path counters partition the checks:
-/// `model_fast_hits + static_hits + full_checks == queries` holds by
-/// construction — each check contributes `queries += 1` and exactly one
-/// path counter to the *same* locally-accumulated delta (derived from
-/// the verdict's stage trace in one place), and deltas are flushed into
-/// per-worker atomic cells counter-by-counter. The invariant is exact at
-/// every quiescent point (after joins/barriers); see the `stats` module
-/// docs for the mid-flight caveat.
+/// Every counter is read from the checks' stage traces. The engine
+/// keeps `queries`, `attacks`, the two route-miss counters and the three
+/// per-stage arrays; the other counters are views of them: a detection,
+/// fast-path hit or anomaly count is its stage's `stage_hits` entry, and
+/// `full_checks` is `queries` minus the two fast-path hits, so the three
+/// path counters partition the checks
+/// (`model_fast_hits + static_hits + full_checks == queries`) by
+/// construction. Snapshots are exact at every quiescent point (after
+/// joins/barriers); see the `stats` module docs for a snapshot that
+/// races a flush.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JozaStats {
     /// Queries checked.
     pub queries: u64,
-    /// Attacks reported.
+    /// Attacks reported (a query both detectors flag is one attack).
     pub attacks: u64,
-    /// Queries NTI flagged.
+    /// Queries NTI flagged: the `stage_hits[StageId::Nti]` entry.
     pub nti_detections: u64,
-    /// Queries PTI flagged.
+    /// Queries PTI flagged: the `stage_hits[StageId::Pti]` entry.
     pub pti_detections: u64,
     /// Wall-clock time spent in the NTI stage: the
     /// `stage_ns[StageId::Nti]` entry as a [`Duration`].
@@ -274,14 +281,18 @@ pub struct JozaStats {
     /// shard-lock acquisition included): the `stage_ns[StageId::Pti]`
     /// entry as a [`Duration`].
     pub pti_time: Duration,
-    /// Queries answered by the static-model fast path (NTI/PTI skipped).
+    /// Queries answered by the static-model fast path (NTI/PTI skipped):
+    /// the `stage_hits[StageId::ModelFastPath]` entry.
     pub model_fast_hits: u64,
     /// Queries answered by the static-analysis fast path (route proven
-    /// taint-free; every detection stage skipped).
+    /// taint-free; every detection stage skipped): the
+    /// `stage_hits[StageId::StaticFastPath]` entry.
     pub static_hits: u64,
-    /// Queries that ran the full dynamic pipeline.
+    /// Queries that ran the dynamic stages: `queries` minus the two
+    /// fast-path hits.
     pub full_checks: u64,
-    /// Queries that fell outside a complete static query model.
+    /// Queries that fell outside a complete static query model: the
+    /// `stage_hits[StageId::Structural]` entry.
     pub model_anomalies: u64,
     /// Route-scoped checks ([`Joza::check_query_on_route`]) whose route
     /// was unknown to the engine's route-keyed knowledge — neither in the
@@ -307,7 +318,8 @@ pub struct JozaStats {
     /// structural signal).
     pub stage_hits: [u64; STAGE_COUNT],
     /// Per-stage cumulative wall-clock nanoseconds, indexed by
-    /// [`StageId::index`].
+    /// [`StageId::index`]. Only checks the stage ran for are timed, so
+    /// `stage_ns[i] / stage_runs[i]` is the stage's mean cost per run.
     pub stage_ns: [u64; STAGE_COUNT],
 }
 
@@ -339,7 +351,8 @@ impl JozaStats {
     /// # Panics
     ///
     /// May panic if `before` is not an earlier snapshot (a counter would
-    /// go negative).
+    /// go negative), or if `self` raced a flush: such a snapshot can read
+    /// `full_checks` one low (see the `stats` module docs).
     pub fn since(&self, before: &JozaStats) -> JozaStats {
         JozaStats {
             queries: self.queries - before.queries,
@@ -362,9 +375,9 @@ impl JozaStats {
 }
 
 /// One immutable release of the engine's route-keyed knowledge: the
-/// static query-model index, the taint-free whitelist, and the check
-/// pipeline assembled for exactly that pair (plus the engine's detector
-/// config). [`Joza::deploy`] swaps releases atomically, RCU-style:
+/// static query-model index, the taint-free whitelist, the dirty-cell set
+/// and the symbol snapshot they render against. [`Joza::deploy`] swaps
+/// releases atomically, RCU-style:
 /// readers clone an `Arc` and never block a writer for longer than the
 /// pointer swap; an old release is freed when the last session pinning
 /// it drops.
@@ -386,10 +399,20 @@ pub(crate) struct Deployment {
     /// give renderings it lacks check-local ids: serving traffic never
     /// grows the process table.
     symbols: Arc<Symbols>,
-    checks: CheckPipeline,
 }
 
 impl Deployment {
+    /// A release of these route tables, stamped `generation`. The symbol
+    /// snapshot is taken here, after the models compiled.
+    fn new(
+        generation: u64,
+        models: Option<Arc<QueryModelIndex>>,
+        taint_free: Option<Arc<BTreeSet<String>>>,
+        dirty_cells: Option<Arc<DirtyCells>>,
+    ) -> Self {
+        Deployment { generation, models, taint_free, dirty_cells, symbols: symbol::snapshot() }
+    }
+
     fn model_for(&self, route: &str) -> Option<Arc<RouteModel>> {
         self.models.as_deref().and_then(|m| m.get_arc(route))
     }
@@ -546,8 +569,7 @@ fn validate_model_routes(
 }
 
 /// Gives each OS thread that calls into Joza a stable worker index.
-/// Sequential assignment keeps ids dense: the main thread is worker 0
-/// (single-threaded behaviour is identical to the pre-sharded engine) and
+/// Sequential assignment keeps ids dense: the main thread is worker 0 and
 /// any batch of up to `shards` worker threads gets distinct shards.
 fn worker_index(shards: usize) -> usize {
     static NEXT_WORKER: AtomicUsize = AtomicUsize::new(0);
@@ -559,10 +581,10 @@ fn worker_index(shards: usize) -> usize {
 
 /// The Joza engine — shareable across worker threads by reference.
 ///
-/// The fragment store, NTI analyzer, configuration, query models and the
-/// assembled [`pipeline`] form the read-only side (no lock); PTI daemon
-/// clients and statistics are sharded per-worker (see the crate docs),
-/// with safe-query knowledge shared through one PTI query cache.
+/// The fragment store, NTI analyzer, configuration and query models form
+/// the read-only side (no lock); PTI daemon clients and statistics are
+/// sharded per-worker (see the crate docs), with safe-query knowledge
+/// shared through one PTI query cache.
 pub struct Joza {
     pub(crate) config: JozaConfig,
     pub(crate) nti: NtiAnalyzer,
@@ -594,7 +616,6 @@ impl std::fmt::Debug for Joza {
             .field("fragments", &self.fragment_count)
             .field("shards", &self.shards.len())
             .field("generation", &dep.generation)
-            .field("pipeline", &dep.checks)
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
@@ -723,8 +744,8 @@ impl Joza {
         &self.stats_cells[worker_index(self.stats_cells.len())]
     }
 
-    /// The current deployment (owned handle): route-keyed knowledge plus
-    /// the pipeline assembled for it.
+    /// The current deployment (owned handle): the route-keyed knowledge
+    /// checks are served by.
     pub(crate) fn deployment(&self) -> Arc<Deployment> {
         Arc::clone(&self.deployment.read())
     }
@@ -736,12 +757,11 @@ impl Joza {
     }
 
     /// Atomically replaces the deployed route knowledge (RCU-style):
-    /// validates the update, assembles the pipeline for it, and swaps it
-    /// in under live traffic. In-flight sessions finish on the release
-    /// they pinned; sessions opened after the swap (and engine-level
-    /// `check_query*` calls) see the new one. Returns the new release's
-    /// generation, which every verdict served by it carries in its
-    /// [`StageTrace::generation`].
+    /// validates the update and swaps it in under live traffic. In-flight
+    /// sessions finish on the release they pinned; sessions opened after
+    /// the swap (and engine-level `check_query*` calls) see the new one.
+    /// Returns the new release's generation, which every verdict served
+    /// by it carries in its [`StageTrace::generation`].
     ///
     /// # Errors
     ///
@@ -766,25 +786,12 @@ impl Joza {
             (None, false) => current.dirty_cells.clone(),
         };
         validate_model_routes(models.as_deref(), self.known_routes.as_ref())?;
-        let checks = CheckPipeline::assemble(
-            taint_free.is_some(),
-            models.is_some(),
-            self.config.disable_nti,
-            self.config.disable_pti,
-        );
         // Generation is minted inside the write lock so the installed
         // sequence is strictly increasing even under racing deploys —
         // that is what makes trace stamps monotone for every observer.
         let mut slot = self.deployment.write();
         let generation = self.next_generation.fetch_add(1, Ordering::Relaxed) + 1;
-        *slot = Arc::new(Deployment {
-            generation,
-            models,
-            taint_free,
-            dirty_cells,
-            symbols: symbol::snapshot(),
-            checks,
-        });
+        *slot = Arc::new(Deployment::new(generation, models, taint_free, dirty_cells));
         Ok(generation)
     }
 
@@ -833,9 +840,9 @@ impl Joza {
     }
 
     /// The one check core: every session, gate and batch check funnels
-    /// here and drives the deployment's assembled pipeline.
-    /// Statistics are accumulated into `stats` (a plain local delta) so
-    /// batch callers can merge many checks and flush once.
+    /// here and runs the five stages in [`StageId`] order. Statistics
+    /// are accumulated into `stats` (a plain local delta) so batch
+    /// callers can merge many checks and flush once.
     pub(crate) fn check_in(
         &self,
         dep: &Deployment,
@@ -878,50 +885,50 @@ impl Joza {
                 inputs,
                 artifacts: &artifacts,
                 arena: check_arena,
-                nti_attack: None,
-                pti_attack: None,
-                structural_anomaly: false,
                 trace: StageTrace::for_generation(dep.generation),
                 stage_ns: [0; STAGE_COUNT],
             };
-            dep.checks.run(self, &mut cx);
-
-            let detected_by = match (cx.nti_attack, cx.pti_attack) {
-                (Some(true), Some(true)) => Some(Detector::Both),
-                (Some(true), _) => Some(Detector::Nti),
-                (_, Some(true)) => Some(Detector::Pti),
-                _ => None,
-            };
-            let verdict = Verdict {
-                safe: detected_by.is_none(),
-                detected_by,
-                nti_attack: cx.nti_attack,
-                pti_attack: cx.pti_attack,
-                trace: cx.trace,
-                structural_anomaly: cx.structural_anomaly,
-            };
-            Self::accumulate(stats, &cx, &verdict, route_miss_unknown, route_miss_incomplete);
+            let (whitelist, modeled) = (dep.taint_free.is_some(), model.is_some());
+            let short_circuited =
+                cx.run(StageId::StaticFastPath, whitelist, pipeline::static_fast_path)
+                    || cx.run(StageId::ModelFastPath, modeled, pipeline::model_fast_path);
+            if !short_circuited {
+                let (nti, pti) = (!self.config.disable_nti, !self.config.disable_pti);
+                cx.run(StageId::Nti, nti, |cx| pipeline::nti(self, cx));
+                cx.run(StageId::Pti, pti, |cx| pipeline::pti(self, cx));
+                // Reached only when the model fast path did not
+                // short-circuit, so a complete model has rejected the
+                // skeleton: the structural-anomaly signal.
+                let complete = model.is_some_and(|m| m.complete);
+                cx.run(StageId::Structural, complete, |_| StageStatus::Fired);
+            }
+            let verdict = Verdict { trace: cx.trace };
+            Self::accumulate(
+                stats,
+                &verdict,
+                &cx.stage_ns,
+                route_miss_unknown,
+                route_miss_incomplete,
+            );
             verdict
         })
     }
 
     /// Accumulates one check's counters into a local delta, from the
-    /// stage trace alone — the one place every counter is incremented,
-    /// which is what makes the path partition
-    /// (`model_fast_hits + static_hits + full_checks == queries`) drift-
-    /// free by construction.
+    /// verdict's stage trace alone. Only the counters the stats cells
+    /// keep are written; the rest are derived from them on read.
     fn accumulate(
         stats: &mut JozaStats,
-        cx: &CheckCx<'_, '_>,
         verdict: &Verdict,
+        stage_ns: &[u64; STAGE_COUNT],
         route_miss_unknown: bool,
         route_miss_incomplete: bool,
     ) {
         stats.queries += 1;
         for id in StageId::ALL {
             let i = id.index();
-            stats.stage_ns[i] += cx.stage_ns[i];
-            match cx.trace.status(id) {
+            stats.stage_ns[i] += stage_ns[i];
+            match verdict.trace.status(id) {
                 StageStatus::Skipped => {}
                 StageStatus::Passed => stats.stage_runs[i] += 1,
                 StageStatus::ShortCircuited | StageStatus::Fired => {
@@ -929,11 +936,6 @@ impl Joza {
                     stats.stage_hits[i] += 1;
                 }
             }
-        }
-        match verdict.path() {
-            CheckPath::ModelFastPath => stats.model_fast_hits += 1,
-            CheckPath::StaticFastPath => stats.static_hits += 1,
-            CheckPath::Dynamic => stats.full_checks += 1,
         }
         if route_miss_unknown {
             stats.route_misses_unknown += 1;
@@ -944,16 +946,7 @@ impl Joza {
         if route_miss_incomplete && verdict.path() == CheckPath::Dynamic {
             stats.route_misses_incomplete += 1;
         }
-        if cx.structural_anomaly {
-            stats.model_anomalies += 1;
-        }
-        if cx.nti_attack == Some(true) {
-            stats.nti_detections += 1;
-        }
-        if cx.pti_attack == Some(true) {
-            stats.pti_detections += 1;
-        }
-        if !verdict.safe {
+        if !verdict.is_safe() {
             stats.attacks += 1;
         }
     }
@@ -1114,10 +1107,9 @@ impl JozaBuilder {
     ///
     /// Rejects configurations that cannot protect anything
     /// ([`JozaBuildError::AllDetectorsDisabled`]) or that would flag all
-    /// traffic ([`JozaBuildError::EmptyPtiVocabulary`]). The check
-    /// pipeline is assembled here, once: stages for disabled or absent
-    /// subsystems are left out. The per-worker PTI components (and their
-    /// daemons) spawn lazily, on each worker's first check.
+    /// traffic ([`JozaBuildError::EmptyPtiVocabulary`]). The per-worker
+    /// PTI components (and their daemons) spawn lazily, on each worker's
+    /// first check.
     pub fn try_build(self) -> Result<Joza, JozaBuildError> {
         if self.config.disable_nti && self.config.disable_pti {
             return Err(JozaBuildError::AllDetectorsDisabled);
@@ -1135,20 +1127,12 @@ impl JozaBuilder {
         } else {
             self.config.shards
         };
-        let checks = CheckPipeline::assemble(
-            self.taint_free.is_some(),
-            self.models.is_some(),
-            self.config.disable_nti,
-            self.config.disable_pti,
+        let deployment = Deployment::new(
+            0,
+            self.models.map(Arc::new),
+            self.taint_free.map(Arc::new),
+            self.dirty_cells.map(|set| Arc::new(DirtyCells::new(set))),
         );
-        let deployment = Arc::new(Deployment {
-            generation: 0,
-            models: self.models.map(Arc::new),
-            taint_free: self.taint_free.map(Arc::new),
-            dirty_cells: self.dirty_cells.map(|set| Arc::new(DirtyCells::new(set))),
-            symbols: symbol::snapshot(),
-            checks,
-        });
         Ok(Joza {
             config: self.config,
             nti,
@@ -1158,7 +1142,7 @@ impl JozaBuilder {
             stats_cells: (0..shard_count).map(|_| StatsCell::default()).collect(),
             fragment_count,
             known_routes: self.known_routes,
-            deployment: RwLock::new(deployment),
+            deployment: RwLock::new(Arc::new(deployment)),
             next_generation: AtomicU64::new(0),
         })
     }
@@ -1688,6 +1672,13 @@ mod tests {
         assert!(!v.structural_anomaly());
         assert!(j.query_models().is_some());
         assert!(j.model_for("other-route").is_none());
+        // The model and structural stages did not run, so they were not
+        // timed either: `stage_ns / stage_runs` is a cost per run.
+        let st = j.stats();
+        for id in [StageId::ModelFastPath, StageId::Structural] {
+            assert_eq!((st.stage_runs[id.index()], st.stage_ns[id.index()]), (0, 0), "{id:?}");
+        }
+        assert!(st.stage_ns[StageId::Nti.index()] > 0);
     }
 
     #[test]

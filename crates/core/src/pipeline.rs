@@ -1,7 +1,7 @@
-//! The staged check pipeline (DESIGN.md §9).
+//! The check stages (DESIGN.md §9).
 //!
-//! Every query checked by the engine runs through one fixed sequence of
-//! stages, the [`StageId`]s enabled at build time by the [`JozaConfig`]:
+//! Every query checked by the engine runs through the five [`StageId`]s,
+//! in order:
 //!
 //! 1. **Static fast path** — the route was proven taint-free by the static
 //!    analyzer: allow without further work.
@@ -13,14 +13,20 @@
 //! 5. **Structural** — record the structural-anomaly signal when a
 //!    *complete* model rejected the skeleton.
 //!
-//! A stage either lets the query continue or **short-circuits safe**; the
-//! dynamic detectors never short-circuit each other (both verdicts are
-//! needed for [`Detector::Both`] fusion). Each stage records its outcome in
-//! the verdict's [`StageTrace`] — the uniform provenance that replaces the
-//! old ad-hoc `CheckPath` plumbing — and its wall-clock cost in the
-//! per-stage `stage_ns` breakdown.
+//! `Joza::check_in` calls them as plain code. A stage runs only when it
+//! applies: the static fast path when the deployment has a taint-free
+//! set, the model fast path when the route has a model, NTI and PTI
+//! unless the configuration disables them, and the structural stage when
+//! the route's model is complete. A stage that does not apply stays
+//! [`StageStatus::Skipped`] and costs nothing, not even a clock read.
+//! Only the two fast paths **short-circuit safe**; the dynamic detectors
+//! never short-circuit each other (both verdicts are needed for
+//! [`Detector::Both`] fusion). A stage's status goes into the verdict's
+//! [`StageTrace`], the one record of the check's outcome: the verdict's
+//! answers and every statistics counter are read from it. A stage that
+//! ran also adds its wall-clock time to the per-stage `stage_ns`
+//! breakdown, so `stage_ns / stage_runs` is a cost per run.
 //!
-//! [`JozaConfig`]: crate::JozaConfig
 //! [`Detector::Both`]: crate::Detector::Both
 
 use crate::artifacts::QueryArtifacts;
@@ -76,9 +82,9 @@ impl StageId {
 /// What one stage did for one query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StageStatus {
-    /// The stage did not run: it was not assembled into the pipeline, its
-    /// precondition was absent (no model for the route), or an earlier
-    /// stage short-circuited the check.
+    /// The stage did not run: the configuration disables it, its
+    /// subsystem is absent (no model for the route), or an earlier stage
+    /// short-circuited the check.
     #[default]
     Skipped,
     /// The stage ran and passed the query onward.
@@ -127,18 +133,14 @@ impl StageTrace {
     pub(crate) fn set(&mut self, stage: StageId, status: StageStatus) {
         self.stages[stage.index()] = status;
     }
+
+    /// Whether `stage` fired, or `None` when it did not run.
+    pub(crate) fn fired(&self, stage: StageId) -> Option<bool> {
+        self.ran(stage).then(|| self.status(stage) == StageStatus::Fired)
+    }
 }
 
-/// Flow control returned by a stage function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StageOutcome {
-    /// Continue with the next stage.
-    Continue,
-    /// The query is safe; skip the remaining stages.
-    ShortCircuitSafe,
-}
-
-/// Mutable context threaded through the stages of one check.
+/// The context one check hands its stages.
 pub(crate) struct CheckCx<'a, 'q> {
     pub route: Option<&'a str>,
     pub model: Option<&'a RouteModel>,
@@ -151,115 +153,68 @@ pub(crate) struct CheckCx<'a, 'q> {
     /// The calling thread's check arena; stages lease scratch buffers
     /// (e.g. NTI's per-input fold buffer) from it.
     pub arena: &'a crate::arena::CheckArena,
-    pub nti_attack: Option<bool>,
-    pub pti_attack: Option<bool>,
-    pub structural_anomaly: bool,
     pub trace: StageTrace,
     pub stage_ns: [u64; STAGE_COUNT],
 }
 
-/// The fixed stage sequence one engine drives for every checked query.
-///
-/// Assembled once by the builder: stages whose subsystem is disabled or
-/// absent (no taint-free set, no models, `disable_nti`/`disable_pti`) are
-/// left out entirely, so their trace slots stay [`StageStatus::Skipped`]
-/// at zero runtime cost.
-#[derive(Debug)]
-pub(crate) struct CheckPipeline {
-    stages: Vec<StageId>,
-}
-
-impl CheckPipeline {
-    /// Assembles the pipeline for a configuration.
-    pub(crate) fn assemble(
-        has_taint_free: bool,
-        has_models: bool,
-        disable_nti: bool,
-        disable_pti: bool,
-    ) -> Self {
-        let enabled = |id| match id {
-            StageId::StaticFastPath => has_taint_free,
-            StageId::ModelFastPath | StageId::Structural => has_models,
-            StageId::Nti => !disable_nti,
-            StageId::Pti => !disable_pti,
-        };
-        CheckPipeline { stages: StageId::ALL.into_iter().filter(|&id| enabled(id)).collect() }
-    }
-
-    /// Runs every stage in order, timing each, until one short-circuits.
-    pub(crate) fn run(&self, joza: &Joza, cx: &mut CheckCx<'_, '_>) {
-        for &id in &self.stages {
-            let t0 = Instant::now();
-            let outcome = match id {
-                StageId::StaticFastPath => static_fast_path(cx),
-                StageId::ModelFastPath => model_fast_path(cx),
-                StageId::Nti => nti(joza, cx),
-                StageId::Pti => pti(joza, cx),
-                StageId::Structural => structural(cx),
-            };
-            cx.stage_ns[id.index()] += t0.elapsed().as_nanos() as u64;
-            if outcome == StageOutcome::ShortCircuitSafe {
-                break;
-            }
+impl CheckCx<'_, '_> {
+    /// Runs stage `id` when it `applies`: records the status it returns
+    /// in the trace and its wall-clock time in `stage_ns`. A stage that
+    /// does not apply is neither run nor timed, and its slot stays
+    /// [`StageStatus::Skipped`]. Returns whether the stage
+    /// short-circuited the check.
+    pub(crate) fn run(
+        &mut self,
+        id: StageId,
+        applies: bool,
+        stage: impl FnOnce(&Self) -> StageStatus,
+    ) -> bool {
+        if !applies {
+            return false;
         }
+        let t0 = Instant::now();
+        let status = stage(self);
+        self.stage_ns[id.index()] += t0.elapsed().as_nanos() as u64;
+        self.trace.set(id, status);
+        status == StageStatus::ShortCircuited
     }
 }
 
 /// Stage 1: allow routes the static taint analyzer proved taint-free.
-fn static_fast_path(cx: &mut CheckCx<'_, '_>) -> StageOutcome {
-    let Some(set) = cx.taint_free else {
-        return StageOutcome::Continue;
-    };
-    if cx.route.is_some_and(|r| set.contains(r)) {
-        cx.trace.set(StageId::StaticFastPath, StageStatus::ShortCircuited);
-        StageOutcome::ShortCircuitSafe
-    } else {
-        cx.trace.set(StageId::StaticFastPath, StageStatus::Passed);
-        StageOutcome::Continue
-    }
+/// Applies when the deployment has a taint-free set.
+pub(crate) fn static_fast_path(cx: &CheckCx<'_, '_>) -> StageStatus {
+    short_circuit_if(cx.route.zip(cx.taint_free).is_some_and(|(r, set)| set.contains(r)))
 }
 
 /// Stage 2: allow skeletons the route's static query model accepts.
+/// Applies when the route has a model.
 ///
 /// A skeleton the automaton accepts confines every dynamic value to a
 /// single data literal, so no token-level injection can be present — the
 /// dynamic detectors are skipped entirely (see DESIGN.md §8 for the
 /// soundness argument).
-fn model_fast_path(cx: &mut CheckCx<'_, '_>) -> StageOutcome {
-    let Some(m) = cx.model else {
-        return StageOutcome::Continue;
-    };
-    if m.accepts_syms(cx.artifacts.skeleton()) {
-        cx.trace.set(StageId::ModelFastPath, StageStatus::ShortCircuited);
-        StageOutcome::ShortCircuitSafe
-    } else {
-        cx.trace.set(StageId::ModelFastPath, StageStatus::Passed);
-        StageOutcome::Continue
-    }
+pub(crate) fn model_fast_path(cx: &CheckCx<'_, '_>) -> StageStatus {
+    short_circuit_if(cx.model.is_some_and(|m| m.accepts_syms(cx.artifacts.skeleton())))
 }
 
 /// Stage 3: negative taint inference. Pure over shared engine state — no
 /// lock is taken, so N workers run their edit-distance passes in parallel.
-fn nti(joza: &Joza, cx: &mut CheckCx<'_, '_>) -> StageOutcome {
+pub(crate) fn nti(joza: &Joza, cx: &CheckCx<'_, '_>) -> StageStatus {
     let artifacts = cx.artifacts;
-    let nti_cfg = &joza.config.nti;
     let view = joza_nti::QueryView {
         query: artifacts.query(),
-        criticals: artifacts.criticals(&nti_cfg.critical),
-        normalized: artifacts.normalized(nti_cfg.normalize_case),
+        criticals: artifacts.criticals(&joza.config.nti.critical),
+        normalized: artifacts.normalized(),
     };
     let mut fold = cx.arena.input_fold.lease();
     let mut grams = cx.arena.query_grams.lease();
     let report = joza.nti.analyze_view_with(cx.inputs, view, &mut fold, &mut grams);
-    let attack = report.is_attack();
-    cx.nti_attack = Some(attack);
-    cx.trace.set(StageId::Nti, if attack { StageStatus::Fired } else { StageStatus::Passed });
-    StageOutcome::Continue
+    fired_if(report.is_attack())
 }
 
 /// Stage 4: positive taint inference on the calling worker's shard. The
 /// shard lock is held only for the PTI call itself.
-fn pti(joza: &Joza, cx: &mut CheckCx<'_, '_>) -> StageOutcome {
+pub(crate) fn pti(joza: &Joza, cx: &CheckCx<'_, '_>) -> StageStatus {
     let artifacts = cx.artifacts;
     // Only the in-process deployment can reuse the artifacts: the
     // daemon modes ship the raw query over the pipe protocol and
@@ -271,19 +226,21 @@ fn pti(joza: &Joza, cx: &mut CheckCx<'_, '_>) -> StageOutcome {
         fingerprint: joza.config.pti.structure_cache.then(|| artifacts.fingerprint()),
     });
     let decision = joza.shard().lock().check_prepared(artifacts.query(), prep);
-    let attack = !decision.safe;
-    cx.pti_attack = Some(attack);
-    cx.trace.set(StageId::Pti, if attack { StageStatus::Fired } else { StageStatus::Passed });
-    StageOutcome::Continue
+    fired_if(!decision.safe)
 }
 
-/// Stage 5: the structural-anomaly signal. Reached only when the model
-/// fast path did not short-circuit, so a *complete* model reaching this
-/// stage has by construction rejected the skeleton.
-fn structural(cx: &mut CheckCx<'_, '_>) -> StageOutcome {
-    if cx.model.is_some_and(|m| m.complete) {
-        cx.structural_anomaly = true;
-        cx.trace.set(StageId::Structural, StageStatus::Fired);
+fn short_circuit_if(safe: bool) -> StageStatus {
+    if safe {
+        StageStatus::ShortCircuited
+    } else {
+        StageStatus::Passed
     }
-    StageOutcome::Continue
+}
+
+fn fired_if(attack: bool) -> StageStatus {
+    if attack {
+        StageStatus::Fired
+    } else {
+        StageStatus::Passed
+    }
 }

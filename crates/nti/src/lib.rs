@@ -13,7 +13,7 @@
 //!
 //! * markings inferred from different inputs are **never combined**
 //!   (payload-construction attacks must defeat NTI on a single input);
-//! * very short inputs are skipped and a marking must cover at least one
+//! * inputs shorter than three bytes are skipped and a marking must cover at least one
 //!   **whole SQL token** — both anti-false-positive measures from the
 //!   paper;
 //! * the threshold trades false positives (too high) against false
@@ -93,7 +93,6 @@ use joza_strmatch::normalize::{to_lower, to_lower_into};
 use joza_strmatch::qgram::{self, QgramProfile};
 use joza_strmatch::sellers::{substring_distance, SubstringMatch};
 use joza_strmatch::swar;
-use std::borrow::Cow;
 
 /// Configuration for the NTI analyzer.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,11 +100,6 @@ pub struct NtiConfig {
     /// Maximum difference ratio for a match (§III-A). The paper's running
     /// example uses 20%.
     pub threshold: f64,
-    /// Inputs shorter than this are ignored ("to alleviate false positives
-    /// that would result from matching very short inputs").
-    pub min_input_len: usize,
-    /// Case-insensitive matching (applications commonly case-convert).
-    pub normalize_case: bool,
     /// Use the q-gram lower bound to skip implausible comparisons (§VI-B).
     pub qgram_prefilter: bool,
     /// Which approximate-matching kernel runs the §III-A alignment. Both
@@ -121,8 +115,6 @@ impl Default for NtiConfig {
     fn default() -> Self {
         NtiConfig {
             threshold: 0.20,
-            min_input_len: 3,
-            normalize_case: true,
             qgram_prefilter: true,
             kernel: MatchKernel::default(),
             critical: CriticalPolicy::default(),
@@ -178,8 +170,8 @@ pub struct QueryView<'q> {
     /// Critical tokens of `query` under the analyzer's
     /// [`NtiConfig::critical`] policy.
     pub criticals: &'q [Token],
-    /// The query bytes in the analyzer's match normalization: case-folded
-    /// when [`NtiConfig::normalize_case`] is set, raw otherwise.
+    /// The query bytes in the analyzer's match normalization: ASCII
+    /// case-folded.
     pub normalized: &'q [u8],
 }
 
@@ -207,11 +199,7 @@ impl NtiAnalyzer {
     pub fn analyze(&self, inputs: &[&str], query: &str) -> NtiReport {
         let tokens = lex(query);
         let criticals = critical_tokens(query, &tokens, &self.config.critical);
-        let query_bytes: Cow<'_, [u8]> = if self.config.normalize_case {
-            to_lower(query.as_bytes())
-        } else {
-            Cow::Borrowed(query.as_bytes())
-        };
+        let query_bytes = to_lower(query.as_bytes());
         self.analyze_view_with(
             inputs,
             QueryView { query, criticals: &criticals, normalized: &query_bytes },
@@ -224,12 +212,11 @@ impl NtiAnalyzer {
     /// parse-once entry point. The caller supplies the critical tokens and
     /// normalized bytes (see [`QueryView`]) plus two scratch buffers whose
     /// capacity is reused: `fold_scratch` holds an input's case-folded
-    /// copy when [`NtiConfig::normalize_case`] is set and the input
-    /// actually contains uppercase ASCII, and `gram_scratch` holds the
-    /// query's q-gram profile, built only if some input reaches the
-    /// q-gram check. The engine passes buffers leased from its per-thread
-    /// check arena, making the per-input loop allocation-free at steady
-    /// state.
+    /// copy when the input actually contains uppercase ASCII, and
+    /// `gram_scratch` holds the query's q-gram profile, built only if some
+    /// input reaches the q-gram check. The engine passes buffers leased
+    /// from its per-thread check arena, making the per-input loop
+    /// allocation-free at steady state.
     ///
     /// Verdicts, markings, and counters are bit-identical to
     /// [`NtiAnalyzer::analyze`] when the view matches what that method
@@ -252,7 +239,7 @@ impl NtiAnalyzer {
         let t = self.config.threshold;
 
         for (idx, input) in inputs.iter().enumerate() {
-            if input.len() < self.config.min_input_len {
+            if input.len() < MIN_INPUT_LEN {
                 continue;
             }
             // Folding keeps the length, so the length check runs first.
@@ -265,11 +252,7 @@ impl NtiAnalyzer {
                 continue;
             }
             let bytes = input.as_bytes();
-            let folded = match if self.config.normalize_case {
-                swar::first_ascii_upper(bytes)
-            } else {
-                None
-            } {
+            let folded = match swar::first_ascii_upper(bytes) {
                 Some(first) => {
                     fold_scratch.clear();
                     fold_scratch.extend_from_slice(&bytes[..first]);
@@ -348,6 +331,10 @@ impl NtiAnalyzer {
 
 /// The q-gram length NTI's prefilter uses.
 const QGRAM: usize = 3;
+
+/// Inputs shorter than this are ignored ("to alleviate false positives
+/// that would result from matching very short inputs", §III-A).
+const MIN_INPUT_LEN: usize = 3;
 
 /// Shortest piece [`pieces_absent`] searches for: a shorter one occurs in
 /// almost any query, so it could not skip a pair.
@@ -572,11 +559,9 @@ mod tests {
         assert!(!r.is_attack());
     }
 
-    /// Classic and bit-parallel reports agree, with no input too short
-    /// to compare.
+    /// Classic and bit-parallel reports agree.
     fn assert_kernels_agree(inputs: &[&str], query: &str) {
-        let with =
-            |kernel| NtiAnalyzer::new(NtiConfig { kernel, min_input_len: 0, ..Default::default() });
+        let with = |kernel| NtiAnalyzer::new(NtiConfig { kernel, ..Default::default() });
         assert_eq!(
             with(MatchKernel::Classic).analyze(inputs, query),
             with(MatchKernel::BitParallel).analyze(inputs, query),

@@ -83,8 +83,7 @@ proptest! {
         prop_assert!(report.markings.is_empty());
     }
 
-    /// Case normalization: detection is invariant under input case when
-    /// normalize_case is on.
+    /// Case normalization: detection is invariant under input case.
     #[test]
     fn case_invariant(id in 0i64..100) {
         let payload = format!("{id} or 1=1");
@@ -252,7 +251,8 @@ proptest! {
         });
         let report = fast.analyze(&refs, &query);
         prop_assert_eq!(&classic.analyze(&refs, &query), &report);
-        if input.len() >= NtiConfig::default().min_input_len {
+        // NTI ignores inputs shorter than three bytes.
+        if input.len() >= 3 {
             prop_assert!(
                 report.markings.iter().any(|m| m.input_index == 0 && m.distance == 0),
                 "the planted input must be marked at distance 0: {report:?}"

@@ -169,27 +169,6 @@ impl AhoCorasick {
             }
         }
     }
-
-    /// Returns `true` if any pattern occurs in `haystack`.
-    pub fn is_match(&self, haystack: &[u8]) -> bool {
-        let mut state = 0u32;
-        for &b in haystack {
-            loop {
-                if let Some(n) = self.nodes[state as usize].next(b) {
-                    state = n;
-                    break;
-                }
-                if state == 0 {
-                    break;
-                }
-                state = self.nodes[state as usize].fail;
-            }
-            if !self.nodes[state as usize].out.is_empty() {
-                return true;
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +218,6 @@ mod tests {
     fn no_patterns() {
         let ac = AhoCorasick::new(Vec::<&str>::new());
         assert!(ac.find_all(b"whatever").is_empty());
-        assert!(!ac.is_match(b"whatever"));
     }
 
     #[test]
@@ -247,13 +225,6 @@ mod tests {
         let ac = AhoCorasick::new(["ab", "ab"]);
         let got = spans(&ac, b"ab");
         assert_eq!(got.len(), 2);
-    }
-
-    #[test]
-    fn is_match_fast_path() {
-        let ac = AhoCorasick::new(["needle"]);
-        assert!(ac.is_match(b"hay needle hay"));
-        assert!(!ac.is_match(b"hay hay hay"));
     }
 
     #[test]

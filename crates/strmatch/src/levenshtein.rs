@@ -1,9 +1,9 @@
 //! Levenshtein edit distance.
 //!
 //! The paper's NTI component uses PHP's built-in `levenshtein` for short
-//! strings and a linear-memory variant for long strings (§VI-B). Both are
-//! reproduced here, plus a banded early-exit variant used when the caller
-//! only cares whether the distance is below a cutoff.
+//! strings and a linear-memory variant for long strings (§VI-B). This is
+//! the linear-memory variant: the reference the substring-distance
+//! kernels are tested against.
 
 /// Computes the Levenshtein edit distance between `a` and `b` using the
 /// classic two-row dynamic program (linear memory, `O(|a|·|b|)` time).
@@ -41,72 +41,6 @@ pub fn distance(a: &[u8], b: &[u8]) -> usize {
         std::mem::swap(&mut prev, &mut cur);
     }
     prev[inner.len()]
-}
-
-/// Computes the Levenshtein distance between `a` and `b`, giving up early.
-///
-/// Returns `Some(d)` if the distance `d` is at most `cutoff`, and `None`
-/// otherwise. Uses Ukkonen's banded dynamic program: only a diagonal band of
-/// width `2·cutoff + 1` is evaluated, so the cost is `O(cutoff · min(|a|,
-/// |b|))` — much cheaper than [`distance`] for small cutoffs.
-///
-/// # Examples
-///
-/// ```
-/// use joza_strmatch::levenshtein::bounded_distance;
-///
-/// assert_eq!(bounded_distance(b"kitten", b"sitting", 3), Some(3));
-/// assert_eq!(bounded_distance(b"kitten", b"sitting", 2), None);
-/// ```
-pub fn bounded_distance(a: &[u8], b: &[u8], cutoff: usize) -> Option<usize> {
-    let (a, b) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let (n, m) = (a.len(), b.len());
-    if m - n > cutoff {
-        return None;
-    }
-    if n == 0 {
-        return Some(m);
-    }
-    const BIG: usize = usize::MAX / 2;
-    // Row over positions of `b` (the longer string), banded around the
-    // diagonal. prev[j] = distance for prefix a[..i], b[..j].
-    let mut prev = vec![BIG; m + 1];
-    let mut cur = vec![BIG; m + 1];
-    for (j, slot) in prev.iter_mut().enumerate().take(cutoff.min(m) + 1) {
-        *slot = j;
-    }
-    for i in 1..=n {
-        let lo = i.saturating_sub(cutoff);
-        let hi = (i + cutoff).min(m);
-        cur[lo.saturating_sub(1)] = BIG;
-        let mut row_min = BIG;
-        for j in lo.max(1)..=hi {
-            let sub = prev[j - 1] + usize::from(a[i - 1] != b[j - 1]);
-            let del = if prev[j] < BIG { prev[j] + 1 } else { BIG };
-            let ins = if j > lo.max(1) || (lo == 0 && j == 1) {
-                cur[j - 1].saturating_add(1)
-            } else {
-                BIG
-            };
-            let best = sub.min(del).min(ins);
-            cur[j] = best;
-            row_min = row_min.min(best);
-        }
-        if lo == 0 {
-            cur[0] = i;
-            row_min = row_min.min(i);
-        }
-        if row_min > cutoff {
-            return None;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-        // Clear stale cells outside the next band.
-        for slot in cur.iter_mut() {
-            *slot = BIG;
-        }
-    }
-    let d = prev[m];
-    (d <= cutoff).then_some(d)
 }
 
 #[cfg(test)]
@@ -162,35 +96,5 @@ mod tests {
         let escaped = input.replace('\'', "\\'");
         let quotes = input.matches('\'').count();
         assert_eq!(distance(input.as_bytes(), escaped.as_bytes()), quotes);
-    }
-
-    #[test]
-    fn bounded_matches_unbounded_when_within() {
-        let cases: &[(&[u8], &[u8])] = &[
-            (b"kitten", b"sitting"),
-            (b"", b"abc"),
-            (b"same", b"same"),
-            (b"a", b"b"),
-            (b"SELECT", b"SELEKT"),
-        ];
-        for &(a, b) in cases {
-            let d = distance(a, b);
-            assert_eq!(bounded_distance(a, b, d), Some(d), "{a:?} vs {b:?}");
-            assert_eq!(bounded_distance(a, b, d + 2), Some(d));
-            if d > 0 {
-                assert_eq!(bounded_distance(a, b, d - 1), None);
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_rejects_length_gap() {
-        assert_eq!(bounded_distance(b"ab", b"abcdefgh", 3), None);
-    }
-
-    #[test]
-    fn bounded_zero_cutoff() {
-        assert_eq!(bounded_distance(b"abc", b"abc", 0), Some(0));
-        assert_eq!(bounded_distance(b"abc", b"abd", 0), None);
     }
 }

@@ -9,7 +9,6 @@
 //!   (§III-A of the paper). This crate provides classic
 //!   [Levenshtein distance](levenshtein::distance) along with
 //!   [Sellers' semi-global alignment](sellers::substring_distance), a
-//!   linear-memory variant, a banded early-exit variant, a
 //!   [q-gram prefilter](qgram) used to skip implausible comparisons, and a
 //!   [bit-parallel Myers/Hyyrö kernel](myers) that packs 64 DP rows per
 //!   machine word and carries a threshold cutoff — the production NTI hot
@@ -27,9 +26,8 @@
 //!   haystack bytes per word ([`swar::find_byte`]), with one slice compare
 //!   per candidate.
 //!
-//! All matchers operate on bytes; case folding and whitespace normalization
-//! are the caller's responsibility and provided as small helpers in
-//! [`normalize`].
+//! All matchers operate on bytes; case folding is the caller's
+//! responsibility, with helpers in [`normalize`].
 //!
 //! # Examples
 //!
@@ -52,6 +50,6 @@ pub mod sellers;
 pub mod swar;
 
 pub use ahocorasick::{AhoCorasick, Match};
-pub use levenshtein::{bounded_distance, distance};
+pub use levenshtein::distance;
 pub use myers::{bounded_myers_substring_distance, myers_substring_distance, MatchKernel};
 pub use sellers::{substring_distance, SubstringMatch};

@@ -1,10 +1,10 @@
-//! Small byte-string normalization helpers.
+//! ASCII case folding.
 //!
 //! NTI "makes allowance for common and small string transformations
 //! performed by an application, such as stripping whitespace and performing
 //! case-conversions" (§III-A). The approximate matcher already absorbs small
-//! edits; these helpers let the NTI configuration additionally normalize
-//! case and whitespace before matching.
+//! edits such as stripped whitespace; these helpers fold case before
+//! matching.
 
 use crate::swar;
 use std::borrow::Cow;
@@ -63,42 +63,6 @@ pub fn to_lower_into(s: &[u8], out: &mut Vec<u8>) {
     out.extend(s.iter().map(u8::to_ascii_lowercase));
 }
 
-/// Collapses runs of ASCII whitespace to a single space and trims the ends.
-///
-/// # Examples
-///
-/// ```
-/// use joza_strmatch::normalize::collapse_ws;
-///
-/// assert_eq!(collapse_ws(b"  a \t b\n"), b"a b");
-/// ```
-pub fn collapse_ws(s: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(s.len());
-    let mut in_ws = true; // leading whitespace is dropped
-    for &b in s {
-        if b.is_ascii_whitespace() {
-            if !in_ws {
-                out.push(b' ');
-                in_ws = true;
-            }
-        } else {
-            out.push(b);
-            in_ws = false;
-        }
-    }
-    if out.last() == Some(&b' ') {
-        out.pop();
-    }
-    out
-}
-
-/// Trims ASCII whitespace from both ends (PHP `trim` on default charlist).
-pub fn trim(s: &[u8]) -> &[u8] {
-    let start = s.iter().position(|b| !b.is_ascii_whitespace()).unwrap_or(s.len());
-    let end = s.iter().rposition(|b| !b.is_ascii_whitespace()).map_or(start, |i| i + 1);
-    &s[start..end]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,24 +93,5 @@ mod tests {
         assert!(matches!(to_lower(b""), Cow::Borrowed(_)));
         assert!(matches!(to_lower("ä 1=1 -- ".as_bytes()), Cow::Borrowed(_)));
         assert!(matches!(to_lower(b"x WHERE y"), Cow::Owned(_)));
-    }
-
-    #[test]
-    fn collapse_empty() {
-        assert_eq!(collapse_ws(b""), b"");
-        assert_eq!(collapse_ws(b"   "), b"");
-    }
-
-    #[test]
-    fn collapse_interior() {
-        assert_eq!(collapse_ws(b"a  b   c"), b"a b c");
-    }
-
-    #[test]
-    fn trim_both_ends() {
-        assert_eq!(trim(b"  x  "), b"x");
-        assert_eq!(trim(b"x"), b"x");
-        assert_eq!(trim(b""), b"");
-        assert_eq!(trim(b" \t\n"), b"");
     }
 }

@@ -199,24 +199,6 @@ pub fn naive_substring_distance(pattern: &[u8], text: &[u8]) -> SubstringMatch {
     best
 }
 
-/// Finds the best approximate occurrence only if its distance is at most
-/// `cutoff`; returns `None` otherwise.
-///
-/// Functionally `substring_distance(..).distance <= cutoff`, but callers use
-/// it with the [q-gram prefilter](crate::qgram) to skip the quadratic work
-/// entirely when no plausible match exists.
-pub fn bounded_substring_distance(
-    pattern: &[u8],
-    text: &[u8],
-    cutoff: usize,
-) -> Option<SubstringMatch> {
-    if crate::qgram::lower_bound(pattern, text, 3) > cutoff {
-        return None;
-    }
-    let m = substring_distance(pattern, text);
-    (m.distance <= cutoff).then_some(m)
-}
-
 pub(crate) fn ratio_key(distance: usize, len: usize) -> f64 {
     if distance == 0 {
         0.0
@@ -295,17 +277,6 @@ mod tests {
         let m = substring_distance(input.as_bytes(), escaped.as_bytes());
         assert_eq!(m.distance, quotes);
         assert!(m.diff_ratio() > 0.15 && m.diff_ratio() < 0.30, "{}", m.diff_ratio());
-    }
-
-    #[test]
-    fn bounded_none_when_above_cutoff() {
-        assert!(bounded_substring_distance(b"abcdefgh", b"zzzzzzzz", 2).is_none());
-    }
-
-    #[test]
-    fn bounded_some_when_within() {
-        let m = bounded_substring_distance(b"hello", b"say hallo there", 1).unwrap();
-        assert_eq!(m.distance, 1);
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Property-based tests for the string matching substrate.
 
 use joza_strmatch::ahocorasick::AhoCorasick;
-use joza_strmatch::levenshtein::{bounded_distance, distance};
+use joza_strmatch::levenshtein::distance;
 use joza_strmatch::mru::{MruScanner, NaiveScanner};
 use joza_strmatch::myers::{bounded_myers_substring_distance, myers_substring_distance};
 use joza_strmatch::normalize::{to_lower, to_lower_into};
 use joza_strmatch::qgram::{self, QgramProfile};
-use joza_strmatch::sellers::{
-    bounded_substring_distance, naive_substring_distance, substring_distance,
-};
+use joza_strmatch::sellers::{naive_substring_distance, substring_distance};
 use joza_strmatch::swar;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -79,15 +77,6 @@ proptest! {
         let d = distance(a.as_bytes(), b.as_bytes());
         prop_assert!(d <= a.len().max(b.len()));
         prop_assert!(d >= a.len().abs_diff(b.len()));
-    }
-
-    #[test]
-    fn bounded_agrees_with_full(a in ".{0,25}", b in ".{0,25}", cutoff in 0usize..12) {
-        let d = distance(a.as_bytes(), b.as_bytes());
-        match bounded_distance(a.as_bytes(), b.as_bytes(), cutoff) {
-            Some(bd) => { prop_assert_eq!(bd, d); prop_assert!(d <= cutoff); }
-            None => prop_assert!(d > cutoff),
-        }
     }
 
     #[test]
@@ -242,24 +231,6 @@ proptest! {
         q in 1usize..6,
     ) {
         prop_assert_eq!(qgram::lower_bound(&p, &t, q), hashmap_lower_bound(&p, &t, q));
-    }
-
-    /// `sellers::bounded_substring_distance`, the free `lower_bound`'s
-    /// other caller, skips exactly when the reference bound exceeds the
-    /// cutoff.
-    #[test]
-    fn qgram_bounded_sellers_agrees_with_reference(
-        p in dense_bytes(),
-        t in dense_bytes(),
-        cutoff in 0usize..12,
-    ) {
-        let expect = if hashmap_lower_bound(&p, &t, 3) > cutoff {
-            None
-        } else {
-            let m = substring_distance(&p, &t);
-            (m.distance <= cutoff).then_some(m)
-        };
-        prop_assert_eq!(bounded_substring_distance(&p, &t, cutoff), expect);
     }
 
     #[test]

@@ -144,8 +144,12 @@ cargo test -q -p joza-phpsim --lib lexer::tests::eq_lanes
 
 # Pipeline equivalence, explicitly: a route session's check, the same
 # session's check_batch, and Joza::check_query_on_route must produce
-# bit-identical verdicts and traces over every lab-corpus query, and
-# Server::handle_with must block exactly the requests with a flagged query.
+# bit-identical verdicts and traces over every lab-corpus query; every
+# statistics counter (detections, anomalies, attacks, path counters,
+# stage_runs, stage_hits) must equal its recount from the returned
+# verdicts on the shipped, NTI-only and PTI-only engines, with the
+# disabled detector reading zero; and Server::handle_with must block
+# exactly the requests with a flagged query.
 echo "==> cargo test -q --test pipeline_equivalence"
 cargo test -q --test pipeline_equivalence
 

@@ -1,14 +1,18 @@
-//! Pipeline equivalence: the three engine entry points that drive the
-//! staged `CheckPipeline` — a route session's `check`, the same session's
-//! `check_batch`, and the engine-level `Joza::check_query_on_route` — must
-//! be observationally identical over the entire WP-SQLI-LAB corpus, benign
+//! Pipeline equivalence: the three engine entry points that run the check
+//! stages — a route session's `check`, the same session's `check_batch`,
+//! and the engine-level `Joza::check_query_on_route` — must be
+//! observationally identical over the entire WP-SQLI-LAB corpus, benign
 //! and exploit traffic alike: same verdicts, same detector attribution,
-//! same anomaly flags, same stage traces. The server seam on top of them,
+//! same anomaly flags, same stage traces. Every statistics counter must
+//! equal its recount from the returned verdicts, on the shipped engine
+//! and on the NTI-only and PTI-only ablations. The server seam on top of them,
 //! `Server::handle_with`, must block exactly the requests that issue a
 //! flagged query. And PTI caches filled far past their capacity must not
 //! change any verdict: an eviction only costs a repeat analysis.
 
-use joza::core::{Joza, JozaConfig, JozaSession, QueryCheck, Verdict};
+use joza::core::{
+    CheckPath, Joza, JozaConfig, JozaSession, JozaStats, QueryCheck, StageId, StageStatus, Verdict,
+};
 use joza::lab::verify::request_for;
 use joza::lab::{build_lab, Lab};
 use joza::pti::cache::CAPACITY;
@@ -38,40 +42,64 @@ fn corpus_requests(lab: &Lab) -> Vec<HttpRequest> {
 }
 
 /// Fully-loaded engine: query models for the model fast path plus the
-/// statically-proven taint-free routes, so every pipeline stage is live.
+/// statically-proven taint-free routes, so every stage is live.
 fn full_engine(lab: &Lab) -> Joza {
-    Joza::installer(&lab.server.app, JozaConfig::optimized())
+    engine_with(lab, JozaConfig::optimized())
+}
+
+/// `config` with the query models and taint-free routes of the full
+/// engine.
+fn engine_with(lab: &Lab, config: JozaConfig) -> Joza {
+    Joza::installer(&lab.server.app, config)
         .query_models(app_query_models(&lab.server.app))
         .taint_free_routes(taint_free_routes(&lab.server.app))
         .build()
 }
 
-/// A route session for `req` with the request's raw inputs captured —
-/// what `Server::handle_with` opens through the engine's `GateFactory`.
-fn route_session<'a>(joza: &'a Joza, req: &HttpRequest) -> JozaSession<'a> {
-    let mut session = joza.session_for(&req.path);
-    for (_, name, value) in req.all_inputs() {
-        session.capture_input(&name, &value);
+/// The counters `Joza::stats` must report after checking exactly
+/// `verdicts`, recounted from the verdicts' own answers; the timings and
+/// the route-miss counters, which a verdict does not record, are copied
+/// from `got`.
+fn recount(verdicts: &[Verdict], got: &JozaStats) -> JozaStats {
+    let count = |f: &dyn Fn(&Verdict) -> bool| verdicts.iter().filter(|v| f(v)).count() as u64;
+    let stage = |id: StageId, hit: bool| {
+        count(&|v| match v.trace().status(id) {
+            StageStatus::Skipped => false,
+            StageStatus::Passed => !hit,
+            StageStatus::ShortCircuited | StageStatus::Fired => true,
+        })
+    };
+    JozaStats {
+        queries: verdicts.len() as u64,
+        attacks: count(&|v| !v.is_safe()),
+        nti_detections: count(&|v| v.nti_attack() == Some(true)),
+        pti_detections: count(&|v| v.pti_attack() == Some(true)),
+        nti_time: got.nti_time,
+        pti_time: got.pti_time,
+        model_fast_hits: count(&|v| v.path() == CheckPath::ModelFastPath),
+        static_hits: count(&|v| v.path() == CheckPath::StaticFastPath),
+        full_checks: count(&|v| v.path() == CheckPath::Dynamic),
+        model_anomalies: count(&|v| v.structural_anomaly()),
+        route_misses_unknown: got.route_misses_unknown,
+        route_misses_incomplete: got.route_misses_incomplete,
+        stage_runs: StageId::ALL.map(|id| stage(id, false)),
+        stage_hits: StageId::ALL.map(|id| stage(id, true)),
+        stage_ns: got.stage_ns,
     }
-    session
 }
 
-/// Per-query equivalence: replay every SQL statement the unprotected
-/// application issues for the full corpus through all three entry points
-/// and require bit-identical verdicts.
-#[test]
-fn session_batch_and_route_checks_agree_on_every_corpus_query() {
-    let mut lab = build_lab();
-    let joza = full_engine(&lab);
-
-    let mut checked = 0usize;
-    for req in &corpus_requests(&lab) {
+/// Replays every SQL statement the unprotected application issues for
+/// the full corpus through all three entry points of `joza`, requires
+/// bit-identical verdicts, and returns every verdict the engine gave.
+fn replay_through_every_entry_point(lab: &mut Lab, joza: &Joza) -> Vec<Verdict> {
+    let mut all = Vec::new();
+    for req in &corpus_requests(lab) {
         lab.reset_database();
         let plain = lab.server.handle(req);
         let inputs: Vec<String> = req.all_inputs().into_iter().map(|(_, _, v)| v).collect();
         let input_refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
 
-        let session = route_session(&joza, req);
+        let session = route_session(joza, req);
         let single: Vec<Verdict> = plain.queries.iter().map(|sql| session.check(sql)).collect();
         let batch: Vec<QueryCheck> = plain.queries.iter().map(QueryCheck::new).collect();
         let batched = session.check_batch(&batch);
@@ -96,16 +124,62 @@ fn session_batch_and_route_checks_agree_on_every_corpus_query() {
                 assert_eq!(one.trace(), other.trace(), "{}: {sql}", req.path);
                 assert_eq!(one, other, "{}: {sql}", req.path);
             }
-            checked += 1;
+            all.push(routed);
+        }
+        all.extend(single);
+        all.extend(batched);
+    }
+    all
+}
+
+/// A route session for `req` with the request's raw inputs captured —
+/// what `Server::handle_with` opens through the engine's `GateFactory`.
+fn route_session<'a>(joza: &'a Joza, req: &HttpRequest) -> JozaSession<'a> {
+    let mut session = joza.session_for(&req.path);
+    for (_, name, value) in req.all_inputs() {
+        session.capture_input(&name, &value);
+    }
+    session
+}
+
+/// Per-query equivalence: replay every SQL statement the unprotected
+/// application issues for the full corpus through all three entry points
+/// and require bit-identical verdicts, then recount every counter from
+/// them — on the shipped engine and on both single-detector ablations.
+#[test]
+fn session_batch_and_route_checks_agree_on_every_corpus_query() {
+    let mut lab = build_lab();
+    let engines = [
+        ("shipped", JozaConfig::optimized(), None),
+        ("NTI-only", JozaConfig::nti_only(), Some(StageId::Pti)),
+        ("PTI-only", JozaConfig::pti_only(), Some(StageId::Nti)),
+    ];
+    for (name, config, disabled) in engines {
+        let joza = engine_with(&lab, config);
+        let verdicts = replay_through_every_entry_point(&mut lab, &joza);
+        assert!(verdicts.len() > 450, "{name}: corpus too small: {} checks", verdicts.len());
+
+        let stats = joza.stats();
+        assert_eq!(stats, recount(&verdicts, &stats), "{name}: a counter drifted");
+        assert_eq!(stats.model_fast_hits + stats.static_hits + stats.full_checks, stats.queries);
+        for id in [StageId::StaticFastPath, StageId::ModelFastPath] {
+            assert!(stats.stage_hits[id.index()] > 0, "{name}: {} never hit", id.name());
+        }
+        assert!(stats.attacks > 0 && stats.model_anomalies > 0, "{name}: {stats:?}");
+        match disabled {
+            None => assert!(stats.nti_detections > 0 && stats.pti_detections > 0),
+            Some(off) => {
+                let i = off.index();
+                let zero = (stats.stage_runs[i], stats.stage_hits[i], stats.stage_ns[i]);
+                assert_eq!(zero, (0, 0, 0), "{name}: disabled {} ran", off.name());
+                let detections = match off {
+                    StageId::Nti => (stats.nti_detections, stats.nti_time.as_nanos()),
+                    _ => (stats.pti_detections, stats.pti_time.as_nanos()),
+                };
+                assert_eq!(detections, (0, 0), "{name}");
+            }
         }
     }
-    assert!(checked > 150, "corpus too small to be meaningful: {checked} queries");
-
-    // All three entry points feed the same accounting, which must
-    // partition.
-    let stats = joza.stats();
-    assert_eq!(stats.queries, 3 * checked as u64);
-    assert_eq!(stats.model_fast_hits + stats.static_hits + stats.full_checks, stats.queries);
 }
 
 /// Response-level equivalence: a server gated through the engine's
