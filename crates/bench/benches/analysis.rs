@@ -48,7 +48,7 @@ fn bench_pti(c: &mut Criterion) {
     let frags = wordpress_fragments(60);
     let mut g = c.benchmark_group("pti_analyze");
     for (name, cfg) in [
-        ("optimized_mru_parse_first", PtiConfig::optimized()),
+        ("optimized_mru_parse_first", PtiConfig::default()),
         ("unoptimized_naive", PtiConfig::unoptimized()),
     ] {
         let analyzer = PtiAnalyzer::from_fragments(frags.clone(), cfg);
@@ -95,7 +95,7 @@ fn bench_hybrid_gate(c: &mut Criterion) {
         .config(JozaConfig {
             pti: PtiComponentConfig {
                 mode: joza_pti::daemon::DaemonMode::InProcess,
-                ..PtiComponentConfig::optimized()
+                ..PtiComponentConfig::default()
             },
             ..JozaConfig::default()
         })
@@ -120,7 +120,7 @@ fn bench_daemon_roundtrip(c: &mut Criterion) {
     let mut g = c.benchmark_group("daemon");
     let mut component = PtiComponent::new(
         &frags,
-        PtiComponentConfig { query_cache: false, ..PtiComponentConfig::optimized() },
+        PtiComponentConfig { query_cache: false, ..PtiComponentConfig::default() },
     );
     let _ = component.check(BENIGN);
     g.bench_function("roundtrip_structure_cache_hit", |b| {

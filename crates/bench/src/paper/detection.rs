@@ -309,10 +309,10 @@ pub(super) fn ablation_threshold(_: &mut Paper) -> Report {
 }
 
 /// Joza under `policy` for both components.
-fn joza_with(app: &WebApp, policy: &CriticalPolicy) -> Joza {
+fn joza_with(app: &WebApp, policy: CriticalPolicy) -> Joza {
     let mut cfg = JozaConfig::optimized();
-    cfg.nti.critical = policy.clone();
-    cfg.pti.pti.critical = policy.clone();
+    cfg.nti.critical = policy;
+    cfg.pti.pti.critical = policy;
     Joza::install(app, cfg)
 }
 
@@ -359,10 +359,10 @@ pub(super) fn ablation_policy(_: &mut Paper) -> Report {
     outln!(r, "ABLATION: pragmatic vs strict critical-token policy\n");
     let mut rows = Vec::new();
     for (name, short, policy, strict) in [
-        ("pragmatic (paper §II)", "pragmatic", CriticalPolicy::default(), false),
-        ("strict (Ray & Ligatti)", "strict", CriticalPolicy::strict(), true),
+        ("pragmatic (paper §II)", "pragmatic", CriticalPolicy::Pragmatic, false),
+        ("strict (Ray & Ligatti)", "strict", CriticalPolicy::Strict, true),
     ] {
-        let joza = joza_with(&lab.server.app, &policy);
+        let joza = joza_with(&lab.server.app, policy);
         let exploits_detected = all
             .iter()
             .filter(|p| detected(&mut lab, &joza, p, p.exploit.primary_payload()))
@@ -370,7 +370,7 @@ pub(super) fn ablation_policy(_: &mut Paper) -> Report {
 
         // Advanced-search benign traffic under the same policy.
         let mut server = advanced_search_app();
-        let search_joza = joza_with(&server.app, &policy);
+        let search_joza = joza_with(&server.app, policy);
         let benign = [
             HttpRequest::get("find").param("orderby", "views").param("ids", "1,2,3"),
             HttpRequest::get("find").param("orderby", "created").param("ids", "4,5"),

@@ -414,7 +414,7 @@ pub(super) fn ablation_matcher(_: &mut Paper) -> Report {
         for (label, cfg) in [
             ("naive", config(MatcherKind::Naive, false)),
             ("naive+parse-first", config(MatcherKind::Naive, true)),
-            ("MRU+parse-first (paper)", PtiConfig::optimized()),
+            ("MRU+parse-first (paper)", PtiConfig::default()),
             ("Aho-Corasick", config(MatcherKind::AhoCorasick, false)),
         ] {
             let analyzer = PtiAnalyzer::from_fragments(frags.clone(), cfg);

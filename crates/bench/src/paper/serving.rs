@@ -242,10 +242,10 @@ fn thread_scaling(lab: &mut Lab) -> Vec<ScalingCell> {
 ///    (`joza_lab::serve::replay`), so the cell measures the *gate itself*
 ///    (lexing, skeleton interning, automaton matching, NTI/PTI when a
 ///    query falls through) with no application simulator in the loop.
-///    This is the number the allocation-free hot-path work targets; the
-///    per-request PTI daemon-spawn accounting of the serving front-end
-///    is outside the measured region, the per-query pipe latency of
-///    PTI-bound queries is inside it. The per-stage latency/hit breakdown
+///    This is the number the allocation-free hot-path work targets. The
+///    replay opens its sessions with `Joza::session_for`, so the web
+///    server's request handling is outside the measured region; the
+///    per-query pipe latency of PTI-bound queries is inside it. The per-stage latency/hit breakdown
 ///    is reported for its single-thread pass, the least diluted view of
 ///    stage cost.
 /// 3. **Thread scaling**: the gate-direct replay of fresh captured lab

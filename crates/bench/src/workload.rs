@@ -32,7 +32,6 @@ use joza_core::{Joza, JozaConfig};
 use joza_lab::{build_lab, wordpress, Lab};
 use joza_phpsim::fragments::FragmentSet;
 use joza_pti::daemon::{DaemonMode, PtiComponentConfig};
-use joza_pti::{MatcherKind, PtiConfig};
 use joza_webapp::request::HttpRequest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,34 +86,31 @@ impl Setup {
     /// The Joza configuration for this setup, with the harness's
     /// calibrated PHP-boundary costs applied.
     pub fn joza_config(self) -> JozaConfig {
-        let (mode, query_cache, structure_cache, pti) = match self {
-            Setup::Unoptimized => (
-                DaemonMode::PerQuery,
-                false,
-                false,
-                PtiConfig { matcher: MatcherKind::Naive, parse_first: false, ..Default::default() },
-            ),
-            Setup::DaemonNoCache => (DaemonMode::LongLived, false, false, PtiConfig::optimized()),
-            Setup::DaemonQueryCache => (DaemonMode::LongLived, true, false, PtiConfig::optimized()),
-            Setup::DaemonFullCache => (DaemonMode::LongLived, true, true, PtiConfig::optimized()),
-            Setup::ExtensionEstimate => (DaemonMode::InProcess, true, true, PtiConfig::optimized()),
+        let no_caches = PtiComponentConfig {
+            query_cache: false,
+            structure_cache: false,
+            ..PtiComponentConfig::default()
+        };
+        let pti = match self {
+            Setup::Unoptimized => PtiComponentConfig::unoptimized(),
+            Setup::DaemonNoCache => no_caches,
+            Setup::DaemonQueryCache => PtiComponentConfig { query_cache: true, ..no_caches },
+            Setup::DaemonFullCache => PtiComponentConfig::default(),
+            Setup::ExtensionEstimate => {
+                PtiComponentConfig { mode: DaemonMode::InProcess, ..PtiComponentConfig::default() }
+            }
         };
         // An in-process analyzer has no PHP boundary to pay for.
-        let (pipe_cost, response_parse_cost, spawn_cost) = match mode {
-            DaemonMode::InProcess => (Duration::ZERO, Duration::ZERO, Duration::ZERO),
-            _ => (PIPE_COST, RESPONSE_PARSE_COST, SPAWN_COST),
+        let pti = match pti.mode {
+            DaemonMode::InProcess => pti,
+            _ => PtiComponentConfig {
+                pipe_cost: PIPE_COST,
+                response_parse_cost: RESPONSE_PARSE_COST,
+                spawn_cost: SPAWN_COST,
+                ..pti
+            },
         };
-        let pti = PtiComponentConfig {
-            mode,
-            query_cache,
-            structure_cache,
-            pti,
-            pipe_cost,
-            response_parse_cost,
-            spawn_cost,
-            ..Default::default()
-        };
-        JozaConfig { pti, wrapper_cost: WRAPPER_COST, ..JozaConfig::optimized() }
+        JozaConfig { pti, wrapper_cost: WRAPPER_COST, ..JozaConfig::default() }
     }
 
     /// Human-readable label.

@@ -149,10 +149,10 @@ impl<'q> QueryArtifacts<'q> {
     /// reads this accessor (PTI derives criticals inside its analyzer from
     /// the shared [`QueryArtifacts::tokens`] stream), so the cache never
     /// sees two policies in one check.
-    pub fn criticals(&self, policy: &CriticalPolicy) -> &[Token] {
+    pub fn criticals(&self, policy: CriticalPolicy) -> &[Token] {
         self.criticals.get_or_init(|| {
             let mut buf = self.arena.map_or_else(Lease::detached, |a| a.criticals.lease());
-            critical_tokens_into(self.query, self.tokens(), policy, &mut buf);
+            critical_tokens_into(self.tokens(), policy, &mut buf);
             buf
         })
     }
@@ -177,7 +177,7 @@ mod tests {
         assert_eq!(a.fingerprint(), fingerprint(q));
         assert_eq!(a.normalized(), to_lower(q.as_bytes()).as_ref());
         let policy = CriticalPolicy::default();
-        assert_eq!(a.criticals(&policy), critical_tokens(q, &lex(q), &policy).as_slice());
+        assert_eq!(a.criticals(policy), critical_tokens(&lex(q), policy).as_slice());
     }
 
     #[test]
@@ -211,7 +211,7 @@ mod tests {
             assert_eq!(arenad.skeleton(), heap.skeleton(), "{q}");
             assert_eq!(arenad.fingerprint(), heap.fingerprint(), "{q}");
             assert_eq!(arenad.normalized(), heap.normalized(), "{q}");
-            assert_eq!(arenad.criticals(&policy), heap.criticals(&policy), "{q}");
+            assert_eq!(arenad.criticals(policy), heap.criticals(policy), "{q}");
         }
     }
 
@@ -225,7 +225,7 @@ mod tests {
             let a = QueryArtifacts::new_in(q, &arena, &symbols);
             let _ = a.fingerprint();
             let _ = a.normalized();
-            let _ = a.criticals(&CriticalPolicy::default());
+            let _ = a.criticals(CriticalPolicy::default());
         }
         for (name, cap) in [
             ("tokens", arena.tokens.parked_capacity()),

@@ -61,10 +61,11 @@
 //! # Examples
 //!
 //! ```
-//! use joza_core::{Joza, JozaConfig};
+//! use joza_core::Joza;
 //!
 //! let fragments = ["id", "SELECT * FROM records WHERE ID=", " LIMIT 5"];
-//! let joza = Joza::builder().fragments(fragments).config(JozaConfig::default()).build();
+//! // The default configuration is the paper's deployment.
+//! let joza = Joza::builder().fragments(fragments).build();
 //!
 //! let mut session = joza.session();
 //! session.capture_input("id", "42");
@@ -113,8 +114,12 @@ pub enum RecoveryPolicy {
     ErrorVirtualization,
 }
 
-/// Joza configuration.
-#[derive(Debug, Clone, Default)]
+/// Joza configuration. The default is the paper's deployed
+/// configuration: default NTI, the fully optimized PTI deployment
+/// (long-lived daemon, both caches, MRU matcher, parse-first),
+/// termination recovery, no modeled cost, auto-sized shards. `DESIGN.md`
+/// §16 lists every knob and the caller that needs each value.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JozaConfig {
     /// NTI analyzer configuration.
     pub nti: NtiConfig,
@@ -140,20 +145,20 @@ pub struct JozaConfig {
 }
 
 impl JozaConfig {
-    /// The paper's deployed configuration: optimized PTI (long-lived
-    /// daemon, both caches), default NTI, termination recovery.
+    /// The paper's deployed configuration, by name: the same as
+    /// [`JozaConfig::default`].
     pub fn optimized() -> Self {
-        JozaConfig { pti: PtiComponentConfig::optimized(), ..Default::default() }
+        Self::default()
     }
 
     /// NTI-only configuration (for the Table II / Table IV columns).
     pub fn nti_only() -> Self {
-        JozaConfig { disable_pti: true, ..Self::optimized() }
+        JozaConfig { disable_pti: true, ..Self::default() }
     }
 
     /// PTI-only configuration (for the Table II / Table IV columns).
     pub fn pti_only() -> Self {
-        JozaConfig { disable_nti: true, ..Self::optimized() }
+        JozaConfig { disable_nti: true, ..Self::default() }
     }
 }
 
@@ -351,19 +356,24 @@ impl JozaStats {
     /// # Panics
     ///
     /// May panic if `before` is not an earlier snapshot (a counter would
-    /// go negative), or if `self` raced a flush: such a snapshot can read
-    /// `full_checks` one low (see the `stats` module docs).
+    /// go negative). `full_checks` is not subtracted: it is the delta's
+    /// `queries` minus its fast-path hits, like in a snapshot, because a
+    /// snapshot that raced a flush can read it one low (see the `stats`
+    /// module docs); every counter a subtraction reads is monotone.
     pub fn since(&self, before: &JozaStats) -> JozaStats {
+        let queries = self.queries - before.queries;
+        let model_fast_hits = self.model_fast_hits - before.model_fast_hits;
+        let static_hits = self.static_hits - before.static_hits;
         JozaStats {
-            queries: self.queries - before.queries,
+            queries,
             attacks: self.attacks - before.attacks,
             nti_detections: self.nti_detections - before.nti_detections,
             pti_detections: self.pti_detections - before.pti_detections,
             nti_time: self.nti_time - before.nti_time,
             pti_time: self.pti_time - before.pti_time,
-            model_fast_hits: self.model_fast_hits - before.model_fast_hits,
-            static_hits: self.static_hits - before.static_hits,
-            full_checks: self.full_checks - before.full_checks,
+            model_fast_hits,
+            static_hits,
+            full_checks: queries.saturating_sub(model_fast_hits + static_hits),
             model_anomalies: self.model_anomalies - before.model_anomalies,
             route_misses_unknown: self.route_misses_unknown - before.route_misses_unknown,
             route_misses_incomplete: self.route_misses_incomplete - before.route_misses_incomplete,
@@ -1307,9 +1317,6 @@ impl GateSession for JozaSession<'_> {
 
 impl GateFactory for Joza {
     fn session<'a>(&'a self, route: &str, inputs: &[RawInput]) -> Box<dyn GateSession + 'a> {
-        // Per-request PTI lifecycle (daemon spawn in PerRequest mode) on
-        // the calling worker's shard.
-        self.shard().lock().begin_request();
         let mut session = self.session_for(route);
         for input in inputs {
             session.capture_input(&input.name, &input.value);
@@ -1788,6 +1795,72 @@ mod tests {
         assert_eq!(v.trace().status(StageId::StaticFastPath), StageStatus::Passed);
         let st = j.stats();
         assert_eq!(st.model_fast_hits + st.static_hits + st.full_checks, st.queries);
+    }
+
+    #[test]
+    fn taint_free_gate_requests_start_no_pti_shard() {
+        let j = Joza::builder().fragments(FRAGS).taint_free_routes(["clean-route"]).build();
+        let started = |j: &Joza| j.shards.iter().filter_map(OnceLock::get).count();
+        let payload = "-1 UNION SELECT username()";
+        let input = RawInput {
+            source: joza_webapp::request::InputSource::Get,
+            name: "id".to_string(),
+            value: payload.to_string(),
+        };
+        let mut s = GateFactory::session(&j, "clean-route", std::slice::from_ref(&input));
+        let q = format!("SELECT * FROM records WHERE ID={payload} LIMIT 5");
+        assert_eq!(s.check(&q), GateDecision::Allow);
+        drop(s);
+        assert_eq!(started(&j), 0, "no PTI shard, so no daemon");
+
+        // A dynamic route starts the worker's shard, and its one daemon,
+        // at its first PTI check.
+        let mut s = GateFactory::session(&j, "dirty-route", &[]);
+        assert_eq!(s.check("SELECT * FROM records WHERE ID=42 LIMIT 5"), GateDecision::Allow);
+        drop(s);
+        assert_eq!(started(&j), 1);
+        assert_eq!(j.shard().lock().daemon_spawns(), 1);
+    }
+
+    #[test]
+    fn default_config_is_the_shipped_deployment() {
+        use joza_pti::daemon::DaemonMode;
+        use joza_pti::{MatcherKind, PtiConfig};
+        use joza_sqlparse::CriticalPolicy;
+        // Every field listed, without `..default()`, so a new knob must
+        // state its shipped value here.
+        let pti = PtiConfig {
+            matcher: MatcherKind::Mru,
+            critical: CriticalPolicy::Pragmatic,
+            parse_first: true,
+        };
+        let component = PtiComponentConfig {
+            mode: DaemonMode::LongLived,
+            query_cache: true,
+            structure_cache: true,
+            pti: pti.clone(),
+            pipe_cost: Duration::ZERO,
+            response_parse_cost: Duration::ZERO,
+            spawn_cost: Duration::ZERO,
+            pipe_latency: Duration::ZERO,
+        };
+        let shipped = JozaConfig {
+            nti: NtiConfig {
+                threshold: 0.20,
+                kernel: MatchKernel::BitParallel,
+                critical: CriticalPolicy::Pragmatic,
+            },
+            pti: component.clone(),
+            recovery: RecoveryPolicy::Termination,
+            disable_nti: false,
+            disable_pti: false,
+            wrapper_cost: Duration::ZERO,
+            shards: 0,
+        };
+        assert_eq!(PtiConfig::default(), pti);
+        assert_eq!(PtiComponentConfig::default(), component);
+        assert_eq!(JozaConfig::default(), shipped);
+        assert_eq!(JozaConfig::optimized(), shipped);
     }
 
     #[test]

@@ -203,7 +203,7 @@ pub(crate) fn nti(joza: &Joza, cx: &CheckCx<'_, '_>) -> StageStatus {
     let artifacts = cx.artifacts;
     let view = joza_nti::QueryView {
         query: artifacts.query(),
-        criticals: artifacts.criticals(&joza.config.nti.critical),
+        criticals: artifacts.criticals(joza.config.nti.critical),
         normalized: artifacts.normalized(),
     };
     let mut fold = cx.arena.input_fold.lease();

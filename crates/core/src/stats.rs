@@ -137,7 +137,8 @@ mod tests {
     #[test]
     fn since_subtracts_every_field() {
         // Every field distinct and nonzero, listed without `..default()`
-        // so a new counter must be added here too.
+        // so a new counter must be added here too. `full_checks` is
+        // `queries` minus the two fast-path hits, as in a snapshot.
         let counters = |k: u64| JozaStats {
             queries: 100 * k,
             attacks: 2 * k,
@@ -147,7 +148,7 @@ mod tests {
             pti_time: Duration::from_nanos(6 * k),
             model_fast_hits: 7 * k,
             static_hits: 8 * k,
-            full_checks: 9 * k,
+            full_checks: 85 * k,
             model_anomalies: 10 * k,
             route_misses_unknown: 11 * k,
             route_misses_incomplete: 12 * k,
@@ -160,6 +161,18 @@ mod tests {
         after.merge(&delta);
         assert_eq!(after.since(&before), delta);
         assert_eq!(after.since(&after), JozaStats::default());
+    }
+
+    #[test]
+    fn since_survives_a_snapshot_that_raced_a_flush() {
+        // The later snapshot saw a static hit before its query: it reads
+        // `full_checks` one lower than the earlier, quiescent one.
+        let before =
+            JozaStats { queries: 10, static_hits: 4, full_checks: 6, ..JozaStats::default() };
+        let after =
+            JozaStats { queries: 12, static_hits: 7, full_checks: 5, ..JozaStats::default() };
+        let d = after.since(&before);
+        assert_eq!((d.queries, d.static_hits, d.full_checks), (2, 3, 0));
     }
 
     #[test]

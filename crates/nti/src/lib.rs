@@ -37,10 +37,9 @@
 //!    11 bytes at threshold 0.2), the **piece filter**: the input is split
 //!    into `k + 1` pieces of at least 3 bytes, and if none of them occurs
 //!    in the query, no span is within `k` (the partition lemma: `k` edits
-//!    leave one piece untouched). It runs in both kernels, whatever
-//!    [`NtiConfig::qgram_prefilter`] says, and a short input never builds
-//!    the query's q-gram profile. A short input too short for such pieces
-//!    goes straight to the kernel;
+//!    leave one piece untouched). It runs in both kernels, and a short
+//!    input never builds the query's q-gram profile. A short input too
+//!    short for such pieces goes straight to the kernel;
 //! 4. for a longer input, the **q-gram prefilter**: the query's q-gram
 //!    profile is built lazily, only once some input reaches this check,
 //!    as sorted packed grams in a recycled buffer (no hashing).
@@ -100,8 +99,6 @@ pub struct NtiConfig {
     /// Maximum difference ratio for a match (§III-A). The paper's running
     /// example uses 20%.
     pub threshold: f64,
-    /// Use the q-gram lower bound to skip implausible comparisons (§VI-B).
-    pub qgram_prefilter: bool,
     /// Which approximate-matching kernel runs the §III-A alignment. Both
     /// kernels produce bit-identical markings and verdicts;
     /// [`MatchKernel::BitParallel`] is the production default,
@@ -115,7 +112,6 @@ impl Default for NtiConfig {
     fn default() -> Self {
         NtiConfig {
             threshold: 0.20,
-            qgram_prefilter: true,
             kernel: MatchKernel::default(),
             critical: CriticalPolicy::default(),
         }
@@ -198,7 +194,7 @@ impl NtiAnalyzer {
     /// markings from different inputs are never combined.
     pub fn analyze(&self, inputs: &[&str], query: &str) -> NtiReport {
         let tokens = lex(query);
-        let criticals = critical_tokens(query, &tokens, &self.config.critical);
+        let criticals = critical_tokens(&tokens, self.config.critical);
         let query_bytes = to_lower(query.as_bytes());
         self.analyze_view_with(
             inputs,
@@ -282,7 +278,7 @@ impl NtiAnalyzer {
                 let skip = if qgram::bound_ceiling(input_bytes.len(), QGRAM) <= k + 1 {
                     query_str.zip(input_str).is_some_and(|(q, p)| pieces_absent(q, p, k))
                 } else {
-                    self.config.qgram_prefilter && query_profile.exceeds(input_bytes, k)
+                    query_profile.exceeds(input_bytes, k)
                 };
                 if skip {
                     report.comparisons_skipped += 1;
@@ -533,21 +529,28 @@ mod tests {
     }
 
     #[test]
-    fn prefilter_does_not_change_verdict() {
-        let cases: Vec<(&str, &str)> = vec![
-            ("-1 OR 1=1", "SELECT * FROM t WHERE id=-1 OR 1=1"),
-            ("benign", "SELECT * FROM t WHERE name='benign'"),
-            ("no match here", "SELECT 1"),
+    fn markings_match_the_sellers_reference() {
+        // The filters skip only pairs the alignment would not mark: every
+        // marking is Sellers' best match over the folded query, kept when
+        // its ratio passes the threshold.
+        let cases = [
+            ("-1 OR 1=1", "SELECT * FROM t WHERE id=-1 OR 1=1", true),
+            ("benign", "SELECT * FROM t WHERE name='benign'", false),
+            ("no match here", "SELECT 1", false),
         ];
-        for (input, q) in cases {
-            let with = NtiAnalyzer::new(NtiConfig { qgram_prefilter: true, ..Default::default() });
-            let without =
-                NtiAnalyzer::new(NtiConfig { qgram_prefilter: false, ..Default::default() });
-            assert_eq!(
-                with.analyze(&[input], q).is_attack(),
-                without.analyze(&[input], q).is_attack(),
-                "{input} / {q}"
+        for (input, q, attack) in cases {
+            let best = substring_distance(
+                input.to_ascii_lowercase().as_bytes(),
+                q.to_ascii_lowercase().as_bytes(),
             );
+            let expected: Vec<_> = (!best.is_empty() && best.diff_ratio() < 0.2)
+                .then_some((best.start, best.end, best.distance))
+                .into_iter()
+                .collect();
+            let r = nti().analyze(&[input], q);
+            let got: Vec<_> = r.markings.iter().map(|m| (m.start, m.end, m.distance)).collect();
+            assert_eq!(got, expected, "{input} / {q}");
+            assert_eq!(r.is_attack(), attack, "{input} / {q}");
         }
     }
 

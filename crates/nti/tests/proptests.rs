@@ -1,11 +1,42 @@
 //! Property-based tests for the NTI analyzer's invariants.
 
-use joza_nti::{distance_cutoff, MatchKernel, NtiAnalyzer, NtiConfig};
+use joza_nti::{distance_cutoff, MatchKernel, NtiAnalyzer, NtiConfig, NtiReport};
 use joza_strmatch::sellers::{substring_distance, SubstringMatch};
 use proptest::prelude::*;
 
 fn analyzer(threshold: f64) -> NtiAnalyzer {
     NtiAnalyzer::new(NtiConfig { threshold, ..NtiConfig::default() })
+}
+
+/// A report's markings as `(input index, start, end, distance)`.
+fn markings(r: &NtiReport) -> Vec<(usize, usize, usize, usize)> {
+    r.markings.iter().map(|m| (m.input_index, m.start, m.end, m.distance)).collect()
+}
+
+/// The filter-free reference: for each input of three bytes or more (NTI
+/// ignores shorter ones), Sellers' best match over the case-folded query,
+/// kept when its ratio passes `threshold`. No length check, verbatim
+/// search, piece filter or q-gram check runs.
+fn sellers_markings(
+    inputs: &[&str],
+    query: &str,
+    threshold: f64,
+) -> Vec<(usize, usize, usize, usize)> {
+    let query = query.to_ascii_lowercase();
+    inputs
+        .iter()
+        .enumerate()
+        .filter(|(_, input)| input.len() >= 3)
+        .filter_map(|(i, input)| {
+            let best = substring_distance(input.to_ascii_lowercase().as_bytes(), query.as_bytes());
+            (!best.is_empty() && best.diff_ratio() < threshold).then_some((
+                i,
+                best.start,
+                best.end,
+                best.distance,
+            ))
+        })
+        .collect()
 }
 
 proptest! {
@@ -95,43 +126,39 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// The q-gram prefilter is purely an optimization: verdicts with and
-    /// without it agree.
+    /// The filters are exact on arbitrary printable pairs: under both
+    /// kernels the markings are the ones the alignment alone gives.
     #[test]
-    fn prefilter_never_changes_verdict(
+    fn markings_match_the_sellers_reference(
         input in "[ -~]{0,40}",
         query in "[ -~]{0,80}",
     ) {
-        let with = NtiAnalyzer::new(NtiConfig { qgram_prefilter: true, ..NtiConfig::default() });
-        let without = NtiAnalyzer::new(NtiConfig { qgram_prefilter: false, ..NtiConfig::default() });
-        prop_assert_eq!(
-            with.analyze(&[&input], &query).is_attack(),
-            without.analyze(&[&input], &query).is_attack()
-        );
+        let expected = sellers_markings(&[&input], &query, 0.2);
+        for kernel in [MatchKernel::Classic, MatchKernel::BitParallel] {
+            let r = NtiAnalyzer::new(NtiConfig { kernel, ..NtiConfig::default() })
+                .analyze(&[&input], &query);
+            prop_assert_eq!(&markings(&r), &expected, "{}", kernel);
+        }
     }
 
     /// An input of at most 11 bytes has at most 9 q-grams, a bound of at
     /// most 3, and a cutoff of at least 2 at t = 0.2: a bound that could
     /// not prune one distance past the cutoff, so NTI never consults the
-    /// prefilter for it (the piece filter runs instead, whatever the
-    /// prefilter setting). Reports, counters included, are the same with
-    /// the prefilter on and off, under both kernels.
+    /// q-gram prefilter for it (the piece filter runs instead). Both
+    /// kernels give the same report, counters included, and its markings
+    /// are the alignment's alone.
     #[test]
-    fn kernels_agree_with_and_without_a_prefilter_that_cannot_prune(
+    fn kernels_agree_with_the_sellers_reference_on_short_inputs(
         inputs in proptest::collection::vec("[a-z0-9 =']{3,11}", 1..5),
         query in "[ -~]{0,160}",
     ) {
         let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-        let report = |kernel, qgram_prefilter| {
-            NtiAnalyzer::new(NtiConfig { kernel, qgram_prefilter, ..NtiConfig::default() })
-                .analyze(&refs, &query)
+        let report = |kernel| {
+            NtiAnalyzer::new(NtiConfig { kernel, ..NtiConfig::default() }).analyze(&refs, &query)
         };
-        let reference = report(MatchKernel::Classic, false);
-        for kernel in [MatchKernel::Classic, MatchKernel::BitParallel] {
-            for prefilter in [false, true] {
-                prop_assert_eq!(&report(kernel, prefilter), &reference, "{} {}", kernel, prefilter);
-            }
-        }
+        let classic = report(MatchKernel::Classic);
+        prop_assert_eq!(&report(MatchKernel::BitParallel), &classic);
+        prop_assert_eq!(markings(&classic), sellers_markings(&refs, &query, 0.2));
     }
 
     /// The filters are exact: a name planted with a few substitutions in a
@@ -151,16 +178,11 @@ proptest! {
             .map(|(i, c)| if i % 2 == 1 && i / 2 < edits { '#' } else { c })
             .collect();
         let query = format!("SELECT * FROM t WHERE a='{filler}{planted}{filler}'");
-        let best = substring_distance(input.as_bytes(), query.to_ascii_lowercase().as_bytes());
-        let expected: Vec<_> = (!best.is_empty() && best.diff_ratio() < threshold)
-            .then_some((best.start, best.end, best.distance))
-            .into_iter()
-            .collect();
+        let expected = sellers_markings(&[&input], &query, threshold);
         for kernel in [MatchKernel::Classic, MatchKernel::BitParallel] {
             let r = NtiAnalyzer::new(NtiConfig { threshold, kernel, ..NtiConfig::default() })
                 .analyze(&[&input], &query);
-            let got: Vec<_> = r.markings.iter().map(|m| (m.start, m.end, m.distance)).collect();
-            prop_assert_eq!(&got, &expected, "{} at t = {}", kernel, threshold);
+            prop_assert_eq!(&markings(&r), &expected, "{} at t = {}", kernel, threshold);
         }
     }
 

@@ -6,8 +6,10 @@ use joza_sqlparse::lexer::lex;
 use joza_sqlparse::token::Token;
 use std::sync::Arc;
 
-/// Configuration for the PTI analyzer.
-#[derive(Debug, Clone, Default)]
+/// Configuration for the PTI analyzer. The default is the paper's
+/// optimized analyzer (§VI-A): MRU matcher, parse-first, pragmatic
+/// critical-token policy.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PtiConfig {
     /// Matcher strategy.
     pub matcher: MatcherKind,
@@ -19,23 +21,20 @@ pub struct PtiConfig {
     pub parse_first: bool,
 }
 
-impl PtiConfig {
-    /// The paper's optimized configuration: MRU matcher + parse-first.
-    pub fn optimized() -> Self {
+impl Default for PtiConfig {
+    fn default() -> Self {
         PtiConfig {
             matcher: MatcherKind::Mru,
             critical: CriticalPolicy::default(),
             parse_first: true,
         }
     }
+}
 
+impl PtiConfig {
     /// The unoptimized prototype: naive scan, no parse-first.
     pub fn unoptimized() -> Self {
-        PtiConfig {
-            matcher: MatcherKind::Naive,
-            critical: CriticalPolicy::default(),
-            parse_first: false,
-        }
+        PtiConfig { matcher: MatcherKind::Naive, parse_first: false, ..Self::default() }
     }
 }
 
@@ -110,7 +109,7 @@ impl PtiAnalyzer {
     /// parse-once entry point. `tokens` must be `lex(query)`; the report is
     /// bit-identical to [`PtiAnalyzer::analyze`] under that contract.
     pub fn analyze_tokens(&self, query: &str, tokens: &[Token]) -> PtiReport {
-        let criticals = critical_tokens(query, tokens, &self.config.critical);
+        let criticals = critical_tokens(tokens, self.config.critical);
         let covered_by = |occ: &[joza_strmatch::Match], c: &Token| {
             occ.iter().any(|m| m.start <= c.start && c.end <= m.end)
         };

@@ -9,14 +9,15 @@
 //! frames, so the marshalling cost the paper measures (daemon vs.
 //! PHP-extension deployment, §VI-C) is actually paid here too.
 //!
-//! Three deployment modes mirror the paper:
+//! Three deployment modes mirror the three the paper measures:
 //!
-//! * [`DaemonMode::PerRequest`] — "in its shortest lifespan, the daemon
-//!   lives for the duration of one web request" (anonymous pipes);
+//! * [`DaemonMode::PerQuery`] — a fresh daemon for every query, the
+//!   paper's initial prototype (§VI-A) and the unoptimized baseline of
+//!   Fig. 7;
 //! * [`DaemonMode::LongLived`] — a daemon reused across requests (named
-//!   pipes, `nohup`);
+//!   pipes, `nohup`), the default;
 //! * [`DaemonMode::InProcess`] — no daemon at all: direct calls, modelling
-//!   the "PTI as PHP extension" overhead estimate.
+//!   the "PTI as PHP extension" overhead estimate (Table V).
 
 use crate::analyzer::{PtiAnalyzer, PtiConfig, PtiReport};
 use crate::cache::{CacheStats, VerdictCache};
@@ -40,10 +41,6 @@ pub enum DaemonMode {
     /// implementation ("initiated a new process to detect SQL
     /// injections", §VI-A), the unoptimized baseline of Fig. 7.
     PerQuery,
-    /// Spawn a daemon at request start, terminate it at request end
-    /// ("in its shortest lifespan, the daemon lives for the duration of
-    /// one web request", §IV-C1).
-    PerRequest,
     /// One daemon for the component's lifetime.
     #[default]
     LongLived,
@@ -197,8 +194,10 @@ impl PtiDaemon {
     }
 }
 
-/// Configuration for the application-side [`PtiComponent`].
-#[derive(Debug, Clone, Default)]
+/// Configuration for the application-side [`PtiComponent`]. The default
+/// is the paper's fully optimized deployment: long-lived daemon, both
+/// caches, the default (optimized) analyzer, and no modeled cost.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PtiComponentConfig {
     /// Deployment mode.
     pub mode: DaemonMode,
@@ -221,8 +220,8 @@ pub struct PtiComponentConfig {
     pub response_parse_cost: Duration,
     /// Modeled cost of launching a daemon process and loading the fragment
     /// database into it (§IV-C1). Paid per spawn: once per component in
-    /// [`DaemonMode::LongLived`], once per request in
-    /// [`DaemonMode::PerRequest`]. Zero by default.
+    /// [`DaemonMode::LongLived`], once per query in
+    /// [`DaemonMode::PerQuery`]. Zero by default.
     pub spawn_cost: Duration,
     /// Modeled *off-CPU* wait for one daemon round trip: in the paper's
     /// deployment the PHP worker **blocks** on the named pipe while the
@@ -236,24 +235,28 @@ pub struct PtiComponentConfig {
     pub pipe_latency: Duration,
 }
 
-impl PtiComponentConfig {
-    /// The paper's fully optimized deployment: long-lived daemon with both
-    /// caches and the optimized analyzer. All modeled costs are zero.
-    pub fn optimized() -> Self {
+impl Default for PtiComponentConfig {
+    fn default() -> Self {
         PtiComponentConfig {
             mode: DaemonMode::LongLived,
             query_cache: true,
             structure_cache: true,
-            pti: PtiConfig::optimized(),
-            ..Default::default()
+            pti: PtiConfig::default(),
+            pipe_cost: Duration::ZERO,
+            response_parse_cost: Duration::ZERO,
+            spawn_cost: Duration::ZERO,
+            pipe_latency: Duration::ZERO,
         }
     }
+}
 
-    /// The unoptimized prototype: per-request daemon, no caches, naive
-    /// matcher. All modeled costs are zero.
+impl PtiComponentConfig {
+    /// The paper's initial prototype (§VI-A): a daemon per query, no
+    /// caches, the naive matcher without parse-first. All modeled costs
+    /// are zero.
     pub fn unoptimized() -> Self {
         PtiComponentConfig {
-            mode: DaemonMode::PerRequest,
+            mode: DaemonMode::PerQuery,
             query_cache: false,
             structure_cache: false,
             pti: PtiConfig::unoptimized(),
@@ -306,7 +309,7 @@ pub struct PtiComponent {
     config: PtiComponentConfig,
     store: Arc<FragmentStore>,
     analyzer: PtiAnalyzer,
-    /// The long-lived or per-request daemon, when one is running.
+    /// The long-lived daemon, when one is running.
     daemon: Option<PtiClient>,
     query_cache: Option<Arc<VerdictCache>>,
     /// The structure cache of [`DaemonMode::InProcess`]; the daemon modes
@@ -400,24 +403,6 @@ impl PtiComponent {
         }
     }
 
-    /// Called at request start: in [`DaemonMode::PerRequest`] this is the
-    /// on-demand daemon launch.
-    pub fn begin_request(&mut self) {
-        if self.config.mode == DaemonMode::PerRequest {
-            self.daemon = Some(self.spawn_daemon());
-        }
-    }
-
-    /// Called at request end: a per-request daemon terminates alongside
-    /// the application.
-    pub fn end_request(&mut self) {
-        if self.config.mode == DaemonMode::PerRequest {
-            if let Some(client) = self.daemon.take() {
-                client.shutdown();
-            }
-        }
-    }
-
     /// Checks one query.
     pub fn check(&mut self, query: &str) -> PtiDecision {
         self.check_prepared(query, None)
@@ -467,7 +452,7 @@ impl PtiComponent {
                     None => self.analyzer.analyze(query),
                 },
             ),
-            DaemonMode::PerRequest | DaemonMode::LongLived => {
+            DaemonMode::LongLived => {
                 let client = self.daemon.take().unwrap_or_else(|| self.spawn_daemon());
                 let v = self.ask(&client, query);
                 if !v.daemon_down {
@@ -499,6 +484,7 @@ impl PtiComponent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::MatcherKind;
 
     const FRAGS: &[&str] = &["id", "SELECT * FROM records WHERE ID=", " LIMIT 5"];
     const SAFE_Q: &str = "SELECT * FROM records WHERE ID=42 LIMIT 5";
@@ -543,7 +529,7 @@ mod tests {
 
     #[test]
     fn component_query_cache_path() {
-        let mut c = PtiComponent::new(FRAGS, PtiComponentConfig::optimized());
+        let mut c = PtiComponent::new(FRAGS, PtiComponentConfig::default());
         let d1 = c.check(SAFE_Q);
         assert!(d1.safe);
         assert_eq!(d1.via, PtiVia::Analysis);
@@ -554,32 +540,18 @@ mod tests {
 
     #[test]
     fn component_never_caches_attacks() {
-        let mut c = PtiComponent::new(FRAGS, PtiComponentConfig::optimized());
+        let mut c = PtiComponent::new(FRAGS, PtiComponentConfig::default());
         assert!(!c.check(ATTACK_Q).safe);
         assert!(!c.check(ATTACK_Q).safe);
         assert_eq!(c.query_cache_stats().hits, 0);
     }
 
     #[test]
-    fn per_request_mode_spawns_per_request() {
-        let mut cfg = PtiComponentConfig::unoptimized();
-        cfg.mode = DaemonMode::PerRequest;
-        let mut c = PtiComponent::new(FRAGS, cfg);
-        c.begin_request();
-        assert!(c.check(SAFE_Q).safe);
-        c.end_request();
-        c.begin_request();
-        assert!(!c.check(ATTACK_Q).safe);
-        c.end_request();
-        assert_eq!(c.daemon_spawns(), 2);
-    }
-
-    #[test]
     fn in_process_mode_matches_daemon_verdicts() {
-        let mut daemon = PtiComponent::new(FRAGS, PtiComponentConfig::optimized());
+        let mut daemon = PtiComponent::new(FRAGS, PtiComponentConfig::default());
         let mut inproc = PtiComponent::new(
             FRAGS,
-            PtiComponentConfig { mode: DaemonMode::InProcess, ..PtiComponentConfig::optimized() },
+            PtiComponentConfig { mode: DaemonMode::InProcess, ..PtiComponentConfig::default() },
         );
         for q in [SAFE_Q, ATTACK_Q, "SELECT * FROM records WHERE ID=9 LIMIT 5"] {
             assert_eq!(daemon.check(q).safe, inproc.check(q).safe, "{q}");
@@ -588,16 +560,16 @@ mod tests {
 
     #[test]
     fn shared_query_cache_spans_components() {
-        let store = Arc::new(FragmentStore::new(FRAGS, PtiConfig::optimized().matcher));
+        let store = Arc::new(FragmentStore::new(FRAGS, PtiConfig::default().matcher));
         let shared = Arc::new(VerdictCache::new());
         let mut a = PtiComponent::with_store(
             Arc::clone(&store),
-            PtiComponentConfig::optimized(),
+            PtiComponentConfig::default(),
             Some(Arc::clone(&shared)),
         );
         let mut b = PtiComponent::with_store(
             store,
-            PtiComponentConfig::optimized(),
+            PtiComponentConfig::default(),
             Some(Arc::clone(&shared)),
         );
         assert_eq!(a.check(SAFE_Q).via, PtiVia::Analysis);
@@ -614,10 +586,7 @@ mod tests {
         let make = || {
             PtiComponent::new(
                 FRAGS,
-                PtiComponentConfig {
-                    mode: DaemonMode::InProcess,
-                    ..PtiComponentConfig::optimized()
-                },
+                PtiComponentConfig { mode: DaemonMode::InProcess, ..PtiComponentConfig::default() },
             )
         };
         let mut plain = make();
@@ -633,17 +602,27 @@ mod tests {
 
     #[test]
     fn dead_daemon_fails_closed_then_respawns() {
-        for mode in [DaemonMode::LongLived, DaemonMode::PerRequest] {
-            let mut c = PtiComponent::new(FRAGS, PtiComponentConfig { mode, ..Default::default() });
-            c.begin_request();
-            assert!(c.check(SAFE_Q).safe);
-            c.kill_daemon();
-            let blocked = c.check(SAFE_Q);
-            assert_eq!(blocked, PtiDecision { safe: false, via: PtiVia::DaemonDown }, "{mode:?}");
-            assert_eq!((c.daemon_failures(), c.daemon_spawns()), (1, 1), "{mode:?}");
-            assert_eq!(c.check(SAFE_Q), PtiDecision { safe: true, via: PtiVia::Analysis });
-            assert_eq!(c.daemon_spawns(), 2, "{mode:?}: respawned");
-        }
+        // No caches, so every check of the same query reaches the daemon.
+        let mut c = PtiComponent::new(
+            FRAGS,
+            PtiComponentConfig {
+                query_cache: false,
+                structure_cache: false,
+                pti: PtiConfig {
+                    matcher: MatcherKind::AhoCorasick,
+                    parse_first: false,
+                    ..PtiConfig::default()
+                },
+                ..Default::default()
+            },
+        );
+        assert!(c.check(SAFE_Q).safe);
+        c.kill_daemon();
+        let blocked = c.check(SAFE_Q);
+        assert_eq!(blocked, PtiDecision { safe: false, via: PtiVia::DaemonDown });
+        assert_eq!((c.daemon_failures(), c.daemon_spawns()), (1, 1));
+        assert_eq!(c.check(SAFE_Q), PtiDecision { safe: true, via: PtiVia::Analysis });
+        assert_eq!(c.daemon_spawns(), 2, "respawned");
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //!   contents of data nodes");
 //! * [`daemon`] — the PTI daemon: a separate worker speaking a
 //!   length-prefixed binary protocol over channels (standing in for the
-//!   paper's named/anonymous pipes), spawnable per-request or long-lived,
-//!   with an in-process mode that models the paper's "PHP extension"
-//!   overhead estimate.
+//!   paper's named/anonymous pipes), spawned per query (the paper's first
+//!   prototype) or long-lived, with an in-process mode that models the
+//!   paper's "PHP extension" overhead estimate.
 //!
 //! # Examples
 //!

@@ -9,17 +9,18 @@ use std::sync::OnceLock;
 
 /// Which multi-pattern matching strategy the store uses. The paper's
 /// unoptimized prototype corresponds to [`MatcherKind::Naive`]; its first
-/// optimization (§VI-A) to [`MatcherKind::Mru`]; [`MatcherKind::AhoCorasick`]
-/// is the asymptotically better alternative used for ablation.
+/// optimization (§VI-A) to [`MatcherKind::Mru`], the default;
+/// [`MatcherKind::AhoCorasick`] is the asymptotically better alternative
+/// used for ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatcherKind {
     /// Scan every fragment for every query.
     Naive,
     /// Scan fragments in most-recently-matched order (the paper's
     /// fragment-cache optimization).
+    #[default]
     Mru,
     /// A single Aho–Corasick automaton over all fragments.
-    #[default]
     AhoCorasick,
 }
 

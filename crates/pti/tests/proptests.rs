@@ -61,7 +61,7 @@ proptest! {
         frags in frag_strategy(),
         queries in proptest::collection::vec("[ -~]{0,40}", 1..6),
     ) {
-        let pti = PtiAnalyzer::from_fragments(frags, PtiConfig::optimized());
+        let pti = PtiAnalyzer::from_fragments(frags, PtiConfig::default());
         for q in &queries {
             let a = pti.analyze(q).is_attack();
             let b = pti.analyze(q).is_attack();
@@ -76,12 +76,15 @@ proptest! {
         frags in frag_strategy(),
         queries in proptest::collection::vec("[ -~]{0,40}", 1..8),
     ) {
-        let reference = PtiAnalyzer::from_fragments(frags.clone(), PtiConfig::default());
+        let reference = PtiAnalyzer::from_fragments(
+            frags.clone(),
+            PtiConfig { matcher: MatcherKind::AhoCorasick, parse_first: false, ..PtiConfig::default() },
+        );
         let mut cached = PtiComponent::new(
             &frags,
             PtiComponentConfig {
                 mode: DaemonMode::InProcess,
-                ..PtiComponentConfig::optimized()
+                ..PtiComponentConfig::default()
             },
         );
         for q in &queries {

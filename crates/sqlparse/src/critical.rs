@@ -9,90 +9,48 @@
 //!
 //! The paper deliberately adopts a pragmatic stance that tolerates common
 //! practices such as passing field and table names through inputs, so bare
-//! identifiers and literals are not critical. [`CriticalPolicy`] makes each
-//! category adjustable ("the techniques presented can be easily adjusted to
-//! enforce a user's desired policy").
+//! identifiers and literals are not critical. [`CriticalPolicy`] names the
+//! two policies the paper discusses: that pragmatic one and the strict
+//! one it rejects.
 
-use crate::keywords::is_builtin_function;
 use crate::token::{Token, TokenKind};
 
-/// Selects which token categories count as security-critical.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CriticalPolicy {
-    /// Reserved keywords (`SELECT`, `UNION`, `OR`, …).
-    pub keywords: bool,
-    /// Function-call heads (an identifier immediately followed by `(`).
-    /// When [`CriticalPolicy::builtin_functions_only`] is set, only names
-    /// in the built-in table count.
-    pub functions: bool,
-    /// Restrict function criticality to known built-ins.
-    pub builtin_functions_only: bool,
-    /// Operators (`=`, `<>`, `||`, …).
-    pub operators: bool,
-    /// Comments (each comment is a single critical token, per §III-B).
-    pub comments: bool,
-    /// Structural punctuation: parens, commas, semicolons. Off by default,
-    /// matching the paper's pragmatic threat model (advanced-search style
-    /// inputs like `1,2,3` are permitted).
-    pub punctuation: bool,
-    /// Bytes the lexer could not classify (stray quotes, control bytes).
-    /// These usually indicate an escape from a string literal.
-    pub unknown: bool,
-}
-
-impl Default for CriticalPolicy {
-    fn default() -> Self {
-        CriticalPolicy {
-            keywords: true,
-            functions: true,
-            builtin_functions_only: false,
-            operators: true,
-            comments: true,
-            punctuation: false,
-            unknown: true,
-        }
-    }
+/// Which token categories count as security-critical.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CriticalPolicy {
+    /// The paper's policy (§II): keywords, function-call heads (an
+    /// identifier immediately followed by `(`), operators, comments (each
+    /// one critical token, per §III-B) and bytes the lexer could not
+    /// classify (stray quotes, control bytes: usually an escape from a
+    /// string literal). Punctuation is not critical, so advanced-search
+    /// style inputs like `1,2,3` are permitted.
+    #[default]
+    Pragmatic,
+    /// The strict policy from Ray & Ligatti that the paper *rejects* as
+    /// too brittle, kept for the policy ablation: everything
+    /// [`CriticalPolicy::Pragmatic`] marks, plus parens, commas and
+    /// semicolons.
+    Strict,
 }
 
 impl CriticalPolicy {
-    /// The strict policy from Ray & Ligatti that the paper *rejects* as too
-    /// brittle, provided for comparison experiments: everything except
-    /// literal data is critical.
-    pub fn strict() -> Self {
-        CriticalPolicy {
-            keywords: true,
-            functions: true,
-            builtin_functions_only: false,
-            operators: true,
-            comments: true,
-            punctuation: true,
-            unknown: true,
-        }
-    }
-
     /// Decides whether token `i` of `tokens` is critical.
-    pub fn is_critical(&self, tokens: &[Token], i: usize, source: &str) -> bool {
-        let t = tokens[i];
-        match t.kind {
-            TokenKind::Keyword => self.keywords,
-            TokenKind::Operator => self.operators,
-            TokenKind::Comment => self.comments,
-            TokenKind::Unknown => self.unknown,
+    pub fn is_critical(self, tokens: &[Token], i: usize) -> bool {
+        match tokens[i].kind {
+            TokenKind::Keyword | TokenKind::Operator | TokenKind::Comment | TokenKind::Unknown => {
+                true
+            }
             TokenKind::LParen | TokenKind::RParen | TokenKind::Comma | TokenKind::Semicolon => {
-                self.punctuation
+                self == CriticalPolicy::Strict
             }
-            TokenKind::Identifier => {
-                // A function call head: identifier immediately followed by `(`.
-                self.functions
-                    && tokens.get(i + 1).is_some_and(|n| n.kind == TokenKind::LParen)
-                    && (!self.builtin_functions_only || is_builtin_function(t.text(source)))
-            }
+            // A function call head: identifier immediately followed by `(`.
+            TokenKind::Identifier => tokens.get(i + 1).is_some_and(|n| n.kind == TokenKind::LParen),
             _ => false,
         }
     }
 }
 
-/// Extracts the critical tokens of `source`'s lexed `tokens` under `policy`.
+/// Extracts the critical tokens of a query's lexed `tokens` under `policy`.
 ///
 /// # Examples
 ///
@@ -100,28 +58,21 @@ impl CriticalPolicy {
 /// use joza_sqlparse::{lex, critical_tokens, CriticalPolicy};
 ///
 /// let q = "SELECT * FROM data WHERE ID=1 OR TRUE";
-/// let crit = critical_tokens(q, &lex(q), &CriticalPolicy::default());
+/// let crit = critical_tokens(&lex(q), CriticalPolicy::default());
 /// let texts: Vec<&str> = crit.iter().map(|t| t.text(q)).collect();
 /// assert_eq!(texts, ["SELECT", "*", "FROM", "WHERE", "=", "OR", "TRUE"]);
 /// ```
-pub fn critical_tokens(source: &str, tokens: &[Token], policy: &CriticalPolicy) -> Vec<Token> {
+pub fn critical_tokens(tokens: &[Token], policy: CriticalPolicy) -> Vec<Token> {
     let mut out = Vec::new();
-    critical_tokens_into(source, tokens, policy, &mut out);
+    critical_tokens_into(tokens, policy, &mut out);
     out
 }
 
 /// [`critical_tokens`] into a caller-owned buffer (appended, not
 /// cleared) — the per-check entry point: a recycled buffer makes
 /// repeated classification allocation-free at steady state.
-pub fn critical_tokens_into(
-    source: &str,
-    tokens: &[Token],
-    policy: &CriticalPolicy,
-    out: &mut Vec<Token>,
-) {
-    out.extend(
-        (0..tokens.len()).filter(|&i| policy.is_critical(tokens, i, source)).map(|i| tokens[i]),
-    );
+pub fn critical_tokens_into(tokens: &[Token], policy: CriticalPolicy, out: &mut Vec<Token>) {
+    out.extend((0..tokens.len()).filter(|&i| policy.is_critical(tokens, i)).map(|i| tokens[i]));
 }
 
 #[cfg(test)]
@@ -131,7 +82,7 @@ mod tests {
 
     fn crit_texts(q: &str) -> Vec<String> {
         let toks = lex(q);
-        critical_tokens(q, &toks, &CriticalPolicy::default())
+        critical_tokens(&toks, CriticalPolicy::default())
             .iter()
             .map(|t| t.text(q).to_string())
             .collect()
@@ -168,21 +119,10 @@ mod tests {
     fn punctuation_only_critical_under_strict() {
         let q = "SELECT a, b FROM t";
         let toks = lex(q);
-        let default = critical_tokens(q, &toks, &CriticalPolicy::default());
+        let default = critical_tokens(&toks, CriticalPolicy::default());
         assert!(!default.iter().any(|t| t.text(q) == ","));
-        let strict = critical_tokens(q, &toks, &CriticalPolicy::strict());
+        let strict = critical_tokens(&toks, CriticalPolicy::Strict);
         assert!(strict.iter().any(|t| t.text(q) == ","));
-    }
-
-    #[test]
-    fn builtin_only_mode() {
-        let q = "SELECT my_custom_fn(1), sleep(5)";
-        let toks = lex(q);
-        let policy = CriticalPolicy { builtin_functions_only: true, ..Default::default() };
-        let crit = critical_tokens(q, &toks, &policy);
-        let texts: Vec<&str> = crit.iter().map(|t| t.text(q)).collect();
-        assert!(!texts.contains(&"my_custom_fn"));
-        assert!(texts.contains(&"sleep"));
     }
 
     #[test]

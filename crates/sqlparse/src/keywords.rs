@@ -1,4 +1,4 @@
-//! MySQL keyword and built-in function tables.
+//! The MySQL keyword table.
 
 /// Reserved and significant MySQL keywords, uppercase, sorted for binary
 /// search. This list follows the MySQL 5.x grammar the paper's WordPress
@@ -78,61 +78,6 @@ pub static KEYWORDS: &[&str] = &[
     "XOR",
 ];
 
-/// Built-in MySQL function names (uppercase, sorted) that commonly appear
-/// in injection payloads or WordPress queries. Used to classify
-/// `name(`-style calls; unknown call targets are *also* treated as
-/// functions by the critical-token policy since attackers may invoke any
-/// function.
-pub static BUILTIN_FUNCTIONS: &[&str] = &[
-    "ABS",
-    "ASCII",
-    "AVG",
-    "BENCHMARK",
-    "CAST",
-    "CHAR",
-    "CHAR_LENGTH",
-    "COALESCE",
-    "CONCAT",
-    "CONCAT_WS",
-    "CONVERT",
-    "COUNT",
-    "CURRENT_USER",
-    "DATABASE",
-    "EXTRACTVALUE",
-    "FLOOR",
-    "GROUP_CONCAT",
-    "HEX",
-    "IF",
-    "IFNULL",
-    "INSTR",
-    "LENGTH",
-    "LOAD_FILE",
-    "LOWER",
-    "LPAD",
-    "MAX",
-    "MD5",
-    "MID",
-    "MIN",
-    "NOW",
-    "ORD",
-    "RAND",
-    "REPLACE",
-    "ROUND",
-    "RPAD",
-    "SCHEMA",
-    "SLEEP",
-    "SUBSTR",
-    "SUBSTRING",
-    "SUM",
-    "TRIM",
-    "UNHEX",
-    "UPDATEXML",
-    "UPPER",
-    "USER",
-    "USERNAME",
-    "VERSION",
-];
-
 /// Returns `true` if `word` (any case) is a reserved SQL keyword.
 ///
 /// # Examples
@@ -145,17 +90,15 @@ pub static BUILTIN_FUNCTIONS: &[&str] = &[
 /// assert!(!is_keyword("wp_posts"));
 /// ```
 pub fn is_keyword(word: &str) -> bool {
-    lookup(KEYWORDS, word).is_some()
-}
-
-/// Returns `true` if `word` (any case) is a known built-in function name.
-pub fn is_builtin_function(word: &str) -> bool {
-    lookup(BUILTIN_FUNCTIONS, word).is_some()
+    canonical(word).is_some()
 }
 
 /// The canonical (uppercase, `'static`) spelling of `word` if it is a
 /// reserved keyword — the allocation-free way to render a keyword token
 /// into skeleton normal form: the table entry *is* the uppercased text.
+/// A case-insensitive binary search that uppercases no copy of `word`:
+/// the table is sorted by its (uppercase) bytes, so comparing each byte
+/// of `word` ASCII-uppercased on the fly preserves the order.
 ///
 /// # Examples
 ///
@@ -167,17 +110,10 @@ pub fn is_builtin_function(word: &str) -> bool {
 /// assert_eq!(canonical("wp_posts"), None);
 /// ```
 pub fn canonical(word: &str) -> Option<&'static str> {
-    lookup(KEYWORDS, word)
-}
-
-/// Case-insensitive binary search without uppercasing a copy of `word`:
-/// the tables are sorted by their (uppercase) bytes, so comparing each
-/// byte of `word` ASCII-uppercased on the fly preserves the order.
-fn lookup(table: &'static [&'static str], word: &str) -> Option<&'static str> {
     if word.len() > 24 || word.is_empty() {
         return None;
     }
-    let idx = table
+    let idx = KEYWORDS
         .binary_search_by(|entry| {
             let mut ours = entry.bytes();
             let mut theirs = word.bytes().map(|b| b.to_ascii_uppercase());
@@ -192,7 +128,7 @@ fn lookup(table: &'static [&'static str], word: &str) -> Option<&'static str> {
             }
         })
         .ok()?;
-    Some(table[idx])
+    Some(KEYWORDS[idx])
 }
 
 #[cfg(test)]
@@ -200,11 +136,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tables_are_sorted_and_unique() {
-        for table in [KEYWORDS, BUILTIN_FUNCTIONS] {
-            for w in table.windows(2) {
-                assert!(w[0] < w[1], "{} >= {}", w[0], w[1]);
-            }
+    fn keyword_table_is_sorted_and_unique() {
+        for w in KEYWORDS.windows(2) {
+            assert!(w[0] < w[1], "{} >= {}", w[0], w[1]);
         }
     }
 
@@ -215,14 +149,6 @@ mod tests {
         assert!(is_keyword("where"));
         assert!(!is_keyword(""));
         assert!(!is_keyword("unions"));
-    }
-
-    #[test]
-    fn function_lookup() {
-        assert!(is_builtin_function("sleep"));
-        assert!(is_builtin_function("CHAR"));
-        assert!(is_builtin_function("group_concat"));
-        assert!(!is_builtin_function("my_custom_fn"));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!
 //! let q = "SELECT * FROM posts WHERE id=-1 UNION SELECT username()";
 //! let tokens = lex(q);
-//! let crits = critical_tokens(q, &tokens, &CriticalPolicy::default());
+//! let crits = critical_tokens(&tokens, CriticalPolicy::default());
 //! let texts: Vec<&str> = crits.iter().map(|t| t.text(q)).collect();
 //! assert!(texts.contains(&"UNION"));
 //! assert!(texts.contains(&"username"));

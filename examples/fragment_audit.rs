@@ -20,7 +20,7 @@ use joza::sqlparse::lexer::lex;
 fn coverage_line(analyzer: &PtiAnalyzer, query: &str) {
     let report = analyzer.analyze(query);
     let tokens = lex(query);
-    let criticals = critical_tokens(query, &tokens, &CriticalPolicy::default());
+    let criticals = critical_tokens(&tokens, CriticalPolicy::default());
     println!("  {query}");
     // Render a marker row: '+' under covered critical tokens, '^' under
     // uncovered ones (attack evidence).

@@ -4,6 +4,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs one named `cargo test -q` step and fails when the step ran no
+# test: a filter that matches nothing (a renamed or deleted test) would
+# otherwise print "running 0 tests" and pass.
+run_tests() {
+    local out
+    if ! out=$(cargo test -q "$@" 2>&1); then
+        printf '%s\n' "$out"
+        return 1
+    fi
+    printf '%s\n' "$out"
+    if ! grep -Eq 'test result: ok\. [1-9][0-9]* passed' <<<"$out"; then
+        echo "error: 'cargo test -q $*' ran no test" >&2
+        return 1
+    fi
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -26,7 +42,7 @@ cargo test -q --workspace
 # The concurrency suite again, explicitly multi-threaded: the stress
 # tests must hold when the harness itself runs them in parallel.
 echo "==> cargo test -q --test concurrency -- --test-threads=4"
-cargo test -q --test concurrency -- --test-threads=4
+run_tests --test concurrency -- --test-threads=4
 
 # Differential kernel suite, explicitly: the bit-parallel NTI kernel must
 # be bit-identical to Sellers-classic on distances, spans, and reports
@@ -50,7 +66,8 @@ cargo test -q --test concurrency -- --test-threads=4
 # cutoff; and thresholds of 1.0 and above must neither overflow nor skip
 # an input as long as the query. The `myers` and `kernels` filters also
 # pick up the single-word Myers edge cases (|p| = 1, 63, 64, 65) and the
-# prefilter-on/off report identity. `nti_kernel_identity` also covers
+# agreement of both kernels with the filter-free Sellers reference on
+# short inputs. `nti_kernel_identity` also covers
 # 6-16 byte names absent from 1-8 KB comment queries or planted near the
 # distance cutoff (one edit inside, at, one past), and apostrophe-dense
 # comments up to 8 KB under magic quotes, where the bit-parallel span
@@ -59,48 +76,48 @@ cargo test -q --test concurrency -- --test-threads=4
 # verbatim search, the piece filter and the q-gram check together must
 # keep every marking the alignment alone gives.
 echo "==> differential kernel tests (strmatch myers + swar + qgram, nti kernel, lexer equivalence, fingerprint invariants, installer vocabulary)"
-cargo test -q -p joza-strmatch myers
-cargo test -q -p joza-strmatch --test proptests myers
-cargo test -q -p joza-strmatch --test proptests qgram
-cargo test -q -p joza-strmatch swar
-cargo test -q -p joza-strmatch --test proptests swar
-cargo test -q -p joza-strmatch --test proptests to_lower
-cargo test -q -p joza-nti --test proptests kernels
-cargo test -q -p joza-nti --test proptests distance_cutoff
-cargo test -q -p joza-nti --test proptests filters_never_drop_a_marking
-cargo test -q -p joza-sqlparse --test proptests lex_into
-cargo test -q -p joza-sqlparse --test proptests has_known_token
-cargo test -q -p joza-phpsim --lib fragments::tests::reference_
-cargo test -q -p joza-phpsim --lib fragments::tests::every_part_count
-cargo test -q -p joza-phpsim --lib fragments::tests::a_literal_on_both_sides
-cargo test -q --test installer_vocabulary
-cargo test -q -p joza-sqlparse --test proptests sym_skeleton
+run_tests -p joza-strmatch myers
+run_tests -p joza-strmatch --test proptests myers
+run_tests -p joza-strmatch --test proptests qgram
+run_tests -p joza-strmatch swar
+run_tests -p joza-strmatch --test proptests swar
+run_tests -p joza-strmatch --test proptests to_lower
+run_tests -p joza-nti --test proptests kernels
+run_tests -p joza-nti --test proptests distance_cutoff
+run_tests -p joza-nti --test proptests filters_never_drop_a_marking
+run_tests -p joza-sqlparse --test proptests lex_into
+run_tests -p joza-sqlparse --test proptests has_known_token
+run_tests -p joza-phpsim --lib fragments::tests::reference_
+run_tests -p joza-phpsim --lib fragments::tests::every_part_count
+run_tests -p joza-phpsim --lib fragments::tests::a_literal_on_both_sides
+run_tests --test installer_vocabulary
+run_tests -p joza-sqlparse --test proptests sym_skeleton
 # Skeleton fingerprints are a function of the rendered text alone: two
 # table symbols are equal exactly when their bytes are, a check-local id
 # names its own token and equals no table id, queries that differ only in
 # an identifier no deployment interned never share a fingerprint, and a
 # query's fingerprint is the same whether or not its identifiers were
 # interned.
-cargo test -q -p joza-sqlparse --lib fingerprint::tests::table_ids_are_equal_exactly_when_bytes_are
-cargo test -q -p joza-sqlparse --lib fingerprint::tests::unknown_identifiers_never_share
-cargo test -q -p joza-sqlparse --lib fingerprint::tests::fingerprint_does_not_depend_on_what_was_interned
-cargo test -q -p joza-sqlparse --lib symbol::tests::local_ids_name_positions
-cargo test -q --test nti_kernel_identity
-cargo test -q -p joza-strmatch --test proptests find_str
-cargo test -q -p joza-strmatch --lib qgram
-cargo test -q -p joza-nti --lib verbatim_search
-cargo test -q -p joza-nti --lib thresholds_at_and_above_one
-cargo test -q --test alloc_free
+run_tests -p joza-sqlparse --lib fingerprint::tests::table_ids_are_equal_exactly_when_bytes_are
+run_tests -p joza-sqlparse --lib fingerprint::tests::unknown_identifiers_never_share
+run_tests -p joza-sqlparse --lib fingerprint::tests::fingerprint_does_not_depend_on_what_was_interned
+run_tests -p joza-sqlparse --lib symbol::tests::local_ids_name_positions
+run_tests --test nti_kernel_identity
+run_tests -p joza-strmatch --test proptests find_str
+run_tests -p joza-strmatch --lib qgram
+run_tests -p joza-nti --lib verbatim_search
+run_tests -p joza-nti --lib thresholds_at_and_above_one
+run_tests --test alloc_free
 # PTI's fragment kernel must report exactly the byte-at-a-time loop's
 # matches (overlapping, empty and over-long patterns included); MRU over
 # the borrowed vocabulary, with promotions and early exit, must equal the
 # naive scan and Aho-Corasick; and every lab-corpus query must get an
 # identical PtiReport under Naive, MRU and Aho-Corasick.
-cargo test -q -p joza-strmatch --lib mru
-cargo test -q -p joza-strmatch --test proptests scanners_agree
-cargo test -q -p joza-strmatch --test proptests mru_
-cargo test -q -p joza-pti --lib store
-cargo test -q --test pti_matcher_identity
+run_tests -p joza-strmatch --lib mru
+run_tests -p joza-strmatch --test proptests scanners_agree
+run_tests -p joza-strmatch --test proptests mru_
+run_tests -p joza-pti --lib store
+run_tests --test pti_matcher_identity
 # One parse per route: query models, taint summaries and the hardening
 # report built from an application's shared parses must equal the text
 # entry points' on every lab, CMS and second-order route, and a
@@ -125,22 +142,22 @@ cargo test -q --test pti_matcher_identity
 # a sink argument the prepared call would drop (an assignment, a call)
 # skips the route instead of vanishing.
 echo "==> shared-parse identity, fixpoint reference, literal-scan reference, report digest, walker ids, header source, loop cap, skippable operands, hardened gate"
-cargo test -q -p joza-sast --test report_digest
-cargo test -q -p joza-sast --lib absint::tests::preorder_ids_match_span_table
-cargo test -q --test input_sources header_borne_injection
-cargo test -q -p joza-sast --test soundness loop_chain_longer_than_the_pass_cap
-cargo test -q -p joza-sast --test soundness assignments_in_skippable_operands_join
-cargo test -q -p joza-sast --lib assignment_in_skippable_operand_is_not_inlined
-cargo test -q --test hardened_gate
-cargo test -q -p joza-sast --lib unparsable_source_skips_with_parse_error
-cargo test -q -p joza-sast --lib quote_opened_before_a_hole_and_never_closed_skips
-cargo test -q -p joza-sast --lib sink_argument_with_effects_is_not_dropped
-cargo test -q -p joza-sast --test shared_parse
-cargo test -q -p joza-sast --lib fixpoint_reference
-cargo test -q -p joza-sast --lib store_flow_parses_each_route_once
-cargo test -q -p joza-phpsim --lib lexer::tests::reference_
-cargo test -q -p joza-phpsim --lib lexer::tests::find_any
-cargo test -q -p joza-phpsim --lib lexer::tests::eq_lanes
+run_tests -p joza-sast --test report_digest
+run_tests -p joza-sast --lib absint::tests::preorder_ids_match_span_table
+run_tests --test input_sources header_borne_injection
+run_tests -p joza-sast --test soundness loop_chain_longer_than_the_pass_cap
+run_tests -p joza-sast --test soundness assignments_in_skippable_operands_join
+run_tests -p joza-sast --lib assignment_in_skippable_operand_is_not_inlined
+run_tests --test hardened_gate
+run_tests -p joza-sast --lib unparsable_source_skips_with_parse_error
+run_tests -p joza-sast --lib quote_opened_before_a_hole_and_never_closed_skips
+run_tests -p joza-sast --lib sink_argument_with_effects_is_not_dropped
+run_tests -p joza-sast --test shared_parse
+run_tests -p joza-sast --lib fixpoint_reference
+run_tests -p joza-sast --lib store_flow_parses_each_route_once
+run_tests -p joza-phpsim --lib lexer::tests::reference_
+run_tests -p joza-phpsim --lib lexer::tests::find_any
+run_tests -p joza-phpsim --lib lexer::tests::eq_lanes
 
 # Pipeline equivalence, explicitly: a route session's check, the same
 # session's check_batch, and Joza::check_query_on_route must produce
@@ -151,7 +168,7 @@ cargo test -q -p joza-phpsim --lib lexer::tests::eq_lanes
 # disabled detector reading zero; and Server::handle_with must block
 # exactly the requests with a flagged query.
 echo "==> cargo test -q --test pipeline_equivalence"
-cargo test -q --test pipeline_equivalence
+run_tests --test pipeline_equivalence
 
 # Robustness, explicitly: one million unique safe queries keep the PTI
 # query cache within its constant capacity with every overflow counted as
@@ -167,37 +184,37 @@ cargo test -q --test pipeline_equivalence
 # fragment extractor never panic on source dense in quotes, backslashes,
 # `$`, braces, `%`, `:` and multi-byte characters.
 echo "==> robustness (bounded caches and symbols, daemon kill, eviction soundness, phpsim and sqlparse fuzz, nesting, stale routes, NTI work counts)"
-cargo test -q --test bounded_cache
-cargo test -q --test bounded_symbols
-cargo test -q -p joza-sqlparse --test proptests fuzz_
-cargo test -q -p joza-pti --lib stays_within_capacity_and_counts_evictions
-cargo test -q -p joza-pti --lib daemon::tests::dead_
-cargo test -q -p joza-core --lib pti_daemon_death_blocks_then_respawns
-cargo test -q --test pipeline_equivalence evicting_caches_never_change_a_verdict
-cargo test -q -p joza-phpsim --test proptests fuzz_
+run_tests --test bounded_cache
+run_tests --test bounded_symbols
+run_tests -p joza-sqlparse --test proptests fuzz_
+run_tests -p joza-pti --lib stays_within_capacity_and_counts_evictions
+run_tests -p joza-pti --lib daemon::tests::dead_
+run_tests -p joza-core --lib pti_daemon_death_blocks_then_respawns
+run_tests --test pipeline_equivalence evicting_caches_never_change_a_verdict
+run_tests -p joza-phpsim --test proptests fuzz_
 # Hostile nesting: SQL nested past the parser's bound (parentheses,
 # prefix operators, subqueries; 600 and 50,000 levels) is a parse error
 # on a default 2 MiB thread stack, never a stack overflow that aborts
 # the process, and such a request is served as an SQL error or blocked;
 # each form at the deepest depth the parser accepts parses on that stack
 # in this debug build.
-cargo test -q -p joza-sqlparse --lib nesting
-cargo test -q --test hostile_nesting
+run_tests -p joza-sqlparse --lib nesting
+run_tests --test hostile_nesting
 # Stale route code: re-adding a plugin or writing its source through
 # `plugin_mut` must drop its cached parse and chunk on both engines.
-cargo test -q -p joza-webapp --lib stale_route_code
+run_tests -p joza-webapp --lib stale_route_code
 # LIKE matching stays polynomial: the iterative matcher equals the
 # backtracking reference, 40 `_%` pairs match a 4 KB subject, and a
 # wildcard-dense search is served through the gate.
-cargo test -q -p joza-db --lib like
-cargo test -q --test false_positives wildcard_dense_search
+run_tests -p joza-db --lib like
+run_tests --test false_positives wildcard_dense_search
 # NTI stays linear on long benign comments, pinned by counts, not
 # timers: span recovery advances at most 2·⌈|p|/64⌉·|q| DP words (an
 # escaped 16 KB comment, and a pair with a candidate end in nearly every
 # column), and the piece filter skips exactly the comment-post scans
 # whose author is absent from the query.
-cargo test -q -p joza-strmatch --lib recovery_words
-cargo test -q --test nti_kernel_identity piece_filter_skips
+run_tests -p joza-strmatch --lib recovery_words
+run_tests --test nti_kernel_identity piece_filter_skips
 
 # Engine equivalence, explicitly: the bytecode VM and the tree-walking
 # interpreter must produce bit-identical responses (body, queries,
@@ -205,20 +222,20 @@ cargo test -q --test nti_kernel_identity piece_filter_skips
 # benign, every exploit, and both second-order two-phase flows — plus the
 # 404 and parse-error paths.
 echo "==> cargo test -q -p joza-lab --test engine_differential"
-cargo test -q -p joza-lab --test engine_differential
+run_tests -p joza-lab --test engine_differential
 
 # Engine differential property test: seeded random phpsim programs
 # (loops, compound assignment, indexed stores, host query calls,
 # mid-program termination) diffed VM vs tree-walk on result, output, and
 # the exact SQL sequence the host saw.
 echo "==> cargo test -q -p joza-phpsim --test vm_differential"
-cargo test -q -p joza-phpsim --test vm_differential
+run_tests -p joza-phpsim --test vm_differential
 
 # Engine edge semantics: foreach snapshotting, break/continue depth,
 # Terminated mid-expression, uninitialized reads, and string/number
 # coercions pinned against both engines.
 echo "==> cargo test -q -p joza-phpsim --test engine_edges"
-cargo test -q -p joza-phpsim --test engine_edges
+run_tests -p joza-phpsim --test engine_edges
 
 # The paper's claims: `paper` renders every untimed section (Tables
 # I-IV, the threshold and policy ablations, the static report and its

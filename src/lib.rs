@@ -21,14 +21,13 @@
 //! # Quickstart
 //!
 //! ```
-//! use joza::core::{Joza, JozaConfig};
+//! use joza::core::Joza;
 //!
 //! // Fragments would normally come from the application's source code.
+//! // The default configuration is the paper's deployment: a long-lived
+//! // PTI daemon with both caches (`JozaConfig::default()`).
 //! let fragments = ["SELECT * FROM posts WHERE id=", " LIMIT 1", "id"];
-//! let joza = Joza::builder()
-//!     .fragments(fragments)
-//!     .config(JozaConfig::default())
-//!     .build();
+//! let joza = Joza::builder().fragments(fragments).build();
 //!
 //! let mut session = joza.session();
 //! session.capture_input("id", "7");

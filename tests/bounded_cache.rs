@@ -19,7 +19,7 @@ fn query_cache_stays_bounded_over_a_million_unique_queries() {
         pti: PtiComponentConfig {
             mode: DaemonMode::InProcess,
             structure_cache: false,
-            ..PtiComponentConfig::optimized()
+            ..PtiComponentConfig::default()
         },
         ..JozaConfig::optimized()
     };

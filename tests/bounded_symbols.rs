@@ -31,7 +31,7 @@ fn symbol_table_stays_bounded_over_a_million_fresh_identifiers() {
         pti: PtiComponentConfig {
             mode: DaemonMode::InProcess,
             structure_cache: true,
-            ..PtiComponentConfig::optimized()
+            ..PtiComponentConfig::default()
         },
         ..JozaConfig::optimized()
     };

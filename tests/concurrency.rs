@@ -27,7 +27,7 @@ fn engine_is_send_and_sync() {
 fn concurrent_checks_are_consistent() {
     for mode in [DaemonMode::LongLived, DaemonMode::InProcess] {
         let config = JozaConfig {
-            pti: PtiComponentConfig { mode, ..PtiComponentConfig::optimized() },
+            pti: PtiComponentConfig { mode, ..PtiComponentConfig::default() },
             ..JozaConfig::default()
         };
         let joza = Arc::new(Joza::builder().fragments(FRAGS).config(config).build());

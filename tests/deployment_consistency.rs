@@ -40,31 +40,32 @@ fn all_daemon_modes_and_caches_agree() {
             mode: DaemonMode::InProcess,
             query_cache: false,
             structure_cache: false,
-            pti: PtiConfig::default(),
+            pti: PtiConfig {
+                matcher: MatcherKind::AhoCorasick,
+                parse_first: false,
+                ..PtiConfig::default()
+            },
             ..Default::default()
         },
-        PtiComponentConfig { mode: DaemonMode::InProcess, ..PtiComponentConfig::optimized() },
+        PtiComponentConfig { mode: DaemonMode::InProcess, ..PtiComponentConfig::default() },
         PtiComponentConfig {
             mode: DaemonMode::LongLived,
             query_cache: false,
             structure_cache: false,
-            pti: PtiConfig::optimized(),
+            pti: PtiConfig::default(),
             ..Default::default()
         },
-        PtiComponentConfig::optimized(),
-        PtiComponentConfig { mode: DaemonMode::PerRequest, ..PtiComponentConfig::optimized() },
-        PtiComponentConfig { mode: DaemonMode::PerQuery, ..PtiComponentConfig::optimized() },
+        PtiComponentConfig::default(),
+        PtiComponentConfig { mode: DaemonMode::PerQuery, ..PtiComponentConfig::default() },
         PtiComponentConfig::unoptimized(),
     ];
-    // Reference: direct in-process analysis, no caches, default matcher.
+    // Reference: direct in-process analysis, no caches, Aho-Corasick.
     let mut reference = PtiComponent::new(FRAGS, configs[0].clone());
     let expected: Vec<bool> = queries().iter().map(|q| reference.check(q).safe).collect();
 
     for cfg in &configs[1..] {
         let mut component = PtiComponent::new(FRAGS, cfg.clone());
-        component.begin_request();
         let got: Vec<bool> = queries().iter().map(|q| component.check(q).safe).collect();
-        component.end_request();
         assert_eq!(got, expected, "verdict drift under {cfg:?}");
     }
 }
@@ -120,7 +121,7 @@ fn gate_outcomes_identical_across_modes_on_real_exploits() {
     let mut lab = build_lab();
     let plugins: Vec<corpus::VulnPlugin> = lab.plugins.iter().take(10).cloned().collect();
     let mut outcomes: Vec<Vec<bool>> = Vec::new();
-    for mode in [DaemonMode::InProcess, DaemonMode::LongLived, DaemonMode::PerRequest] {
+    for mode in [DaemonMode::InProcess, DaemonMode::LongLived, DaemonMode::PerQuery] {
         let mut cfg = JozaConfig::optimized();
         cfg.pti.mode = mode;
         let joza = Joza::install(&lab.server.app, cfg);

@@ -227,7 +227,7 @@ fn evicting_caches_never_change_a_verdict() {
             pti: PtiComponentConfig {
                 query_cache: false,
                 structure_cache: false,
-                ..PtiComponentConfig::optimized()
+                ..PtiComponentConfig::default()
             },
             ..JozaConfig::optimized()
         },
