@@ -183,7 +183,7 @@ impl Database {
         let result = match stmt {
             Statement::Select(sel) => {
                 let (columns, rows) = crate::exec::run_select(self, sel, &mut side)?;
-                let origins = crate::origins::select_origins(self, sel);
+                let origins = joza_sqlparse::cells::projected_cells(sel, self);
                 QueryResult { columns, rows, affected: 0, elapsed_ms: 0, origins }
             }
             Statement::Insert(ins) => {
@@ -488,6 +488,19 @@ mod tests {
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[0][0], Value::Str("admin".into()));
         assert_eq!(r.rows[0][1].as_i64(), 2);
+    }
+
+    #[test]
+    fn aggregate_tested_against_a_subquery_aggregates() {
+        // `posts` has three rows: one group, one row, whichever form the
+        // candidate list takes.
+        let mut db = sample_db();
+        for q in
+            ["SELECT COUNT(*) IN (1, 3) FROM posts", "SELECT COUNT(*) IN (SELECT 3) FROM posts"]
+        {
+            let r = db.execute(q).unwrap();
+            assert_eq!(r.rows, vec![vec![Value::Int(1)]], "{q}");
+        }
     }
 
     #[test]

@@ -67,32 +67,7 @@ impl<'a> Ctx<'a> {
     }
 }
 
-const AGGREGATES: &[&str] = &["COUNT", "SUM", "AVG", "MIN", "MAX", "GROUP_CONCAT"];
-
-/// Whether an expression (recursively) contains an aggregate call.
-pub(crate) fn contains_aggregate(e: &Expr) -> bool {
-    match e {
-        Expr::Function { name, args, .. } => {
-            AGGREGATES.contains(&name.as_str()) || args.iter().any(contains_aggregate)
-        }
-        Expr::Unary { expr, .. } => contains_aggregate(expr),
-        Expr::Binary { left, right, .. } => contains_aggregate(left) || contains_aggregate(right),
-        Expr::IsNull { expr, .. } => contains_aggregate(expr),
-        Expr::InList { expr, list, .. } => {
-            contains_aggregate(expr) || list.iter().any(contains_aggregate)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            contains_aggregate(expr) || contains_aggregate(low) || contains_aggregate(high)
-        }
-        Expr::Like { expr, pattern, .. } => contains_aggregate(expr) || contains_aggregate(pattern),
-        Expr::Case { operand, branches, else_arm } => {
-            operand.as_deref().is_some_and(contains_aggregate)
-                || branches.iter().any(|(w, t)| contains_aggregate(w) || contains_aggregate(t))
-                || else_arm.as_deref().is_some_and(contains_aggregate)
-        }
-        _ => false,
-    }
-}
+pub(crate) const AGGREGATES: &[&str] = &["COUNT", "SUM", "AVG", "MIN", "MAX", "GROUP_CONCAT"];
 
 pub(crate) fn eval(ctx: Ctx<'_>, side: &mut SideEffects, e: &Expr) -> Result<Value, DbError> {
     match e {

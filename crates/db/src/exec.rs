@@ -1,7 +1,7 @@
 //! Statement executors: SELECT pipeline plus INSERT/UPDATE/DELETE.
 
 use crate::engine::{Database, DbError, SideEffects};
-use crate::eval::{contains_aggregate, eval, Ctx, Env};
+use crate::eval::{eval, Ctx, Env, AGGREGATES};
 use joza_sqlparse::ast::*;
 use joza_sqlparse::Value;
 
@@ -84,13 +84,15 @@ fn run_select_body(
         envs = kept;
     }
 
-    // 3. Aggregation decision.
+    // 3. Aggregation decision: an aggregate call outside any subquery.
+    let is_aggregate =
+        |e: &Expr| matches!(e, Expr::Function { name, .. } if AGGREGATES.contains(&name.as_str()));
     let aggregated = !sel.group_by.is_empty()
-        || sel.projections.iter().any(|p| match p {
-            Projection::Expr { expr, .. } => contains_aggregate(expr),
-            _ => false,
-        })
-        || sel.having.as_ref().is_some_and(contains_aggregate);
+        || sel
+            .projections
+            .iter()
+            .any(|p| matches!(p, Projection::Expr { expr, .. } if expr.any(&is_aggregate)))
+        || sel.having.as_ref().is_some_and(|h| h.any(&is_aggregate));
 
     let mut out_columns: Vec<String> = Vec::new();
     // Each produced row carries its ORDER BY keys.

@@ -4,184 +4,28 @@
 //! The second-order defense needs to know, per fetched value, which
 //! stored cells it may have come from: the gate treats values originating
 //! in *dirty* cells (cells the static store/load pass marked
-//! attacker-reachable) as taint sources for the current request. Origins
-//! are computed from the statement and the schema — per column, not per
-//! row — so the cost is independent of the result size.
+//! attacker-reachable) as taint sources for the current request. Every
+//! `SELECT`'s [`QueryResult::origins`](crate::QueryResult::origins) is
+//! [`projected_cells`](joza_sqlparse::cells::projected_cells) under the
+//! database's own schema — the rule the static pass applies without one,
+//! so the runtime capture and the static dirty set name the same cells.
+//! Origins are computed from the statement and the schema, per column and
+//! not per row, so their cost does not grow with the result.
 //!
-//! The resolution is deliberately inclusive: a computed projection
-//! (`CONCAT(a, b)`) carries every referenced column, an unqualified
-//! column in a join is attributed to every table that has it, and
-//! `UNION` arms merge positionally. Over-attribution only means the gate
-//! captures an extra input; it never drops one.
+//! With a schema, an unqualified column belongs to the tables of the
+//! nearest enclosing scope that have it, a correlated reference (`p.title`
+//! inside a subquery, `p` bound by the outer `FROM`) to the outer table,
+//! and `*` expands to the table's columns. A table the database does not
+//! have has no columns.
 
 use crate::engine::Database;
-use joza_sqlparse::ast::{Expr, Projection, SelectStatement, TableRef};
+use crate::table::Table;
+use joza_sqlparse::cells::Schema;
 
-/// One origin cell: `(table, column)`, lowercased.
-pub type Origin = (String, String);
-
-/// Tables in scope for a `SELECT` body: `(alias-or-name, table)` pairs,
-/// FROM first, then JOINs — the same order the executor expands `*` in.
-fn scope(db: &Database, sel: &SelectStatement) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut push = |t: &TableRef| {
-        let name = t.name.to_ascii_lowercase();
-        if db.table(&name).is_some() {
-            let alias =
-                t.alias.as_deref().map(str::to_ascii_lowercase).unwrap_or_else(|| name.clone());
-            out.push((alias, name));
-        }
-    };
-    if let Some(t) = &sel.from {
-        push(t);
+impl Schema for Database {
+    fn columns(&self, table: &str) -> Option<&[String]> {
+        Some(self.tables.get(table).map_or(&[], Table::columns))
     }
-    for j in &sel.joins {
-        push(&j.table);
-    }
-    out
-}
-
-fn resolve(
-    db: &Database,
-    scope: &[(String, String)],
-    qualifier: Option<&str>,
-    column: &str,
-    out: &mut Vec<Origin>,
-) {
-    let col = column.to_ascii_lowercase();
-    match qualifier {
-        Some(q) => {
-            let q = q.to_ascii_lowercase();
-            if let Some((_, table)) = scope.iter().find(|(a, _)| *a == q) {
-                push_unique(out, (table.clone(), col));
-            }
-        }
-        None => {
-            // Attribute to every in-scope table that has the column.
-            for (_, table) in scope {
-                let has = db.table(table).is_some_and(|t| t.column_index(&col).is_some());
-                if has {
-                    push_unique(out, (table.clone(), col.clone()));
-                }
-            }
-        }
-    }
-}
-
-fn push_unique(out: &mut Vec<Origin>, o: Origin) {
-    if !out.contains(&o) {
-        out.push(o);
-    }
-}
-
-/// Collects the origin cells of one projected expression.
-fn expr_origins(db: &Database, scope_t: &[(String, String)], e: &Expr, out: &mut Vec<Origin>) {
-    match e {
-        Expr::Column(c) => resolve(db, scope_t, c.table.as_deref(), &c.name, out),
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => {
-            expr_origins(db, scope_t, expr, out)
-        }
-        Expr::Binary { left, right, .. } => {
-            expr_origins(db, scope_t, left, out);
-            expr_origins(db, scope_t, right, out);
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                expr_origins(db, scope_t, a, out);
-            }
-        }
-        Expr::InList { expr, list, .. } => {
-            expr_origins(db, scope_t, expr, out);
-            for x in list {
-                expr_origins(db, scope_t, x, out);
-            }
-        }
-        Expr::Between { expr, low, high, .. } => {
-            expr_origins(db, scope_t, expr, out);
-            expr_origins(db, scope_t, low, out);
-            expr_origins(db, scope_t, high, out);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            expr_origins(db, scope_t, expr, out);
-            expr_origins(db, scope_t, pattern, out);
-        }
-        Expr::Case { operand, branches, else_arm } => {
-            if let Some(o) = operand {
-                expr_origins(db, scope_t, o, out);
-            }
-            for (w, t) in branches {
-                expr_origins(db, scope_t, w, out);
-                expr_origins(db, scope_t, t, out);
-            }
-            if let Some(x) = else_arm {
-                expr_origins(db, scope_t, x, out);
-            }
-        }
-        Expr::Subquery(sub) | Expr::Exists(sub) => {
-            // A scalar subquery's value comes from its own projections.
-            for col in select_origins(db, sub) {
-                for o in col {
-                    push_unique(out, o);
-                }
-            }
-        }
-        Expr::InSubquery { expr, .. } => expr_origins(db, scope_t, expr, out),
-        _ => {}
-    }
-}
-
-/// Origins of one `SELECT` body, before `UNION` merging.
-fn body_origins(db: &Database, sel: &SelectStatement) -> Vec<Vec<Origin>> {
-    let scope_t = scope(db, sel);
-    let mut out: Vec<Vec<Origin>> = Vec::new();
-    for p in &sel.projections {
-        match p {
-            Projection::Wildcard => {
-                for (_, table) in &scope_t {
-                    if let Some(t) = db.table(table) {
-                        for c in t.columns() {
-                            out.push(vec![(table.clone(), c.to_ascii_lowercase())]);
-                        }
-                    }
-                }
-            }
-            Projection::QualifiedWildcard(q) => {
-                let q = q.to_ascii_lowercase();
-                if let Some((_, table)) = scope_t.iter().find(|(a, _)| *a == q) {
-                    if let Some(t) = db.table(table) {
-                        for c in t.columns() {
-                            out.push(vec![(table.clone(), c.to_ascii_lowercase())]);
-                        }
-                    }
-                }
-            }
-            Projection::Expr { expr, .. } => {
-                let mut origins = Vec::new();
-                expr_origins(db, &scope_t, expr, &mut origins);
-                out.push(origins);
-            }
-        }
-    }
-    out
-}
-
-/// Per-output-column origin cells for a `SELECT` (including `UNION`
-/// continuations, merged positionally).
-pub(crate) fn select_origins(db: &Database, sel: &SelectStatement) -> Vec<Vec<Origin>> {
-    let mut cols = body_origins(db, sel);
-    for (_, arm) in &sel.set_ops {
-        for (i, arm_col) in select_origins(db, arm).into_iter().enumerate() {
-            match cols.get_mut(i) {
-                Some(c) => {
-                    for o in arm_col {
-                        push_unique(c, o);
-                    }
-                }
-                None => cols.push(arm_col),
-            }
-        }
-    }
-    cols
 }
 
 #[cfg(test)]
@@ -225,6 +69,25 @@ mod tests {
         assert_eq!(r.origins.len(), 1);
         assert!(r.origins[0].contains(&("profiles".to_string(), "bio".to_string())));
         assert!(r.origins[0].contains(&("posts".to_string(), "title".to_string())));
+    }
+
+    #[test]
+    fn correlated_reference_resolves_to_the_outer_table() {
+        let mut d = db();
+        d.create_table("users", &["id", "name"]);
+        d.insert_row("users", vec![Value::Int(1), "u".into()]);
+        let title = vec![vec![("posts".to_string(), "title".to_string())]];
+        let r =
+            d.execute("SELECT (SELECT p.title FROM users u LIMIT 1) AS t FROM posts p").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::from("t")]]);
+        assert_eq!(r.origins, title);
+        // Unqualified: `users` has no `title`, so the outer scope's does.
+        let r = d.execute("SELECT (SELECT title FROM users LIMIT 1) AS t FROM posts").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::from("t")]]);
+        assert_eq!(r.origins, title);
+        // The innermost scope that has the column wins.
+        let r = d.execute("SELECT (SELECT id FROM users LIMIT 1) FROM posts").unwrap();
+        assert_eq!(r.origins, vec![vec![("users".to_string(), "id".to_string())]]);
     }
 
     #[test]

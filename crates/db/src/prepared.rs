@@ -14,7 +14,7 @@
 //! *names* into the statement text, which no amount of binding can fix.
 
 use crate::engine::{Database, DbError, QueryResult};
-use joza_sqlparse::ast::*;
+use joza_sqlparse::ast::Expr;
 use joza_sqlparse::parser::parse;
 use joza_sqlparse::Value;
 use std::collections::HashMap;
@@ -63,133 +63,27 @@ impl Database {
     ) -> Result<QueryResult, DbError> {
         let mut stmt = parse(sql)?;
         let map: HashMap<&str, &Value> = params.iter().map(|(k, v)| (k.as_str(), v)).collect();
-        bind_statement(&mut stmt, &map)?;
+        stmt.exprs_mut().into_iter().try_for_each(|e| bind(e, &map))?;
         self.execute_parsed(&stmt)
     }
 }
 
-fn missing(name: &str) -> DbError {
-    DbError::Other(format!("no value bound for placeholder {name}"))
-}
-
-fn bind_statement(stmt: &mut Statement, params: &HashMap<&str, &Value>) -> Result<(), DbError> {
-    match stmt {
-        Statement::Select(s) => bind_select(s, params),
-        Statement::Insert(i) => {
-            for row in &mut i.rows {
-                for e in row {
-                    bind_expr(e, params)?;
-                }
-            }
-            Ok(())
-        }
-        Statement::Update(u) => {
-            for (_, e) in &mut u.assignments {
-                bind_expr(e, params)?;
-            }
-            bind_opt(&mut u.where_clause, params)?;
-            bind_limit(&mut u.limit, params)
-        }
-        Statement::Delete(d) => {
-            bind_opt(&mut d.where_clause, params)?;
-            bind_limit(&mut d.limit, params)
-        }
+/// Replaces every placeholder in `e`, nested subqueries included, with
+/// its bound value.
+fn bind(e: &mut Expr, params: &HashMap<&str, &Value>) -> Result<(), DbError> {
+    if let Expr::Placeholder(name) = e {
+        let v = params
+            .get(name.as_str())
+            .ok_or_else(|| DbError::Other(format!("no value bound for placeholder {name}")))?;
+        *e = Expr::Literal((*v).clone());
+        return Ok(());
     }
-}
-
-fn bind_select(s: &mut SelectStatement, params: &HashMap<&str, &Value>) -> Result<(), DbError> {
-    for p in &mut s.projections {
-        if let Projection::Expr { expr, .. } = p {
-            bind_expr(expr, params)?;
-        }
-    }
-    for j in &mut s.joins {
-        bind_opt(&mut j.on, params)?;
-    }
-    bind_opt(&mut s.where_clause, params)?;
-    for g in &mut s.group_by {
-        bind_expr(g, params)?;
-    }
-    bind_opt(&mut s.having, params)?;
-    for o in &mut s.order_by {
-        bind_expr(&mut o.expr, params)?;
-    }
-    bind_limit(&mut s.limit, params)?;
-    for (_, sub) in &mut s.set_ops {
-        bind_select(sub, params)?;
-    }
-    Ok(())
-}
-
-fn bind_limit(limit: &mut Option<Limit>, params: &HashMap<&str, &Value>) -> Result<(), DbError> {
-    if let Some(l) = limit {
-        bind_opt(&mut l.offset, params)?;
-        bind_expr(&mut l.count, params)?;
-    }
-    Ok(())
-}
-
-fn bind_opt(e: &mut Option<Expr>, params: &HashMap<&str, &Value>) -> Result<(), DbError> {
+    e.children_mut().try_for_each(|c| bind(c, params))?;
     match e {
-        Some(e) => bind_expr(e, params),
-        None => Ok(()),
-    }
-}
-
-fn bind_expr(e: &mut Expr, params: &HashMap<&str, &Value>) -> Result<(), DbError> {
-    match e {
-        Expr::Placeholder(name) => {
-            let v = params.get(name.as_str()).ok_or_else(|| missing(name))?;
-            *e = Expr::Literal((*v).clone());
-            Ok(())
+        Expr::Subquery(s) | Expr::Exists(s) | Expr::InSubquery { subquery: s, .. } => {
+            s.exprs_mut().into_iter().try_for_each(|c| bind(c, params))
         }
-        Expr::Literal(_) | Expr::Column(_) | Expr::Wildcard | Expr::Variable(_) => Ok(()),
-        Expr::Unary { expr, .. } => bind_expr(expr, params),
-        Expr::Binary { left, right, .. } => {
-            bind_expr(left, params)?;
-            bind_expr(right, params)
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                bind_expr(a, params)?;
-            }
-            Ok(())
-        }
-        Expr::IsNull { expr, .. } => bind_expr(expr, params),
-        Expr::InList { expr, list, .. } => {
-            bind_expr(expr, params)?;
-            for i in list {
-                bind_expr(i, params)?;
-            }
-            Ok(())
-        }
-        Expr::InSubquery { expr, subquery, .. } => {
-            bind_expr(expr, params)?;
-            bind_select(subquery, params)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            bind_expr(expr, params)?;
-            bind_expr(low, params)?;
-            bind_expr(high, params)
-        }
-        Expr::Like { expr, pattern, .. } => {
-            bind_expr(expr, params)?;
-            bind_expr(pattern, params)
-        }
-        Expr::Subquery(s) | Expr::Exists(s) => bind_select(s, params),
-        Expr::Case { operand, branches, else_arm } => {
-            if let Some(o) = operand {
-                bind_expr(o, params)?;
-            }
-            for (w, t) in branches {
-                bind_expr(w, params)?;
-                bind_expr(t, params)?;
-            }
-            if let Some(el) = else_arm {
-                bind_expr(el, params)?;
-            }
-            Ok(())
-        }
+        _ => Ok(()),
     }
 }
 

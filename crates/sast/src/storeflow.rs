@@ -12,11 +12,17 @@
 //! This pass builds a **store/load graph over `(table, column)` cells**:
 //!
 //! 1. Every sink site's inferred query templates
-//!    ([`crate::querymodel::infer_source`]) are instantiated with unique
-//!    probe markers and parsed by `joza_sqlparse`. `INSERT`/`UPDATE`
-//!    statements are *store sites* (the marker-bearing columns receive
-//!    dynamic data); `SELECT` statements are *load sites* (the projected
-//!    columns flow back into the application through row fetches).
+//!    ([`crate::querymodel::infer_source`]) are rendered with a unique
+//!    numeric marker per hole ([`QueryTemplate::render`]) and parsed by
+//!    `joza_sqlparse`. `INSERT`/`UPDATE` statements are *store sites*: the
+//!    columns whose value holds a marker receive dynamic data. `SELECT`
+//!    statements are *load sites*: their projected cells
+//!    ([`joza_sqlparse::cells::projected_cells`], the rule the database
+//!    applies to every result it returns) flow back into the application
+//!    through row fetches. With no schema to consult, a `*` loads
+//!    `(table, "*")`, an unqualified column loads that column of every
+//!    table in every enclosing scope, and a qualifier in no scope is taken
+//!    as a table name.
 //! 2. A cell turns **dirty** when a store site writes it a value the
 //!    taint analysis says exceeds `Untainted` at that site. `MaybeTainted`
 //!    (escaped) writes dirty the cell too — escaping survives neither SQL
@@ -48,9 +54,9 @@ use crate::analyzer::{analyze_plugin, AnalyzerConfig, TaintSummary};
 use crate::lattice::Taint;
 use crate::querymodel::{infer_plugin, SiteModel};
 use joza_phpsim::span::Span;
-use joza_sqlparse::ast::{Expr as SqlExpr, Projection, SelectStatement, Statement, TableRef};
-use joza_sqlparse::template::{QueryTemplate, TemplatePart};
-use joza_sqlparse::Value;
+use joza_sqlparse::ast::{Expr as SqlExpr, Statement};
+use joza_sqlparse::cells::{projected_cells, UnknownSchema};
+use joza_sqlparse::template::QueryTemplate;
 use joza_webapp::app::{Plugin, WebApp};
 use joza_webapp::transform::InputTransform;
 use std::collections::btree_map::Entry;
@@ -60,8 +66,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// position is a wildcard (whole table / every table).
 pub type Cell = (String, String);
 
-/// The wildcard column marker.
-pub const ANY: &str = "*";
+pub use joza_sqlparse::cells::ANY;
 
 /// Classification of one route after the cross-route fixpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,222 +281,50 @@ struct SiteAccess {
 /// Probe marker base: distinctive digit strings no lab query contains.
 const MARKER_BASE: u64 = 73_309_100;
 
-fn marker(i: usize) -> String {
-    (MARKER_BASE + i as u64).to_string()
-}
-
-/// Instantiates a template with one unique numeric marker per hole.
-/// `rep_once` controls whether `Rep` bodies are emitted once or elided —
-/// both variants are tried because loop-built list tails may carry
-/// separators that only parse in one of the two shapes.
-fn instantiate_with_markers(t: &QueryTemplate, rep_once: bool) -> (String, Vec<String>) {
-    fn walk(parts: &[TemplatePart], rep_once: bool, out: &mut String, markers: &mut Vec<String>) {
-        for p in parts {
-            match p {
-                TemplatePart::Lit(s) => out.push_str(s),
-                TemplatePart::Hole => {
-                    let m = marker(markers.len());
-                    out.push_str(&m);
-                    markers.push(m);
-                }
-                TemplatePart::Rep(body) => {
-                    if rep_once {
-                        walk(body, rep_once, out, markers);
-                    }
-                }
-            }
-        }
-    }
-    let mut out = String::new();
-    let mut markers = Vec::new();
-    walk(&t.parts, rep_once, &mut out, &mut markers);
-    (out, markers)
-}
-
-fn value_contains_marker(v: &Value, markers: &[String]) -> bool {
-    let rendered = match v {
-        Value::Str(s) => s.clone(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => f.to_string(),
-        _ => return false,
-    };
-    markers.iter().any(|m| rendered.contains(m.as_str()))
-}
-
-fn expr_contains_marker(e: &SqlExpr, markers: &[String]) -> bool {
-    let mut found = false;
-    walk_expr(e, &mut |x| {
-        if let SqlExpr::Literal(v) = x {
-            if value_contains_marker(v, markers) {
-                found = true;
-            }
-        }
-    });
-    found
-}
-
-/// Calls `f` on every sub-expression of `e`, preorder.
-fn walk_expr(e: &SqlExpr, f: &mut dyn FnMut(&SqlExpr)) {
-    f(e);
-    match e {
-        SqlExpr::Unary { expr, .. } | SqlExpr::IsNull { expr, .. } => walk_expr(expr, f),
-        SqlExpr::Binary { left, right, .. } => {
-            walk_expr(left, f);
-            walk_expr(right, f);
-        }
-        SqlExpr::Function { args, .. } => {
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        SqlExpr::InList { expr, list, .. } => {
-            walk_expr(expr, f);
-            for x in list {
-                walk_expr(x, f);
-            }
-        }
-        SqlExpr::InSubquery { expr, .. } => walk_expr(expr, f),
-        SqlExpr::Between { expr, low, high, .. } => {
-            walk_expr(expr, f);
-            walk_expr(low, f);
-            walk_expr(high, f);
-        }
-        SqlExpr::Like { expr, pattern, .. } => {
-            walk_expr(expr, f);
-            walk_expr(pattern, f);
-        }
-        SqlExpr::Case { operand, branches, else_arm } => {
-            if let Some(o) = operand {
-                walk_expr(o, f);
-            }
-            for (w, t) in branches {
-                walk_expr(w, f);
-                walk_expr(t, f);
-            }
-            if let Some(x) = else_arm {
-                walk_expr(x, f);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn lc(s: &str) -> String {
-    s.to_ascii_lowercase()
-}
-
-/// Tables visible in a `SELECT` body: `(alias-or-name → table)` pairs.
-fn select_tables(sel: &SelectStatement) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut push = |t: &TableRef| {
-        let name = lc(&t.name);
-        let alias = t.alias.as_deref().map(lc).unwrap_or_else(|| name.clone());
-        out.push((alias, name));
-    };
-    if let Some(t) = &sel.from {
-        push(t);
-    }
-    for j in &sel.joins {
-        push(&j.table);
-    }
-    out
-}
-
-/// Cells a `SELECT` projects back to the application (recursing into
-/// `UNION` arms and projected subqueries). Only *projected* columns count:
-/// a stored payload re-enters query text through fetched values, and
-/// fetched values come from the projection list.
-fn select_loads(sel: &SelectStatement, out: &mut BTreeSet<Cell>) {
-    let tables = select_tables(sel);
-    let resolve = |qualifier: Option<&str>, col: &str, out: &mut BTreeSet<Cell>| match qualifier {
-        Some(q) => {
-            let q = lc(q);
-            match tables.iter().find(|(a, _)| *a == q) {
-                Some((_, t)) => {
-                    out.insert((t.clone(), lc(col)));
-                }
-                // Unknown qualifier: conservative whole-table unknown.
-                None => {
-                    out.insert((q, lc(col)));
-                }
-            }
-        }
-        None => {
-            // Unqualified: attributable to any table in scope.
-            for (_, t) in &tables {
-                out.insert((t.clone(), lc(col)));
-            }
-        }
-    };
-    for p in &sel.projections {
-        match p {
-            Projection::Wildcard => {
-                for (_, t) in &tables {
-                    out.insert((t.clone(), ANY.to_string()));
-                }
-            }
-            Projection::QualifiedWildcard(q) => {
-                let q = lc(q);
-                let t = tables.iter().find(|(a, _)| *a == q).map(|(_, t)| t.clone()).unwrap_or(q);
-                out.insert((t, ANY.to_string()));
-            }
-            Projection::Expr { expr, .. } => {
-                walk_expr(expr, &mut |x| match x {
-                    SqlExpr::Column(c) => {
-                        resolve(c.table.as_deref(), &c.name, out);
-                    }
-                    SqlExpr::Subquery(sub) | SqlExpr::Exists(sub) => select_loads(sub, out),
-                    _ => {}
-                });
-            }
-        }
-    }
-    for (_, arm) in &sel.set_ops {
-        select_loads(arm, out);
-    }
-}
-
-/// Classifies one template's parsed form into store/load cells.
+/// Classifies one template's parsed form into store/load cells. The
+/// template is rendered with one unique numeric marker per hole, first
+/// with each repetition body once and then with it elided: a loop-built
+/// list tail may carry separators that parse in only one of the shapes.
 fn classify_template(t: &QueryTemplate, acc: &mut SiteAccess) {
-    for rep_once in [true, false] {
-        let (sql, markers) = instantiate_with_markers(t, rep_once);
-        let Ok(stmt) = joza_sqlparse::parse(&sql) else { continue };
+    for reps in [true, false] {
+        let r = t.render(reps, |i, out| out.push_str(&(MARKER_BASE + i as u64).to_string()));
+        let Ok(stmt) = joza_sqlparse::parse(&r.text) else { continue };
+        let markers: Vec<&str> = r.holes.iter().map(|h| &r.text[h.clone()]).collect();
+        let marked = |e: &SqlExpr| {
+            e.any(&|x| {
+                matches!(x, SqlExpr::Literal(v) if markers.iter().any(|m| v.as_str().contains(m)))
+            })
+        };
         match stmt {
+            // Only *projected* columns count: a stored payload re-enters
+            // query text through fetched values.
             Statement::Select(sel) => {
-                let mut loads = BTreeSet::new();
-                select_loads(&sel, &mut loads);
-                acc.loads.extend(loads);
+                acc.loads.extend(projected_cells(&sel, &UnknownSchema).into_iter().flatten())
             }
             Statement::Insert(ins) => {
-                let table = lc(&ins.table);
-                for row in &ins.rows {
-                    for (i, expr) in row.iter().enumerate() {
-                        if expr_contains_marker(expr, &markers) {
-                            let col = ins
-                                .columns
-                                .get(i)
-                                .map(|c| lc(c))
-                                // Positional insert: unknown column.
-                                .unwrap_or_else(|| ANY.to_string());
-                            acc.stores.insert((table.clone(), col));
-                        }
+                for (i, expr) in ins.rows.iter().flat_map(|row| row.iter().enumerate()) {
+                    if marked(expr) {
+                        // A positional insert writes an unknown column.
+                        let col = ins.columns.get(i).map_or(ANY, String::as_str);
+                        acc.stores.insert((lc(&ins.table), lc(col)));
                     }
                 }
             }
             Statement::Update(upd) => {
-                let table = lc(&upd.table);
-                for (col, expr) in &upd.assignments {
-                    if expr_contains_marker(expr, &markers) {
-                        acc.stores.insert((table.clone(), lc(col)));
-                    }
+                for (col, _) in upd.assignments.iter().filter(|(_, expr)| marked(expr)) {
+                    acc.stores.insert((lc(&upd.table), lc(col)));
                 }
             }
             Statement::Delete(_) => {}
         }
         return;
     }
-    // Neither instantiation parsed: the runtime shape is out of reach.
+    // Neither rendering parsed: the runtime shape is out of reach.
     acc.unknown = true;
+}
+
+fn lc(s: &str) -> String {
+    s.to_ascii_lowercase()
 }
 
 fn classify_site(site: &SiteModel) -> SiteAccess {
@@ -797,6 +630,7 @@ pub fn analyze_store_flow(app: &WebApp) -> StoreFlowReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use joza_sqlparse::template::TemplatePart;
     use joza_webapp::app::{Plugin, WebApp};
 
     fn app_of(routes: &[(&str, &str)]) -> WebApp {
@@ -1156,6 +990,38 @@ mod tests {
         assert_eq!(chain.cell, ("profiles".to_string(), "bio".to_string()));
         assert!(chain.store.sources.contains(&"$_POST['bio']".to_string()));
         assert!(chain.render().contains("profiles.bio"));
+    }
+
+    #[test]
+    fn correlated_subquery_reader_loads_the_outer_cell() {
+        let writer = r#"
+            $t = $_POST['title'];
+            mysql_query("UPDATE posts SET title='" . $t . "' WHERE id=1");
+        "#;
+        let reader = |select: &str| {
+            format!(
+                r#"
+                $r = mysql_query("{select}");
+                $row = mysql_fetch_row($r);
+                mysql_query("SELECT * FROM comments WHERE body='" . $row . "'");
+                "#
+            )
+        };
+        let readers = [
+            reader("SELECT (SELECT p.title FROM users u LIMIT 1) AS t FROM posts p"),
+            reader("SELECT (SELECT title FROM users LIMIT 1) AS t FROM posts"),
+            reader("SELECT title AS t FROM posts"),
+        ];
+        let title = ("posts".to_string(), "title".to_string());
+        for source in &readers {
+            let app = app_of(&[("writer", writer), ("reader", source)]);
+            let report = analyze_store_flow(&app);
+            assert_eq!(report.dirty, BTreeSet::from([title.clone()]));
+            let flow = report.get("reader").expect("reader analyzed");
+            assert!(flow.load_cells.contains(&title), "{source}: {:?}", flow.load_cells);
+            assert_eq!(flow.class, RouteClass::SecondOrderReachable, "{source}");
+            assert!(!report.taint_free_routes().contains(&"reader".to_string()), "{source}");
+        }
     }
 
     #[test]

@@ -1,8 +1,13 @@
 //! Typed abstract syntax tree for the MySQL subset Joza executes.
 //!
-//! The AST serves two consumers: the in-memory database engine (`joza-db`)
-//! evaluates it, and the [structure cache](mod@crate::fingerprint) hashes its
-//! shape with literal contents erased.
+//! The in-memory database engine (`joza-db`) evaluates it and binds
+//! prepared-statement values into it; [`crate::cells`] reads result-column
+//! provenance off it for the engine and for the static store/load pass.
+//! Each structural walk over expressions goes through [`Expr::children`]
+//! (or [`Expr::children_mut`]), which never enters a nested `SELECT`: a
+//! caller that cares about subqueries matches the subquery variants
+//! itself. [`Statement::exprs_mut`] lists the expressions a statement
+//! holds.
 
 use crate::value::Value;
 use std::fmt;
@@ -24,6 +29,28 @@ impl Statement {
     /// Whether executing this statement can modify data.
     pub fn is_write(&self) -> bool {
         !matches!(self, Statement::Select(_))
+    }
+
+    /// The statement's expressions in source order (a `SELECT`'s as
+    /// [`SelectStatement::exprs_mut`] lists them). Nested subqueries are
+    /// not entered.
+    pub fn exprs_mut(&mut self) -> Vec<&mut Expr> {
+        match self {
+            Statement::Select(s) => s.exprs_mut(),
+            Statement::Insert(i) => i.rows.iter_mut().flatten().collect(),
+            Statement::Update(u) => u
+                .assignments
+                .iter_mut()
+                .map(|(_, e)| e)
+                .chain(&mut u.where_clause)
+                .chain(u.limit.iter_mut().flat_map(Limit::exprs_mut))
+                .collect(),
+            Statement::Delete(d) => d
+                .where_clause
+                .iter_mut()
+                .chain(d.limit.iter_mut().flat_map(Limit::exprs_mut))
+                .collect(),
+        }
     }
 }
 
@@ -50,6 +77,31 @@ pub struct SelectStatement {
     pub limit: Option<Limit>,
     /// `UNION`/`UNION ALL` continuations applied to this query's rows.
     pub set_ops: Vec<(SetOp, SelectStatement)>,
+}
+
+impl SelectStatement {
+    /// The expressions of this `SELECT` and then of each `UNION` arm,
+    /// clause by clause: projections, `JOIN … ON`, `WHERE`, `GROUP BY`,
+    /// `HAVING`, `ORDER BY`, `LIMIT`. Nested subqueries are not entered.
+    pub fn exprs_mut(&mut self) -> Vec<&mut Expr> {
+        let mut out = Vec::new();
+        self.push_exprs_mut(&mut out);
+        out
+    }
+
+    fn push_exprs_mut<'a>(&'a mut self, out: &mut Vec<&'a mut Expr>) {
+        out.extend(self.projections.iter_mut().filter_map(|p| match p {
+            Projection::Expr { expr, .. } => Some(expr),
+            _ => None,
+        }));
+        out.extend(self.joins.iter_mut().filter_map(|j| j.on.as_mut()));
+        out.extend(self.where_clause.iter_mut().chain(&mut self.group_by).chain(&mut self.having));
+        out.extend(self.order_by.iter_mut().map(|o| &mut o.expr));
+        out.extend(self.limit.iter_mut().flat_map(Limit::exprs_mut));
+        for (_, arm) in &mut self.set_ops {
+            arm.push_exprs_mut(out);
+        }
+    }
 }
 
 /// One projection in a `SELECT` list.
@@ -115,6 +167,12 @@ pub struct Limit {
     pub offset: Option<Expr>,
     /// Maximum number of rows.
     pub count: Expr,
+}
+
+impl Limit {
+    fn exprs_mut(&mut self) -> impl Iterator<Item = &mut Expr> {
+        self.offset.iter_mut().chain([&mut self.count])
+    }
 }
 
 /// Set operations chaining `SELECT`s.
@@ -278,7 +336,92 @@ pub enum Expr {
     Variable(String),
 }
 
+/// An expression's direct subexpressions: up to three leading operands,
+/// a list, `CASE` branches, and a trailing `ELSE` arm.
+type ExprParts<'a> = ([Option<&'a Expr>; 3], &'a [Expr], &'a [(Expr, Expr)], Option<&'a Expr>);
+type ExprPartsMut<'a> =
+    ([Option<&'a mut Expr>; 3], &'a mut [Expr], &'a mut [(Expr, Expr)], Option<&'a mut Expr>);
+
 impl Expr {
+    /// The direct subexpressions, in source order: the one traversal every
+    /// structural recursion over SQL expressions goes through. A nested
+    /// `SELECT` is not entered: [`Expr::InSubquery`] yields only its tested
+    /// expression, [`Expr::Subquery`] and [`Expr::Exists`] yield nothing.
+    pub fn children(&self) -> impl Iterator<Item = &Expr> {
+        let (fixed, list, branches, last): ExprParts<'_> = match self {
+            Expr::Literal(_)
+            | Expr::Column(_)
+            | Expr::Wildcard
+            | Expr::Subquery(_)
+            | Expr::Exists(_)
+            | Expr::Placeholder(_)
+            | Expr::Variable(_) => ([None; 3], &[], &[], None),
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSubquery { expr, .. } => ([Some(&**expr), None, None], &[], &[], None),
+            Expr::Binary { left: a, right: b, .. } | Expr::Like { expr: a, pattern: b, .. } => {
+                ([Some(&**a), Some(&**b), None], &[], &[], None)
+            }
+            Expr::Between { expr, low, high, .. } => {
+                ([Some(&**expr), Some(&**low), Some(&**high)], &[], &[], None)
+            }
+            Expr::Function { args, .. } => ([None; 3], args, &[], None),
+            Expr::InList { expr, list, .. } => ([Some(&**expr), None, None], list, &[], None),
+            Expr::Case { operand, branches, else_arm } => {
+                ([operand.as_deref(), None, None], &[], branches, else_arm.as_deref())
+            }
+        };
+        fixed
+            .into_iter()
+            .flatten()
+            .chain(list)
+            .chain(branches.iter().flat_map(|(w, t)| [w, t]))
+            .chain(last)
+    }
+
+    /// [`Expr::children`], mutably.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut Expr> {
+        let (fixed, list, branches, last): ExprPartsMut<'_> = match self {
+            Expr::Literal(_)
+            | Expr::Column(_)
+            | Expr::Wildcard
+            | Expr::Subquery(_)
+            | Expr::Exists(_)
+            | Expr::Placeholder(_)
+            | Expr::Variable(_) => ([None, None, None], &mut [], &mut [], None),
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSubquery { expr, .. } => {
+                ([Some(&mut **expr), None, None], &mut [], &mut [], None)
+            }
+            Expr::Binary { left: a, right: b, .. } | Expr::Like { expr: a, pattern: b, .. } => {
+                ([Some(&mut **a), Some(&mut **b), None], &mut [], &mut [], None)
+            }
+            Expr::Between { expr, low, high, .. } => {
+                ([Some(&mut **expr), Some(&mut **low), Some(&mut **high)], &mut [], &mut [], None)
+            }
+            Expr::Function { args, .. } => ([None, None, None], args, &mut [], None),
+            Expr::InList { expr, list, .. } => {
+                ([Some(&mut **expr), None, None], list, &mut [], None)
+            }
+            Expr::Case { operand, branches, else_arm } => {
+                ([operand.as_deref_mut(), None, None], &mut [], branches, else_arm.as_deref_mut())
+            }
+        };
+        fixed
+            .into_iter()
+            .flatten()
+            .chain(list)
+            .chain(branches.iter_mut().flat_map(|(w, t)| [w, t]))
+            .chain(last)
+    }
+
+    /// Whether `pred` holds for this expression or any expression under
+    /// it, preorder, without entering nested subqueries.
+    pub fn any(&self, pred: &impl Fn(&Expr) -> bool) -> bool {
+        pred(self) || self.children().any(|c| c.any(pred))
+    }
+
     /// Convenience constructor for a literal.
     pub fn lit(v: impl Into<Value>) -> Expr {
         Expr::Literal(v.into())
@@ -355,6 +498,86 @@ mod tests {
         assert_eq!(c.to_string(), "t.id");
         let c = ColumnRef { table: None, name: "id".into() };
         assert_eq!(c.to_string(), "id");
+    }
+
+    #[test]
+    fn children_are_exactly_the_direct_subexpressions() {
+        let l = |i: i64| Expr::lit(i);
+        let b = |i: i64| Box::new(l(i));
+        let sub = || {
+            let expr = l(99);
+            Box::new(SelectStatement {
+                projections: vec![Projection::Expr { expr, alias: None }],
+                ..SelectStatement::default()
+            })
+        };
+        let cases = [
+            (l(0), vec![]),
+            (Expr::col("c"), vec![]),
+            (Expr::Unary { op: UnaryOp::Neg, expr: b(1) }, vec![1]),
+            (Expr::Binary { left: b(1), op: BinaryOp::Add, right: b(2) }, vec![1, 2]),
+            (
+                Expr::Function { name: "F".into(), args: vec![l(1), l(2)], distinct: false },
+                vec![1, 2],
+            ),
+            (Expr::Wildcard, vec![]),
+            (Expr::IsNull { expr: b(1), negated: false }, vec![1]),
+            (Expr::InList { expr: b(1), list: vec![l(2), l(3)], negated: false }, vec![1, 2, 3]),
+            (Expr::InSubquery { expr: b(1), subquery: sub(), negated: false }, vec![1]),
+            (Expr::Between { expr: b(1), low: b(2), high: b(3), negated: true }, vec![1, 2, 3]),
+            (Expr::Like { expr: b(1), pattern: b(2), negated: false }, vec![1, 2]),
+            (Expr::Subquery(sub()), vec![]),
+            (Expr::Exists(sub()), vec![]),
+            (
+                Expr::Case {
+                    operand: Some(b(1)),
+                    branches: vec![(l(2), l(3)), (l(4), l(5))],
+                    else_arm: Some(b(6)),
+                },
+                vec![1, 2, 3, 4, 5, 6],
+            ),
+            (
+                Expr::Case { operand: None, branches: vec![(l(1), l(2))], else_arm: None },
+                vec![1, 2],
+            ),
+            (Expr::Placeholder(":p".into()), vec![]),
+            (Expr::Variable("@v".into()), vec![]),
+        ];
+        let variants: std::collections::HashSet<_> =
+            cases.iter().map(|(e, _)| std::mem::discriminant(e)).collect();
+        assert_eq!(variants.len(), 16, "every variant has a case");
+        for (mut e, want) in cases {
+            let want: Vec<Expr> = want.into_iter().map(l).collect();
+            assert_eq!(e.children().cloned().collect::<Vec<_>>(), want, "{e:?}");
+            assert_eq!(e.children_mut().map(|c| c.clone()).collect::<Vec<_>>(), want, "{e:?}");
+            e.children_mut().for_each(|c| *c = l(7));
+            assert!(e.children().all(|c| *c == l(7)), "{e:?}");
+        }
+    }
+
+    #[test]
+    fn any_does_not_enter_subqueries() {
+        let has_99 = |e: &Expr| *e == Expr::lit(99i64);
+        let sub = crate::parse("SELECT 1 IN (SELECT 99) FROM t").unwrap();
+        let Statement::Select(s) = sub else { panic!("a SELECT") };
+        let Projection::Expr { expr, .. } = &s.projections[0] else { panic!("an expression") };
+        assert!(!expr.any(&has_99));
+        assert!(Expr::Unary { op: UnaryOp::Not, expr: Box::new(Expr::lit(99i64)) }.any(&has_99));
+    }
+
+    #[test]
+    fn exprs_mut_lists_every_clause_and_union_arm() {
+        let mut stmt = crate::parse(
+            "SELECT 1, t.* FROM t JOIN u ON 2 WHERE 3 GROUP BY 4 HAVING 5 ORDER BY 6 \
+             LIMIT 7, 8 UNION SELECT 9 FROM v WHERE (SELECT 10)",
+        )
+        .unwrap();
+        let got: Vec<String> = stmt.exprs_mut().iter().map(|e| format!("{e:?}")).collect();
+        let want: Vec<String> = (1..=9i64).map(|i| format!("{:?}", Expr::lit(i))).collect();
+        assert_eq!(&got[..9], &want[..]);
+        assert_eq!(got.len(), 10, "the scalar subquery is listed, not entered");
+        let mut update = crate::parse("UPDATE t SET a = 1, b = 2 WHERE 3 LIMIT 4").unwrap();
+        assert_eq!(update.exprs_mut().len(), 4);
     }
 
     #[test]

@@ -385,12 +385,6 @@ pub fn skeleton(query: &str) -> String {
     skeleton_tokens(query).join(" ")
 }
 
-/// The collapsed skeleton string rendered from a raw (uncollapsed)
-/// skeleton token sequence — the parse-once counterpart of [`skeleton`].
-pub fn skeleton_of(raw: &[String]) -> String {
-    collapse(raw.to_vec()).join(" ")
-}
-
 /// The 64-bit fingerprint of a raw skeleton token sequence — the
 /// parse-once counterpart of [`fingerprint`]: `fingerprint_of(&raw_skeleton_tokens(q))`
 /// equals `fingerprint(q)` for every query. Looks each rendering up (and
@@ -643,7 +637,6 @@ mod tests {
             let toks = lex(q);
             let raw = render_skeleton(q, &toks);
             assert_eq!(raw, raw_skeleton_tokens(q), "{q}");
-            assert_eq!(skeleton_of(&raw), skeleton(q), "{q}");
             assert_eq!(fingerprint_of(&raw), fingerprint(q), "{q}");
         }
     }

@@ -34,6 +34,7 @@
 //! ```
 
 pub mod ast;
+pub mod cells;
 pub mod critical;
 pub mod fingerprint;
 pub mod keywords;

@@ -23,6 +23,11 @@
 //! off the automaton. Repetition regions must align exactly with token
 //! boundaries; anything else rejects the template (the site then simply
 //! stays on the dynamic path — rejection is always sound).
+//!
+//! [`QueryTemplate::render`] is the one renderer: the probe above, the
+//! concrete query of [`QueryTemplate::instantiate`], and the marker
+//! renderings the static store/load pass classifies all come from it,
+//! with the byte range of every hole and repetition it emitted.
 
 use crate::fingerprint::{intern_token_sym, raw_skeleton_syms};
 use crate::lexer::lex;
@@ -59,23 +64,58 @@ impl QueryTemplate {
         QueryTemplate { parts: vec![TemplatePart::Lit(s.to_string())] }
     }
 
-    /// Renders the template with `value` substituted for every hole —
-    /// the concrete query this template would emit for that input. Used
-    /// by tests and the probe compiler.
+    /// Renders the template with `value` substituted for every hole and
+    /// each repetition body emitted once — the concrete query this
+    /// template would emit for that input.
     pub fn instantiate(&self, value: &str) -> String {
-        fn walk(parts: &[TemplatePart], value: &str, out: &mut String) {
-            for p in parts {
-                match p {
-                    TemplatePart::Lit(s) => out.push_str(s),
-                    TemplatePart::Hole => out.push_str(value),
-                    TemplatePart::Rep(body) => walk(body, value, out),
+        self.render(true, |_, out| out.push_str(value)).text
+    }
+
+    /// Renders the template to query text: literals verbatim, the `i`-th
+    /// hole (in emission order, counting only rendered holes) as whatever
+    /// `hole` appends for `i`, and each repetition body once — or not at
+    /// all when `reps` is false. Reports where each hole and each
+    /// repetition landed in the text.
+    pub fn render(&self, reps: bool, mut hole: impl FnMut(usize, &mut String)) -> Rendering {
+        fn walk(
+            parts: &[TemplatePart],
+            reps: bool,
+            hole: &mut impl FnMut(usize, &mut String),
+            r: &mut Rendering,
+        ) {
+            for part in parts {
+                let start = r.text.len();
+                match part {
+                    TemplatePart::Lit(s) => r.text.push_str(s),
+                    TemplatePart::Hole => {
+                        hole(r.holes.len(), &mut r.text);
+                        r.holes.push(start..r.text.len());
+                    }
+                    TemplatePart::Rep(body) => {
+                        if reps {
+                            walk(body, reps, hole, r);
+                        }
+                        r.reps.push(start..r.text.len());
+                    }
                 }
             }
         }
-        let mut out = String::new();
-        walk(&self.parts, value, &mut out);
-        out
+        let mut r = Rendering::default();
+        walk(&self.parts, reps, &mut hole, &mut r);
+        r
     }
+}
+
+/// A [`QueryTemplate`] rendered to query text by [`QueryTemplate::render`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Rendering {
+    /// The query text.
+    pub text: String,
+    /// Byte range of each rendered hole, in emission order.
+    pub holes: Vec<Range<usize>>,
+    /// Byte range of each repetition, in the order they close (an inner
+    /// repetition before the one around it); empty when elided.
+    pub reps: Vec<Range<usize>>,
 }
 
 /// Why a template could not be compiled into an automaton branch. A
@@ -119,44 +159,15 @@ pub enum Sym {
 /// The literal substituted for holes when probing a template.
 const PROBE: &str = "1";
 
-struct Probe {
-    text: String,
-    holes: Vec<Range<usize>>,
-    reps: Vec<Range<usize>>,
-}
-
-fn render_probe(t: &QueryTemplate) -> Result<Probe, TemplateReject> {
-    fn walk(parts: &[TemplatePart], in_rep: bool, p: &mut Probe) -> Result<(), TemplateReject> {
-        for part in parts {
-            match part {
-                TemplatePart::Lit(s) => p.text.push_str(s),
-                TemplatePart::Hole => {
-                    let start = p.text.len();
-                    p.text.push_str(PROBE);
-                    p.holes.push(start..p.text.len());
-                }
-                TemplatePart::Rep(body) => {
-                    if in_rep {
-                        return Err(TemplateReject::NestedRep);
-                    }
-                    let start = p.text.len();
-                    walk(body, true, p)?;
-                    p.reps.push(start..p.text.len());
-                }
-            }
-        }
-        Ok(())
-    }
-    let mut p = Probe { text: String::new(), holes: Vec::new(), reps: Vec::new() };
-    walk(&t.parts, false, &mut p)?;
-    Ok(p)
-}
-
 /// Compiles one template into an automaton branch: a linear symbol
 /// sequence over skeleton tokens, with each repetition region as a
 /// [`Sym::Star`] group.
 pub fn compile_template(t: &QueryTemplate) -> Result<Vec<Sym>, TemplateReject> {
-    let probe = render_probe(t)?;
+    let nested = |p: &TemplatePart| matches!(p, TemplatePart::Rep(_));
+    if t.parts.iter().any(|p| matches!(p, TemplatePart::Rep(body) if body.iter().any(nested))) {
+        return Err(TemplateReject::NestedRep);
+    }
+    let probe = t.render(true, |_, out| out.push_str(PROBE));
     let tokens = lex(&probe.text);
     // Every hole must sit inside exactly one data-literal token.
     for h in &probe.holes {
@@ -400,11 +411,6 @@ impl QueryModelIndex {
     pub fn is_empty(&self) -> bool {
         self.routes.is_empty()
     }
-
-    /// Routes whose model is [`RouteModel::complete`].
-    pub fn complete_routes(&self) -> usize {
-        self.routes.values().filter(|m| m.complete).count()
-    }
 }
 
 #[cfg(test)]
@@ -574,7 +580,6 @@ mod tests {
         assert!(ix.is_empty());
         ix.insert("search", RouteModel::build(&[Some(vec![QueryTemplate::lit("SELECT 1")])]));
         assert_eq!(ix.len(), 1);
-        assert_eq!(ix.complete_routes(), 1);
         assert!(ix.get("search").unwrap().accepts("SELECT 1"));
         assert!(ix.get("missing").is_none());
         assert_eq!(ix.iter().count(), 1);
@@ -584,6 +589,21 @@ mod tests {
     fn instantiate_renders_holes() {
         let t = tpl(vec![Lit("id=".into()), Hole, Lit(" AND x=".into()), Hole]);
         assert_eq!(t.instantiate("5"), "id=5 AND x=5");
+    }
+
+    #[test]
+    fn render_reports_hole_and_repetition_ranges() {
+        let t =
+            tpl(vec![Lit("IN (".into()), Hole, Rep(vec![Lit(",".into()), Hole]), Lit(")".into())]);
+        let marker = |i: usize, out: &mut String| out.push_str(&format!("m{i}"));
+        let spans = |v: &[Range<usize>]| v.iter().map(|r| (r.start, r.end)).collect::<Vec<_>>();
+        let once = t.render(true, marker);
+        assert_eq!(once.text, "IN (m0,m1)");
+        assert_eq!((spans(&once.holes), spans(&once.reps)), (vec![(4, 6), (7, 9)], vec![(6, 9)]));
+        let elided = t.render(false, marker);
+        assert_eq!(elided.text, "IN (m0)");
+        assert_eq!((spans(&elided.holes), spans(&elided.reps)), (vec![(4, 6)], vec![(6, 6)]));
+        assert_eq!(t.instantiate("5"), "IN (5,5)");
     }
 
     #[test]

@@ -140,8 +140,24 @@ run_tests --test pti_matcher_identity
 # after `exit`) must call no sink but `db_query` with a literal statement
 # text, the parse-error and unbalanced-quote skip reasons stay pinned, and
 # a sink argument the prepared call would drop (an assignment, a call)
-# skips the route instead of vanishing.
-echo "==> shared-parse identity, fixpoint reference, literal-scan reference, report digest, walker ids, header source, loop cap, skippable operands, hardened gate"
+# skips the route instead of vanishing. Every walk over a SQL expression
+# goes through `Expr::children`, which must visit exactly the direct
+# subexpressions of every variant; the engine and the store/load pass
+# share one projected-cells resolver, which must resolve a correlated
+# column to the enclosing query's table on both sides (the reader of a
+# dirty cell through a correlated subquery is second-order-reachable);
+# an aggregate tested with `IN (SELECT …)` must aggregate; templates
+# render through one renderer that reports hole and repetition ranges;
+# and every result's origins over the lab and the second-order lab must
+# keep their pinned digest.
+echo "==> shared-parse identity, fixpoint reference, literal-scan reference, report digest, walker ids, header source, loop cap, skippable operands, hardened gate, SQL traversal, projected cells, origins digest"
+run_tests -p joza-sqlparse --lib ast::tests::children_are_exactly_the_direct_subexpressions
+run_tests -p joza-sqlparse --lib cells::tests
+run_tests -p joza-sqlparse --lib template::tests::render_reports_hole_and_repetition_ranges
+run_tests -p joza-db --lib origins::tests::correlated_reference_resolves_to_the_outer_table
+run_tests -p joza-db --lib engine::tests::aggregate_tested_against_a_subquery_aggregates
+run_tests -p joza-sast --lib storeflow::tests::correlated_subquery_reader_loads_the_outer_cell
+run_tests -p joza-lab --test origins_digest
 run_tests -p joza-sast --test report_digest
 run_tests -p joza-sast --lib absint::tests::preorder_ids_match_span_table
 run_tests --test input_sources header_borne_injection
