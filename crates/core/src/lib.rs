@@ -82,10 +82,10 @@ pub mod pipeline;
 mod stats;
 
 pub use artifacts::QueryArtifacts;
-pub use joza_nti::MatchKernel;
+pub use joza_nti::{InputSet, MatchKernel};
 pub use pipeline::{StageId, StageStatus, StageTrace, STAGE_COUNT};
 
-use joza_nti::{NtiAnalyzer, NtiConfig};
+use joza_nti::{Inputs, NtiAnalyzer, NtiConfig};
 use joza_phpsim::fragments::FragmentSet;
 use joza_pti::cache::CacheStats;
 use joza_pti::daemon::{PtiComponent, PtiComponentConfig};
@@ -714,7 +714,7 @@ impl Joza {
             route: None,
             model: None,
             taint_free: false,
-            inputs: Vec::new(),
+            inputs: self.nti.input_set(),
         }
     }
 
@@ -731,7 +731,7 @@ impl Joza {
             route: Some(route.to_string()),
             model,
             taint_free,
-            inputs: Vec::new(),
+            inputs: self.nti.input_set(),
         }
     }
 
@@ -809,7 +809,7 @@ impl Joza {
     /// route context (never consults the static query models).
     pub fn check_query(&self, inputs: &[&str], query: &str) -> Verdict {
         let dep = self.deployment();
-        self.check_on(&dep, None, None, inputs, query)
+        self.check_on(&dep, None, None, Inputs::Values(inputs), query)
     }
 
     /// Checks one query on a named route: the route's fast paths (when
@@ -819,7 +819,7 @@ impl Joza {
     pub fn check_query_on_route(&self, route: &str, inputs: &[&str], query: &str) -> Verdict {
         let dep = self.deployment();
         let model = dep.model_for(route);
-        self.check_on(&dep, Some(route), model.as_deref(), inputs, query)
+        self.check_on(&dep, Some(route), model.as_deref(), Inputs::Values(inputs), query)
     }
 
     /// The currently-deployed static query models, if any (an owned
@@ -840,7 +840,7 @@ impl Joza {
         dep: &Deployment,
         route: Option<&str>,
         model: Option<&RouteModel>,
-        inputs: &[&str],
+        inputs: Inputs<'_>,
         query: &str,
     ) -> Verdict {
         let mut delta = JozaStats::default();
@@ -858,7 +858,7 @@ impl Joza {
         dep: &Deployment,
         route: Option<&str>,
         model: Option<&RouteModel>,
-        inputs: &[&str],
+        inputs: Inputs<'_>,
         query: &str,
         stats: &mut JozaStats,
     ) -> Verdict {
@@ -1216,13 +1216,16 @@ pub struct JozaSession<'a> {
     /// The pinned deployment proves the route taint-free, so no check of
     /// this session reads its inputs.
     taint_free: bool,
-    inputs: Vec<(String, String)>,
+    /// The request's captured values, each once, with every name it
+    /// arrived under.
+    inputs: InputSet,
 }
 
 impl JozaSession<'_> {
-    /// Captures one raw input (the preprocessing step, §IV-B).
+    /// Captures one raw input (the preprocessing step, §IV-B). A value
+    /// captured before is kept once, under both names.
     pub fn capture_input(&mut self, name: &str, value: &str) {
-        self.inputs.push((name.to_string(), value.to_string()));
+        self.inputs.insert(name, value);
     }
 
     /// Clears captured inputs (start of a new request).
@@ -1246,7 +1249,13 @@ impl JozaSession<'_> {
     /// stored (second-order) payload back into a detectable one at the
     /// trigger query.
     pub fn capture_db_input(&mut self, table: &str, column: &str, value: &str) {
-        self.inputs.push((format!("db:{table}.{column}"), value.to_string()));
+        self.inputs.insert(&format!("db:{table}.{column}"), value);
+    }
+
+    /// The captured inputs: each distinct value once, in first-capture
+    /// order, with the names it arrived under.
+    pub fn inputs(&self) -> &InputSet {
+        &self.inputs
     }
 
     /// The deployment generation this session is pinned to.
@@ -1257,37 +1266,31 @@ impl JozaSession<'_> {
     /// Checks a query against the captured inputs (and the session's
     /// route context, for sessions opened with [`Joza::session_for`]).
     pub fn check(&self, query: &str) -> Verdict {
-        let refs: Vec<&str> = self.inputs.iter().map(|(_, v)| v.as_str()).collect();
-        self.joza.check_on(&self.dep, self.route.as_deref(), self.model.as_deref(), &refs, query)
+        let inputs = Inputs::Set(&self.inputs, &[]);
+        self.joza.check_on(&self.dep, self.route.as_deref(), self.model.as_deref(), inputs, query)
     }
 
     /// Checks a batch of queries in order, returning one [`Verdict`] per
     /// entry — bit-identical to calling [`JozaSession::check`] per query.
     ///
-    /// The batch amortizes the per-check serving overhead: the input-ref
-    /// vector is built once, the route's model handle and deployment are
-    /// the session's pinned ones (no per-query lookup), and statistics
-    /// for the whole batch are accumulated in one local delta and flushed
-    /// into the worker's stats cell once at the end instead of per query.
+    /// The batch amortizes the per-check serving overhead: the route's
+    /// model handle and deployment are the session's pinned ones (no
+    /// per-query lookup), and statistics for the whole batch are
+    /// accumulated in one local delta and flushed into the worker's stats
+    /// cell once at the end instead of per query. An entry's own inputs
+    /// follow the session's.
     pub fn check_batch(&self, checks: &[QueryCheck]) -> Vec<Verdict> {
-        let base: Vec<&str> = self.inputs.iter().map(|(_, v)| v.as_str()).collect();
         let mut delta = JozaStats::default();
         let mut verdicts = Vec::with_capacity(checks.len());
-        let mut refs = Vec::with_capacity(base.len() + 2);
+        let mut extra: Vec<&str> = Vec::new();
         for qc in checks {
-            let inputs: &[&str] = if qc.inputs.is_empty() {
-                &base
-            } else {
-                refs.clear();
-                refs.extend_from_slice(&base);
-                refs.extend(qc.inputs.iter().map(String::as_str));
-                &refs
-            };
+            extra.clear();
+            extra.extend(qc.inputs.iter().map(String::as_str));
             verdicts.push(self.joza.check_in(
                 &self.dep,
                 self.route.as_deref(),
                 self.model.as_deref(),
-                inputs,
+                Inputs::Set(&self.inputs, &extra),
                 &qc.query,
                 &mut delta,
             ));

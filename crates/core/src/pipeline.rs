@@ -148,7 +148,8 @@ pub(crate) struct CheckCx<'a, 'q> {
     /// (stages must not read it off the engine: the engine's current
     /// deployment may already be newer than the session's pinned one).
     pub taint_free: Option<&'a std::collections::BTreeSet<String>>,
-    pub inputs: &'a [&'a str],
+    /// The captured inputs NTI compares with the query.
+    pub inputs: joza_nti::Inputs<'a>,
     pub artifacts: &'a QueryArtifacts<'q>,
     /// The calling thread's check arena; stages lease scratch buffers
     /// (e.g. NTI's per-input fold buffer) from it.
@@ -208,7 +209,9 @@ pub(crate) fn nti(joza: &Joza, cx: &CheckCx<'_, '_>) -> StageStatus {
     };
     let mut fold = cx.arena.input_fold.lease();
     let mut grams = cx.arena.query_grams.lease();
-    let report = joza.nti.analyze_view_with(cx.inputs, view, &mut fold, &mut grams);
+    let mut index = cx.arena.query_index.lease();
+    let scratch = joza_nti::Scratch { fold: &mut fold, grams: &mut grams, index: &mut index };
+    let (report, _work) = joza.nti.analyze_view_with(cx.inputs, view, scratch);
     fired_if(report.is_attack())
 }
 

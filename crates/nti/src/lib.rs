@@ -37,12 +37,21 @@
 //!    11 bytes at threshold 0.2), the **piece filter**: the input is split
 //!    into `k + 1` pieces of at least 3 bytes, and if none of them occurs
 //!    in the query, no span is within `k` (the partition lemma: `k` edits
-//!    leave one piece untouched). It runs in both kernels, and a short
-//!    input never builds the query's q-gram profile. A short input too
-//!    short for such pieces goes straight to the kernel;
+//!    leave one piece untouched). Each piece is tested with
+//!    `str::contains`, which decides absence with SIMD. It runs in both
+//!    kernels, and a short input never builds the query's q-gram profile.
+//!    A short input too short for such pieces goes straight to the kernel;
 //! 4. for a longer input, the **q-gram prefilter**: the query's q-gram
 //!    profile is built lazily, only once some input reaches this check,
 //!    as sorted packed grams in a recycled buffer (no hashing).
+//!
+//! When many inputs reach the filters ([`InputSet`] captures are the
+//! serving path's), the analysis builds a hashed **gram index** of the
+//! query once and runs the cheapest proof first: pieces or grams the
+//! index proves absent skip a pair with a few probes, whatever the
+//! query's length, and only pairs the index cannot settle meet the tests
+//! above. Every skip it proves is one those tests make, so reports are
+//! the same with and without it; [`NtiWork`] counts the probes.
 //!
 //! The verbatim search looks for the input *verbatim* in the normalized
 //! query with [`swar::find_str`], which returns exactly `str::find`'s
@@ -50,7 +59,8 @@
 //! input's first and last bytes, eight start positions per word, and
 //! verifies each a word at a time; past a verification budget of one
 //! query length it hands the rest to `str::find` (std's Two-Way search),
-//! so it stays linear in the worst case. Shorter inputs go to `str::find` directly. A
+//! so it stays linear in the worst case. A shorter input is tested with
+//! `str::contains` and goes to `str::find` only when present. A
 //! hit is taken as the comparison's result directly — the leftmost
 //! occurrence at distance 0 — and is exactly what the q-gram prefilter
 //! plus kernel would report: the prefilter cannot skip a distance-0 pair
@@ -89,9 +99,12 @@ use joza_sqlparse::token::Token;
 use joza_strmatch::myers::bounded_myers_substring_distance;
 pub use joza_strmatch::myers::MatchKernel;
 use joza_strmatch::normalize::{to_lower, to_lower_into};
-use joza_strmatch::qgram::{self, QgramProfile};
+use joza_strmatch::qgram::{self, GramIndex, QgramProfile};
 use joza_strmatch::sellers::{substring_distance, SubstringMatch};
 use joza_strmatch::swar;
+
+mod set;
+pub use set::InputSet;
 
 /// Configuration for the NTI analyzer.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,6 +168,34 @@ impl NtiReport {
     }
 }
 
+/// What the filters of one analysis did before any alignment ran:
+/// deterministic counts, returned beside the [`NtiReport`] (two
+/// analyses with equal reports may differ here: the Classic kernel
+/// makes no verbatim search, and the gram index changes how a skip is
+/// proved, not which pairs are skipped).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NtiWork {
+    /// Query bytes under presence tests (the verbatim search and the
+    /// piece tests), the whole normalized query counted per test.
+    pub presence_bytes: u64,
+    /// Input q-grams probed in the query's gram index or merged against
+    /// its q-gram profile.
+    pub gram_probes: u64,
+    /// Query q-grams hashed into the index or sorted into the profile;
+    /// each is built at most once per analysis.
+    pub query_grams: u64,
+    /// Whether the analysis built the query's gram index.
+    pub indexed: bool,
+}
+
+impl NtiWork {
+    /// All the work in one figure: bytes tested plus grams probed plus
+    /// grams built.
+    pub fn total(&self) -> u64 {
+        self.presence_bytes + self.gram_probes + self.query_grams
+    }
+}
+
 /// A parse-once view of the query under analysis: the artifacts
 /// [`NtiAnalyzer::analyze`] would otherwise recompute per call (lexing,
 /// critical-token extraction, case folding), precomputed by the caller
@@ -169,6 +210,29 @@ pub struct QueryView<'q> {
     /// The query bytes in the analyzer's match normalization: ASCII
     /// case-folded.
     pub normalized: &'q [u8],
+}
+
+/// The inputs one analysis compares with the query.
+#[derive(Debug, Clone, Copy)]
+pub enum Inputs<'a> {
+    /// Raw values; a marking's `input_index` is the value's position.
+    Values(&'a [&'a str]),
+    /// A request's [`InputSet`] plus values scoped to this query alone:
+    /// the set's entries are inputs `0..set.len()`, the values follow.
+    Set(&'a InputSet, &'a [&'a str]),
+}
+
+/// Scratch buffers for [`NtiAnalyzer::analyze_view_with`]; only their
+/// capacity carries over from one call to the next.
+#[derive(Debug)]
+pub struct Scratch<'a> {
+    /// A raw value's case-folded copy, when it has upper case (set
+    /// entries keep their own fold).
+    pub fold: &'a mut Vec<u8>,
+    /// The query's q-gram profile and the current input's grams.
+    pub grams: &'a mut Vec<u64>,
+    /// The query's gram index.
+    pub index: &'a mut Vec<u64>,
 }
 
 /// The NTI analysis component.
@@ -188,142 +252,351 @@ impl NtiAnalyzer {
         &self.config
     }
 
+    /// An empty [`InputSet`] for this analyzer's threshold.
+    pub fn input_set(&self) -> InputSet {
+        InputSet::new(self.config.threshold)
+    }
+
     /// Analyzes one query against the captured raw inputs.
     ///
     /// Inputs are the *raw* request values (pre-transformation, §IV-B);
     /// markings from different inputs are never combined.
     pub fn analyze(&self, inputs: &[&str], query: &str) -> NtiReport {
+        self.analyze_inputs(Inputs::Values(inputs), query).0
+    }
+
+    /// [`NtiAnalyzer::analyze`] over an [`InputSet`]: entry `i` is input
+    /// `i` of the report. Returns the filters' work beside it.
+    pub fn analyze_set(&self, set: &InputSet, query: &str) -> (NtiReport, NtiWork) {
+        self.analyze_inputs(Inputs::Set(set, &[]), query)
+    }
+
+    fn analyze_inputs(&self, inputs: Inputs<'_>, query: &str) -> (NtiReport, NtiWork) {
         let tokens = lex(query);
         let criticals = critical_tokens(&tokens, self.config.critical);
         let query_bytes = to_lower(query.as_bytes());
-        self.analyze_view_with(
-            inputs,
-            QueryView { query, criticals: &criticals, normalized: &query_bytes },
-            &mut Vec::new(),
-            &mut Vec::new(),
-        )
+        let view = QueryView { query, criticals: &criticals, normalized: &query_bytes };
+        let (mut fold, mut grams, mut index) = (Vec::new(), Vec::new(), Vec::new());
+        let scratch = Scratch { fold: &mut fold, grams: &mut grams, index: &mut index };
+        self.analyze_view_with(inputs, view, scratch)
     }
 
     /// [`NtiAnalyzer::analyze`] over precomputed query artifacts — the
     /// parse-once entry point. The caller supplies the critical tokens and
-    /// normalized bytes (see [`QueryView`]) plus two scratch buffers whose
-    /// capacity is reused: `fold_scratch` holds an input's case-folded
-    /// copy when the input actually contains uppercase ASCII, and
-    /// `gram_scratch` holds the query's q-gram profile, built only if some
-    /// input reaches the q-gram check. The engine passes buffers leased
-    /// from its per-thread check arena, making the per-input loop
+    /// normalized bytes (see [`QueryView`]) plus [`Scratch`] buffers
+    /// whose capacity is reused. The engine passes buffers leased from
+    /// its per-thread check arena, making the per-input loop
     /// allocation-free at steady state.
     ///
     /// Verdicts, markings, and counters are bit-identical to
-    /// [`NtiAnalyzer::analyze`] when the view matches what that method
-    /// would compute itself.
+    /// [`NtiAnalyzer::analyze`] over the same values (for a set, its
+    /// distinct values in entry order, then the extra values) when the
+    /// view matches what that method would compute itself.
     pub fn analyze_view_with(
         &self,
-        inputs: &[&str],
+        inputs: Inputs<'_>,
         view: QueryView<'_>,
-        fold_scratch: &mut Vec<u8>,
-        gram_scratch: &mut Vec<u64>,
-    ) -> NtiReport {
-        let mut report = NtiReport::default();
-        let criticals = view.criticals;
-        let query_bytes = view.normalized;
-        let mut query_profile = QgramProfile::new(query_bytes, QGRAM, gram_scratch);
-        // The verbatim search and the piece filter run on `str`s. Case
-        // folding changes ASCII bytes only, so a view built from a query
-        // is UTF-8; any other view skips both.
-        let query_str = std::str::from_utf8(query_bytes).ok();
-        let t = self.config.threshold;
-
-        for (idx, input) in inputs.iter().enumerate() {
+        scratch: Scratch<'_>,
+    ) -> (NtiReport, NtiWork) {
+        let Scratch { fold, grams, index } = scratch;
+        let mut pass = Pass {
+            kernel: self.config.kernel,
+            threshold: self.config.threshold,
+            view,
+            // The verbatim search and the piece filter run on `str`s.
+            // Case folding changes ASCII bytes only, so a view built from
+            // a query is UTF-8; any other view skips both.
+            query_str: std::str::from_utf8(view.normalized).ok(),
+            profile: QgramProfile::new(view.normalized, QGRAM, grams),
+            index_buf: Some(index),
+            index: None,
+            reached: 0,
+            report: NtiReport::default(),
+            work: NtiWork::default(),
+        };
+        let extra = match inputs {
+            Inputs::Values(values) => values,
+            Inputs::Set(set, extra) => {
+                let same_threshold = set.threshold.to_bits() == pass.threshold.to_bits();
+                for (idx, e) in set.entries.iter().enumerate() {
+                    let p = set.folded(e);
+                    if p.len() < MIN_INPUT_LEN {
+                        continue;
+                    }
+                    let cutoff = if same_threshold {
+                        e.cutoff
+                    } else {
+                        distance_cutoff(pass.threshold, p.len())
+                    };
+                    if let Some(k) = pass.length_check(p.len(), cutoff) {
+                        pass.compare(idx, p.as_bytes(), Some(p), k, Keys::Cached(set, e));
+                    }
+                }
+                extra
+            }
+        };
+        let first = match inputs {
+            Inputs::Values(_) => 0,
+            Inputs::Set(set, _) => set.len(),
+        };
+        for (idx, input) in (first..).zip(extra) {
             if input.len() < MIN_INPUT_LEN {
                 continue;
             }
             // Folding keeps the length, so the length check runs first.
-            let Some(k) = distance_cutoff(t, input.len()) else {
-                report.comparisons_skipped += 1;
+            let Some(k) =
+                pass.length_check(input.len(), distance_cutoff(pass.threshold, input.len()))
+            else {
                 continue;
             };
-            if !qgram::length_plausible(input.len(), query_bytes.len(), k) {
-                report.comparisons_skipped += 1;
-                continue;
-            }
             let bytes = input.as_bytes();
             let folded = match swar::first_ascii_upper(bytes) {
                 Some(first) => {
-                    fold_scratch.clear();
-                    fold_scratch.extend_from_slice(&bytes[..first]);
-                    to_lower_into(&bytes[first..], fold_scratch);
+                    fold.clear();
+                    fold.extend_from_slice(&bytes[..first]);
+                    to_lower_into(&bytes[first..], fold);
                     true
                 }
                 None => false,
             };
-            let input_bytes: &[u8] = if folded { fold_scratch } else { bytes };
+            let input_bytes: &[u8] = if folded { fold } else { bytes };
             // Folding keeps UTF-8 valid, so only a folded copy needs
             // checking.
             let input_str =
                 if folded { std::str::from_utf8(input_bytes).ok() } else { Some(*input) };
-            // A verbatim occurrence passes every filter and is the
-            // kernel's own answer — distance 0, leftmost span (bit-parallel
-            // only; Classic stays the oracle).
-            let verbatim = match self.config.kernel {
-                MatchKernel::Classic => None,
-                MatchKernel::BitParallel => {
-                    query_str.zip(input_str).and_then(|(q, p)| swar::find_str(q, p))
-                }
-            };
-            if verbatim.is_none() {
-                // A short input's q-gram bound could not prune even one
-                // distance past the cutoff, so it never builds the query's
-                // profile; its pieces stand in for the bound.
-                let skip = if qgram::bound_ceiling(input_bytes.len(), QGRAM) <= k + 1 {
-                    query_str.zip(input_str).is_some_and(|(q, p)| pieces_absent(q, p, k))
-                } else {
-                    query_profile.exceeds(input_bytes, k)
-                };
-                if skip {
-                    report.comparisons_skipped += 1;
-                    continue;
-                }
-            }
-            report.comparisons_run += 1;
-            let m = match (verbatim, self.config.kernel) {
-                (Some(start), _) => {
-                    Some(SubstringMatch { start, end: start + input_bytes.len(), distance: 0 })
-                }
-                (None, MatchKernel::Classic) => Some(substring_distance(input_bytes, query_bytes)),
-                // Every span that survives the ratio filter below is within
-                // `k`, so a `None` here and a filtered-out Classic match
-                // are the same verdict.
-                (None, MatchKernel::BitParallel) => {
-                    bounded_myers_substring_distance(input_bytes, query_bytes, k)
-                }
-            };
-            let Some(m) = m else {
-                continue;
-            };
-            if m.is_empty() || m.diff_ratio() >= t {
-                continue;
-            }
-            let mark = TaintMark {
-                input_index: idx,
-                start: m.start,
-                end: m.end,
-                distance: m.distance,
-                diff_ratio: m.diff_ratio(),
-            };
-            // Whole-token rule + critical coverage: find critical tokens
-            // fully inside this marking.
-            let mark_idx = report.markings.len();
-            for c in criticals {
-                if c.start >= mark.start && c.end <= mark.end {
-                    report.tainted_critical.push((mark_idx, *c));
-                }
-            }
-            report.markings.push(mark);
+            pass.compare(idx, input_bytes, input_str, k, Keys::Fresh);
         }
-        report
+        if let Some(grams) = pass.profile.text_grams() {
+            pass.work.query_grams += grams as u64;
+        }
+        (pass.report, pass.work)
     }
 }
+
+/// Where an input's sorted q-gram keys come from.
+enum Keys<'e> {
+    /// A set entry's, built on first use and kept for the request.
+    Cached(&'e InputSet, &'e set::Entry),
+    /// Sorted into the profile's buffer for this comparison alone.
+    Fresh,
+}
+
+/// One analysis in progress: the query-side structures, built at most
+/// once, and the report.
+struct Pass<'v, 's> {
+    kernel: MatchKernel,
+    threshold: f64,
+    view: QueryView<'v>,
+    query_str: Option<&'v str>,
+    profile: QgramProfile<'v, 's>,
+    /// The index's buffer until the index is built.
+    index_buf: Option<&'s mut Vec<u64>>,
+    index: Option<GramIndex<'s>>,
+    /// Inputs that passed the length check so far.
+    reached: usize,
+    report: NtiReport,
+    work: NtiWork,
+}
+
+impl Pass<'_, '_> {
+    /// The length check: the input's cutoff when an input of `len` bytes
+    /// can match the query within it; otherwise counts the skip.
+    fn length_check(&mut self, len: usize, cutoff: Option<usize>) -> Option<usize> {
+        let k = cutoff.filter(|&k| qgram::length_plausible(len, self.view.normalized.len(), k));
+        if k.is_none() {
+            self.report.comparisons_skipped += 1;
+        }
+        k
+    }
+
+    /// Runs the filters and, unless one skips the pair, the kernel for
+    /// input `idx`: `p` is its folded bytes (`text` the same as a `str`,
+    /// when UTF-8), `k` its distance cutoff.
+    fn compare(&mut self, idx: usize, p: &[u8], text: Option<&str>, k: usize, keys: Keys<'_>) {
+        self.reached += 1;
+        if self.index.is_none() && index_pays(self.reached, self.view.normalized.len()) {
+            if let Some(buf) = self.index_buf.take() {
+                self.index = Some(GramIndex::new(self.view.normalized, QGRAM, buf));
+                self.work.indexed = true;
+                self.work.query_grams +=
+                    self.view.normalized.len().saturating_sub(QGRAM - 1) as u64;
+            }
+        }
+        // A short input's q-gram bound could not prune even one distance
+        // past the cutoff, so it never builds the query's profile; its
+        // pieces stand in for the bound.
+        let short = qgram::bound_ceiling(p.len(), QGRAM) <= k + 1;
+        let (verbatim, skip) = if short && self.index.is_some() {
+            // Pieces with a gram the index proves absent are the cheapest
+            // test, and absent pieces rule out a verbatim occurrence too.
+            if self.pieces_absent(text, k) {
+                (None, true)
+            } else {
+                let absent = self.index_missing(p, 1) > 0;
+                (if absent { None } else { self.verbatim(p, text) }, false)
+            }
+        } else {
+            // With the index, grams it proves absent come first: one rules
+            // out a verbatim occurrence, and more than `QGRAM·k` prove the
+            // q-gram bound exceeds `k`.
+            let missing = match self.index {
+                Some(_) => self.index_missing(p, QGRAM * k + 1),
+                None => 0,
+            };
+            let verbatim = if missing == 0 { self.verbatim(p, text) } else { None };
+            let skip = verbatim.is_none()
+                && if short {
+                    self.pieces_absent(text, k)
+                } else {
+                    missing > QGRAM * k || self.qgram_exceeds(p, k, &keys)
+                };
+            (verbatim, skip)
+        };
+        if skip {
+            self.report.comparisons_skipped += 1;
+            return;
+        }
+        self.report.comparisons_run += 1;
+        let query = self.view.normalized;
+        let m = match (verbatim, self.kernel) {
+            (Some(start), _) => Some(SubstringMatch { start, end: start + p.len(), distance: 0 }),
+            (None, MatchKernel::Classic) => Some(substring_distance(p, query)),
+            // Every span that survives the ratio filter below is within
+            // `k`, so a `None` here and a filtered-out Classic match are
+            // the same verdict.
+            (None, MatchKernel::BitParallel) => bounded_myers_substring_distance(p, query, k),
+        };
+        let Some(m) = m else {
+            return;
+        };
+        if m.is_empty() || m.diff_ratio() >= self.threshold {
+            return;
+        }
+        let mark = TaintMark {
+            input_index: idx,
+            start: m.start,
+            end: m.end,
+            distance: m.distance,
+            diff_ratio: m.diff_ratio(),
+        };
+        // Whole-token rule + critical coverage: find critical tokens
+        // fully inside this marking.
+        let mark_idx = self.report.markings.len();
+        for c in self.view.criticals {
+            if c.start >= mark.start && c.end <= mark.end {
+                self.report.tainted_critical.push((mark_idx, *c));
+            }
+        }
+        self.report.markings.push(mark);
+    }
+
+    /// The verbatim search: the leftmost occurrence of the input in the
+    /// query (bit-parallel only; Classic stays the oracle). A hit passes
+    /// every filter and is the kernel's own answer — distance 0, leftmost
+    /// span.
+    fn verbatim(&mut self, p: &[u8], text: Option<&str>) -> Option<usize> {
+        debug_assert!(text.is_none_or(|t| t.as_bytes() == p));
+        if self.kernel == MatchKernel::Classic {
+            return None;
+        }
+        let (query, input) = self.query_str.zip(text)?;
+        self.work.presence_bytes += query.len() as u64;
+        swar::find_str(query, input)
+    }
+
+    /// Grams of `p` the index proves absent from the query, counted up
+    /// to `stop`.
+    fn index_missing(&mut self, p: &[u8], stop: usize) -> usize {
+        let index = self.index.as_ref().expect("the gram index is built");
+        let (missing, probes) = index.missing(p, stop);
+        self.work.gram_probes += probes as u64;
+        missing
+    }
+
+    /// The q-gram prefilter: whether the input's bound exceeds `k`.
+    fn qgram_exceeds(&mut self, p: &[u8], k: usize, keys: &Keys<'_>) -> bool {
+        self.work.gram_probes += (p.len() + 1).saturating_sub(QGRAM) as u64;
+        match keys {
+            Keys::Cached(set, entry) => self.profile.exceeds_keys(set.keys(entry), k),
+            Keys::Fresh => self.profile.exceeds(p, k),
+        }
+    }
+
+    /// The partition filter: splits the input into `k + 1` pieces and
+    /// reports whether none of them occurs verbatim in the query. A span
+    /// within `k` edits of the input leaves at least one piece untouched,
+    /// and that piece occurs in the span, so `true` proves the pair has no
+    /// match within `k`. An input too short for `k + 1` pieces of
+    /// [`MIN_PIECE`] bytes, or one whose pieces would split a character,
+    /// or a view that is not UTF-8, is never reported absent. A piece
+    /// with a gram the index proves absent is absent; any other is tested
+    /// with `str::contains`.
+    fn pieces_absent(&mut self, text: Option<&str>, k: usize) -> bool {
+        let Some((query, input)) = self.query_str.zip(text) else {
+            return false;
+        };
+        let (n, parts) = (input.len(), k + 1);
+        if n < MIN_PIECE * parts {
+            return false;
+        }
+        let (index, work) = (self.index.as_ref(), &mut self.work);
+        piece_bounds(n, parts).all(|(start, end)| {
+            input.get(start..end).is_some_and(|piece| {
+                let proved = index.is_some_and(|index| {
+                    let mut grams = piece.as_bytes().windows(QGRAM);
+                    let (count, absent) = (grams.len(), grams.position(|g| !index.may_contain(g)));
+                    work.gram_probes += absent.map_or(count, |i| i + 1) as u64;
+                    absent.is_some()
+                });
+                if proved {
+                    return true;
+                }
+                work.presence_bytes += query.len() as u64;
+                !query.contains(piece)
+            })
+        })
+    }
+}
+
+/// The byte ranges of `parts` pieces of an `n`-byte input: piece `i` is
+/// `i·n/parts .. (i+1)·n/parts`, stepped without a division per piece.
+fn piece_bounds(n: usize, parts: usize) -> impl Iterator<Item = (usize, usize)> {
+    let (step, rem) = (n / parts, n % parts);
+    let (mut end, mut err) = (0, 0);
+    (0..parts).map(move |_| {
+        let start = end;
+        end += step;
+        err += rem;
+        if err >= parts {
+            end += 1;
+            err -= parts;
+        }
+        (start, end)
+    })
+}
+
+/// Whether to build the query's gram index once `reached` inputs have
+/// reached the filters of a query of `query_len` bytes. Without it, each
+/// input's presence tests scan the query and a long input's q-gram count
+/// merges against the query's whole profile; with it, a probe costs the
+/// same whatever the query's length, and building it costs one hash per
+/// query byte. Measured (EXPERIMENTS.md, "NTI pays per probe"), the index
+/// wins from the 2nd 40-byte input at every query length, and from the
+/// 8th to 16th 9-byte input at 60 to 4,200 query bytes: the rule builds
+/// it at the 8th input, or at one input per 256 query bytes past that.
+fn index_pays(reached: usize, query_len: usize) -> bool {
+    #[cfg(test)]
+    if let Some(forced) = tests::FORCE_INDEX.with(std::cell::Cell::get) {
+        return forced;
+    }
+    reached >= INDEX_MIN_INPUTS && reached * INDEX_QUERY_BYTES_PER_INPUT >= query_len
+}
+
+/// Inputs an analysis compares before the gram index can pay.
+const INDEX_MIN_INPUTS: usize = 8;
+
+/// Query bytes one compared input pays for in the index's build.
+const INDEX_QUERY_BYTES_PER_INPUT: usize = 256;
 
 /// The q-gram length NTI's prefilter uses.
 const QGRAM: usize = 3;
@@ -332,8 +605,8 @@ const QGRAM: usize = 3;
 /// that would result from matching very short inputs", §III-A).
 const MIN_INPUT_LEN: usize = 3;
 
-/// Shortest piece [`pieces_absent`] searches for: a shorter one occurs in
-/// almost any query, so it could not skip a pair.
+/// Shortest piece [`Pass::pieces_absent`] searches for: a shorter one
+/// occurs in almost any query, so it could not skip a pair.
 const MIN_PIECE: usize = 3;
 
 /// NTI's distance cutoff: the largest distance `d ≤ |p|` at which a match
@@ -376,27 +649,16 @@ pub fn distance_cutoff(threshold: f64, input_len: usize) -> Option<usize> {
     Some(d)
 }
 
-/// The partition filter: splits `input` into `k + 1` pieces and reports
-/// whether none of them occurs verbatim in `query`. A span within `k`
-/// edits of `input` leaves at least one piece untouched, and that piece
-/// occurs in the span, so `true` proves the pair has no match within `k`.
-/// An input too short for `k + 1` pieces of [`MIN_PIECE`] bytes, or one
-/// whose pieces would split a character, is never reported absent.
-fn pieces_absent(query: &str, input: &str, k: usize) -> bool {
-    let (n, parts) = (input.len(), k + 1);
-    if n / parts < MIN_PIECE {
-        return false;
-    }
-    (0..parts).all(|i| {
-        input
-            .get(i * n / parts..(i + 1) * n / parts)
-            .is_some_and(|piece| swar::find_str(query, piece).is_none())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Forces [`index_pays`] on this thread: `Some(true)` builds the
+        /// gram index before the first input, `Some(false)` never.
+        pub(super) static FORCE_INDEX: Cell<Option<bool>> = const { Cell::new(None) };
+    }
 
     fn nti() -> NtiAnalyzer {
         NtiAnalyzer::new(NtiConfig::default())
@@ -640,6 +902,151 @@ mod tests {
             );
             assert!(r.is_attack());
         }
+    }
+
+    #[test]
+    fn piece_bounds_step_like_the_division() {
+        for n in 0..70 {
+            for parts in 1..20 {
+                let expected: Vec<_> =
+                    (0..parts).map(|i| (i * n / parts, (i + 1) * n / parts)).collect();
+                assert_eq!(piece_bounds(n, parts).collect::<Vec<_>>(), expected, "{n}/{parts}");
+            }
+        }
+    }
+
+    /// A splitmix64 stream for the generated cases below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn text(&mut self, len: usize, alphabet: &[u8]) -> String {
+            (0..len).map(|_| char::from(alphabet[self.below(alphabet.len())])).collect()
+        }
+    }
+
+    /// A request's inputs and one of its queries: 1-2,000 captures
+    /// (every fourth case past 40) drawn with duplicates from values of
+    /// 3-12 and 30-200 bytes, some upper case, and a query of up to
+    /// ~1.5 KB that embeds a few of them verbatim, folded, one edit away
+    /// or with escaped quotes.
+    fn multiset_case(seed: u64) -> (Vec<String>, String) {
+        const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJ0123456789 '=";
+        let mut rng = Rng(seed);
+        let n = if rng.below(4) == 0 { 1 + rng.below(2000) } else { 1 + rng.below(40) };
+        let distinct: Vec<String> = (0..n.div_ceil(2))
+            .map(|_| {
+                let len = if rng.below(2) == 0 { 3 + rng.below(10) } else { 30 + rng.below(171) };
+                rng.text(len, ALPHABET)
+            })
+            .collect();
+        let inputs: Vec<String> =
+            (0..n).map(|_| distinct[rng.below(distinct.len())].clone()).collect();
+        let mut query = String::from("SELECT * FROM t WHERE a='");
+        for _ in 0..1 + rng.below(5) {
+            let filler = rng.below(300);
+            query.push_str(&rng.text(filler, &ALPHABET[..26]));
+            let planted = &inputs[rng.below(n)];
+            match rng.below(4) {
+                0 => query.push_str(planted),
+                1 => query.push_str(&planted.to_ascii_lowercase()),
+                2 => {
+                    let mut edited = planted.clone();
+                    edited.replace_range(0..1, "#");
+                    query.push_str(&edited);
+                }
+                _ => query.push_str(&planted.replace('\'', "\\\'")),
+            }
+        }
+        query.push_str("' OR 1=1");
+        (inputs, query)
+    }
+
+    /// Runs `f` with the gram index forced on or off on this thread.
+    fn with_index<R>(on: bool, f: impl FnOnce() -> R) -> R {
+        FORCE_INDEX.with(|c| c.set(Some(on)));
+        let r = f();
+        FORCE_INDEX.with(|c| c.set(None));
+        r
+    }
+
+    proptest::proptest! {
+        /// The set path, with the gram index forced on and off, gives
+        /// `analyze`'s report over the set's distinct values (then the
+        /// query-scoped values) under both kernels.
+        #[test]
+        fn set_path_matches_analyze_with_and_without_the_index(seed in 0u64..u64::MAX) {
+            let (inputs, query) = multiset_case(seed);
+            let mut set = InputSet::new(0.2);
+            for (i, v) in inputs.iter().enumerate() {
+                set.insert(&format!("p{i}"), v);
+            }
+            let distinct: Vec<&str> = set.values().collect();
+            let extra = [inputs[0].as_str(), "x-scoped-value"];
+            let mut all = distinct.clone();
+            all.extend(extra);
+            for kernel in [MatchKernel::Classic, MatchKernel::BitParallel] {
+                let nti = NtiAnalyzer::new(NtiConfig { kernel, ..NtiConfig::default() });
+                let reference = nti.analyze(&distinct, &query);
+                let with_extra = nti.analyze(&all, &query);
+                for on in [false, true] {
+                    let (report, work) = with_index(on, || nti.analyze_set(&set, &query));
+                    proptest::prop_assert_eq!(&report, &reference);
+                    proptest::prop_assert_eq!(work.indexed, on);
+                    let (report, _) = with_index(on, || {
+                        nti.analyze_inputs(Inputs::Set(&set, &extra), &query)
+                    });
+                    proptest::prop_assert_eq!(&report, &with_extra);
+                }
+            }
+        }
+    }
+
+    /// 10k distinct 64-byte inputs, all skipped, against a query of
+    /// `query_len` bytes: the report and the filters' work.
+    fn ten_thousand_skipped(query_len: usize) -> (NtiReport, NtiWork, usize) {
+        let mut rng = Rng(7);
+        let mut query = String::from("SELECT option_value FROM wp_options WHERE option_name='");
+        while query.len() + 1 < query_len {
+            query.push_str(&rng.text(1, b"abcdefghijklmnopqrstuvwxyz _"));
+        }
+        query.push('\'');
+        let mut set = InputSet::new(0.2);
+        for i in 0..10_000 {
+            set.insert(&format!("p{i}"), &rng.text(64, b"abcdefghijklmnopqrstuvwxyz0123456789"));
+        }
+        let input_bytes = set.values().map(str::len).sum::<usize>() + query.len();
+        let (report, work) = nti().analyze_set(&set, &query);
+        assert_eq!(set.len(), 10_000);
+        assert_eq!((report.comparisons_run, report.comparisons_skipped), (0, 10_000));
+        (report, work, input_bytes)
+    }
+
+    #[test]
+    fn work_count_of_10k_skipped_inputs_is_linear_in_their_bytes() {
+        // The filters probe each input's grams in the query's index
+        // instead of scanning the query per input: at most c·(Σ|p| + |q|)
+        // units of work, on a 60-byte query and on a 4 KB one.
+        for query_len in [60, 4096] {
+            let (_, work, bytes) = ten_thousand_skipped(query_len);
+            assert!(work.indexed, "{query_len}: {work:?}");
+            assert!(work.total() <= 2 * bytes as u64, "{query_len}: {work:?} over {bytes} bytes");
+        }
+        // Without the index, the presence tests scan the 4 KB query once
+        // per input and the pin fails.
+        let (_, work, bytes) = with_index(false, || ten_thousand_skipped(4096));
+        assert!(work.total() > 2 * bytes as u64, "{work:?}");
     }
 
     #[test]

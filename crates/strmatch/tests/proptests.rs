@@ -407,6 +407,46 @@ proptest! {
         assert_find_str_agrees(&hay, &format!("{}{needle_mid}", unit.repeat(needle_reps)));
     }
 
+    /// Needles of 0-40 bytes, on both sides of the 32-byte limit below
+    /// which `find_str` tests presence with `str::contains` first: cut
+    /// from the haystack (ASCII, periodic, multi-byte UTF-8), planted at
+    /// its start and its end, and absent.
+    #[test]
+    fn find_str_matches_str_find_for_needles_up_to_40_bytes(
+        text in ".{0,200}",
+        wide in "[aé€b—]{0,120}",
+        unit in "[ab€]{1,3}",
+        reps in 0usize..90,
+        len in 0usize..41,
+        from in 0usize..200,
+        planted in "[a-z0-9'é]{0,40}",
+    ) {
+        let periodic = unit.repeat(reps);
+        for hay in [&text, &wide, &periodic] {
+            let chars: Vec<char> = hay.chars().collect();
+            let from = from.min(chars.len());
+            let mut cut: String = chars[from..].iter().collect();
+            while cut.len() > len {
+                cut.pop();
+            }
+            assert_find_str_agrees(hay, &cut);
+            let mut needle: String = planted.clone();
+            while needle.len() > len {
+                needle.pop();
+            }
+            assert_find_str_agrees(hay, &needle);
+            assert_find_str_agrees(&format!("{needle}{hay}"), &needle);
+            assert_find_str_agrees(&format!("{hay}{needle}"), &needle);
+            assert_find_str_agrees(&format!("{hay}{needle}"), &format!("{needle}#"));
+        }
+        // A periodic needle of exactly 31, 32 and 33 bytes.
+        for n in [31, 32, 33] {
+            let needle: String = "ab".repeat(20)[..n].to_string();
+            assert_find_str_agrees(&periodic, &needle);
+            assert_find_str_agrees(&format!("{periodic}{needle}"), &needle);
+        }
+    }
+
     /// `first_ascii_upper` finds the first `A..=Z` byte exactly; bytes
     /// ≥ 0x80 (UTF-8 continuation bytes and friends) never trigger it.
     #[test]

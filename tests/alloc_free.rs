@@ -1,13 +1,15 @@
 //! The allocation-free hot path, asserted with a counting allocator:
 //! once the per-thread check arena and the symbol table are warm, a
-//! model-fast-path check performs **zero** heap allocations.
+//! model-fast-path check performs **zero** heap allocations, and a
+//! dynamic-path check allocates no more for a thousand captured inputs
+//! than for one.
 //!
 //! The counter is thread-local, so parallel tests in this binary cannot
 //! pollute each other's deltas, and the global allocator hook stays
 //! reentrancy-safe (a `const`-initialized `Cell` needs no lazy
 //! allocation of its own).
 
-use joza::core::{CheckPath, Joza, JozaConfig};
+use joza::core::{CheckPath, Joza, JozaConfig, JozaSession};
 use joza::sqlparse::template::{QueryModelIndex, QueryTemplate, RouteModel, TemplatePart};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -158,8 +160,8 @@ fn warm_batch_amortizes_to_constant_allocations() {
     assert!(verdicts.iter().all(|v| v.is_safe()));
 
     // The whole 64-query batch is allowed its fixed serving-side
-    // allocations (the verdict vector, the input-ref vector) but nothing
-    // per query: well under one allocation per check.
+    // allocations (the verdict vector) but nothing per query: well under
+    // one allocation per check.
     assert!(delta < 8, "64-query warm batch allocated {delta} times");
 }
 
@@ -185,4 +187,45 @@ fn dirty_cell_lookups_are_allocation_free() {
     .count();
     assert_eq!(allocs_on_this_thread() - before, 0, "a dirty-cell lookup allocated");
     assert_eq!(hits, 4);
+}
+
+#[test]
+fn warm_dynamic_check_allocates_as_often_with_1000_inputs_as_with_1() {
+    // No route model, so every check runs NTI over the session's input
+    // set and PTI, which the query cache answers once warm. Folds, gram
+    // keys and the query's gram index are built by the warm-up checks.
+    // (The alignment kernel allocates per comparison it runs, so both
+    // sessions run the same one.)
+    let joza = Joza::builder().fragments(["SELECT * FROM items WHERE name='", "'"]).build();
+    let query = "SELECT * FROM items WHERE name='Widget-0042'";
+    let warm_allocs = |session: &JozaSession<'_>| {
+        for _ in 0..2 {
+            let v = session.check(query);
+            assert!(v.is_safe(), "{query}");
+            assert_eq!(v.path(), CheckPath::Dynamic);
+        }
+        let before = allocs_on_this_thread();
+        for _ in 0..16 {
+            assert!(session.check(query).is_safe());
+        }
+        allocs_on_this_thread() - before
+    };
+    let mut one = joza.session();
+    one.capture_input("name", "Widget-0042");
+    // The same input plus 999 the filters skip: mixed-case short values
+    // (the piece filter) and every tenth a 43-byte one (the q-gram count).
+    // Only the compared input reaches the alignment kernel, in both
+    // sessions.
+    let mut many = joza.session();
+    many.capture_input("name", "Widget-0042");
+    for i in 1..1000 {
+        let value = match i % 10 {
+            0 => format!("a longer captured value number {i:04} ....."),
+            _ => format!("Zq{i:04}xY"),
+        };
+        many.capture_input(&format!("p{i}"), &value);
+    }
+    assert_eq!(many.inputs().len(), 1000);
+    let (one, many) = (warm_allocs(&one), warm_allocs(&many));
+    assert_eq!(one, many, "1 input: {one} allocations, 1,000 inputs: {many}");
 }
