@@ -2,7 +2,7 @@
 //!
 //! [`CheckArena`] names every recyclable buffer a single query check can
 //! need — token stream, symbol skeleton, collapse scratch, folded bytes,
-//! critical-token lists, NTI input-folding, q-gram and gram-index scratch. The engine
+//! critical-token lists, NTI input-folding and q-gram scratch. The engine
 //! keeps one arena per OS worker thread ([`with_arena`]): checks on a
 //! thread are strictly sequential (the slots are `!Sync` by construction),
 //! so each check sees the previous check's capacity and, at steady state,
@@ -39,9 +39,6 @@ pub struct CheckArena {
     /// NTI's packed q-gram profile of the query (built only when some
     /// input reaches the q-gram prefilter) and the current input's grams.
     pub query_grams: BufSlot<u64>,
-    /// NTI's hashed gram index of the query (built only when many inputs
-    /// reach the filters).
-    pub query_index: BufSlot<u64>,
 }
 
 impl CheckArena {
@@ -55,7 +52,6 @@ impl CheckArena {
             criticals: BufSlot::new(),
             input_fold: BufSlot::new(),
             query_grams: BufSlot::new(),
-            query_index: BufSlot::new(),
         }
     }
 }

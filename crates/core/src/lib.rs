@@ -714,7 +714,7 @@ impl Joza {
             route: None,
             model: None,
             taint_free: false,
-            inputs: self.nti.input_set(),
+            inputs: InputSet::new(),
         }
     }
 
@@ -731,7 +731,7 @@ impl Joza {
             route: Some(route.to_string()),
             model,
             taint_free,
-            inputs: self.nti.input_set(),
+            inputs: InputSet::new(),
         }
     }
 

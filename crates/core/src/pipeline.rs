@@ -209,9 +209,7 @@ pub(crate) fn nti(joza: &Joza, cx: &CheckCx<'_, '_>) -> StageStatus {
     };
     let mut fold = cx.arena.input_fold.lease();
     let mut grams = cx.arena.query_grams.lease();
-    let mut index = cx.arena.query_index.lease();
-    let scratch = joza_nti::Scratch { fold: &mut fold, grams: &mut grams, index: &mut index };
-    let (report, _work) = joza.nti.analyze_view_with(cx.inputs, view, scratch);
+    let (report, _work) = joza.nti.analyze_view_with(cx.inputs, view, &mut fold, &mut grams);
     fired_if(report.is_attack())
 }
 

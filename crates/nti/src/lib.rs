@@ -45,13 +45,8 @@
 //!    profile is built lazily, only once some input reaches this check,
 //!    as sorted packed grams in a recycled buffer (no hashing).
 //!
-//! When many inputs reach the filters ([`InputSet`] captures are the
-//! serving path's), the analysis builds a hashed **gram index** of the
-//! query once and runs the cheapest proof first: pieces or grams the
-//! index proves absent skip a pair with a few probes, whatever the
-//! query's length, and only pairs the index cannot settle meet the tests
-//! above. Every skip it proves is one those tests make, so reports are
-//! the same with and without it; [`NtiWork`] counts the probes.
+//! [`NtiWork`], returned beside the report, counts what these filters
+//! scanned and probed.
 //!
 //! The verbatim search looks for the input *verbatim* in the normalized
 //! query with [`swar::find_str`], which returns exactly `str::find`'s
@@ -99,7 +94,7 @@ use joza_sqlparse::token::Token;
 use joza_strmatch::myers::bounded_myers_substring_distance;
 pub use joza_strmatch::myers::MatchKernel;
 use joza_strmatch::normalize::{to_lower, to_lower_into};
-use joza_strmatch::qgram::{self, GramIndex, QgramProfile};
+use joza_strmatch::qgram::{self, QgramProfile};
 use joza_strmatch::sellers::{substring_distance, SubstringMatch};
 use joza_strmatch::swar;
 
@@ -171,21 +166,17 @@ impl NtiReport {
 /// What the filters of one analysis did before any alignment ran:
 /// deterministic counts, returned beside the [`NtiReport`] (two
 /// analyses with equal reports may differ here: the Classic kernel
-/// makes no verbatim search, and the gram index changes how a skip is
-/// proved, not which pairs are skipped).
+/// makes no verbatim search).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NtiWork {
     /// Query bytes under presence tests (the verbatim search and the
     /// piece tests), the whole normalized query counted per test.
     pub presence_bytes: u64,
-    /// Input q-grams probed in the query's gram index or merged against
-    /// its q-gram profile.
+    /// Input q-grams merged against the query's q-gram profile.
     pub gram_probes: u64,
-    /// Query q-grams hashed into the index or sorted into the profile;
-    /// each is built at most once per analysis.
+    /// Query q-grams sorted into the profile, which is built at most
+    /// once per analysis.
     pub query_grams: u64,
-    /// Whether the analysis built the query's gram index.
-    pub indexed: bool,
 }
 
 impl NtiWork {
@@ -222,19 +213,6 @@ pub enum Inputs<'a> {
     Set(&'a InputSet, &'a [&'a str]),
 }
 
-/// Scratch buffers for [`NtiAnalyzer::analyze_view_with`]; only their
-/// capacity carries over from one call to the next.
-#[derive(Debug)]
-pub struct Scratch<'a> {
-    /// A raw value's case-folded copy, when it has upper case (set
-    /// entries keep their own fold).
-    pub fold: &'a mut Vec<u8>,
-    /// The query's q-gram profile and the current input's grams.
-    pub grams: &'a mut Vec<u64>,
-    /// The query's gram index.
-    pub index: &'a mut Vec<u64>,
-}
-
 /// The NTI analysis component.
 #[derive(Debug, Clone, Default)]
 pub struct NtiAnalyzer {
@@ -250,11 +228,6 @@ impl NtiAnalyzer {
     /// The analyzer's configuration.
     pub fn config(&self) -> &NtiConfig {
         &self.config
-    }
-
-    /// An empty [`InputSet`] for this analyzer's threshold.
-    pub fn input_set(&self) -> InputSet {
-        InputSet::new(self.config.threshold)
     }
 
     /// Analyzes one query against the captured raw inputs.
@@ -276,17 +249,18 @@ impl NtiAnalyzer {
         let criticals = critical_tokens(&tokens, self.config.critical);
         let query_bytes = to_lower(query.as_bytes());
         let view = QueryView { query, criticals: &criticals, normalized: &query_bytes };
-        let (mut fold, mut grams, mut index) = (Vec::new(), Vec::new(), Vec::new());
-        let scratch = Scratch { fold: &mut fold, grams: &mut grams, index: &mut index };
-        self.analyze_view_with(inputs, view, scratch)
+        self.analyze_view_with(inputs, view, &mut Vec::new(), &mut Vec::new())
     }
 
     /// [`NtiAnalyzer::analyze`] over precomputed query artifacts — the
     /// parse-once entry point. The caller supplies the critical tokens and
-    /// normalized bytes (see [`QueryView`]) plus [`Scratch`] buffers
-    /// whose capacity is reused. The engine passes buffers leased from
-    /// its per-thread check arena, making the per-input loop
-    /// allocation-free at steady state.
+    /// normalized bytes (see [`QueryView`]) plus two scratch buffers whose
+    /// capacity is reused: `fold_scratch` holds a raw value's case-folded
+    /// copy when the value actually contains uppercase ASCII (set entries
+    /// keep their own fold), and `gram_scratch` holds the query's q-gram
+    /// profile, built only if some input reaches the q-gram check. The
+    /// engine passes buffers leased from its per-thread check arena,
+    /// making the per-input loop allocation-free at steady state.
     ///
     /// Verdicts, markings, and counters are bit-identical to
     /// [`NtiAnalyzer::analyze`] over the same values (for a set, its
@@ -296,9 +270,9 @@ impl NtiAnalyzer {
         &self,
         inputs: Inputs<'_>,
         view: QueryView<'_>,
-        scratch: Scratch<'_>,
+        fold_scratch: &mut Vec<u8>,
+        gram_scratch: &mut Vec<u64>,
     ) -> (NtiReport, NtiWork) {
-        let Scratch { fold, grams, index } = scratch;
         let mut pass = Pass {
             kernel: self.config.kernel,
             threshold: self.config.threshold,
@@ -307,28 +281,19 @@ impl NtiAnalyzer {
             // Case folding changes ASCII bytes only, so a view built from
             // a query is UTF-8; any other view skips both.
             query_str: std::str::from_utf8(view.normalized).ok(),
-            profile: QgramProfile::new(view.normalized, QGRAM, grams),
-            index_buf: Some(index),
-            index: None,
-            reached: 0,
+            profile: QgramProfile::new(view.normalized, QGRAM, gram_scratch),
             report: NtiReport::default(),
             work: NtiWork::default(),
         };
         let extra = match inputs {
             Inputs::Values(values) => values,
             Inputs::Set(set, extra) => {
-                let same_threshold = set.threshold.to_bits() == pass.threshold.to_bits();
                 for (idx, e) in set.entries.iter().enumerate() {
                     let p = set.folded(e);
                     if p.len() < MIN_INPUT_LEN {
                         continue;
                     }
-                    let cutoff = if same_threshold {
-                        e.cutoff
-                    } else {
-                        distance_cutoff(pass.threshold, p.len())
-                    };
-                    if let Some(k) = pass.length_check(p.len(), cutoff) {
+                    if let Some(k) = pass.length_check(p.len()) {
                         pass.compare(idx, p.as_bytes(), Some(p), k, Keys::Cached(set, e));
                     }
                 }
@@ -344,22 +309,20 @@ impl NtiAnalyzer {
                 continue;
             }
             // Folding keeps the length, so the length check runs first.
-            let Some(k) =
-                pass.length_check(input.len(), distance_cutoff(pass.threshold, input.len()))
-            else {
+            let Some(k) = pass.length_check(input.len()) else {
                 continue;
             };
             let bytes = input.as_bytes();
             let folded = match swar::first_ascii_upper(bytes) {
                 Some(first) => {
-                    fold.clear();
-                    fold.extend_from_slice(&bytes[..first]);
-                    to_lower_into(&bytes[first..], fold);
+                    fold_scratch.clear();
+                    fold_scratch.extend_from_slice(&bytes[..first]);
+                    to_lower_into(&bytes[first..], fold_scratch);
                     true
                 }
                 None => false,
             };
-            let input_bytes: &[u8] = if folded { fold } else { bytes };
+            let input_bytes: &[u8] = if folded { fold_scratch } else { bytes };
             // Folding keeps UTF-8 valid, so only a folded copy needs
             // checking.
             let input_str =
@@ -389,20 +352,17 @@ struct Pass<'v, 's> {
     view: QueryView<'v>,
     query_str: Option<&'v str>,
     profile: QgramProfile<'v, 's>,
-    /// The index's buffer until the index is built.
-    index_buf: Option<&'s mut Vec<u64>>,
-    index: Option<GramIndex<'s>>,
-    /// Inputs that passed the length check so far.
-    reached: usize,
     report: NtiReport,
     work: NtiWork,
 }
 
 impl Pass<'_, '_> {
-    /// The length check: the input's cutoff when an input of `len` bytes
-    /// can match the query within it; otherwise counts the skip.
-    fn length_check(&mut self, len: usize, cutoff: Option<usize>) -> Option<usize> {
-        let k = cutoff.filter(|&k| qgram::length_plausible(len, self.view.normalized.len(), k));
+    /// The length check: the distance cutoff of an input of `len` bytes
+    /// when such an input can match the query within it; otherwise
+    /// counts the skip.
+    fn length_check(&mut self, len: usize) -> Option<usize> {
+        let k = distance_cutoff(self.threshold, len)
+            .filter(|&k| qgram::length_plausible(len, self.view.normalized.len(), k));
         if k.is_none() {
             self.report.comparisons_skipped += 1;
         }
@@ -413,45 +373,13 @@ impl Pass<'_, '_> {
     /// input `idx`: `p` is its folded bytes (`text` the same as a `str`,
     /// when UTF-8), `k` its distance cutoff.
     fn compare(&mut self, idx: usize, p: &[u8], text: Option<&str>, k: usize, keys: Keys<'_>) {
-        self.reached += 1;
-        if self.index.is_none() && index_pays(self.reached, self.view.normalized.len()) {
-            if let Some(buf) = self.index_buf.take() {
-                self.index = Some(GramIndex::new(self.view.normalized, QGRAM, buf));
-                self.work.indexed = true;
-                self.work.query_grams +=
-                    self.view.normalized.len().saturating_sub(QGRAM - 1) as u64;
-            }
-        }
         // A short input's q-gram bound could not prune even one distance
         // past the cutoff, so it never builds the query's profile; its
         // pieces stand in for the bound.
         let short = qgram::bound_ceiling(p.len(), QGRAM) <= k + 1;
-        let (verbatim, skip) = if short && self.index.is_some() {
-            // Pieces with a gram the index proves absent are the cheapest
-            // test, and absent pieces rule out a verbatim occurrence too.
-            if self.pieces_absent(text, k) {
-                (None, true)
-            } else {
-                let absent = self.index_missing(p, 1) > 0;
-                (if absent { None } else { self.verbatim(p, text) }, false)
-            }
-        } else {
-            // With the index, grams it proves absent come first: one rules
-            // out a verbatim occurrence, and more than `QGRAM·k` prove the
-            // q-gram bound exceeds `k`.
-            let missing = match self.index {
-                Some(_) => self.index_missing(p, QGRAM * k + 1),
-                None => 0,
-            };
-            let verbatim = if missing == 0 { self.verbatim(p, text) } else { None };
-            let skip = verbatim.is_none()
-                && if short {
-                    self.pieces_absent(text, k)
-                } else {
-                    missing > QGRAM * k || self.qgram_exceeds(p, k, &keys)
-                };
-            (verbatim, skip)
-        };
+        let verbatim = self.verbatim(p, text);
+        let skip = verbatim.is_none()
+            && if short { self.pieces_absent(text, k) } else { self.qgram_exceeds(p, k, &keys) };
         if skip {
             self.report.comparisons_skipped += 1;
             return;
@@ -504,15 +432,6 @@ impl Pass<'_, '_> {
         swar::find_str(query, input)
     }
 
-    /// Grams of `p` the index proves absent from the query, counted up
-    /// to `stop`.
-    fn index_missing(&mut self, p: &[u8], stop: usize) -> usize {
-        let index = self.index.as_ref().expect("the gram index is built");
-        let (missing, probes) = index.missing(p, stop);
-        self.work.gram_probes += probes as u64;
-        missing
-    }
-
     /// The q-gram prefilter: whether the input's bound exceeds `k`.
     fn qgram_exceeds(&mut self, p: &[u8], k: usize, keys: &Keys<'_>) -> bool {
         self.work.gram_probes += (p.len() + 1).saturating_sub(QGRAM) as u64;
@@ -528,9 +447,9 @@ impl Pass<'_, '_> {
     /// and that piece occurs in the span, so `true` proves the pair has no
     /// match within `k`. An input too short for `k + 1` pieces of
     /// [`MIN_PIECE`] bytes, or one whose pieces would split a character,
-    /// or a view that is not UTF-8, is never reported absent. A piece
-    /// with a gram the index proves absent is absent; any other is tested
-    /// with `str::contains`.
+    /// or a view that is not UTF-8, is never reported absent. Each piece
+    /// is tested with `str::contains`, which decides absence with SIMD
+    /// where `str::find` runs Two-Way a window at a time.
     fn pieces_absent(&mut self, text: Option<&str>, k: usize) -> bool {
         let Some((query, input)) = self.query_str.zip(text) else {
             return false;
@@ -539,64 +458,14 @@ impl Pass<'_, '_> {
         if n < MIN_PIECE * parts {
             return false;
         }
-        let (index, work) = (self.index.as_ref(), &mut self.work);
-        piece_bounds(n, parts).all(|(start, end)| {
-            input.get(start..end).is_some_and(|piece| {
-                let proved = index.is_some_and(|index| {
-                    let mut grams = piece.as_bytes().windows(QGRAM);
-                    let (count, absent) = (grams.len(), grams.position(|g| !index.may_contain(g)));
-                    work.gram_probes += absent.map_or(count, |i| i + 1) as u64;
-                    absent.is_some()
-                });
-                if proved {
-                    return true;
-                }
-                work.presence_bytes += query.len() as u64;
+        (0..parts).all(|i| {
+            input.get(i * n / parts..(i + 1) * n / parts).is_some_and(|piece| {
+                self.work.presence_bytes += query.len() as u64;
                 !query.contains(piece)
             })
         })
     }
 }
-
-/// The byte ranges of `parts` pieces of an `n`-byte input: piece `i` is
-/// `i·n/parts .. (i+1)·n/parts`, stepped without a division per piece.
-fn piece_bounds(n: usize, parts: usize) -> impl Iterator<Item = (usize, usize)> {
-    let (step, rem) = (n / parts, n % parts);
-    let (mut end, mut err) = (0, 0);
-    (0..parts).map(move |_| {
-        let start = end;
-        end += step;
-        err += rem;
-        if err >= parts {
-            end += 1;
-            err -= parts;
-        }
-        (start, end)
-    })
-}
-
-/// Whether to build the query's gram index once `reached` inputs have
-/// reached the filters of a query of `query_len` bytes. Without it, each
-/// input's presence tests scan the query and a long input's q-gram count
-/// merges against the query's whole profile; with it, a probe costs the
-/// same whatever the query's length, and building it costs one hash per
-/// query byte. Measured (EXPERIMENTS.md, "NTI pays per probe"), the index
-/// wins from the 2nd 40-byte input at every query length, and from the
-/// 8th to 16th 9-byte input at 60 to 4,200 query bytes: the rule builds
-/// it at the 8th input, or at one input per 256 query bytes past that.
-fn index_pays(reached: usize, query_len: usize) -> bool {
-    #[cfg(test)]
-    if let Some(forced) = tests::FORCE_INDEX.with(std::cell::Cell::get) {
-        return forced;
-    }
-    reached >= INDEX_MIN_INPUTS && reached * INDEX_QUERY_BYTES_PER_INPUT >= query_len
-}
-
-/// Inputs an analysis compares before the gram index can pay.
-const INDEX_MIN_INPUTS: usize = 8;
-
-/// Query bytes one compared input pays for in the index's build.
-const INDEX_QUERY_BYTES_PER_INPUT: usize = 256;
 
 /// The q-gram length NTI's prefilter uses.
 const QGRAM: usize = 3;
@@ -652,13 +521,6 @@ pub fn distance_cutoff(threshold: f64, input_len: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Forces [`index_pays`] on this thread: `Some(true)` builds the
-        /// gram index before the first input, `Some(false)` never.
-        pub(super) static FORCE_INDEX: Cell<Option<bool>> = const { Cell::new(None) };
-    }
 
     fn nti() -> NtiAnalyzer {
         NtiAnalyzer::new(NtiConfig::default())
@@ -904,17 +766,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn piece_bounds_step_like_the_division() {
-        for n in 0..70 {
-            for parts in 1..20 {
-                let expected: Vec<_> =
-                    (0..parts).map(|i| (i * n / parts, (i + 1) * n / parts)).collect();
-                assert_eq!(piece_bounds(n, parts).collect::<Vec<_>>(), expected, "{n}/{parts}");
-            }
-        }
-    }
-
     /// A splitmix64 stream for the generated cases below.
     struct Rng(u64);
 
@@ -973,22 +824,13 @@ mod tests {
         (inputs, query)
     }
 
-    /// Runs `f` with the gram index forced on or off on this thread.
-    fn with_index<R>(on: bool, f: impl FnOnce() -> R) -> R {
-        FORCE_INDEX.with(|c| c.set(Some(on)));
-        let r = f();
-        FORCE_INDEX.with(|c| c.set(None));
-        r
-    }
-
     proptest::proptest! {
-        /// The set path, with the gram index forced on and off, gives
-        /// `analyze`'s report over the set's distinct values (then the
-        /// query-scoped values) under both kernels.
+        /// The set path gives `analyze`'s report over the set's distinct
+        /// values (then the query-scoped values) under both kernels.
         #[test]
-        fn set_path_matches_analyze_with_and_without_the_index(seed in 0u64..u64::MAX) {
+        fn set_path_matches_analyze(seed in 0u64..u64::MAX) {
             let (inputs, query) = multiset_case(seed);
-            let mut set = InputSet::new(0.2);
+            let mut set = InputSet::new();
             for (i, v) in inputs.iter().enumerate() {
                 set.insert(&format!("p{i}"), v);
             }
@@ -1000,53 +842,34 @@ mod tests {
                 let nti = NtiAnalyzer::new(NtiConfig { kernel, ..NtiConfig::default() });
                 let reference = nti.analyze(&distinct, &query);
                 let with_extra = nti.analyze(&all, &query);
-                for on in [false, true] {
-                    let (report, work) = with_index(on, || nti.analyze_set(&set, &query));
-                    proptest::prop_assert_eq!(&report, &reference);
-                    proptest::prop_assert_eq!(work.indexed, on);
-                    let (report, _) = with_index(on, || {
-                        nti.analyze_inputs(Inputs::Set(&set, &extra), &query)
-                    });
-                    proptest::prop_assert_eq!(&report, &with_extra);
-                }
+                let (report, _) = nti.analyze_set(&set, &query);
+                proptest::prop_assert_eq!(&report, &reference);
+                let (report, _) = nti.analyze_inputs(Inputs::Set(&set, &extra), &query);
+                proptest::prop_assert_eq!(&report, &with_extra);
             }
         }
     }
 
-    /// 10k distinct 64-byte inputs, all skipped, against a query of
-    /// `query_len` bytes: the report and the filters' work.
-    fn ten_thousand_skipped(query_len: usize) -> (NtiReport, NtiWork, usize) {
+    #[test]
+    fn work_count_of_10k_skipped_inputs_is_linear_in_their_bytes() {
+        // 10k distinct 64-byte inputs, all skipped, against a 60-byte
+        // query: each input meets one verbatim search and one q-gram
+        // count, so the filters do at most c·(Σ|p| + |q|) units of work.
         let mut rng = Rng(7);
         let mut query = String::from("SELECT option_value FROM wp_options WHERE option_name='");
-        while query.len() + 1 < query_len {
+        while query.len() + 1 < 60 {
             query.push_str(&rng.text(1, b"abcdefghijklmnopqrstuvwxyz _"));
         }
         query.push('\'');
-        let mut set = InputSet::new(0.2);
+        let mut set = InputSet::new();
         for i in 0..10_000 {
             set.insert(&format!("p{i}"), &rng.text(64, b"abcdefghijklmnopqrstuvwxyz0123456789"));
         }
-        let input_bytes = set.values().map(str::len).sum::<usize>() + query.len();
-        let (report, work) = nti().analyze_set(&set, &query);
         assert_eq!(set.len(), 10_000);
+        let bytes = (set.values().map(str::len).sum::<usize>() + query.len()) as u64;
+        let (report, work) = nti().analyze_set(&set, &query);
         assert_eq!((report.comparisons_run, report.comparisons_skipped), (0, 10_000));
-        (report, work, input_bytes)
-    }
-
-    #[test]
-    fn work_count_of_10k_skipped_inputs_is_linear_in_their_bytes() {
-        // The filters probe each input's grams in the query's index
-        // instead of scanning the query per input: at most c·(Σ|p| + |q|)
-        // units of work, on a 60-byte query and on a 4 KB one.
-        for query_len in [60, 4096] {
-            let (_, work, bytes) = ten_thousand_skipped(query_len);
-            assert!(work.indexed, "{query_len}: {work:?}");
-            assert!(work.total() <= 2 * bytes as u64, "{query_len}: {work:?} over {bytes} bytes");
-        }
-        // Without the index, the presence tests scan the 4 KB query once
-        // per input and the pin fails.
-        let (_, work, bytes) = with_index(false, || ten_thousand_skipped(4096));
-        assert!(work.total() > 2 * bytes as u64, "{work:?}");
+        assert!(work.total() <= 2 * bytes, "{work:?} over {bytes} bytes");
     }
 
     #[test]

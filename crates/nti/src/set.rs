@@ -3,32 +3,37 @@
 //!
 //! A request's inputs are compared with each of its queries, so whatever
 //! an input costs before its comparison is paid once per query. The set
-//! pays it once per request instead: the distance cutoff (the input's
-//! length class) and the case fold at capture, and the sorted q-gram keys
-//! only when a q-gram count needs them — a long body found verbatim in
-//! every query never builds them. A value
+//! pays it once per request instead: the case fold at capture, and the
+//! sorted q-gram keys only when a q-gram count needs them — a long body
+//! found verbatim in every query never builds them. A value
 //! captured again (the same parameter in `$_GET` and `$_REQUEST`, a
 //! stored row fetched twice) adds a name, not a comparison: markings
 //! from one value are the same whichever name carried it.
 
-use crate::{distance_cutoff, MIN_INPUT_LEN, QGRAM};
+use crate::QGRAM;
 use joza_strmatch::qgram::sorted_keys;
 use joza_strmatch::swar;
 use std::cell::OnceCell;
-use std::hash::{BuildHasher, RandomState};
+use std::collections::HashMap;
 
 /// Up to this many distinct values a capture finds its duplicate by a
-/// linear scan; past it, through a hash table of entry indices.
+/// linear scan, which hashes nothing (a request's few inputs include
+/// multi-KB bodies); past it, through a map of entry indices.
 const LINEAR_MAX: usize = 16;
 
-/// An empty slot of the hash table.
-const EMPTY: u64 = u64::MAX;
+/// Room a set's first capture makes beyond its own bytes, and the
+/// captures it makes room for: a small request's names and values then
+/// fit without regrowing the buffers. Regrowing them from empty made a
+/// short request's captures cost more than one `String` per name and
+/// value, and gate-dynamic's benign p50 read ~3% worse for it.
+const SMALL_REQUEST: (usize, usize) = (256, 8);
 
 /// A request's captured inputs, de-duplicated by value.
 ///
 /// Entries keep first-capture order: an analysis over the set reports
-/// entry `i` as input `i`. The values and their folds sit end to end in
-/// one buffer, so a pass over many entries reads memory in order.
+/// entry `i` as input `i`. The values, their folds and the names sit end
+/// to end in one buffer, so a capture rarely allocates and a pass over
+/// many entries reads memory in order.
 ///
 /// # Examples
 ///
@@ -36,7 +41,7 @@ const EMPTY: u64 = u64::MAX;
 /// use joza_nti::{InputSet, NtiAnalyzer, NtiConfig};
 ///
 /// let nti = NtiAnalyzer::new(NtiConfig::default());
-/// let mut set = nti.input_set();
+/// let mut set = InputSet::new();
 /// set.insert("id", "-1 OR 1=1");
 /// set.insert("REQUEST:id", "-1 OR 1=1");
 /// assert_eq!(set.len(), 1);
@@ -44,27 +49,17 @@ const EMPTY: u64 = u64::MAX;
 /// let (report, _work) = nti.analyze_set(&set, "SELECT * FROM t WHERE id=-1 OR 1=1");
 /// assert!(report.is_attack());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct InputSet {
-    /// The threshold the entries' cutoffs were computed for.
-    pub(crate) threshold: f64,
-    /// Every entry's value, then its ASCII case fold when that differs.
+    /// Each entry's value, then its ASCII case fold when that differs,
+    /// and each capture's name, in capture order.
     text: String,
     pub(crate) entries: Vec<Entry>,
-    /// Every capture's name, end to end.
-    name_text: String,
-    /// `(entry, end of its name in name_text)` per capture, in capture
-    /// order.
-    names: Vec<(usize, usize)>,
-    /// Hashes values with std's per-process random keys: they arrive from
-    /// outside the program, and values crafted to collide under a fixed
-    /// hash would make each capture a scan of the table.
-    hasher: Option<RandomState>,
-    /// Open-addressed table by value hash (a power of two, at most half
-    /// full; empty while the set is small). A slot holds an entry index
-    /// in its low half and the top half of the entry's hash in its high
-    /// half, so a probe reads an entry only when the halves match.
-    slots: Vec<u64>,
+    /// `(entry, its name's range in text)` per capture, in capture order.
+    names: Vec<(usize, (usize, usize))>,
+    /// Entry index by value once the set outgrows the linear scan (std's
+    /// randomly keyed hasher: values arrive from outside the program).
+    by_value: HashMap<Box<str>, usize>,
 }
 
 /// One distinct captured value.
@@ -75,69 +70,54 @@ pub(crate) struct Entry {
     /// Its case fold's range: the value's own when folding changes
     /// nothing.
     folded: (usize, usize),
-    /// NTI's distance cutoff for the value's length; `None` when the
-    /// value is too short to compare or not even distance 0 passes.
-    pub(crate) cutoff: Option<usize>,
     /// Sorted packed q-grams of the folded value, built on first use.
     keys: OnceCell<Box<[u64]>>,
-    /// The value's hash, once the set keeps a table.
-    hash: u64,
 }
 
 impl InputSet {
-    /// An empty set whose entries carry distance cutoffs for `threshold`
-    /// (an analysis at another threshold recomputes them).
-    pub fn new(threshold: f64) -> InputSet {
-        InputSet {
-            threshold,
-            text: String::new(),
-            entries: Vec::new(),
-            name_text: String::new(),
-            names: Vec::new(),
-            hasher: None,
-            slots: Vec::new(),
-        }
+    /// An empty set.
+    pub fn new() -> InputSet {
+        InputSet::default()
     }
 
     /// Captures `value` under `name` and returns its entry index: a new
     /// entry for a value not in the set yet, the existing one otherwise.
     pub fn insert(&mut self, name: &str, value: &str) -> usize {
-        let entry = if self.slots.is_empty() {
-            match self.entries.iter().position(|e| self.value(e) == value) {
-                Some(i) => i,
-                None => {
-                    self.push(value, 0);
-                    if self.entries.len() > LINEAR_MAX {
-                        let hasher = self.hasher.insert(RandomState::new());
-                        for e in &mut self.entries {
-                            e.hash = hasher.hash_one(&self.text[e.value.0..e.value.1]);
-                        }
-                        self.rehash();
-                    }
-                    self.entries.len() - 1
-                }
-            }
+        if self.text.capacity() == 0 {
+            let (bytes, captures) = SMALL_REQUEST;
+            self.text.reserve(name.len() + 2 * value.len() + bytes);
+            self.entries.reserve(captures);
+            self.names.reserve(captures);
+        }
+        let found = if self.entries.len() <= LINEAR_MAX {
+            self.entries.iter().position(|e| self.value(e) == value)
         } else {
-            let h = self.hasher.as_ref().expect("a table has a hasher").hash_one(value);
-            match self.find_slot(h, value) {
-                Ok(i) => i,
-                Err(slot) => {
-                    self.slots[slot] = slot_word(h, self.entries.len());
-                    self.push(value, h);
-                    if 2 * self.entries.len() > self.slots.len() {
-                        self.rehash();
+            self.by_value.get(value).copied()
+        };
+        let entry = match found {
+            Some(i) => i,
+            None => {
+                self.push(value);
+                let i = self.entries.len() - 1;
+                if i == LINEAR_MAX {
+                    // The set outgrows the scan: map every value so far.
+                    for (j, e) in self.entries.iter().enumerate() {
+                        self.by_value.insert(self.text[e.value.0..e.value.1].into(), j);
                     }
-                    self.entries.len() - 1
+                } else if i > LINEAR_MAX {
+                    self.by_value.insert(value.into(), i);
                 }
+                i
             }
         };
-        self.name_text.push_str(name);
-        self.names.push((entry, self.name_text.len()));
+        let start = self.text.len();
+        self.text.push_str(name);
+        self.names.push((entry, (start, self.text.len())));
         entry
     }
 
     /// Appends a new entry for `value`, folding it once.
-    fn push(&mut self, value: &str, hash: u64) {
+    fn push(&mut self, value: &str) {
         let start = self.text.len();
         self.text.push_str(value);
         let end = self.text.len();
@@ -149,49 +129,7 @@ impl InputSet {
             }
             None => (start, end),
         };
-        let len = value.len();
-        let cutoff = if len < MIN_INPUT_LEN { None } else { distance_cutoff(self.threshold, len) };
-        self.entries.push(Entry {
-            value: (start, end),
-            folded,
-            cutoff,
-            keys: OnceCell::new(),
-            hash,
-        });
-    }
-
-    /// `Ok(entry)` holding `value`, or `Err(slot)`: the empty slot where
-    /// it belongs.
-    fn find_slot(&self, h: u64, value: &str) -> Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut slot = h as usize & mask;
-        loop {
-            match self.slots[slot] {
-                EMPTY => return Err(slot),
-                word if word >> 32 == h >> 32 => {
-                    let i = (word & u64::from(u32::MAX)) as usize;
-                    if self.value(&self.entries[i]) == value {
-                        return Ok(i);
-                    }
-                }
-                _ => {}
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Rebuilds the table at a quarter full.
-    fn rehash(&mut self) {
-        let len = (4 * self.entries.len()).next_power_of_two();
-        self.slots.clear();
-        self.slots.resize(len, EMPTY);
-        for (i, e) in self.entries.iter().enumerate() {
-            let mut slot = e.hash as usize & (len - 1);
-            while self.slots[slot] != EMPTY {
-                slot = (slot + 1) & (len - 1);
-            }
-            self.slots[slot] = slot_word(e.hash, i);
-        }
+        self.entries.push(Entry { value: (start, end), folded, keys: OnceCell::new() });
     }
 
     /// Entry `e`'s raw value.
@@ -213,9 +151,8 @@ impl InputSet {
     pub fn clear(&mut self) {
         self.text.clear();
         self.entries.clear();
-        self.name_text.clear();
         self.names.clear();
-        self.slots.clear();
+        self.by_value.clear();
     }
 
     /// The number of distinct values.
@@ -236,18 +173,11 @@ impl InputSet {
     /// Every name entry `entry`'s value was captured under, in capture
     /// order: the evidence a marking of that entry points back to.
     pub fn names(&self, entry: usize) -> impl Iterator<Item = &str> {
-        let starts = std::iter::once(0).chain(self.names.iter().map(|&(_, end)| end));
         self.names
             .iter()
-            .zip(starts)
-            .filter(move |((e, _), _)| *e == entry)
-            .map(|(&(_, end), start)| &self.name_text[start..end])
+            .filter(move |&&(e, _)| e == entry)
+            .map(|&(_, (start, end))| &self.text[start..end])
     }
-}
-
-/// A hash table slot for entry `i` whose value hashes to `h`.
-fn slot_word(h: u64, i: usize) -> u64 {
-    (h >> 32 << 32) | i as u64
 }
 
 #[cfg(test)]
@@ -256,7 +186,7 @@ mod tests {
 
     #[test]
     fn duplicates_add_names_not_entries_past_the_linear_scan() {
-        let mut set = InputSet::new(0.2);
+        let mut set = InputSet::new();
         for i in 0..200 {
             set.insert(&format!("get:{i}"), &format!("value-{}", i % 50));
         }
@@ -272,11 +202,10 @@ mod tests {
 
     #[test]
     fn entries_fold_at_capture_and_key_on_first_use() {
-        let mut set = InputSet::new(0.2);
+        let mut set = InputSet::new();
         set.insert("q", "Search TERM");
         set.insert("id", "42");
         let (upper, short) = (&set.entries[0], &set.entries[1]);
-        assert_eq!((upper.cutoff, short.cutoff), (Some(2), None));
         assert_eq!((set.value(upper), set.folded(upper)), ("Search TERM", "search term"));
         assert_eq!((set.value(short), set.folded(short)), ("42", "42"));
         assert!(upper.keys.get().is_none());

@@ -179,94 +179,6 @@ pub fn sorted_keys(s: &[u8], q: usize) -> Vec<u64> {
     keys
 }
 
-/// A text's q-gram *set* as a hashed bitset, for many patterns against
-/// one text.
-///
-/// Each text gram sets one bit, chosen by a multiplicative hash of its
-/// packed key, in a table of at least 16 bits per gram. A pattern gram
-/// whose bit is clear is absent from the text; a set bit may be another
-/// gram's (a false positive, below 1/16 per probe), so the index proves
-/// absence and never presence. A pattern that has an absent gram does
-/// not occur in the text, and `m` absent grams of a pattern with
-/// multiplicity counted are at most the grams the [`lower_bound`] counts
-/// as missing, so `⌈m/q⌉` never exceeds that bound. Building costs one
-/// hash per text gram; a probe costs one hash and one bit test, whatever
-/// the text's length.
-///
-/// # Examples
-///
-/// ```
-/// use joza_strmatch::qgram::GramIndex;
-///
-/// let mut buf = Vec::new();
-/// let index = GramIndex::new(b"select * from t where id=5", 3, &mut buf);
-/// assert_eq!(index.missing(b"from t", usize::MAX).0, 0);
-/// assert!(index.missing(b"zzzz", usize::MAX).0 > 0);
-/// ```
-#[derive(Debug)]
-pub struct GramIndex<'b> {
-    q: usize,
-    /// `64 − log2(table bits)`: a hash's top bits pick the slot.
-    shift: u32,
-    bits: &'b [u64],
-}
-
-impl<'b> GramIndex<'b> {
-    /// Indexes the q-grams of `text` in `buf` (contents discarded,
-    /// capacity reused).
-    ///
-    /// # Panics
-    ///
-    /// If `q` is 0 or above 8.
-    pub fn new(text: &[u8], q: usize, buf: &'b mut Vec<u64>) -> Self {
-        assert!((1..=PACKED_MAX_Q).contains(&q), "q-grams must be 1 to {PACKED_MAX_Q} bytes");
-        let grams = (text.len() + 1).saturating_sub(q);
-        let table_bits = (grams * 16).next_power_of_two().max(64);
-        buf.clear();
-        buf.resize(table_bits / 64, 0);
-        let shift = 64 - table_bits.trailing_zeros();
-        for key in keys(text, q) {
-            let slot = Self::slot(key, shift);
-            buf[slot / 64] |= 1 << (slot % 64);
-        }
-        GramIndex { q, shift, bits: buf }
-    }
-
-    #[inline]
-    fn slot(key: u64, shift: u32) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
-    }
-
-    /// Whether the q-byte `gram` may occur in the text: `false` proves
-    /// it absent.
-    #[inline]
-    pub fn may_contain(&self, gram: &[u8]) -> bool {
-        let key = match *gram {
-            [a, b, c] => (u64::from(a) << 16) | (u64::from(b) << 8) | u64::from(c),
-            _ => gram.iter().fold(0u64, |k, &b| (k << 8) | u64::from(b)),
-        };
-        let slot = Self::slot(key, self.shift);
-        self.bits[slot / 64] & (1 << (slot % 64)) != 0
-    }
-
-    /// Counts the grams of `pattern` (with multiplicity) the index proves
-    /// absent from the text, stopping once the count reaches `stop`.
-    /// Returns the count and the number of grams probed.
-    #[inline]
-    pub fn missing(&self, pattern: &[u8], stop: usize) -> (usize, usize) {
-        let (mut missing, mut probes) = (0, 0);
-        for key in keys(pattern, self.q) {
-            if missing >= stop {
-                break;
-            }
-            probes += 1;
-            let slot = Self::slot(key, self.shift);
-            missing += usize::from(self.bits[slot / 64] & (1 << (slot % 64)) == 0);
-        }
-        (missing, probes)
-    }
-}
-
 /// The largest value [`lower_bound`] can return for a pattern of
 /// `pattern_len` bytes: the bound counts missing grams, and a pattern has
 /// only `|p| − q + 1` of them, so it never exceeds `⌈(|p| − q + 1)/q⌉`.
@@ -286,25 +198,18 @@ pub fn bound_ceiling(pattern_len: usize, q: usize) -> usize {
     }
 }
 
-/// The packed q-grams of `s` (`1 ≤ q ≤ 8`), in text order: each gram
-/// big-endian in the low `8q` bits of a `u64`.
-#[inline]
-fn keys(s: &[u8], q: usize) -> impl Iterator<Item = u64> + '_ {
-    let mask = if q == PACKED_MAX_Q { u64::MAX } else { (1u64 << (8 * q)) - 1 };
-    let head = s.get(..q - 1).unwrap_or(&[]);
-    let mut key = head.iter().fold(0u64, |k, &b| (k << 8) | u64::from(b));
-    let tail = if s.len() >= q { &s[q - 1..] } else { &[] };
-    tail.iter().map(move |&b| {
-        key = ((key << 8) | u64::from(b)) & mask;
-        key
-    })
-}
-
 /// Appends the packed q-grams of `s` (`1 ≤ q ≤ 8`) to `out`, sorting the
 /// appended run.
 fn push_sorted_keys(s: &[u8], q: usize, out: &mut Vec<u64>) {
     let start = out.len();
-    out.extend(keys(s, q));
+    if s.len() >= q {
+        let mask = if q == PACKED_MAX_Q { u64::MAX } else { (1u64 << (8 * q)) - 1 };
+        let mut key = s[..q - 1].iter().fold(0u64, |k, &b| (k << 8) | u64::from(b));
+        out.extend(s[q - 1..].iter().map(|&b| {
+            key = ((key << 8) | u64::from(b)) & mask;
+            key
+        }));
+    }
     out[start..].sort_unstable();
 }
 
@@ -416,28 +321,6 @@ mod tests {
                 assert_eq!(profile.exceeds_keys(&keys, cutoff), profile.exceeds(p, cutoff));
             }
         }
-    }
-
-    #[test]
-    fn index_never_reports_a_present_gram_missing() {
-        let text = b"select option_value from wp_options where option_name='siteurl'";
-        let mut buf = Vec::new();
-        let index = GramIndex::new(text, 3, &mut buf);
-        for start in 0..text.len() {
-            for end in start..=text.len() {
-                assert_eq!(index.missing(&text[start..end], usize::MAX).0, 0);
-            }
-        }
-        // Absent grams counted with multiplicity never exceed the
-        // multiset count the q-gram bound uses.
-        for p in [&b"zzzzzzzzzz"[..], b"option_zzz_option", b"siteurlsiteurl", b"aaaaaaa"] {
-            let (missing, probes) = index.missing(p, usize::MAX);
-            assert_eq!(probes, p.len() - 2);
-            assert!(missing.div_ceil(3) <= lower_bound(p, text, 3), "{p:?}");
-            let by_gram = p.windows(3).filter(|g| !index.may_contain(g)).count();
-            assert_eq!(by_gram, missing, "{p:?}");
-        }
-        assert_eq!(index.missing(b"zzzzzzzzzz", 2), (2, 2), "stops at the requested count");
     }
 
     #[test]

@@ -192,8 +192,8 @@ fn dirty_cell_lookups_are_allocation_free() {
 #[test]
 fn warm_dynamic_check_allocates_as_often_with_1000_inputs_as_with_1() {
     // No route model, so every check runs NTI over the session's input
-    // set and PTI, which the query cache answers once warm. Folds, gram
-    // keys and the query's gram index are built by the warm-up checks.
+    // set and PTI, which the query cache answers once warm. The inputs'
+    // gram keys are built by the warm-up checks.
     // (The alignment kernel allocates per comparison it runs, so both
     // sessions run the same one.)
     let joza = Joza::builder().fragments(["SELECT * FROM items WHERE name='", "'"]).build();
