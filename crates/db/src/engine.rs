@@ -1,6 +1,7 @@
 //! The database engine facade.
 
 use crate::table::Table;
+use joza_sqlparse::cells::{self, NameError};
 use joza_sqlparse::{parse, ParseError, Statement, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -50,6 +51,18 @@ impl std::error::Error for DbError {}
 impl From<ParseError> for DbError {
     fn from(e: ParseError) -> Self {
         DbError::Parse(e)
+    }
+}
+
+impl From<NameError> for DbError {
+    fn from(e: NameError) -> Self {
+        match e {
+            NameError::UnknownTable(t) => DbError::UnknownTable(t),
+            NameError::UnknownColumn(c) => DbError::UnknownColumn(c),
+            NameError::UnionColumnMismatch { left, right } => {
+                DbError::UnionColumnMismatch { left, right }
+            }
+        }
     }
 }
 
@@ -182,11 +195,14 @@ impl Database {
         let mut side = SideEffects { sleep_ms: 0, rand_state: self.queries_executed };
         let result = match stmt {
             Statement::Select(sel) => {
-                let (columns, rows) = crate::exec::run_select(self, sel, &mut side)?;
-                let origins = joza_sqlparse::cells::projected_cells(sel, self);
+                let output = cells::output_columns(sel, self)?;
+                let rows = crate::exec::run_select(self, sel, &mut side)?;
+                debug_assert!(rows.iter().all(|row| row.len() == output.len()));
+                let (columns, origins) = output.into_iter().map(|c| (c.name, c.cells)).unzip();
                 QueryResult { columns, rows, affected: 0, elapsed_ms: 0, origins }
             }
             Statement::Insert(ins) => {
+                cells::check_names(None, ins.rows.iter().flatten(), self)?;
                 let affected = crate::exec::run_insert(self, ins, &mut side)?;
                 QueryResult {
                     columns: vec![],
@@ -197,6 +213,9 @@ impl Database {
                 }
             }
             Statement::Update(upd) => {
+                let assigned = upd.assignments.iter().map(|(_, e)| e);
+                let exprs = upd.where_clause.iter().chain(assigned);
+                cells::check_names(Some(&upd.table), exprs, self)?;
                 let affected = crate::exec::run_update(self, upd, &mut side)?;
                 QueryResult {
                     columns: vec![],
@@ -207,6 +226,7 @@ impl Database {
                 }
             }
             Statement::Delete(del) => {
+                cells::check_names(Some(&del.table), &del.where_clause, self)?;
                 let affected = crate::exec::run_delete(self, del, &mut side)?;
                 QueryResult {
                     columns: vec![],

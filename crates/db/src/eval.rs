@@ -146,7 +146,7 @@ pub(crate) fn eval(ctx: Ctx<'_>, side: &mut SideEffects, e: &Expr) -> Result<Val
         }
         Expr::InSubquery { expr, subquery, negated } => {
             let v = eval(ctx, side, expr)?;
-            let (_, rows) = crate::exec::run_select_with_outer(ctx.db, subquery, side, Some(&ctx))?;
+            let rows = crate::exec::run_select_with_outer(ctx.db, subquery, side, Some(&ctx))?;
             let found =
                 rows.iter().any(|r| r.first().is_some_and(|cell| v.sql_eq(cell) == Some(true)));
             Ok(Value::from(found != *negated))
@@ -169,11 +169,11 @@ pub(crate) fn eval(ctx: Ctx<'_>, side: &mut SideEffects, e: &Expr) -> Result<Val
             Ok(Value::from(hit != *negated))
         }
         Expr::Subquery(sub) => {
-            let (_, rows) = crate::exec::run_select_with_outer(ctx.db, sub, side, Some(&ctx))?;
+            let rows = crate::exec::run_select_with_outer(ctx.db, sub, side, Some(&ctx))?;
             Ok(rows.first().and_then(|r| r.first().cloned()).unwrap_or(Value::Null))
         }
         Expr::Exists(sub) => {
-            let (_, rows) = crate::exec::run_select_with_outer(ctx.db, sub, side, Some(&ctx))?;
+            let rows = crate::exec::run_select_with_outer(ctx.db, sub, side, Some(&ctx))?;
             Ok(Value::from(!rows.is_empty()))
         }
         Expr::Case { operand, branches, else_arm } => {

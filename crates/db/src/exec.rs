@@ -5,13 +5,15 @@ use crate::eval::{eval, Ctx, Env, AGGREGATES};
 use joza_sqlparse::ast::*;
 use joza_sqlparse::Value;
 
-/// Runs a SELECT (with any UNION continuations) and returns
-/// `(column names, rows)`.
+/// Runs a SELECT (with any UNION continuations) and returns its rows.
+/// Its names were checked, and its columns listed, by
+/// [`output_columns`](joza_sqlparse::cells::output_columns) before a row
+/// is read.
 pub(crate) fn run_select(
     db: &Database,
     sel: &SelectStatement,
     side: &mut SideEffects,
-) -> Result<(Vec<String>, Vec<Vec<Value>>), DbError> {
+) -> Result<Vec<Vec<Value>>, DbError> {
     run_select_with_outer(db, sel, side, None)
 }
 
@@ -20,36 +22,23 @@ pub(crate) fn run_select_with_outer(
     sel: &SelectStatement,
     side: &mut SideEffects,
     outer: Option<&Ctx<'_>>,
-) -> Result<(Vec<String>, Vec<Vec<Value>>), DbError> {
-    let (columns, mut rows) = run_select_body(db, sel, side, outer)?;
+) -> Result<Vec<Vec<Value>>, DbError> {
+    let mut rows = run_select_body(db, sel, side, outer)?;
     for (op, arm) in &sel.set_ops {
-        let (_, arm_rows) = run_select_body(db, arm, side, outer)?;
-        let arm_width = arm_rows.first().map_or_else(|| count_projection_width(arm), |r| r.len());
-        if arm_width != columns.len() && !(arm_rows.is_empty() && arm_width == 0) {
-            return Err(DbError::UnionColumnMismatch { left: columns.len(), right: arm_width });
-        }
-        rows.extend(arm_rows);
+        rows.extend(run_select_body(db, arm, side, outer)?);
         if *op == SetOp::Union {
-            dedup_rows(&mut rows);
+            dedup_rows(&mut rows, Vec::as_slice);
         }
     }
-    Ok((columns, rows))
+    Ok(rows)
 }
 
-/// Static column count of a SELECT's projection list (used to detect UNION
-/// column mismatches even when an arm produced zero rows).
-fn count_projection_width(sel: &SelectStatement) -> usize {
-    // Wildcards have data-dependent width; treat each as one-or-more. For
-    // mismatch detection on empty arms we only need a best-effort count.
-    sel.projections.len()
-}
-
-/// `UNION`'s duplicate elimination: keeps the first row of each distinct
-/// `{:?}` rendering, in order. A hash set of the renderings makes it
-/// linear in the rows; it runs after every `UNION` arm.
-fn dedup_rows(rows: &mut Vec<Vec<Value>>) {
-    let mut seen = std::collections::HashSet::with_capacity(rows.len());
-    rows.retain(|r| seen.insert(format!("{r:?}")));
+/// Duplicate elimination for `UNION` and `SELECT DISTINCT`: keeps the
+/// first item of each distinct `{:?}` rendering of its row, in order. A
+/// hash set of the renderings makes it linear in the rows.
+fn dedup_rows<T>(items: &mut Vec<T>, row: impl Fn(&T) -> &[Value]) {
+    let mut seen = std::collections::HashSet::with_capacity(items.len());
+    items.retain(|item| seen.insert(format!("{:?}", row(item))));
 }
 
 /// The quadratic rule [`dedup_rows`] replaced, kept as its reference.
@@ -72,7 +61,7 @@ fn run_select_body(
     sel: &SelectStatement,
     side: &mut SideEffects,
     outer: Option<&Ctx<'_>>,
-) -> Result<(Vec<String>, Vec<Vec<Value>>), DbError> {
+) -> Result<Vec<Vec<Value>>, DbError> {
     // 1. FROM / JOIN: build the row environments.
     let mut envs: Vec<Env> = match &sel.from {
         None => vec![Env::default()],
@@ -104,7 +93,6 @@ fn run_select_body(
             .any(|p| matches!(p, Projection::Expr { expr, .. } if expr.any(&is_aggregate)))
         || sel.having.as_ref().is_some_and(|h| h.any(&is_aggregate));
 
-    let mut out_columns: Vec<String> = Vec::new();
     // Each produced row carries its ORDER BY keys.
     let mut produced: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
 
@@ -132,44 +120,20 @@ fn run_select_body(
                     continue;
                 }
             }
-            let (cols, row) = project(ctx, side, sel, members.first())?;
-            if out_columns.is_empty() {
-                out_columns = cols;
-            }
-            let keys = order_keys(ctx, side, sel)?;
-            produced.push((row, keys));
+            let row = project(ctx, side, sel, members.first())?;
+            produced.push((row, order_keys(ctx, side, sel)?));
         }
     } else {
         for env in &envs {
             let ctx = Ctx { db, env: Some(env), group: None, outer };
-            let (cols, row) = project(ctx, side, sel, Some(env))?;
-            if out_columns.is_empty() {
-                out_columns = cols;
-            }
-            let keys = order_keys(ctx, side, sel)?;
-            produced.push((row, keys));
-        }
-        if produced.is_empty() {
-            // Determine column names for an empty result from the schema.
-            let ctx = Ctx { db, env: None, group: None, outer };
-            if let Ok((cols, _)) = project_names_only(ctx, sel, &envs) {
-                out_columns = cols;
-            }
+            let row = project(ctx, side, sel, Some(env))?;
+            produced.push((row, order_keys(ctx, side, sel)?));
         }
     }
 
     // 4. DISTINCT.
     if sel.distinct {
-        let mut seen: Vec<String> = Vec::new();
-        produced.retain(|(r, _)| {
-            let key = format!("{r:?}");
-            if seen.contains(&key) {
-                false
-            } else {
-                seen.push(key);
-                true
-            }
-        });
+        dedup_rows(&mut produced, |(row, _)| row);
     }
 
     // 5. ORDER BY.
@@ -199,7 +163,7 @@ fn run_select_body(
         rows = rows.into_iter().skip(offset).take(count).collect();
     }
 
-    Ok((out_columns, rows))
+    Ok(rows)
 }
 
 fn values_eq(a: &[Value], b: &[Value]) -> bool {
@@ -263,23 +227,22 @@ fn apply_join(
     Ok(out)
 }
 
+/// One row's values in the order [`output_columns`] lists them: `*` and
+/// `q.*` take the row's values of the `FROM` and `JOIN` tables, in that
+/// order.
+///
+/// [`output_columns`]: joza_sqlparse::cells::output_columns
 fn project(
     ctx: Ctx<'_>,
     side: &mut SideEffects,
     sel: &SelectStatement,
     env: Option<&Env>,
-) -> Result<(Vec<String>, Vec<Value>), DbError> {
-    let mut cols = Vec::new();
+) -> Result<Vec<Value>, DbError> {
     let mut row = Vec::new();
     for p in &sel.projections {
         match p {
             Projection::Wildcard => match env {
-                Some(e) => {
-                    for (_, name, value) in &e.entries {
-                        cols.push(name.clone());
-                        row.push(value.clone());
-                    }
-                }
+                Some(e) => row.extend(e.entries.iter().map(|(_, _, value)| value.clone())),
                 None => {
                     return Err(DbError::Other("SELECT * with no FROM clause".into()));
                 }
@@ -287,51 +250,21 @@ fn project(
             Projection::QualifiedWildcard(q) => match env {
                 Some(e) => {
                     let ql = q.to_ascii_lowercase();
-                    for (qual, name, value) in &e.entries {
-                        if qual.as_deref() == Some(ql.as_str()) {
-                            cols.push(name.clone());
-                            row.push(value.clone());
-                        }
-                    }
+                    row.extend(
+                        e.entries
+                            .iter()
+                            .filter(|(qual, _, _)| qual.as_deref() == Some(ql.as_str()))
+                            .map(|(_, _, value)| value.clone()),
+                    );
                 }
                 None => {
                     return Err(DbError::Other("qualified * with no FROM clause".into()));
                 }
             },
-            Projection::Expr { expr, alias } => {
-                cols.push(alias.clone().unwrap_or_else(|| expr_name(expr)));
-                row.push(eval(ctx, side, expr)?);
-            }
+            Projection::Expr { expr, .. } => row.push(eval(ctx, side, expr)?),
         }
     }
-    Ok((cols, row))
-}
-
-/// Column names for an empty result (no rows to expand wildcards against).
-fn project_names_only(
-    _ctx: Ctx<'_>,
-    sel: &SelectStatement,
-    _envs: &[Env],
-) -> Result<(Vec<String>, ()), DbError> {
-    let mut cols = Vec::new();
-    for p in &sel.projections {
-        match p {
-            Projection::Wildcard | Projection::QualifiedWildcard(_) => cols.push("*".to_string()),
-            Projection::Expr { expr, alias } => {
-                cols.push(alias.clone().unwrap_or_else(|| expr_name(expr)));
-            }
-        }
-    }
-    Ok((cols, ()))
-}
-
-fn expr_name(e: &Expr) -> String {
-    match e {
-        Expr::Column(c) => c.name.clone(),
-        Expr::Function { name, .. } => format!("{name}()"),
-        Expr::Literal(v) => v.to_string(),
-        _ => "expr".to_string(),
-    }
+    Ok(row)
 }
 
 fn order_keys(
@@ -504,7 +437,7 @@ mod tests {
             rows in proptest::collection::vec(proptest::collection::vec(value(), 0..3), 0..40),
         ) {
             let (mut fast, mut reference) = (rows.clone(), rows);
-            dedup_rows(&mut fast);
+            dedup_rows(&mut fast, Vec::as_slice);
             dedup_rows_reference(&mut reference);
             prop_assert_eq!(format!("{fast:?}"), format!("{reference:?}"));
         }
@@ -526,5 +459,84 @@ mod tests {
         assert!(r.rows.iter().enumerate().all(|(i, row)| row[..] == [Value::Int(i as i64)]));
         let all = db.execute("SELECT id FROM a UNION ALL SELECT id FROM b").unwrap();
         assert_eq!(all.rows.len(), 20_000);
+    }
+
+    /// `posts` with one row and `empty2` with the same two columns and none.
+    fn posts_and_empty2() -> Database {
+        let mut db = Database::new();
+        db.create_table("posts", &["id", "title"]);
+        db.insert_row("posts", vec![Value::Int(1), "t".into()]);
+        db.create_table("empty2", &["id", "title"]);
+        db
+    }
+
+    #[test]
+    fn union_arm_star_over_an_empty_table_has_the_tables_width() {
+        let mut db = posts_and_empty2();
+        let r = db.execute("SELECT id, title FROM posts UNION SELECT * FROM empty2").unwrap();
+        assert_eq!(r.columns, ["id", "title"]);
+        assert_eq!(r.rows.len(), 1);
+    }
+
+    #[test]
+    fn qualified_star_of_a_table_not_in_from_is_an_unknown_table() {
+        let mut db = posts_and_empty2();
+        db.create_table("users", &["id"]);
+        for sql in ["SELECT users.* FROM posts", "SELECT nosuch.* FROM posts"] {
+            assert!(matches!(db.execute(sql), Err(DbError::UnknownTable(_))), "{sql}");
+        }
+    }
+
+    #[test]
+    fn empty_result_names_the_expanded_columns() {
+        let mut db = posts_and_empty2();
+        let r = db.execute("SELECT * FROM posts WHERE id = 99").unwrap();
+        assert!(r.rows.is_empty());
+        assert_eq!(r.columns, ["id", "title"]);
+        assert_eq!(r.origins.len(), 2);
+    }
+
+    #[test]
+    fn unknown_column_fails_before_any_row_is_read() {
+        let mut db = posts_and_empty2();
+        for sql in [
+            "SELECT nosuch FROM empty2",
+            "SELECT id FROM posts WHERE 1 = 0 AND nosuch = 1",
+            "SELECT id FROM posts WHERE nosuch = 1 AND 1 = 0",
+            "SELECT id FROM empty2 ORDER BY nosuch",
+        ] {
+            assert_eq!(db.execute(sql), Err(DbError::UnknownColumn("nosuch".into())), "{sql}");
+        }
+    }
+
+    #[test]
+    fn distinct_a_20k_row_select_finishes() {
+        let mut db = Database::new();
+        db.create_table("a", &["id"]);
+        for i in 0..20_000 {
+            db.insert_row("a", vec![Value::Int(i % 15_000)]);
+        }
+        let r = db.execute("SELECT DISTINCT id FROM a").unwrap();
+        assert_eq!(r.rows.len(), 15_000);
+        assert!(r.rows.iter().enumerate().all(|(i, row)| row[..] == [Value::Int(i as i64)]));
+    }
+
+    proptest! {
+        /// `SELECT DISTINCT` keeps exactly the rows the quadratic rule
+        /// keeps over the projected rows.
+        #[test]
+        fn distinct_matches_dedup_rows_reference(
+            rows in proptest::collection::vec(proptest::collection::vec(value(), 2..3), 0..30),
+        ) {
+            let mut db = Database::new();
+            db.create_table("t", &["a", "b"]);
+            for row in rows {
+                db.insert_row("t", row);
+            }
+            let mut reference = db.execute("SELECT a, b FROM t").unwrap().rows;
+            dedup_rows_reference(&mut reference);
+            let distinct = db.execute("SELECT DISTINCT a, b FROM t").unwrap().rows;
+            prop_assert_eq!(format!("{distinct:?}"), format!("{reference:?}"));
+        }
     }
 }

@@ -6,17 +6,19 @@
 //! in *dirty* cells (cells the static store/load pass marked
 //! attacker-reachable) as taint sources for the current request. Every
 //! `SELECT`'s [`QueryResult::origins`](crate::QueryResult::origins) is
-//! [`projected_cells`](joza_sqlparse::cells::projected_cells) under the
-//! database's own schema — the rule the static pass applies without one,
-//! so the runtime capture and the static dirty set name the same cells.
+//! the cells of [`output_columns`](joza_sqlparse::cells::output_columns)
+//! under the database's own schema — the rule the static pass applies
+//! without one, so the runtime capture and the static dirty set name the
+//! same cells.
 //! Origins are computed from the statement and the schema, per column and
 //! not per row, so their cost does not grow with the result.
 //!
 //! With a schema, an unqualified column belongs to the tables of the
 //! nearest enclosing scope that have it, a correlated reference (`p.title`
 //! inside a subquery, `p` bound by the outer `FROM`) to the outer table,
-//! and `*` expands to the table's columns. A table the database does not
-//! have has no columns.
+//! and `*` expands to the table's columns. The database knows every
+//! table, so a name it does not have fails the query before a row is
+//! read.
 
 use crate::engine::Database;
 use crate::table::Table;
@@ -24,7 +26,11 @@ use joza_sqlparse::cells::Schema;
 
 impl Schema for Database {
     fn columns(&self, table: &str) -> Option<&[String]> {
-        Some(self.tables.get(table).map_or(&[], Table::columns))
+        self.tables.get(table).map(Table::columns)
+    }
+
+    fn knows_every_table(&self) -> bool {
+        true
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the in-memory MySQL-subset engine.
 
-use joza_db::{Database, Value};
+use joza_db::{Database, DbError, Value};
 use proptest::prelude::*;
 
 fn db_with(rows: &[(i64, &str)]) -> Database {
@@ -144,4 +144,61 @@ fn errors_are_observable() {
     assert!(db.execute("SELECT * FROM missing").is_err());
     assert!(db.execute("SELECT nope FROM t").is_err());
     assert!(db.execute("SELECT * FROM t WHERE").is_err());
+}
+
+/// A select-list item over `t` (two rows) and `e` (no rows), both
+/// `(id, name)`: wildcards, qualified wildcards, aliases and unknown names.
+fn projection() -> impl Strategy<Value = &'static str> {
+    prop_oneof![
+        Just("*"),
+        Just("t.*"),
+        Just("e.*"),
+        Just("x.*"),
+        Just("id"),
+        Just("name AS n"),
+        Just("t.id"),
+        Just("nosuch"),
+        Just("1"),
+    ]
+}
+
+const FROMS: [&str; 4] = ["t", "e", "t JOIN e ON t.id = e.id", "t AS x"];
+const FILTERS: [&str; 4] = ["", " WHERE 1 = 0", " WHERE id > 1", " WHERE nosuch = 1"];
+
+proptest! {
+    /// Every SELECT either fails a name or width check, or returns as
+    /// many columns as origins, and every row has that width — whether
+    /// or not a row survives.
+    #[test]
+    fn output_width_is_the_column_list(
+        lists in proptest::collection::vec(proptest::collection::vec(projection(), 1..4), 1..3),
+        froms in proptest::collection::vec(0usize..4, 2..3),
+        filters in proptest::collection::vec(0usize..4, 2..3),
+    ) {
+        let mut db = db_with(&[(1, "a"), (2, "b")]);
+        db.create_table("e", &["id", "name"]);
+        let arms: Vec<String> = lists
+            .iter()
+            .zip(froms.iter().zip(&filters))
+            .map(|(items, (&f, &w))| format!("SELECT {} FROM {}{}", items.join(", "), FROMS[f], FILTERS[w]))
+            .collect();
+        let sql = arms.join(" UNION ");
+        match db.execute(&sql) {
+            Ok(r) => {
+                prop_assert_eq!(r.columns.len(), r.origins.len(), "{}", sql);
+                prop_assert!(r.rows.iter().all(|row| row.len() == r.columns.len()), "{}", sql);
+            }
+            Err(e) => prop_assert!(
+                matches!(
+                    e,
+                    DbError::UnknownTable(_)
+                        | DbError::UnknownColumn(_)
+                        | DbError::UnionColumnMismatch { .. }
+                ),
+                "{}: {:?}",
+                sql,
+                e
+            ),
+        }
+    }
 }

@@ -115,6 +115,18 @@ run_tests -p joza-strmatch --lib qgram
 run_tests -p joza-nti --lib verbatim_search
 run_tests -p joza-nti --lib thresholds_at_and_above_one
 run_tests --test alloc_free
+# One output column list per SELECT, checked against the schema before a
+# row is read: a `UNION` arm's `*` over an empty table has the table's
+# width, `t.*` of a table not in `FROM` is an unknown table, an empty
+# result names the expanded columns, an unknown column fails whatever the
+# data, `DISTINCT` keeps the reference rule's rows, and every result is as
+# wide as its column list.
+run_tests -p joza-db --lib union_arm_star_over_an_empty_table_has_the_tables_width
+run_tests -p joza-db --lib qualified_star_of_a_table_not_in_from_is_an_unknown_table
+run_tests -p joza-db --lib empty_result_names_the_expanded_columns
+run_tests -p joza-db --lib unknown_column_fails_before_any_row_is_read
+run_tests -p joza-db --lib distinct_matches_dedup_rows_reference
+run_tests -p joza-db --test proptests output_width_is_the_column_list
 # PTI's fragment kernel must report exactly the byte-at-a-time loop's
 # matches (overlapping, empty and over-long patterns included); MRU over
 # the borrowed vocabulary, with promotions and early exit, must equal the
@@ -245,6 +257,8 @@ run_tests --test nti_kernel_identity piece_filter_skips
 # keeps exactly the rows the quadratic rule kept.
 run_tests -p joza-nti --lib work_count_of_10k_skipped_inputs
 run_tests -p joza-db --lib dedup_rows
+# A 20k-row SELECT DISTINCT finishes through the same rule.
+run_tests -p joza-db --lib distinct_a_20k_row_select_finishes
 
 # Engine equivalence, explicitly: the bytecode VM and the tree-walking
 # interpreter must produce bit-identical responses (body, queries,
